@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -184,11 +183,11 @@ struct Artifacts
     std::string jsonPath;
     std::string csvPath;
     /**
-     * `--checkpoint <path>`: journal every completed campaign task to
-     * this file and, on a rerun, resume from it instead of restarting
-     * from zero (see exp/campaign.hh). All fourteen gated benches
-     * accept it; the resumed artifacts are byte-identical to an
-     * uninterrupted run at any thread count.
+     * `--checkpoint <dir>`: journal every completed campaign task into
+     * this journal directory and, on a rerun, resume from it instead of
+     * restarting from zero (see exp/campaign.hh). All sixteen gated
+     * benches accept it; the resumed artifacts are byte-identical to an
+     * uninterrupted run at any thread or worker count.
      */
     std::string checkpointPath;
     /**
@@ -200,13 +199,12 @@ struct Artifacts
     bool small = false;
     /**
      * `--workers <n>`: fork n campaign worker processes sharing the
-     * `--checkpoint` path as an aero-campaign/2 journal *directory*
-     * (requires `--checkpoint`; see exp/campaign.hh). Zero means
-     * single-process.
+     * `--checkpoint` journal directory (requires `--checkpoint`; see
+     * exp/campaign.hh). Zero means single-process.
      */
     int workers = 0;
-    /** This process's worker index after forkWorkers(); -1 = driver. */
-    int workerIndex = -1;
+    /** This process's worker index after forkWorkers(). */
+    int workerIndex = JournalOptions::kDriver;
 
     bool wantJson() const { return !jsonPath.empty(); }
     bool wantCsv() const { return !csvPath.empty(); }
@@ -252,11 +250,9 @@ struct Artifacts
      * campaign configuration — every knob that influences the numbers
      * must be in it, so a resumed run can never splice stale records.
      *
-     * With `--workers` (or when the checkpoint path is already a
-     * journal directory from an earlier multi-worker run), the journal
-     * opens in directory mode: a forked worker appends to
-     * `journal.w<i>.jsonl` with file-locked claims armed; the driver
-     * merges every worker file under the id "merge" with claims off.
+     * A forked worker appends to `journal.w<i>.jsonl` with file-locked
+     * claims armed; the driver merges every worker file and appends to
+     * `journal.driver.jsonl` with claims off.
      */
     std::unique_ptr<CampaignJournal>
     openJournal(const std::string &bench, Json config) const
@@ -264,16 +260,7 @@ struct Artifacts
         if (!wantCheckpoint())
             return nullptr;
         JournalOptions options;
-        if (isWorker()) {
-            // Built by append (not operator+) to dodge GCC 12's
-            // -Wrestrict false positive on char* + std::string&&.
-            options.workerId = "w";
-            options.workerId += std::to_string(workerIndex);
-            options.claims = true;
-        } else if (workers > 1 ||
-                   std::filesystem::is_directory(checkpointPath)) {
-            options.workerId = "merge";
-        }
+        options.worker = workerIndex;
         auto journal = std::make_unique<CampaignJournal>(
             checkpointPath, bench, std::move(config), options);
         if (!isWorker() && journal->cachedCount() > 0) {

@@ -21,7 +21,6 @@
 #include <cmath>
 
 #include "bench_util.hh"
-#include "exp/checkpoint.hh"
 #include "exp/sweep.hh"
 
 using namespace aero;
@@ -62,15 +61,9 @@ main(int argc, char **argv)
     // exits; the parent waits, then reopens the merged directory with
     // every record cached and assembles the artifacts alone.
     artifacts.forkWorkers();
-    const auto journal = artifacts.openJournal(
-        "fig14_tail_latency", SweepCheckpoint::configOf(spec));
-    std::vector<SimResult> results;
-    if (journal) {
-        SweepCheckpoint checkpoint(*journal, spec);
-        results = SweepRunner().run(spec, checkpoint);
-    } else {
-        results = SweepRunner().run(spec);
-    }
+    const auto journal =
+        artifacts.openJournal("fig14_tail_latency", configOf(spec));
+    const auto results = SweepRunner().run(spec, journal.get());
     if (artifacts.isWorker())
         artifacts.exitWorker();
     artifacts.writeSweep(spec, results);

@@ -12,7 +12,6 @@
  */
 
 #include "bench_util.hh"
-#include "exp/checkpoint.hh"
 #include "exp/sweep.hh"
 
 using namespace aero;
@@ -47,15 +46,9 @@ main(int argc, char **argv)
     // exits; the parent waits, then reopens the merged directory with
     // every record cached and assembles the artifacts alone.
     artifacts.forkWorkers();
-    const auto journal = artifacts.openJournal(
-        "fig15_erase_suspension", SweepCheckpoint::configOf(spec));
-    std::vector<SimResult> results;
-    if (journal) {
-        SweepCheckpoint checkpoint(*journal, spec);
-        results = SweepRunner().run(spec, checkpoint);
-    } else {
-        results = SweepRunner().run(spec);
-    }
+    const auto journal =
+        artifacts.openJournal("fig15_erase_suspension", configOf(spec));
+    const auto results = SweepRunner().run(spec, journal.get());
     if (artifacts.isWorker())
         artifacts.exitWorker();
     artifacts.writeSweep(spec, results);

@@ -12,7 +12,6 @@
 
 #include "bench_util.hh"
 #include "devchar/lifetime.hh"
-#include "exp/checkpoint.hh"
 #include "exp/sweep.hh"
 
 using namespace aero;
@@ -63,9 +62,8 @@ main(int argc, char **argv)
         lc.farm.numChips, lc.farm.blocksPerChip, lc.farm.seed,
         artifacts.small);
     journal_cfg["misprediction_rates"] = bench::jsonArray(rates);
-    journal_cfg["tail_baseline_spec"] =
-        SweepCheckpoint::configOf(base_spec);
-    journal_cfg["tail_aero_spec"] = SweepCheckpoint::configOf(spec);
+    journal_cfg["tail_baseline_spec"] = configOf(base_spec);
+    journal_cfg["tail_aero_spec"] = configOf(spec);
     // Fork before opening the journal: each worker child opens its own
     // journal file with claims armed, computes its claimed share, and
     // exits; the parent waits, then reopens the merged directory with
@@ -96,22 +94,10 @@ main(int argc, char **argv)
     // plus AERO across the misprediction axis (Baseline ignores the
     // misprediction knob, so sweeping it there would waste 4 runs).
     // Both sweeps share the bench journal, namespaced by key prefixes.
-    std::vector<SimResult> base_results, results;
-    if (journal) {
-        Json base_prefix = Json::object();
-        base_prefix["stage"] = "tail-baseline";
-        SweepCheckpoint base_ckpt(*journal, base_spec,
-                                  std::move(base_prefix));
-        base_results = SweepRunner().run(base_spec, base_ckpt);
-        Json aero_prefix = Json::object();
-        aero_prefix["stage"] = "tail-aero";
-        SweepCheckpoint aero_ckpt(*journal, spec,
-                                  std::move(aero_prefix));
-        results = SweepRunner().run(spec, aero_ckpt);
-    } else {
-        base_results = SweepRunner().run(base_spec);
-        results = SweepRunner().run(spec);
-    }
+    const auto base_results = SweepRunner().run(
+        base_spec, scope.with("stage", "tail-baseline"));
+    const auto results =
+        SweepRunner().run(spec, scope.with("stage", "tail-aero"));
     // A worker's share is journaled once both stages have run; the
     // tables and artifacts below belong to the driver, which resumes
     // with every record cached.

@@ -12,31 +12,27 @@
  *
  * Every flag is optional; the default is a single Baseline/prxy/0.5K
  * point. `--progress` prints per-point completion lines to stderr.
- * `--checkpoint PATH` journals each completed point to PATH and, on a
- * rerun, resumes from it instead of restarting the grid from zero; the
- * final artifacts are bit-identical to an uninterrupted run.
+ * `--checkpoint DIR` journals each completed point into the journal
+ * directory DIR and, on a rerun, resumes from it instead of restarting
+ * the grid from zero; the final artifacts are bit-identical to an
+ * uninterrupted run.
  *
- * Distributed campaigns (see exp/campaign.hh for the journal formats):
- * `--workers N` forks N worker processes sharing `--checkpoint PATH`
- * as a journal directory, coordinating through file-locked claims;
- * `--shard i/N` runs only the points at expand() indices congruent to
- * i mod N (the cross-machine split — point each shard's process at the
- * same journal directory, or merge their directories afterwards);
- * `--compact PATH` rewrites a journal (file or directory) down to one
- * deduplicated file and exits. Artifacts stay byte-identical to a
- * single-process clean run at any worker or shard count.
+ * Distributed campaigns (see exp/campaign.hh for the journal format):
+ * `--workers N` forks N worker processes sharing `--checkpoint DIR`,
+ * coordinating through file-locked claims; `--compact DIR` rewrites a
+ * journal down to one deduplicated file and exits; `--status DIR`
+ * prints claims and per-worker progress. Artifacts stay byte-identical
+ * to a single-process clean run at any worker count.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
 #include "erase/scheme_registry.hh"
-#include "exp/checkpoint.hh"
 #include "exp/report.hh"
 #include "exp/sweep.hh"
 
@@ -116,18 +112,15 @@ usage(const char *prog)
         "AERO_SWEEP_THREADS)\n"
         "  --json path           write the JSON report\n"
         "  --csv path            write the CSV rows\n"
-        "  --checkpoint path     journal completed points to this path "
-        "and resume from it\n"
+        "  --checkpoint dir      journal completed points into this "
+        "directory and resume from it\n"
         "  --campaign name       journal campaign name (default "
         "run_sweep)\n"
         "  --workers n           fork n worker processes sharing the "
         "checkpoint directory\n"
-        "  --shard i/N           run only expand() indices congruent to "
-        "i mod N\n"
         "  --fsync               fsync every journal record (power-loss "
         "durability)\n"
-        "  --compact path        compact a journal (file or directory) "
-        "and exit\n"
+        "  --compact dir         compact a journal directory and exit\n"
         "  --status path         print who holds claims and per-worker "
         "progress for a journal, then exit\n"
         "  --progress            per-point progress on stderr\n",
@@ -145,7 +138,6 @@ main(int argc, char **argv)
     bool progress = false;
     bool fsync_records = false;
     int workers = 0;
-    int shard_index = 0, shard_count = 1;
     std::string json_path, csv_path, checkpoint_path, compact_path;
     std::string status_path;
     std::string campaign = "run_sweep";
@@ -233,18 +225,6 @@ main(int argc, char **argv)
             if (workers < 1 || workers > 256)
                 AERO_FATAL("--workers: '", value,
                            "' is not a worker count in [1, 256]");
-        } else if (arg == "--shard") {
-            const std::size_t slash = value.find('/');
-            if (slash == std::string::npos || slash == 0 ||
-                slash + 1 >= value.size())
-                AERO_FATAL("--shard: '", value,
-                           "' is not of the form i/N");
-            shard_index = parseInt(arg, value.substr(0, slash));
-            shard_count = parseInt(arg, value.substr(slash + 1));
-            if (shard_count < 1 || shard_index < 0 ||
-                shard_index >= shard_count)
-                AERO_FATAL("--shard: need 0 <= i < N, got '", value,
-                           "'");
         } else {
             AERO_FATAL("unknown option '", arg, "' (see --help)");
         }
@@ -263,8 +243,8 @@ main(int argc, char **argv)
                     stats.recordsOut);
         return 0;
     }
-    if ((workers > 1 || shard_count > 1) && checkpoint_path.empty()) {
-        AERO_FATAL("--workers/--shard need --checkpoint: the processes "
+    if (workers > 1 && checkpoint_path.empty()) {
+        AERO_FATAL("--workers needs --checkpoint: the processes "
                    "coordinate (and the artifact assembles) through the "
                    "journal");
     }
@@ -280,53 +260,29 @@ main(int argc, char **argv)
         // Fork before opening the journal: each child opens its own
         // worker file (claims armed), the parent opens the merged
         // directory once every child has exited.
-        const int workerIndex = forkCampaignWorkers(workers);
         JournalOptions options;
+        options.worker = forkCampaignWorkers(workers);
         options.fsyncRecords = fsync_records;
-        if (workerIndex >= 0) {
-            options.workerId = "w";
-            options.workerId += std::to_string(workerIndex);
-            options.claims = true;
-        } else if (shard_count > 1) {
-            // Shards own disjoint expand() slices, so they need no
-            // claims — but each gets its own journal file so shard
-            // processes can share one directory concurrently.
-            options.workerId = "shard";
-            options.workerId += std::to_string(shard_index);
-        } else if (workers > 1 ||
-                   std::filesystem::is_directory(checkpoint_path)) {
-            options.workerId = "merge";
-        }
         // Journal under this driver's bench-style name (--campaign, by
         // default "run_sweep") so the artifact self-identifies like a
         // BENCH_*.json (and cannot be spliced into another driver's
         // campaign by accident).
-        SweepCheckpoint checkpoint(checkpoint_path, spec, campaign,
-                                   options);
-        if (workerIndex < 0 && checkpoint.cachedCount() > 0) {
+        CampaignJournal journal(checkpoint_path, campaign, configOf(spec),
+                                options);
+        if (!journal.claimsEnabled() && journal.cachedCount() > 0) {
             std::printf("checkpoint: resuming %zu/%zu points from %s\n",
-                        checkpoint.cachedCount(), spec.size(),
+                        journal.cachedCount(), spec.size(),
                         checkpoint_path.c_str());
         }
-        results = runner.run(spec, checkpoint, onPoint, shard_index,
-                             shard_count);
-        if (workerIndex >= 0) {
+        results = runner.run(spec, &journal, onPoint);
+        if (journal.claimsEnabled()) {
             // _Exit, not return: the child shares the parent's stdio
             // buffers, and flushing them here would duplicate output.
             // Artifact writing belongs to the parent's merged resume.
             std::_Exit(0);
         }
-        if (shard_count > 1 &&
-            checkpoint.cachedCount() < spec.size()) {
-            std::printf("shard %d/%d: %zu/%zu points journaled; run "
-                        "the remaining shards against this journal, "
-                        "then rerun (or compact) to write artifacts\n",
-                        shard_index, shard_count,
-                        checkpoint.cachedCount(), spec.size());
-            return 0;
-        }
     } else {
-        results = runner.run(spec, onPoint);
+        results = runner.run(spec, {}, onPoint);
     }
 
     if (!json_path.empty())

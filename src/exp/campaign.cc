@@ -9,7 +9,6 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
-#include <unordered_set>
 
 #ifndef _WIN32
 #include <csignal>
@@ -30,8 +29,7 @@ namespace aero
 namespace
 {
 
-constexpr const char *kSchema = "aero-campaign/1";
-constexpr const char *kSchemaDir = "aero-campaign/2";
+constexpr const char *kSchema = "aero-campaign/2";
 constexpr const char *kSchemaClaims = "aero-claims/1";
 constexpr const char *kClaimsFile = "claims.jsonl";
 constexpr const char *kCompactedFile = "journal.compacted.jsonl";
@@ -173,6 +171,128 @@ pidAlive(long long pid)
 #endif
 }
 
+/**
+ * Walk the JSON lines of @p text — the contents of @p file — calling
+ * fn(row, lineNo) on every complete line in order, and return the byte
+ * offset just past the last one. A final line that fails to parse or
+ * lacks its newline is a torn write: it is skipped with a warning
+ * (@p verb says what becomes of it) and never reaches @p fn — even when
+ * its JSON happens to be complete, appending after it would fuse two
+ * lines into one corrupt line. A bad line anywhere else is fatal.
+ */
+template <typename Fn>
+std::uint64_t
+walkLines(const std::string &file, const std::string &text,
+          const char *verb, Fn &&fn)
+{
+    std::uint64_t goodBytes = 0;
+    std::size_t lineNo = 0;
+    while (goodBytes < text.size()) {
+        std::size_t end = text.find('\n', goodBytes);
+        const bool terminated = end != std::string::npos;
+        if (!terminated)
+            end = text.size();
+        const std::string line = text.substr(goodBytes, end - goodBytes);
+        lineNo += 1;
+        Json row;
+        Json::ParseError err;
+        if (!terminated || line.empty() || !Json::parse(line, &row, &err)) {
+            if (end + 1 >= text.size()) {
+                AERO_WARN("checkpoint '", file, "': ", verb,
+                          " torn record on line ", lineNo);
+                break;
+            }
+            AERO_FATAL("checkpoint '", file, "' is corrupt: line ", lineNo,
+                       ": ", line.empty() ? "empty record" : err.toString());
+        }
+        fn(row, lineNo);
+        goodBytes = end + 1;
+    }
+    return goodBytes;
+}
+
+/** A journal file's header line. */
+Json
+headerRow(const std::string &campaign, const std::string &fp,
+          const std::string &worker, const Json &config)
+{
+    Json header = Json::object();
+    header["schema"] = kSchema;
+    header["campaign"] = campaign;
+    header["fingerprint"] = fp;
+    header["worker"] = worker;
+    header["config"] = config;
+    return header;
+}
+
+/** One journaled task's line. */
+Json
+recordRow(const std::string &fp, const Json &key, const Json &payload)
+{
+    Json row = Json::object();
+    row["fingerprint"] = fp;
+    row["key"] = key;
+    row["payload"] = payload;
+    return row;
+}
+
+/**
+ * The claims in @p text (the claims file @p file of the campaign with
+ * fingerprint @p fp) in first-claim order, the last claim per key
+ * winning (a stale claim of a dead pid is re-taken by appending).
+ * @p goodBytes receives the offset past the last intact line.
+ */
+std::vector<CampaignClaimStatus>
+parseClaims(const std::string &file, const std::string &text,
+            const std::string &fp, std::uint64_t *goodBytes = nullptr)
+{
+    std::vector<CampaignClaimStatus> claims;
+    std::unordered_map<std::string, std::size_t> indexByKey;
+    const std::uint64_t good = walkLines(
+        file, text, "ignoring", [&](const Json &row, std::size_t lineNo) {
+            const Json *storedFp = row.find("fingerprint");
+            if (lineNo == 1) {
+                const Json *storedSchema = row.find("schema");
+                if (!storedSchema || !storedSchema->isString() ||
+                    storedSchema->asString() != kSchemaClaims ||
+                    !storedFp || !storedFp->isString()) {
+                    AERO_FATAL("'", file, "' is not an ", kSchemaClaims,
+                               " claims file (line 1)");
+                }
+            } else {
+                const Json *key = row.find("key");
+                const Json *worker = row.find("worker");
+                const Json *pid = row.find("pid");
+                if (!storedFp || !storedFp->isString() || !key ||
+                    !worker || !worker->isString() || !pid ||
+                    !pid->isNumeric()) {
+                    AERO_FATAL("claims file '", file,
+                               "' has a malformed claim on line ", lineNo);
+                }
+                CampaignClaimStatus claim;
+                claim.key = *key;
+                claim.worker = worker->asString();
+                claim.pid = static_cast<long long>(pid->asInt64());
+                const auto [it, fresh] =
+                    indexByKey.emplace(key->dump(), claims.size());
+                if (fresh)
+                    claims.push_back(std::move(claim));
+                else
+                    claims[it->second] = std::move(claim);
+            }
+            if (storedFp->asString() != fp) {
+                AERO_FATAL("claims file '", file, "': line ", lineNo,
+                           " carries fingerprint ", storedFp->asString(),
+                           ", expected ", fp,
+                           " — it belongs to a different campaign "
+                           "configuration");
+            }
+        });
+    if (goodBytes)
+        *goodBytes = good;
+    return claims;
+}
+
 } // namespace
 
 std::string
@@ -182,29 +302,13 @@ CampaignJournal::fingerprint(const std::string &campaign,
     return hashHex(campaign + '\n' + config.dump());
 }
 
-const char *
-CampaignJournal::schema() const
-{
-    return directoryMode() ? kSchemaDir : kSchema;
-}
-
 CampaignJournal::CampaignJournal(std::string path, std::string name,
                                  Json config, JournalOptions opts)
     : journalPath(std::move(path)), campaign(std::move(name)),
       fp(fingerprint(campaign, config)), configJson(std::move(config)),
-      options(std::move(opts))
+      options(opts)
 {
-    for (const char c : options.workerId) {
-        if (!std::isalnum(static_cast<unsigned char>(c)) && c != '.' &&
-            c != '_' && c != '-') {
-            AERO_FATAL("journal worker id '", options.workerId,
-                       "' may only contain letters, digits, and '._-'");
-        }
-    }
-    if (options.claims && options.workerId.empty()) {
-        AERO_FATAL("journal claims need a directory-mode journal (set "
-                   "JournalOptions::workerId)");
-    }
+    namespace fs = std::filesystem;
     if (const char *env = std::getenv("AERO_JOURNAL_FSYNC")) {
         if (std::strcmp(env, "1") == 0)
             options.fsyncRecords = true;
@@ -214,22 +318,43 @@ CampaignJournal::CampaignJournal(std::string path, std::string name,
             AERO_FATAL("AERO_JOURNAL_FSYNC must be 0 or 1, got '", env,
                        "'");
     }
-    if (directoryMode()) {
-        loadDirectory();
-        return;
-    }
     // A bad journal path must fail naming the path, not surface later
     // as a raw stream failure once the first record is flushed.
-    const auto parent =
-        std::filesystem::path(journalPath).parent_path();
     std::error_code ec;
-    if (!parent.empty() && !std::filesystem::is_directory(parent, ec)) {
-        AERO_FATAL("cannot create checkpoint '", journalPath,
-                   "': parent directory '", parent.string(),
-                   "' does not exist");
+    if (!fs::exists(journalPath, ec)) {
+        const auto parent = fs::path(journalPath).parent_path();
+        if (!parent.empty() && !fs::is_directory(parent, ec)) {
+            AERO_FATAL("cannot create checkpoint '", journalPath,
+                       "': parent directory '", parent.string(),
+                       "' does not exist");
+        }
+        // Forked workers race to create the directory; losing the race
+        // to a sibling is success.
+        fs::create_directory(journalPath, ec);
+        if (!fs::is_directory(journalPath)) {
+            AERO_FATAL("cannot create checkpoint '", journalPath, "': ",
+                       ec.message());
+        }
+    } else if (!fs::is_directory(journalPath, ec)) {
+        // Never write into (or truncate) a file the caller pointed us
+        // at by mistake: an old single-file journal, an artifact, ...
+        AERO_FATAL("checkpoint '", journalPath,
+                   "' exists and is not a journal directory — refusing "
+                   "to touch it");
     }
-    appendPath = journalPath;
-    load();
+    appendPath = (fs::path(journalPath) /
+                  ("journal." + workerName() + ".jsonl"))
+                     .string();
+    load(/*readOnly=*/false);
+}
+
+CampaignJournal::CampaignJournal(std::string path)
+    : journalPath(std::move(path))
+{
+    std::error_code ec;
+    if (!std::filesystem::is_directory(journalPath, ec))
+        AERO_FATAL("no campaign journal at '", journalPath, "'");
+    load(/*readOnly=*/true);
 }
 
 CampaignJournal::~CampaignJournal()
@@ -240,6 +365,24 @@ CampaignJournal::~CampaignJournal()
     if (claimsFd >= 0)
         ::close(claimsFd);
 #endif
+}
+
+std::string
+CampaignJournal::workerName() const
+{
+    if (!claimsEnabled())
+        return "driver";
+    // Built by append (not operator+) to dodge GCC 12's -Wrestrict
+    // false positive on char* + std::string&&.
+    std::string name = "w";
+    name += std::to_string(options.worker);
+    return name;
+}
+
+std::string
+CampaignJournal::claimsPath() const
+{
+    return (std::filesystem::path(journalPath) / kClaimsFile).string();
 }
 
 std::size_t
@@ -306,139 +449,53 @@ CampaignJournal::insert(Json key, Json payload)
 }
 
 void
-CampaignJournal::load()
+CampaignJournal::load(bool readOnly)
 {
-    const std::string text = readFileOrEmpty(appendPath);
-    if (text.empty()) {
-        // No journal yet: start one.
-        openForAppend(0, /*writeHeader=*/true);
-        return;
-    }
-    std::uint64_t goodBytes = 0;
-    bool sawHeader = false;
-    loadText(appendPath, text, /*own=*/true, &goodBytes, &sawHeader);
-    openForAppend(goodBytes, /*writeHeader=*/!sawHeader);
-}
-
-void
-CampaignJournal::loadDirectory()
-{
-    namespace fs = std::filesystem;
-    const fs::path dir(journalPath);
-    std::error_code ec;
-    if (!fs::exists(dir, ec)) {
-        const auto parent = dir.parent_path();
-        if (!parent.empty() && !fs::is_directory(parent, ec)) {
-            AERO_FATAL("cannot create journal directory '", journalPath,
-                       "': parent directory '", parent.string(),
-                       "' does not exist");
-        }
-        // Forked workers race to create the directory; losing the race
-        // to a sibling is success.
-        fs::create_directory(dir, ec);
-        if (!fs::is_directory(dir)) {
-            AERO_FATAL("cannot create journal directory '", journalPath,
-                       "': ", ec.message());
-        }
-    } else if (!fs::is_directory(dir, ec)) {
-        AERO_FATAL("journal path '", journalPath,
-                   "' exists and is not a directory (directory-mode "
-                   "journal requested for worker '", options.workerId,
-                   "')");
-    }
-    appendPath =
-        (dir / ("journal." + options.workerId + ".jsonl")).string();
-
-    std::uint64_t goodBytes = 0;
-    bool sawHeader = false;
+    // Only this process's own file is ever truncated; a sibling's file
+    // can legitimately end mid-write (it may still be appending), so
+    // its torn tail is skipped and the file left untouched.
+    std::uint64_t ownBytes = 0;
     for (const auto &file : listJournalFiles(journalPath)) {
-        const std::string text = readFileOrEmpty(file);
-        if (text.empty())
-            continue;  // a sibling worker racing to write its header
-        if (file == appendPath) {
-            loadText(file, text, /*own=*/true, &goodBytes, &sawHeader);
-        } else {
-            std::uint64_t ignoredBytes = 0;
-            bool ignoredHeader = false;
-            loadText(file, text, /*own=*/false, &ignoredBytes,
-                     &ignoredHeader);
-        }
+        const bool own = file == appendPath;
+        CampaignWorkerStatus status;
+        status.file = std::filesystem::path(file).filename().string();
+        const std::uint64_t goodBytes = walkLines(
+            file, readFileOrEmpty(file), own ? "dropping" : "ignoring",
+            [&](const Json &row, std::size_t lineNo) {
+                if (lineNo == 1) {
+                    loadHeader(file, row, lineNo);
+                    status.worker = row.find("worker")->asString();
+                    return;
+                }
+                const Json *recordFp = row.find("fingerprint");
+                const Json *key = row.find("key");
+                const Json *payload = row.find("payload");
+                if (!recordFp || !recordFp->isString() || !key ||
+                    !payload) {
+                    AERO_FATAL("checkpoint '", file,
+                               "' has a malformed record on line ",
+                               lineNo);
+                }
+                if (recordFp->asString() != fp) {
+                    AERO_FATAL("checkpoint '", file, "': record on line ",
+                               lineNo, " carries fingerprint ",
+                               recordFp->asString(), ", expected ", fp,
+                               " — refusing to splice records from a "
+                               "different campaign");
+                }
+                insert(*key, *payload);
+                status.records += 1;
+            });
+        if (own)
+            ownBytes = goodBytes;
+        if (goodBytes > 0)
+            loaded.push_back(std::move(status));
     }
-    openForAppend(goodBytes, /*writeHeader=*/!sawHeader);
-}
-
-void
-CampaignJournal::loadText(const std::string &filePath,
-                          const std::string &text, bool own,
-                          std::uint64_t *outGoodBytes, bool *outSawHeader)
-{
-    // Walk the journal line by line. goodBytes tracks the end of the
-    // last intact record so a torn tail can be truncated away (own
-    // file only) before new records are appended after it.
-    std::uint64_t goodBytes = 0;
-    std::size_t lineNo = 0;
-    bool sawHeader = false;
-    std::size_t start = 0;
-    while (start < text.size()) {
-        std::size_t end = text.find('\n', start);
-        const bool terminated = end != std::string::npos;
-        if (!terminated)
-            end = text.size();
-        const std::string line = text.substr(start, end - start);
-        const std::size_t next = terminated ? end + 1 : end;
-        const bool isLast = next >= text.size();
-        lineNo += 1;
-
-        Json row;
-        Json::ParseError err;
-        if (line.empty() || !Json::parse(line, &row, &err)) {
-            // Torn-write tolerance covers the final *record* only. A
-            // header that does not parse means this is not a journal
-            // at all — truncating here would destroy whatever file the
-            // caller pointed us at by mistake. In a shared directory a
-            // sibling's file can legitimately end mid-write (it may
-            // still be appending), so a torn tail there is skipped
-            // without complaint about ownership.
-            if (isLast && (sawHeader || !own)) {
-                AERO_WARN("checkpoint '", filePath, "': ",
-                          own ? "dropping" : "ignoring",
-                          " torn record on line ", lineNo);
-                break;
-            }
-            AERO_FATAL("checkpoint '", filePath, "' is ",
-                       sawHeader ? "corrupt" : "not a campaign journal",
-                       ": line ", lineNo, ": ",
-                       line.empty() ? "empty record" : err.toString());
-        }
-
-        if (!terminated) {
-            // A final line missing its newline is a torn write even
-            // when the JSON happens to be complete: appending after it
-            // would fuse two records into one corrupt line. Truncate
-            // it away — for a torn *header*, only after validating it
-            // really is this campaign's journal (the non-journal-file
-            // protection above must still hold).
-            if (!sawHeader && own)
-                loadHeader(filePath, row, lineNo);
-            AERO_WARN("checkpoint '", filePath, "': ",
-                      own ? "dropping" : "ignoring",
-                      " unterminated ",
-                      sawHeader || !own ? "record" : "header",
-                      " on line ", lineNo);
-            break;
-        }
-
-        if (!sawHeader) {
-            loadHeader(filePath, row, lineNo);
-            sawHeader = true;
-        } else {
-            loadRecord(filePath, row, lineNo);
-        }
-        goodBytes = next;
-        start = next;
-    }
-    *outGoodBytes = goodBytes;
-    *outSawHeader = sawHeader;
+    if (!readOnly)
+        openForAppend(ownBytes, /*writeHeader=*/ownBytes == 0);
+    else if (fp.empty())
+        AERO_FATAL("no campaign journal at '", journalPath,
+                   "': no journal.*.jsonl file with a header");
 }
 
 void
@@ -447,8 +504,8 @@ CampaignJournal::loadHeader(const std::string &filePath, const Json &row,
 {
     const Json *storedSchema = row.find("schema");
     if (!storedSchema || !storedSchema->isString() ||
-        storedSchema->asString() != schema()) {
-        AERO_FATAL("'", filePath, "' is not an ", schema(),
+        storedSchema->asString() != kSchema) {
+        AERO_FATAL("'", filePath, "' is not an ", kSchema,
                    " journal (line ", lineNo, ")");
     }
     const Json *storedName = row.find("campaign");
@@ -457,11 +514,18 @@ CampaignJournal::loadHeader(const std::string &filePath, const Json &row,
     const Json *storedWorker = row.find("worker");
     if (!storedName || !storedName->isString() || !storedFp ||
         !storedFp->isString() || !storedConfig ||
-        !storedConfig->isObject() ||
-        (directoryMode() &&
-         (!storedWorker || !storedWorker->isString()))) {
+        !storedConfig->isObject() || !storedWorker ||
+        !storedWorker->isString()) {
         AERO_FATAL("checkpoint '", filePath,
                    "' has a malformed header (line ", lineNo, ")");
+    }
+    if (fp.empty()) {
+        // A read-only open adopts whatever campaign the first header
+        // pins; every later file must then agree with it.
+        campaign = storedName->asString();
+        fp = storedFp->asString();
+        configJson = *storedConfig;
+        return;
     }
     if (storedName->asString() != campaign) {
         AERO_FATAL("checkpoint '", filePath,
@@ -484,27 +548,6 @@ CampaignJournal::loadHeader(const std::string &filePath, const Json &row,
 }
 
 void
-CampaignJournal::loadRecord(const std::string &filePath, const Json &row,
-                            std::size_t lineNo)
-{
-    const Json *recordFp = row.find("fingerprint");
-    const Json *key = row.find("key");
-    const Json *payload = row.find("payload");
-    if (!recordFp || !recordFp->isString() || !key || !payload) {
-        AERO_FATAL("checkpoint '", filePath,
-                   "' has a malformed record on line ", lineNo);
-    }
-    if (recordFp->asString() != fp) {
-        AERO_FATAL("checkpoint '", filePath, "': record on line ",
-                   lineNo, " carries fingerprint ", recordFp->asString(),
-                   ", expected ", fp,
-                   " — refusing to splice records from a different "
-                   "campaign");
-    }
-    insert(*key, *payload);
-}
-
-void
 CampaignJournal::openForAppend(std::uint64_t keepBytes, bool writeHeader)
 {
     std::error_code ec;
@@ -521,39 +564,28 @@ CampaignJournal::openForAppend(std::uint64_t keepBytes, bool writeHeader)
         AERO_FATAL("cannot open checkpoint '", appendPath,
                    "' for appending");
 #ifndef _WIN32
-    if (directoryMode()) {
-        // The worker file is this process's exclusive append target: a
-        // second live process under the same worker id would interleave
-        // torn lines. The advisory lock dies with the process, so a
-        // SIGKILLed worker never wedges the next resume; a briefly
-        // lingering orphan (its parent just died) gets a grace period.
-        bool locked = false;
-        for (int attempt = 0; attempt < 20; ++attempt) {
-            if (::flock(::fileno(out), LOCK_EX | LOCK_NB) == 0) {
-                locked = true;
-                break;
-            }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(100));
+    // The worker file is this process's exclusive append target: a
+    // second live process under the same worker index would interleave
+    // torn lines. The advisory lock dies with the process, so a
+    // SIGKILLed worker never wedges the next resume; a briefly
+    // lingering orphan (its parent just died) gets a grace period.
+    bool locked = false;
+    for (int attempt = 0; attempt < 20; ++attempt) {
+        if (::flock(::fileno(out), LOCK_EX | LOCK_NB) == 0) {
+            locked = true;
+            break;
         }
-        if (!locked) {
-            AERO_FATAL("worker '", options.workerId,
-                       "' is already active on journal '", journalPath,
-                       "' (another live process holds the lock on '",
-                       appendPath, "')");
-        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    if (!locked) {
+        AERO_FATAL("worker '", workerName(),
+                   "' is already active on journal '", journalPath,
+                   "' (another live process holds the lock on '",
+                   appendPath, "')");
     }
 #endif
-    if (writeHeader) {
-        Json header = Json::object();
-        header["schema"] = schema();
-        header["campaign"] = campaign;
-        header["fingerprint"] = fp;
-        if (directoryMode())
-            header["worker"] = options.workerId;
-        header["config"] = configJson;
-        append(header);
-    }
+    if (writeHeader)
+        append(headerRow(campaign, fp, workerName(), configJson));
 }
 
 void
@@ -578,43 +610,30 @@ CampaignJournal::append(const Json &row)
 void
 CampaignJournal::record(const Json &key, Json payload)
 {
-    Json row = Json::object();
-    row["fingerprint"] = fp;
-    row["key"] = key;
-    row["payload"] = payload;
+    const Json row = recordRow(fp, key, payload);
     std::lock_guard<std::mutex> lock(mutex);
     append(row);
     insert(key, std::move(payload));
 }
 
-void
-CampaignJournal::ensureClaimsFile()
-{
-#ifndef _WIN32
-    if (claimsFd >= 0)
-        return;
-    const std::string path =
-        (std::filesystem::path(journalPath) / kClaimsFile).string();
-    claimsFd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-    if (claimsFd < 0) {
-        AERO_FATAL("cannot open claims file '", path, "': ",
-                   std::strerror(errno));
-    }
-#endif
-}
-
 bool
 CampaignJournal::tryClaim(const Json &key)
 {
-    if (!options.claims)
+    if (!claimsEnabled())
         return true;
 #ifdef _WIN32
     return true;
 #else
     std::lock_guard<std::mutex> lock(claimsMutex);
-    ensureClaimsFile();
-    const std::string path =
-        (std::filesystem::path(journalPath) / kClaimsFile).string();
+    const std::string path = claimsPath();
+    if (claimsFd < 0) {
+        claimsFd =
+            ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+        if (claimsFd < 0) {
+            AERO_FATAL("cannot open claims file '", path, "': ",
+                       std::strerror(errno));
+        }
+    }
     if (::flock(claimsFd, LOCK_EX) != 0) {
         AERO_FATAL("cannot lock claims file '", path, "': ",
                    std::strerror(errno));
@@ -647,88 +666,22 @@ CampaignJournal::tryClaim(const Json &key)
             offset += n;
         }
     }
-
-    struct Claim
-    {
-        std::string worker;
-        long long pid = 0;
-    };
-    std::unordered_map<std::string, Claim> claims;
-    bool sawHeader = false;
-    std::size_t lineNo = 0;
-    std::size_t start = 0;
-    while (start < text.size()) {
-        std::size_t end = text.find('\n', start);
-        const bool terminated = end != std::string::npos;
-        if (!terminated)
-            end = text.size();
-        const std::string line = text.substr(start, end - start);
-        const std::size_t next = terminated ? end + 1 : end;
-        const bool isLast = next >= text.size();
-        lineNo += 1;
-
-        Json row;
-        Json::ParseError err;
-        if (line.empty() || !Json::parse(line, &row, &err) ||
-            !terminated) {
-            // A torn final line is a crash mid-claim: that claim never
-            // took effect (its fsync did not complete), ignore it.
-            if (isLast)
-                break;
-            AERO_FATAL("claims file '", path, "' is corrupt: line ",
-                       lineNo, ": ",
-                       line.empty() ? "empty record" : err.toString());
-        }
-        if (!sawHeader) {
-            const Json *storedSchema = row.find("schema");
-            const Json *storedFp = row.find("fingerprint");
-            if (!storedSchema || !storedSchema->isString() ||
-                storedSchema->asString() != kSchemaClaims ||
-                !storedFp || !storedFp->isString()) {
-                AERO_FATAL("'", path, "' is not an ", kSchemaClaims,
-                           " claims file (line ", lineNo, ")");
-            }
-            if (storedFp->asString() != fp) {
-                AERO_FATAL("claims file '", path,
-                           "' belongs to a different campaign "
-                           "configuration (fingerprint ",
-                           storedFp->asString(), ", expected ", fp,
-                           ")");
-            }
-            sawHeader = true;
-        } else {
-            const Json *recordFp = row.find("fingerprint");
-            const Json *claimKey = row.find("key");
-            const Json *worker = row.find("worker");
-            const Json *pid = row.find("pid");
-            if (!recordFp || !recordFp->isString() || !claimKey ||
-                !worker || !worker->isString() || !pid ||
-                !pid->isNumeric()) {
-                AERO_FATAL("claims file '", path,
-                           "' has a malformed claim on line ", lineNo);
-            }
-            if (recordFp->asString() != fp) {
-                AERO_FATAL("claims file '", path, "': claim on line ",
-                           lineNo, " carries fingerprint ",
-                           recordFp->asString(), ", expected ", fp);
-            }
-            claims[claimKey->dump()] = Claim{
-                worker->asString(),
-                static_cast<long long>(pid->asInt64())};
-        }
-        start = next;
-    }
-
-    const auto it = claims.find(key.dump());
-    if (it != claims.end() && it->second.worker != options.workerId &&
-        pidAlive(it->second.pid)) {
-        return false;  // a live sibling owns this task
+    // A torn final claim is a crash mid-claim: that claim never took
+    // effect (its fsync did not complete), so it is ignored here.
+    std::uint64_t goodBytes = 0;
+    const std::string me = workerName();
+    for (const auto &claim : parseClaims(path, text, fp, &goodBytes)) {
+        if (claim.key != key)
+            continue;
+        if (claim.worker != me && pidAlive(claim.pid))
+            return false;  // a live sibling owns this task
+        break;
     }
     // Ours: either unclaimed, already ours (a resumed worker re-claims
     // under its current pid), or stale — the claiming pid is dead and
     // the task was never journaled, so reap it and take over.
     std::string lines;
-    if (!sawHeader) {
+    if (goodBytes == 0) {
         Json header = Json::object();
         header["schema"] = kSchemaClaims;
         header["campaign"] = campaign;
@@ -738,12 +691,16 @@ CampaignJournal::tryClaim(const Json &key)
     Json row = Json::object();
     row["fingerprint"] = fp;
     row["key"] = key;
-    row["worker"] = options.workerId;
+    row["worker"] = me;
     row["pid"] = static_cast<std::int64_t>(::getpid());
     lines += row.dump() + '\n';
-    const off_t fileEnd = ::lseek(claimsFd, 0, SEEK_END);
-    if (fileEnd < 0 ||
-        ::write(claimsFd, lines.data(), lines.size()) !=
+    // Write after the last intact line: under the flock no live sibling
+    // is mid-write, so a torn tail belongs to a dead claimer, and
+    // appending after it would fuse two claims into one corrupt line.
+    if ((goodBytes < text.size() &&
+         ::ftruncate(claimsFd, static_cast<off_t>(goodBytes)) != 0) ||
+        ::pwrite(claimsFd, lines.data(), lines.size(),
+                 static_cast<off_t>(goodBytes)) !=
             static_cast<ssize_t>(lines.size()) ||
         ::fsync(claimsFd) != 0) {
         AERO_FATAL("failed writing claims file '", path, "': ",
@@ -758,145 +715,24 @@ CompactStats
 compactCampaignJournal(const std::string &path)
 {
     namespace fs = std::filesystem;
+    const CampaignJournal journal(path);
     CompactStats stats;
-    std::error_code ec;
-    const bool dirMode = fs::is_directory(path, ec);
-    std::vector<std::string> files;
-    if (dirMode) {
-        files = listJournalFiles(path);
-        if (files.empty()) {
-            AERO_FATAL("journal directory '", path,
-                       "' contains no journal.*.jsonl files to compact");
-        }
-    } else {
-        if (!fs::exists(path, ec))
-            AERO_FATAL("no campaign journal at '", path, "'");
-        files.push_back(path);
-    }
-    const char *schema = dirMode ? kSchemaDir : kSchema;
+    stats.files = journal.loaded.size();
+    for (const auto &file : journal.loaded)
+        stats.recordsIn += file.records;
+    stats.recordsOut = journal.entries.size();
 
-    std::string campaign, fp;
-    Json config;
-    std::deque<std::pair<Json, Json>> merged;
-    std::unordered_map<std::string, std::size_t> indexByKey;
-    for (const auto &file : files) {
-        const std::string text = readFileOrEmpty(file);
-        if (text.empty())
-            continue;
-        bool sawHeader = false;
-        std::size_t lineNo = 0;
-        std::size_t start = 0;
-        while (start < text.size()) {
-            std::size_t end = text.find('\n', start);
-            const bool terminated = end != std::string::npos;
-            if (!terminated)
-                end = text.size();
-            const std::string line = text.substr(start, end - start);
-            const std::size_t next = terminated ? end + 1 : end;
-            const bool isLast = next >= text.size();
-            lineNo += 1;
-
-            Json row;
-            Json::ParseError err;
-            if (line.empty() || !Json::parse(line, &row, &err) ||
-                !terminated) {
-                if (isLast && sawHeader) {
-                    AERO_WARN("compact: dropping torn record on line ",
-                              lineNo, " of '", file, "'");
-                    break;
-                }
-                AERO_FATAL("cannot compact '", path, "': '", file,
-                           "' is ",
-                           sawHeader ? "corrupt"
-                                     : "not a campaign journal",
-                           ": line ", lineNo, ": ",
-                           line.empty() ? "empty record"
-                                        : err.toString());
-            }
-            if (!sawHeader) {
-                const Json *storedSchema = row.find("schema");
-                const Json *storedName = row.find("campaign");
-                const Json *storedFp = row.find("fingerprint");
-                const Json *storedConfig = row.find("config");
-                if (!storedSchema || !storedSchema->isString() ||
-                    storedSchema->asString() != schema || !storedName ||
-                    !storedName->isString() || !storedFp ||
-                    !storedFp->isString() || !storedConfig ||
-                    !storedConfig->isObject()) {
-                    AERO_FATAL("cannot compact '", path, "': '", file,
-                               "' is not an ", schema,
-                               " journal (line ", lineNo, ")");
-                }
-                if (fp.empty()) {
-                    campaign = storedName->asString();
-                    fp = storedFp->asString();
-                    config = *storedConfig;
-                } else if (storedFp->asString() != fp) {
-                    AERO_FATAL("cannot compact '", path, "': '", file,
-                               "' belongs to a different campaign "
-                               "configuration (fingerprint ",
-                               storedFp->asString(), ", expected ", fp,
-                               ")");
-                }
-                sawHeader = true;
-            } else {
-                const Json *recordFp = row.find("fingerprint");
-                const Json *key = row.find("key");
-                const Json *payload = row.find("payload");
-                if (!recordFp || !recordFp->isString() || !key ||
-                    !payload) {
-                    AERO_FATAL("cannot compact '", path, "': '", file,
-                               "' has a malformed record on line ",
-                               lineNo);
-                }
-                if (recordFp->asString() != fp) {
-                    AERO_FATAL("cannot compact '", path, "': record on "
-                               "line ", lineNo, " of '", file,
-                               "' carries fingerprint ",
-                               recordFp->asString(), ", expected ", fp);
-                }
-                stats.recordsIn += 1;
-                const std::string canonical = key->dump();
-                const auto it = indexByKey.find(canonical);
-                if (it != indexByKey.end()) {
-                    merged[it->second].second = *payload;
-                } else {
-                    indexByKey.emplace(canonical, merged.size());
-                    merged.emplace_back(*key, *payload);
-                }
-            }
-            start = next;
-        }
-        if (sawHeader)
-            stats.files += 1;
-    }
-    if (fp.empty())
-        AERO_FATAL("journal '", path, "' has no header to compact");
-    stats.recordsOut = merged.size();
-
-    const std::string outPath =
-        dirMode ? (fs::path(path) / kCompactedFile).string() : path;
-    const std::string tmpPath =
-        dirMode ? (fs::path(path) / ".compact.tmp").string()
-                : path + ".compact.tmp";
+    const std::string outPath = (fs::path(path) / kCompactedFile).string();
+    const std::string tmpPath = (fs::path(path) / ".compact.tmp").string();
+    std::string body = headerRow(journal.campaign, journal.fp, "compacted",
+                                 journal.configJson)
+                           .dump() +
+                       '\n';
+    for (const auto &[key, payload] : journal.entries)
+        body += recordRow(journal.fp, key, payload).dump() + '\n';
     std::FILE *outFile = std::fopen(tmpPath.c_str(), "wb");
     if (!outFile)
         AERO_FATAL("cannot write compacted journal '", tmpPath, "'");
-    Json header = Json::object();
-    header["schema"] = schema;
-    header["campaign"] = campaign;
-    header["fingerprint"] = fp;
-    if (dirMode)
-        header["worker"] = "compacted";
-    header["config"] = config;
-    std::string body = header.dump() + '\n';
-    for (const auto &[key, payload] : merged) {
-        Json row = Json::object();
-        row["fingerprint"] = fp;
-        row["key"] = key;
-        row["payload"] = payload;
-        body += row.dump() + '\n';
-    }
     const bool wrote =
         std::fwrite(body.data(), 1, body.size(), outFile) ==
             body.size() &&
@@ -909,196 +745,41 @@ compactCampaignJournal(const std::string &path)
     std::fclose(outFile);
     if (!synced)
         AERO_FATAL("failed writing compacted journal '", tmpPath, "'");
+    std::error_code ec;
     fs::rename(tmpPath, outPath, ec);
     if (ec) {
         AERO_FATAL("cannot rename compacted journal into place ('",
                    tmpPath, "' -> '", outPath, "'): ", ec.message());
     }
-    if (dirMode) {
-        // The compacted file now supersedes every input; removal is
-        // safe at any point (a crash here only leaves files whose
-        // records the merge reproduces by dedup on the next open).
-        for (const auto &file : files) {
-            if (file != outPath)
-                fs::remove(file, ec);
-        }
-        fs::remove(fs::path(path) / kClaimsFile, ec);
+    // The compacted file now supersedes every input; removal is safe at
+    // any point (a crash here only leaves files whose records the merge
+    // reproduces by dedup on the next open).
+    for (const auto &file : listJournalFiles(path)) {
+        if (file != outPath)
+            fs::remove(file, ec);
     }
+    fs::remove(journal.claimsPath(), ec);
     return stats;
 }
 
 CampaignStatus
 campaignStatus(const std::string &path)
 {
-    namespace fs = std::filesystem;
+    const CampaignJournal journal(path);
     CampaignStatus status;
     status.path = path;
-    std::error_code ec;
-    const bool dirMode = fs::is_directory(path, ec);
-    std::vector<std::string> files;
-    if (dirMode) {
-        files = listJournalFiles(path);
-        if (files.empty()) {
-            AERO_FATAL("journal directory '", path,
-                       "' contains no journal.*.jsonl files");
-        }
-    } else {
-        if (!fs::exists(path, ec))
-            AERO_FATAL("no campaign journal at '", path, "'");
-        files.push_back(path);
-    }
-    status.schema = dirMode ? kSchemaDir : kSchema;
-
-    std::unordered_set<std::string> keys;
-    for (const auto &file : files) {
-        CampaignWorkerStatus ws;
-        ws.file = fs::path(file).filename().string();
-        const std::string text = readFileOrEmpty(file);
-        bool sawHeader = false;
-        std::size_t lineNo = 0;
-        std::size_t start = 0;
-        while (start < text.size()) {
-            std::size_t end = text.find('\n', start);
-            const bool terminated = end != std::string::npos;
-            if (!terminated)
-                end = text.size();
-            const std::string line = text.substr(start, end - start);
-            const std::size_t next = terminated ? end + 1 : end;
-            const bool isLast = next >= text.size();
-            lineNo += 1;
-
-            Json row;
-            Json::ParseError err;
-            if (line.empty() || !Json::parse(line, &row, &err) ||
-                !terminated) {
-                // A torn final line is a crash (or a write in flight
-                // on a live campaign): that record never took effect.
-                if (isLast)
-                    break;
-                AERO_FATAL("journal '", file, "' is corrupt: line ",
-                           lineNo, ": ",
-                           line.empty() ? "empty record"
-                                        : err.toString());
-            }
-            if (!sawHeader) {
-                const Json *storedSchema = row.find("schema");
-                const Json *storedName = row.find("campaign");
-                const Json *storedFp = row.find("fingerprint");
-                if (!storedSchema || !storedSchema->isString() ||
-                    storedSchema->asString() != status.schema ||
-                    !storedName || !storedName->isString() ||
-                    !storedFp || !storedFp->isString()) {
-                    AERO_FATAL("'", file, "' is not an ", status.schema,
-                               " journal (line ", lineNo, ")");
-                }
-                if (status.fingerprint.empty()) {
-                    status.campaign = storedName->asString();
-                    status.fingerprint = storedFp->asString();
-                } else if (storedFp->asString() != status.fingerprint) {
-                    AERO_FATAL("journal '", file,
-                               "' belongs to a different campaign "
-                               "configuration (fingerprint ",
-                               storedFp->asString(), ", expected ",
-                               status.fingerprint, ")");
-                }
-                if (const Json *worker = row.find("worker");
-                    worker && worker->isString())
-                    ws.worker = worker->asString();
-                sawHeader = true;
-            } else {
-                const Json *key = row.find("key");
-                if (!key) {
-                    AERO_FATAL("journal '", file,
-                               "' has a malformed record on line ",
-                               lineNo);
-                }
-                ws.records += 1;
-                keys.insert(key->dump());
-            }
-            start = next;
-        }
-        if (sawHeader)
-            status.workers.push_back(std::move(ws));
-    }
-    if (status.fingerprint.empty())
-        AERO_FATAL("journal '", path, "' has no header");
+    status.campaign = journal.campaign;
+    status.fingerprint = journal.fp;
+    status.workers = journal.loaded;
     for (const auto &ws : status.workers)
         status.records += ws.records;
-    status.distinctKeys = keys.size();
-
-    if (!dirMode)
-        return status;
-    const std::string claimsText = readFileOrEmpty(
-        (fs::path(path) / kClaimsFile).string());
-    // Last claim wins per key (a stale claim of a dead pid is re-taken
-    // by appending), but report in first-claim order for stability.
-    std::unordered_map<std::string, std::size_t> claimIndex;
-    bool sawHeader = false;
-    std::size_t lineNo = 0;
-    std::size_t start = 0;
-    while (start < claimsText.size()) {
-        std::size_t end = claimsText.find('\n', start);
-        const bool terminated = end != std::string::npos;
-        if (!terminated)
-            end = claimsText.size();
-        const std::string line = claimsText.substr(start, end - start);
-        const std::size_t next = terminated ? end + 1 : end;
-        const bool isLast = next >= claimsText.size();
-        lineNo += 1;
-
-        Json row;
-        Json::ParseError err;
-        if (line.empty() || !Json::parse(line, &row, &err) ||
-            !terminated) {
-            if (isLast)
-                break;  // torn final claim: never took effect
-            AERO_FATAL("claims file in '", path, "' is corrupt: line ",
-                       lineNo, ": ",
-                       line.empty() ? "empty record" : err.toString());
-        }
-        if (!sawHeader) {
-            const Json *storedSchema = row.find("schema");
-            const Json *storedFp = row.find("fingerprint");
-            if (!storedSchema || !storedSchema->isString() ||
-                storedSchema->asString() != kSchemaClaims || !storedFp ||
-                !storedFp->isString()) {
-                AERO_FATAL("claims file in '", path, "' is not an ",
-                           kSchemaClaims, " claims file (line ", lineNo,
-                           ")");
-            }
-            if (storedFp->asString() != status.fingerprint) {
-                AERO_FATAL("claims file in '", path,
-                           "' belongs to a different campaign "
-                           "configuration (fingerprint ",
-                           storedFp->asString(), ", expected ",
-                           status.fingerprint, ")");
-            }
-            sawHeader = true;
-        } else {
-            const Json *key = row.find("key");
-            const Json *worker = row.find("worker");
-            const Json *pid = row.find("pid");
-            if (!key || !worker || !worker->isString() || !pid ||
-                !pid->isNumeric()) {
-                AERO_FATAL("claims file in '", path,
-                           "' has a malformed claim on line ", lineNo);
-            }
-            CampaignClaimStatus claim;
-            claim.key = *key;
-            claim.worker = worker->asString();
-            claim.pid = static_cast<long long>(pid->asInt64());
-            claim.live = pidAlive(claim.pid);
-            claim.completed = keys.count(key->dump()) > 0;
-            const std::string canonical = key->dump();
-            const auto it = claimIndex.find(canonical);
-            if (it != claimIndex.end()) {
-                status.claims[it->second] = std::move(claim);
-            } else {
-                claimIndex.emplace(canonical, status.claims.size());
-                status.claims.push_back(std::move(claim));
-            }
-        }
-        start = next;
+    status.distinctKeys = journal.entries.size();
+    status.claims = parseClaims(journal.claimsPath(),
+                                readFileOrEmpty(journal.claimsPath()),
+                                journal.fp);
+    for (auto &claim : status.claims) {
+        claim.live = pidAlive(claim.pid);
+        claim.completed = journal.has(claim.key);
     }
     return status;
 }
@@ -1107,18 +788,14 @@ std::string
 formatCampaignStatus(const CampaignStatus &status)
 {
     std::string out = detail::concat(
-        "campaign '", status.campaign, "' (", status.schema, ") at ",
+        "campaign '", status.campaign, "' (", kSchema, ") at ",
         status.path, "\n  fingerprint ", status.fingerprint, "\n  ",
         status.distinctKeys, " distinct task(s) journaled (",
         status.records, " record(s) across ", status.workers.size(),
         " file(s))\n");
     for (const auto &ws : status.workers) {
-        out += detail::concat(
-            "    ", ws.file,
-            ws.worker.empty() ? std::string()
-                              : detail::concat(" (worker ", ws.worker,
-                                               ")"),
-            ": ", ws.records, " record(s)\n");
+        out += detail::concat("    ", ws.file, " (worker ", ws.worker,
+                              "): ", ws.records, " record(s)\n");
     }
     if (status.claims.empty())
         return out;
@@ -1143,7 +820,7 @@ forkCampaignWorkers(int n)
         return -1;
 #ifdef _WIN32
     AERO_FATAL("multi-process campaigns need POSIX fork(); run "
-               "single-process or shard across machines instead");
+               "single-process instead");
 #else
     std::vector<pid_t> children;
     children.reserve(static_cast<std::size_t>(n));

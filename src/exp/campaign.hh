@@ -6,30 +6,29 @@
  * or anything else shaped as "many independent tasks, each producing one
  * record".
  *
- * Single-file journal format (`aero-campaign/1`), one JSON document per
- * line:
+ * On-disk format (`aero-campaign/2`): the journal path is a *directory*.
+ * Every process of the campaign appends to its own file inside it —
+ * `journal.driver.jsonl` for the driver (a single-process run is just
+ * this one file) and `journal.w<k>.jsonl` for forked worker k — one
+ * JSON document per line:
  *
- *   {"schema":"aero-campaign/1","campaign":"<name>",
- *    "fingerprint":"<hex>","config":{..}}
+ *   {"schema":"aero-campaign/2","campaign":"<name>",
+ *    "fingerprint":"<hex>","worker":"<id>","config":{..}}
  *   {"fingerprint":"<hex>","key":{..axes..},"payload":<any JSON>}
  *   ...
  *
- * Directory journal format (`aero-campaign/2`): the journal path is a
- * *directory* shared by N worker processes. Each worker appends to its
- * own file `journal.<worker_id>.jsonl` (same line format, header schema
- * `aero-campaign/2` plus a `"worker"` field), and every reader merges
- * all `journal.*.jsonl` files in sorted filename order with
- * duplicate-key *last-wins* semantics. Workers coordinate in-flight
- * tasks through `claims.jsonl`: before running a task, a worker takes
- * an advisory `flock()` on the claims file, re-reads it, and appends a
- * fsync'ed claim record `{"key":..,"worker":..,"pid":..}` — a task
- * claimed by another *live* pid is skipped, a claim left by a dead pid
- * is stale and silently reaped. Because task payloads are deterministic
- * functions of their keys, a reaped-and-recomputed task produces an
- * identical record and last-wins merging keeps every reader
- * byte-consistent. `compactCampaignJournal()` rewrites a journal
- * directory down to one deduplicated `journal.compacted.jsonl` with a
- * fresh header (and a single file down to its deduplicated self), so
+ * Every reader merges all `journal.*.jsonl` files in sorted filename
+ * order with duplicate-key *last-wins* semantics. Forked workers
+ * coordinate in-flight tasks through `claims.jsonl`: before running a
+ * task, a worker takes an advisory `flock()` on the claims file,
+ * re-reads it, and appends a fsync'ed claim record
+ * `{"key":..,"worker":..,"pid":..}` — a task claimed by another *live*
+ * pid is skipped, a claim left by a dead pid is stale and silently
+ * reaped. Because task payloads are deterministic functions of their
+ * keys, a reaped-and-recomputed task produces an identical record and
+ * last-wins merging keeps every reader byte-consistent.
+ * `compactCampaignJournal()` rewrites a directory down to one
+ * deduplicated `journal.compacted.jsonl` with a fresh header, so
  * journals do not grow without bound across resume cycles.
  *
  * The header pins the journal to one (campaign, configuration) pair via
@@ -44,14 +43,14 @@
  *
  *   - Each record is one write() followed by std::fflush(), so a torn
  *     write leaves at most one partial final line. On open, the loader
- *     parses each line with Json::parse, drops a malformed *tail
- *     record* (warning; the file this process appends to is truncated
- *     back to its last good record, other workers' files are merged
- *     read-only and never touched), and fails loudly on corruption
- *     anywhere else — including a file whose first line is not a
- *     journal header (never truncate a file the caller pointed us at
- *     by mistake) — and on any campaign or fingerprint mismatch,
- *     naming the config field that differs.
+ *     parses each line with Json::parse and drops a malformed or
+ *     unterminated *final* line (warning; the file this process appends
+ *     to is truncated back to its last good record, other workers' files
+ *     are merged read-only and never touched). Corruption anywhere else
+ *     is fatal, as is a journal path that names a regular file (never
+ *     overwrite a file the caller pointed us at by mistake) and any
+ *     campaign or fingerprint mismatch, naming the config field that
+ *     differs.
  *   - fflush() hands the record to the kernel page cache: a flushed
  *     record survives process death of any kind (SIGKILL included)
  *     because the kernel owns the dirty page. It does NOT survive
@@ -69,6 +68,7 @@
 #ifndef AERO_EXP_CAMPAIGN_HH
 #define AERO_EXP_CAMPAIGN_HH
 
+#include <cstdint>
 #include <cstdio>
 #include <deque>
 #include <functional>
@@ -87,21 +87,18 @@ namespace aero
 /** How a CampaignJournal is opened (see the file comment). */
 struct JournalOptions
 {
-    /**
-     * Non-empty selects directory mode (`aero-campaign/2`): the journal
-     * path names a shared directory and this process appends to
-     * `journal.<workerId>.jsonl` inside it. Letters, digits, and
-     * `._-` only. Empty (the default) is the classic single-file
-     * `aero-campaign/1` journal, bit-identical to prior releases.
-     */
-    std::string workerId;
+    /** The worker index of a campaign's driver process. */
+    static constexpr int kDriver = -1;
 
     /**
-     * Enable advisory file-locked claim records (directory mode only):
-     * tryClaim() must grant a key before the task runs, so concurrent
-     * workers never duplicate in-flight work.
+     * Which process of the campaign this is. The driver (kDriver, the
+     * default — also the only process of a single-process run) appends
+     * to `journal.driver.jsonl` and never claims. Forked worker k >= 0
+     * appends to `journal.w<k>.jsonl` and must win tryClaim() before
+     * running a task, so concurrent workers never duplicate in-flight
+     * work.
      */
-    bool claims = false;
+    int worker = kDriver;
 
     /**
      * fsync() every journal record after flushing it (see the
@@ -111,22 +108,42 @@ struct JournalOptions
     bool fsyncRecords = false;
 };
 
+struct CampaignStatus;
+struct CompactStats;
+
+/** One journal file's contribution to a merged journal. */
+struct CampaignWorkerStatus
+{
+    std::string file;    //!< file name (journal.w0.jsonl, ...)
+    std::string worker;  //!< worker id from the header (w0, driver, ...)
+    std::size_t records = 0;  //!< journaled records, duplicates included
+};
+
 class CampaignJournal
 {
   public:
     /**
-     * Open (or create) the journal at @p path for the campaign named
-     * @p campaign with configuration @p config. An existing journal is
-     * validated (schema, campaign name, fingerprint) and its records
-     * are loaded; a journal written for a different campaign or
-     * configuration is fatal with a message naming the mismatch. With
-     * options.workerId set, @p path is a journal *directory* (created
-     * if absent): all worker files are merged and this process appends
-     * to its own (refusing to start when another live process already
-     * holds the worker id's file lock).
+     * Open (or create) the journal directory at @p path for the
+     * campaign named @p campaign with configuration @p config. Every
+     * worker file already in the directory is validated (schema,
+     * campaign name, fingerprint) and merged; a journal written for a
+     * different campaign or configuration is fatal with a message
+     * naming the mismatch. This process then appends to its own worker
+     * file (refusing to start when another live process already holds
+     * that file's lock).
      */
     CampaignJournal(std::string path, std::string campaign, Json config,
                     JournalOptions options = {});
+
+    /**
+     * Open the journal directory at @p path read-only, adopting the
+     * campaign and configuration its headers pin. Nothing is created,
+     * truncated or locked, and a torn final line in any file is skipped
+     * (it may be a write still in flight). Fatal when @p path holds no
+     * journal or its files disagree on the campaign fingerprint.
+     */
+    explicit CampaignJournal(std::string path);
+
     ~CampaignJournal();
 
     CampaignJournal(const CampaignJournal &) = delete;
@@ -135,11 +152,8 @@ class CampaignJournal
     const std::string &path() const { return journalPath; }
     const std::string &campaignName() const { return campaign; }
 
-    /** Directory mode (`aero-campaign/2`)? */
-    bool directoryMode() const { return !options.workerId.empty(); }
-
-    /** Are file-locked claim records in force? */
-    bool claimsEnabled() const { return options.claims; }
+    /** Are file-locked claim records in force (a forked worker)? */
+    bool claimsEnabled() const { return options.worker >= 0; }
 
     /** Number of distinct keys already journaled. */
     std::size_t cachedCount() const;
@@ -166,8 +180,8 @@ class CampaignJournal
      * true when this worker now owns the claim (including reclaiming
      * its own or a dead worker's stale claim) and false when another
      * live worker holds it — skip the task, that worker will journal
-     * it. Always true when claims are disabled. Thread-safe and
-     * cross-process safe (exclusive flock on the claims file).
+     * it. Always true for the driver. Thread-safe and cross-process
+     * safe (exclusive flock on the claims file).
      */
     bool tryClaim(const Json &key);
 
@@ -190,19 +204,17 @@ class CampaignJournal
                                    const Json &config);
 
   private:
-    void load();
-    void loadDirectory();
-    void loadText(const std::string &filePath, const std::string &text,
-                  bool own, std::uint64_t *goodBytes, bool *sawHeader);
+    friend CampaignStatus campaignStatus(const std::string &path);
+    friend CompactStats compactCampaignJournal(const std::string &path);
+
+    void load(bool readOnly);
     void loadHeader(const std::string &filePath, const Json &row,
-                    std::size_t lineNo);
-    void loadRecord(const std::string &filePath, const Json &row,
                     std::size_t lineNo);
     void openForAppend(std::uint64_t keepBytes, bool writeHeader);
     void append(const Json &row);
     void insert(Json key, Json payload);
-    const char *schema() const;
-    void ensureClaimsFile();
+    std::string workerName() const;
+    std::string claimsPath() const;
 
     std::string journalPath;
     std::string campaign;
@@ -210,6 +222,8 @@ class CampaignJournal
     Json configJson;       //!< canonical config (header payload)
     JournalOptions options;
     std::string appendPath;  //!< file this process appends to
+    /** Files merged on open, in merge order; headerless ones skipped. */
+    std::vector<CampaignWorkerStatus> loaded;
     /** (key, payload) in journal order; deque keeps entries stable. */
     std::deque<std::pair<Json, Json>> entries;
     std::unordered_map<std::string, std::size_t> indexByKey;
@@ -227,14 +241,6 @@ struct CompactStats
     std::size_t files = 0;       //!< journal files merged
     std::size_t recordsIn = 0;   //!< records read (duplicates included)
     std::size_t recordsOut = 0;  //!< deduplicated records written
-};
-
-/** One journal file's contribution in a CampaignStatus. */
-struct CampaignWorkerStatus
-{
-    std::string file;    //!< file name (journal.w0.jsonl, ...)
-    std::string worker;  //!< worker id from the header ("" single-file)
-    std::size_t records = 0;  //!< journaled records, duplicates included
 };
 
 /** One claimed task's state in a CampaignStatus. */
@@ -256,20 +262,17 @@ struct CampaignClaimStatus
 struct CampaignStatus
 {
     std::string path;
-    std::string schema;       //!< aero-campaign/1 or aero-campaign/2
     std::string campaign;
     std::string fingerprint;
     std::size_t records = 0;      //!< total records, duplicates included
     std::size_t distinctKeys = 0; //!< deduplicated journaled tasks
     std::vector<CampaignWorkerStatus> workers;  //!< file-name order
-    std::vector<CampaignClaimStatus> claims;    //!< directory mode only
+    std::vector<CampaignClaimStatus> claims;    //!< first-claim order
 };
 
 /**
- * Inspect the journal at @p path (single file or directory) without
- * modifying it. Fatal when @p path holds no journal, a file is not a
- * campaign journal, or the files disagree on the campaign fingerprint;
- * lenient about torn tails and claims from reaped workers.
+ * Inspect the journal directory at @p path without modifying it (see
+ * the read-only CampaignJournal constructor for what is fatal).
  */
 CampaignStatus campaignStatus(const std::string &path);
 
@@ -277,14 +280,12 @@ CampaignStatus campaignStatus(const std::string &path);
 std::string formatCampaignStatus(const CampaignStatus &status);
 
 /**
- * Rewrite the journal at @p path down to one deduplicated file with a
- * fresh header, adopting the campaign/config the journal's own header
- * pins (no external knowledge needed). A directory journal becomes a
- * single `journal.compacted.jsonl` (worker id "compacted"; all other
- * worker files and the claims file are removed); a single-file journal
- * is rewritten in place, dropping superseded duplicate-key records and
- * any torn tail. Only compact a quiescent journal — no live workers.
- * Fatal on corruption or on files from mismatched campaigns.
+ * Rewrite the journal directory at @p path down to a single
+ * deduplicated `journal.compacted.jsonl` (worker id "compacted") with a
+ * fresh header, adopting the campaign/config the journal's own headers
+ * pin (no external knowledge needed). All other worker files and the
+ * claims file are removed. Only compact a quiescent journal — no live
+ * workers. Fatal on corruption or on files from mismatched campaigns.
  */
 CompactStats compactCampaignJournal(const std::string &path);
 
@@ -363,7 +364,7 @@ struct CampaignScope
  * already journaled are decoded from the journal instead of recomputed
  * — so a killed campaign resumes from its last flushed task. With a
  * null journal this is exactly parallelMap(). When the journal has
- * claims enabled (multi-worker directory mode), each pending item is
+ * claims enabled (a forked campaign worker), each pending item is
  * claimed first; an item another live worker owns is *skipped* and its
  * slot left default-constructed — a forked worker must therefore exit
  * after the map and leave artifact assembly to the parent, which

@@ -11,9 +11,8 @@ namespace aero
 {
 
 Json
-toJson(const SimResult &result)
+toJson(const SimPoint &pt)
 {
-    const SimPoint &pt = result.point;
     Json row = Json::object();
     row["workload"] = pt.workload;
     row["scheme"] = schemeKindName(pt.scheme);
@@ -32,6 +31,13 @@ toJson(const SimResult &result)
         row["slo_policy"] = pt.sloPolicy;
     row["requests"] = pt.requests;
     row["seed"] = pt.seed;
+    return row;
+}
+
+Json
+toJson(const SimResult &result)
+{
+    Json row = toJson(result.point);
     row["avg_read_us"] = result.avgReadUs;
     row["avg_write_us"] = result.avgWriteUs;
     row["iops"] = result.iops;
@@ -143,6 +149,14 @@ toJson(const SweepSpec &spec)
         static_cast<double>(spec.base.capacityBytes()) /
         (1024.0 * 1024.0 * 1024.0);
     return out;
+}
+
+Json
+configOf(const SweepSpec &spec)
+{
+    Json config = toJson(spec);
+    config["drive"] = spec.base.summary();
+    return config;
 }
 
 Json

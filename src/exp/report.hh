@@ -23,6 +23,14 @@
 namespace aero
 {
 
+/**
+ * A grid point's axis columns (workload, scheme, ..., requests, seed):
+ * the identity half of a result row, and the key a journaled sweep
+ * records the point under (SweepRunner::run), so the two can never
+ * disagree on which axes identify a point.
+ */
+Json toJson(const SimPoint &point);
+
 /** One result row as a flat JSON object with stable keys. */
 Json toJson(const SimResult &result);
 
@@ -30,13 +38,20 @@ Json toJson(const SimResult &result);
  * Inverse of toJson(SimResult): rebuild a result from a report row.
  * Exact for every field — doubles round-trip bit-for-bit through the
  * shortest-round-trip serializer, so a reloaded result re-serializes
- * byte-identically (the property the sweep checkpoint relies on).
+ * byte-identically (the property a journaled sweep relies on).
  * Fatal on a row missing a field or naming an unknown scheme/mode.
  */
 SimResult simResultFromJson(const Json &row);
 
 /** The declared grid (axes, request count, drive summary fields). */
 Json toJson(const SweepSpec &spec);
+
+/**
+ * Canonical journal config of a spec: its report JSON (axes, requests,
+ * capacity) plus the base drive's configuration summary, so resuming
+ * onto a reconfigured drive cannot silently splice stale rows.
+ */
+Json configOf(const SweepSpec &spec);
 
 /**
  * Full sweep report: {"schema": "aero-sweep/1", "spec": ..,

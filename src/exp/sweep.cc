@@ -7,7 +7,7 @@
 
 #include "common/logging.hh"
 #include "erase/scheme_registry.hh"
-#include "exp/checkpoint.hh"
+#include "exp/report.hh"
 #include "ssd/gc.hh"
 #include "ssd/wear_level.hh"
 #include "workload/presets.hh"
@@ -364,101 +364,34 @@ SweepRunner::SweepRunner(int threads)
 }
 
 std::vector<SimResult>
-SweepRunner::run(const SweepSpec &spec, const Progress &progress) const
-{
-    return run(spec.expand(), spec.base, progress);
-}
-
-std::vector<SimResult>
-SweepRunner::run(const SweepSpec &spec, SweepCheckpoint &checkpoint,
-                 const Progress &progress, int shardIndex,
-                 int shardCount) const
-{
-    AERO_CHECK(shardCount >= 1 && shardIndex >= 0 &&
-                   shardIndex < shardCount,
-               "sweep shard must satisfy 0 <= index < count, got ",
-               shardIndex, "/", shardCount);
-    const auto points = spec.expand();
-    std::vector<SimResult> results(points.size());
-    std::vector<std::size_t> pending;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (checkpoint.has(i)) {
-            results[i] = checkpoint.cached(i);
-        } else if (i % static_cast<std::size_t>(shardCount) ==
-                   static_cast<std::size_t>(shardIndex)) {
-            pending.push_back(i);
-        }
-    }
-    if (pending.empty())
-        return results;
-    std::atomic<std::size_t> next{0};
-    std::size_t done = 0;  // guarded by progressMutex
-    std::mutex progressMutex;
-    const auto worker = [&] {
-        for (std::size_t k; (k = next.fetch_add(1)) < pending.size();) {
-            const std::size_t i = pending[k];
-            // Claim before simulating: a point a live sibling worker
-            // owns would be wasted work (the journal merge keeps one
-            // record anyway, so correctness never depends on this).
-            if (!checkpoint.tryClaim(points[i]))
-                continue;
-            results[i] = runSimPoint(points[i], spec.base);
-            // Journal before reporting progress: once a point has been
-            // announced, a crash must not lose it. Counting inside the
-            // lock keeps reported progress moving forward only.
-            std::lock_guard<std::mutex> lock(progressMutex);
-            checkpoint.record(results[i]);
-            if (progress)
-                progress(++done, pending.size(), results[i]);
-        }
-    };
-    const int pool = detail::resolvePoolSize(poolSize, pending.size());
-    if (pool <= 1) {
-        worker();
-        return results;
-    }
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(pool));
-    for (int t = 0; t < pool; ++t)
-        workers.emplace_back(worker);
-    for (auto &w : workers)
-        w.join();
-    return results;
-}
-
-std::vector<SimResult>
-SweepRunner::run(const std::vector<SimPoint> &points, const SsdConfig &base,
+SweepRunner::run(const SweepSpec &spec, CampaignScope scope,
                  const Progress &progress) const
 {
-    std::vector<SimResult> results(points.size());
-    if (points.empty())
-        return results;
-    std::atomic<std::size_t> next{0};
-    std::size_t done = 0;  // guarded by progressMutex
+    const auto points = spec.expand();
+    const auto keyOf = [&](std::size_t, const SimPoint &pt) {
+        return scope.key("point", toJson(pt));
+    };
+    std::size_t total = points.size();
+    if (progress && scope) {
+        for (std::size_t i = 0; i < points.size(); ++i)
+            total -= scope.journal->has(keyOf(i, points[i])) ? 1 : 0;
+    }
     std::mutex progressMutex;
-    const auto worker = [&] {
-        for (std::size_t i; (i = next.fetch_add(1)) < points.size();) {
-            results[i] = runSimPoint(points[i], base);
+    std::size_t done = 0;  // guarded by progressMutex
+    return parallelMapJournaled(
+        scope.journal, points, keyOf,
+        [&](const SimPoint &pt) {
+            SimResult r = runSimPoint(pt, spec.base);
             if (progress) {
                 // Count inside the lock so reported progress only
                 // moves forward.
                 std::lock_guard<std::mutex> lock(progressMutex);
-                progress(++done, points.size(), results[i]);
+                progress(++done, total, r);
             }
-        }
-    };
-    const int pool = detail::resolvePoolSize(poolSize, points.size());
-    if (pool <= 1) {
-        worker();
-        return results;
-    }
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(pool));
-    for (int t = 0; t < pool; ++t)
-        workers.emplace_back(worker);
-    for (auto &w : workers)
-        w.join();
-    return results;
+            return r;
+        },
+        [](const SimResult &r) { return toJson(r); }, simResultFromJson,
+        poolSize);
 }
 
 SweepRunner::Progress

@@ -11,10 +11,11 @@
  *   PEC > suspension > workload > scheme > misprediction > RBER
  *       > GC policy > wear leveling > SLO policy > seed
  *
- * SweepRunner executes the points across a std::thread pool (each point
- * builds its own Ssd, so points are fully independent) and returns results
- * in spec order regardless of thread count. Thread count comes from the
- * constructor, or the AERO_SWEEP_THREADS env, or the hardware.
+ * SweepRunner executes the points through parallelMapJournaled (each
+ * point builds its own Ssd, so points are fully independent) and returns
+ * results in spec order regardless of thread count, optionally journaling
+ * them into a campaign so a killed sweep resumes. Thread count comes from
+ * the constructor, or the AERO_SWEEP_THREADS env, or the hardware.
  */
 
 #ifndef AERO_EXP_SWEEP_HH
@@ -25,12 +26,11 @@
 #include <vector>
 
 #include "devchar/simstudy.hh"
+#include "exp/campaign.hh"
 #include "ssd/config.hh"
 
 namespace aero
 {
-
-class SweepCheckpoint;
 
 struct SweepSpec
 {
@@ -158,44 +158,20 @@ class SweepRunner
 
     int threads() const { return poolSize; }
 
-    /** Expand and run a spec; results in expand() order. */
-    std::vector<SimResult> run(const SweepSpec &spec,
-                               const Progress &progress = {}) const;
-
     /**
-     * Checkpointed run: points already journaled in @p checkpoint are
-     * spliced back from the journal (never re-simulated) and every
-     * newly completed point is journaled before the run moves on. The
-     * returned vector is in expand() order and bit-identical to an
-     * uninterrupted run() of the same spec at any thread count; the
-     * progress callback sees only the points actually simulated.
-     *
-     * @p shardIndex / @p shardCount restrict the run to the points at
-     * expand() indices congruent to shardIndex mod shardCount — the
-     * deterministic slice a `--shard i/N` worker owns. Off-shard points
-     * are still spliced from the journal when present (a merged
-     * directory journal carries every shard's records), but are never
-     * simulated here; their slots stay default-constructed otherwise,
-     * so a sharded driver must not write artifacts until every shard's
-     * records have been merged (checkpoint.cachedCount() == spec
-     * size()).
-     *
-     * When the checkpoint's journal has claims enabled
-     * (JournalOptions::claims), each pending point is claimed before
-     * simulation; points a live sibling worker owns are skipped — their
-     * results arrive through that worker's journal file on the next
-     * merge. Progress `total` counts this process's pending points, so
-     * with claims active `done` may stop short of `total`.
+     * Expand and run a spec; results in expand() order, bit-identical
+     * at any thread count. With a journal in @p scope, every point is
+     * journaled under `scope.key("point", toJson(point))` as it
+     * completes, and points already journaled are decoded instead of
+     * re-simulated, so a killed sweep resumes where it stopped under
+     * any thread or worker count. A forked worker (claims armed) skips
+     * points a live sibling owns and leaves their slots
+     * default-constructed (see parallelMapJournaled). @p progress sees
+     * only the points simulated here; its `total` counts the points not
+     * yet journaled when the run starts.
      */
     std::vector<SimResult> run(const SweepSpec &spec,
-                               SweepCheckpoint &checkpoint,
-                               const Progress &progress = {},
-                               int shardIndex = 0,
-                               int shardCount = 1) const;
-
-    /** Run explicit points against a base drive; results in input order. */
-    std::vector<SimResult> run(const std::vector<SimPoint> &points,
-                               const SsdConfig &base,
+                               CampaignScope scope = {},
                                const Progress &progress = {}) const;
 
   private:

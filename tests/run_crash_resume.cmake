@@ -10,15 +10,16 @@
 # non-default configuration (e.g. `--slo noisy`) gets the same
 # crash/resume treatment as the default campaign.
 #
-# With -DWORKERS=<n> every checkpointed attempt runs `--workers <n>`
-# against a journal *directory* (ck.dir), so the kill loop exercises the
-# multi-process path: SIGKILLing the driver tears down its forked
-# workers mid-claim (PDEATHSIG), and each restart must merge the
-# per-worker journal files — torn tails, stale claims and all.
+# Every checkpointed attempt runs `--workers <n>` (default 1, a
+# single-process run) against the journal directory ck.dir. With n > 1
+# the kill loop exercises the multi-process path: SIGKILLing the driver
+# tears down its forked workers mid-claim (PDEATHSIG), and each restart
+# must merge the per-worker journal files — torn tails, stale claims
+# and all.
 #
 # Procedure (the checkpoint contract, end to end on the real binary):
 #   1. Run `<bench> --small` uninterrupted -> clean.json / clean.csv.
-#   2. Repeatedly start the same bench with `--checkpoint ck.jsonl` and
+#   2. Repeatedly start the same bench with `--checkpoint ck.dir` and
 #      SIGKILL it at a randomized point (growing, jittered timeouts), so
 #      successive attempts die at different stages of the campaign and
 #      each restart must resume from the journal the previous victim
@@ -43,17 +44,15 @@ endforeach()
 if(NOT DEFINED MAX_KILLS)
     set(MAX_KILLS 20)
 endif()
+if(NOT DEFINED WORKERS)
+    set(WORKERS 1)
+endif()
 set(extra_args)
 if(DEFINED EXTRA_ARGS)
     separate_arguments(extra_args UNIX_COMMAND "${EXTRA_ARGS}")
 endif()
-if(DEFINED WORKERS AND WORKERS GREATER 1)
-    set(ck_path "${WORK}/ck.dir")
-    set(worker_flags --workers "${WORKERS}")
-else()
-    set(ck_path "${WORK}/ck.jsonl")
-    set(worker_flags)
-endif()
+set(ck_path "${WORK}/ck.dir")
+set(worker_flags --workers "${WORKERS}")
 
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")

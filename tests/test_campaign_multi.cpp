@@ -1,14 +1,13 @@
 /**
  * @file
- * Tests for multi-process campaign execution: directory-mode
- * (`aero-campaign/2`) journals merged from per-worker files, file-locked
- * claim records with stale-claim reaping, journal compaction, the
- * per-record fsync durability knob, and — the capstone — a fork-based
- * battery that runs real worker processes against one journal directory
- * with randomized SIGKILLs and requires the merged resume to be
- * byte-identical to a clean single-process run. The single-file
- * `aero-campaign/1` format is pinned byte-for-byte so directory mode
- * can never leak into existing journals.
+ * Tests for multi-process campaign execution: `aero-campaign/2` journal
+ * directories merged from per-worker files (the line format pinned
+ * byte-for-byte), file-locked claim records with stale-claim reaping,
+ * journal compaction and status, the per-record fsync durability knob,
+ * and — the capstone — a fork-based battery that runs real worker
+ * processes against one journal directory with randomized SIGKILLs and
+ * requires the merged resume to be byte-identical to a clean
+ * single-process run.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "exp/campaign.hh"
-#include "exp/checkpoint.hh"
 #include "exp/report.hh"
 #include "exp/sweep.hh"
 
@@ -95,14 +93,16 @@ taskKey(int task)
     return key;
 }
 
+/** Options of forked worker @p k (JournalOptions::kDriver: driver). */
 JournalOptions
-workerOptions(const std::string &id, bool claims = false)
+workerOptions(int k)
 {
     JournalOptions options;
-    options.workerId = id;
-    options.claims = claims;
+    options.worker = k;
     return options;
 }
+
+constexpr int kDriver = JournalOptions::kDriver;
 
 /** A pid guaranteed dead: fork a child that exits, then reap it. */
 pid_t
@@ -125,13 +125,13 @@ TEST(DirectoryJournal, WorkersMergeAcrossFiles)
     const std::string dir = tempPath("dir_merge");
     {
         CampaignJournal w0(dir, "unit-test", unitConfig(),
-                           workerOptions("w0"));
+                           workerOptions(0));
         w0.record(taskKey(0), Json(10));
         w0.record(taskKey(1), Json(11));
     }
     {
         CampaignJournal w1(dir, "unit-test", unitConfig(),
-                           workerOptions("w1"));
+                           workerOptions(1));
         // w1 sees w0's records through the merge...
         EXPECT_EQ(w1.cachedCount(), 2u);
         EXPECT_EQ(w1.cached(taskKey(0)).asInt64(), 10);
@@ -141,7 +141,7 @@ TEST(DirectoryJournal, WorkersMergeAcrossFiles)
     EXPECT_TRUE(fs::exists(fs::path(dir) / "journal.w1.jsonl"));
 
     CampaignJournal reader(dir, "unit-test", unitConfig(),
-                           workerOptions("reader"));
+                           workerOptions(kDriver));
     EXPECT_EQ(reader.cachedCount(), 3u);
     for (int t = 0; t < 3; ++t) {
         ASSERT_TRUE(reader.has(taskKey(t)));
@@ -156,16 +156,16 @@ TEST(DirectoryJournal, DuplicateKeysLastFileWins)
     const std::string dir = tempPath("dir_dup");
     {
         CampaignJournal w0(dir, "unit-test", unitConfig(),
-                           workerOptions("w0"));
+                           workerOptions(0));
         w0.record(taskKey(7), Json(1));
     }
     {
         CampaignJournal w1(dir, "unit-test", unitConfig(),
-                           workerOptions("w1"));
+                           workerOptions(1));
         w1.record(taskKey(7), Json(2));
     }
     CampaignJournal reader(dir, "unit-test", unitConfig(),
-                           workerOptions("reader"));
+                           workerOptions(kDriver));
     EXPECT_EQ(reader.cachedCount(), 1u);
     EXPECT_EQ(reader.cached(taskKey(7)).asInt64(), 2);
 }
@@ -178,7 +178,7 @@ TEST(DirectoryJournal, SiblingTornTailIsIgnoredNotTruncated)
     const std::string dir = tempPath("dir_torn");
     {
         CampaignJournal w0(dir, "unit-test", unitConfig(),
-                           workerOptions("w0"));
+                           workerOptions(0));
         w0.record(taskKey(0), Json(10));
         w0.record(taskKey(1), Json(11));
     }
@@ -188,14 +188,14 @@ TEST(DirectoryJournal, SiblingTornTailIsIgnoredNotTruncated)
     writeFile(w0Path, before + "{\"fingerprint\":\"tor");
 
     CampaignJournal w1(dir, "unit-test", unitConfig(),
-                       workerOptions("w1"));
+                       workerOptions(1));
     EXPECT_EQ(w1.cachedCount(), 2u);
     EXPECT_EQ(readFile(w0Path), before + "{\"fingerprint\":\"tor")
         << "merging must never modify another worker's file";
 
-    // Our *own* torn tail is truncated as in single-file mode.
+    // Our *own* torn tail is truncated before we append after it.
     CampaignJournal w0Again(dir, "unit-test", unitConfig(),
-                            workerOptions("w0"));
+                            workerOptions(0));
     EXPECT_EQ(readFile(w0Path), before);
 }
 
@@ -204,7 +204,7 @@ TEST(DirectoryJournalDeath, ForeignWorkerFileFailsTheMerge)
     const std::string dir = tempPath("dir_foreign");
     {
         CampaignJournal w0(dir, "unit-test", unitConfig(),
-                           workerOptions("w0"));
+                           workerOptions(0));
         w0.record(taskKey(0), Json(0));
     }
     // Forge another campaign's worker file into the directory (it has
@@ -213,27 +213,14 @@ TEST(DirectoryJournalDeath, ForeignWorkerFileFailsTheMerge)
     const std::string foreign = tempPath("dir_foreign_src");
     {
         CampaignJournal other(foreign, "other-campaign", unitConfig(),
-                              workerOptions("w1"));
+                              workerOptions(1));
         other.record(taskKey(1), Json(1));
     }
     fs::copy_file(fs::path(foreign) / "journal.w1.jsonl",
                   fs::path(dir) / "journal.w1.jsonl");
     EXPECT_DEATH(CampaignJournal(dir, "unit-test", unitConfig(),
-                                 workerOptions("w2")),
+                                 workerOptions(2)),
                  "belongs to campaign 'other-campaign'");
-}
-
-TEST(DirectoryJournalDeath, BadWorkerIdAndMisuseAreFatal)
-{
-    EXPECT_DEATH(CampaignJournal(tempPath("bad_id"), "unit-test",
-                                 unitConfig(),
-                                 workerOptions("w0/../evil")),
-                 "may only contain");
-    JournalOptions claimsOnly;
-    claimsOnly.claims = true;
-    EXPECT_DEATH(CampaignJournal(tempPath("claims_only.jsonl"),
-                                 "unit-test", unitConfig(), claimsOnly),
-                 "claims need a directory-mode journal");
 }
 
 TEST(DirectoryJournalDeath, LiveWorkerIdIsLocked)
@@ -242,38 +229,43 @@ TEST(DirectoryJournalDeath, LiveWorkerIdIsLocked)
     // interleave torn lines into the first's append stream.
     const std::string dir = tempPath("dir_lock");
     CampaignJournal held(dir, "unit-test", unitConfig(),
-                         workerOptions("w0"));
+                         workerOptions(0));
     held.record(taskKey(0), Json(0));
     EXPECT_DEATH(CampaignJournal(dir, "unit-test", unitConfig(),
-                                 workerOptions("w0")),
+                                 workerOptions(0)),
                  "already active");
     // A different worker id coexists fine.
     CampaignJournal other(dir, "unit-test", unitConfig(),
-                          workerOptions("w1"));
+                          workerOptions(1));
     EXPECT_EQ(other.cachedCount(), 1u);
 }
 
 // --------------------------------------------------------------------------
-// The single-file format must stay pinned byte-for-byte.
+// The line format must stay pinned byte-for-byte.
 // --------------------------------------------------------------------------
 
-TEST(SingleFileFormat, HeaderAndRecordBytesArePinned)
+TEST(JournalFormat, HeaderAndRecordBytesArePinned)
 {
-    // PR 9 added directory mode; the aero-campaign/1 single-file
-    // format these exact bytes pin must never change (existing
-    // journals resume bit-identically).
-    const std::string path = tempPath("pinned.jsonl");
+    // A single-process run is a journal directory holding one driver
+    // file; these exact bytes must never change (existing journals
+    // resume bit-identically).
+    const std::string dir = tempPath("pinned.dir");
     Json config = Json::object();
     config["n"] = 3;
     {
-        CampaignJournal journal(path, "pin-test", config);
+        CampaignJournal journal(dir, "pin-test", config);
         journal.record(taskKey(1), Json(0.1));
     }
+    std::vector<std::string> files;
+    for (const auto &entry : fs::directory_iterator(dir))
+        files.push_back(entry.path().filename().string());
+    EXPECT_EQ(files, std::vector<std::string>{"journal.driver.jsonl"});
     const std::string fp =
         CampaignJournal::fingerprint("pin-test", config);
-    EXPECT_EQ(readFile(path),
-              "{\"schema\":\"aero-campaign/1\",\"campaign\":\"pin-test\","
-              "\"fingerprint\":\"" + fp + "\",\"config\":{\"n\":3}}\n"
+    EXPECT_EQ(readFile((fs::path(dir) / "journal.driver.jsonl").string()),
+              "{\"schema\":\"aero-campaign/2\",\"campaign\":\"pin-test\","
+              "\"fingerprint\":\"" + fp + "\",\"worker\":\"driver\","
+              "\"config\":{\"n\":3}}\n"
               "{\"fingerprint\":\"" + fp + "\",\"key\":{\"task\":1},"
               "\"payload\":0.1}\n");
 }
@@ -284,7 +276,7 @@ TEST(SingleFileFormat, HeaderAndRecordBytesArePinned)
 
 TEST(Claims, DisabledClaimsAlwaysGrant)
 {
-    const std::string path = tempPath("noclaims.jsonl");
+    const std::string path = tempPath("noclaims.dir");
     CampaignJournal journal(path, "unit-test", unitConfig());
     EXPECT_FALSE(journal.claimsEnabled());
     EXPECT_TRUE(journal.tryClaim(taskKey(0)));
@@ -295,9 +287,9 @@ TEST(Claims, LiveSiblingClaimDeniesOthersButNotOwner)
 {
     const std::string dir = tempPath("claims_live");
     CampaignJournal w0(dir, "unit-test", unitConfig(),
-                       workerOptions("w0", /*claims=*/true));
+                       workerOptions(0));
     CampaignJournal w1(dir, "unit-test", unitConfig(),
-                       workerOptions("w1", /*claims=*/true));
+                       workerOptions(1));
     EXPECT_TRUE(w0.tryClaim(taskKey(0)));
     // Both handles live in this (live) process, so w1 is denied...
     EXPECT_FALSE(w1.tryClaim(taskKey(0)));
@@ -314,7 +306,7 @@ TEST(Claims, DeadWorkersClaimIsReaped)
     const pid_t stale = deadPid();
     {
         CampaignJournal w0(dir, "unit-test", unitConfig(),
-                           workerOptions("w0", /*claims=*/true));
+                           workerOptions(0));
         ASSERT_TRUE(w0.tryClaim(taskKey(0)));
     }
     // Forge the claims file so the claim belongs to a pid that is
@@ -334,7 +326,7 @@ TEST(Claims, DeadWorkersClaimIsReaped)
     writeFile(claimsPath, text);
 
     CampaignJournal w1(dir, "unit-test", unitConfig(),
-                       workerOptions("w1", /*claims=*/true));
+                       workerOptions(1));
     EXPECT_TRUE(w1.tryClaim(taskKey(0)))
         << "a dead worker's claim must be silently reaped";
 }
@@ -344,7 +336,7 @@ TEST(Claims, TornClaimTailNeverTookEffect)
     const std::string dir = tempPath("claims_torn");
     {
         CampaignJournal w0(dir, "unit-test", unitConfig(),
-                           workerOptions("w0", /*claims=*/true));
+                           workerOptions(0));
         ASSERT_TRUE(w0.tryClaim(taskKey(0)));
     }
     // A crash mid-claim leaves a torn final line; the claim is void.
@@ -353,8 +345,10 @@ TEST(Claims, TornClaimTailNeverTookEffect)
     writeFile(claimsPath,
               readFile(claimsPath) + "{\"fingerprint\":\"to");
     CampaignJournal w1(dir, "unit-test", unitConfig(),
-                       workerOptions("w1", /*claims=*/true));
+                       workerOptions(1));
     EXPECT_TRUE(w1.tryClaim(taskKey(9)));
+    // The next claim replaced the torn line instead of fusing with it.
+    EXPECT_EQ(campaignStatus(dir).claims.size(), 2u);
 }
 
 // --------------------------------------------------------------------------
@@ -363,7 +357,7 @@ TEST(Claims, TornClaimTailNeverTookEffect)
 
 TEST(Durability, FsyncRecordsCountsEveryAppend)
 {
-    const std::string path = tempPath("fsync.jsonl");
+    const std::string path = tempPath("fsync.dir");
     JournalOptions options;
     options.fsyncRecords = true;
     CampaignJournal journal(path, "unit-test", unitConfig(), options);
@@ -376,14 +370,14 @@ TEST(Durability, FsyncRecordsCountsEveryAppend)
 TEST(Durability, DefaultIsFlushOnlyAndEnvOverridesBothWays)
 {
     {
-        CampaignJournal journal(tempPath("nofsync.jsonl"), "unit-test",
+        CampaignJournal journal(tempPath("nofsync.dir"), "unit-test",
                                 unitConfig());
         journal.record(taskKey(0), Json(0));
         EXPECT_EQ(journal.recordSyncCount(), 0u);
     }
     setenv("AERO_JOURNAL_FSYNC", "1", 1);
     {
-        CampaignJournal journal(tempPath("envfsync.jsonl"), "unit-test",
+        CampaignJournal journal(tempPath("envfsync.dir"), "unit-test",
                                 unitConfig());
         journal.record(taskKey(0), Json(0));
         EXPECT_EQ(journal.recordSyncCount(), 2u);
@@ -392,7 +386,7 @@ TEST(Durability, DefaultIsFlushOnlyAndEnvOverridesBothWays)
     {
         JournalOptions options;
         options.fsyncRecords = true;  // env wins in both directions
-        CampaignJournal journal(tempPath("envoff.jsonl"), "unit-test",
+        CampaignJournal journal(tempPath("envoff.dir"), "unit-test",
                                 unitConfig(), options);
         journal.record(taskKey(0), Json(0));
         EXPECT_EQ(journal.recordSyncCount(), 0u);
@@ -403,7 +397,7 @@ TEST(Durability, DefaultIsFlushOnlyAndEnvOverridesBothWays)
 TEST(DurabilityDeath, MalformedEnvIsFatal)
 {
     setenv("AERO_JOURNAL_FSYNC", "yes", 1);
-    EXPECT_DEATH(CampaignJournal(tempPath("envbad.jsonl"), "unit-test",
+    EXPECT_DEATH(CampaignJournal(tempPath("envbad.dir"), "unit-test",
                                  unitConfig()),
                  "AERO_JOURNAL_FSYNC must be 0 or 1");
     unsetenv("AERO_JOURNAL_FSYNC");
@@ -418,14 +412,14 @@ TEST(Compaction, DirectoryBecomesOneDeduplicatedFile)
     const std::string dir = tempPath("compact_dir");
     {
         CampaignJournal w0(dir, "unit-test", unitConfig(),
-                           workerOptions("w0", /*claims=*/true));
+                           workerOptions(0));
         ASSERT_TRUE(w0.tryClaim(taskKey(0)));
         w0.record(taskKey(0), Json(10));
         w0.record(taskKey(1), Json(99));  // superseded below
     }
     {
         CampaignJournal w1(dir, "unit-test", unitConfig(),
-                           workerOptions("w1"));
+                           workerOptions(1));
         w1.record(taskKey(1), Json(11));
         w1.record(taskKey(2), Json(12));
     }
@@ -442,7 +436,7 @@ TEST(Compaction, DirectoryBecomesOneDeduplicatedFile)
         << "worker files and claims.jsonl must be gone";
 
     CampaignJournal reader(dir, "unit-test", unitConfig(),
-                           workerOptions("reader"));
+                           workerOptions(kDriver));
     EXPECT_EQ(reader.cachedCount(), 3u);
     for (int t = 0; t < 3; ++t)
         EXPECT_EQ(reader.cached(taskKey(t)).asInt64(), 10 + t);
@@ -450,7 +444,9 @@ TEST(Compaction, DirectoryBecomesOneDeduplicatedFile)
 
 TEST(Compaction, SingleFileDeduplicatesInPlaceAndIsIdempotent)
 {
-    const std::string path = tempPath("compact_file.jsonl");
+    // A single-process journal (one driver file) compacts in place to
+    // one deduplicated file, and compacting that again changes nothing.
+    const std::string path = tempPath("compact_file.dir");
     {
         CampaignJournal journal(path, "unit-test", unitConfig());
         journal.record(taskKey(0), Json(1));
@@ -461,12 +457,15 @@ TEST(Compaction, SingleFileDeduplicatesInPlaceAndIsIdempotent)
     EXPECT_EQ(stats.files, 1u);
     EXPECT_EQ(stats.recordsIn, 3u);
     EXPECT_EQ(stats.recordsOut, 2u);
-    const std::string once = readFile(path);
+    const std::string compacted =
+        (fs::path(path) / "journal.compacted.jsonl").string();
+    const std::string once = readFile(compacted);
 
     const CompactStats again = compactCampaignJournal(path);
     EXPECT_EQ(again.recordsIn, 2u);
     EXPECT_EQ(again.recordsOut, 2u);
-    EXPECT_EQ(readFile(path), once) << "compaction must be idempotent";
+    EXPECT_EQ(readFile(compacted), once)
+        << "compaction must be idempotent";
 
     CampaignJournal reopened(path, "unit-test", unitConfig());
     EXPECT_EQ(reopened.cachedCount(), 2u);
@@ -478,7 +477,7 @@ TEST(CompactionDeath, MismatchedFingerprintsRefuse)
     const std::string dir = tempPath("compact_mixed");
     {
         CampaignJournal w0(dir, "unit-test", unitConfig(),
-                           workerOptions("w0"));
+                           workerOptions(0));
         w0.record(taskKey(0), Json(0));
     }
     // Forge a same-name worker file with a different configuration
@@ -488,13 +487,13 @@ TEST(CompactionDeath, MismatchedFingerprintsRefuse)
     const std::string foreign = tempPath("compact_mixed_src");
     {
         CampaignJournal w1(foreign, "unit-test", other,
-                           workerOptions("w1"));
+                           workerOptions(1));
         w1.record(taskKey(1), Json(1));
     }
     fs::copy_file(fs::path(foreign) / "journal.w1.jsonl",
                   fs::path(dir) / "journal.w1.jsonl");
     EXPECT_DEATH(compactCampaignJournal(dir),
-                 "belongs to a different campaign configuration");
+                 "different 'unit-test' campaign configuration.*spliced");
     EXPECT_DEATH(compactCampaignJournal(tempPath("compact_missing")),
                  "no campaign journal");
 }
@@ -511,13 +510,13 @@ TEST(Status, SyntheticDirectoryReportsProgressClaimsAndLiveness)
     const std::string dir = tempPath("status_dir");
     {
         CampaignJournal w0(dir, "unit-test", unitConfig(),
-                           workerOptions("w0", /*claims=*/true));
+                           workerOptions(0));
         ASSERT_TRUE(w0.tryClaim(taskKey(0)));
         w0.record(taskKey(0), Json(10));
     }
     {
         CampaignJournal w1(dir, "unit-test", unitConfig(),
-                           workerOptions("w1", /*claims=*/true));
+                           workerOptions(1));
         ASSERT_TRUE(w1.tryClaim(taskKey(1)));
     }
     const std::string fp =
@@ -530,7 +529,6 @@ TEST(Status, SyntheticDirectoryReportsProgressClaimsAndLiveness)
                   std::to_string(deadPid()) + "}\n");
 
     const CampaignStatus status = campaignStatus(dir);
-    EXPECT_EQ(status.schema, "aero-campaign/2");
     EXPECT_EQ(status.campaign, "unit-test");
     EXPECT_EQ(status.fingerprint, fp);
     EXPECT_EQ(status.records, 1u);
@@ -576,7 +574,7 @@ TEST(Status, ReclaimedTaskReportsTheLastClaimant)
         CampaignJournal::fingerprint("unit-test", unitConfig());
     {
         CampaignJournal w0(dir, "unit-test", unitConfig(),
-                           workerOptions("w0", /*claims=*/true));
+                           workerOptions(0));
         ASSERT_TRUE(w0.tryClaim(taskKey(0)));
     }
     const std::string claimsPath =
@@ -593,7 +591,9 @@ TEST(Status, ReclaimedTaskReportsTheLastClaimant)
 
 TEST(Status, SingleFileJournalHasNoClaims)
 {
-    const std::string path = tempPath("status_file.jsonl");
+    // A single-process run journals into one driver file and never
+    // claims.
+    const std::string path = tempPath("status_file.dir");
     {
         CampaignJournal journal(path, "unit-test", unitConfig());
         journal.record(taskKey(0), Json(0));
@@ -601,12 +601,12 @@ TEST(Status, SingleFileJournalHasNoClaims)
         journal.record(taskKey(1), Json(2));
     }
     const CampaignStatus status = campaignStatus(path);
-    EXPECT_EQ(status.schema, "aero-campaign/1");
     EXPECT_EQ(status.campaign, "unit-test");
     EXPECT_EQ(status.records, 3u);
     EXPECT_EQ(status.distinctKeys, 2u);
     ASSERT_EQ(status.workers.size(), 1u);
-    EXPECT_EQ(status.workers[0].worker, "");
+    EXPECT_EQ(status.workers[0].file, "journal.driver.jsonl");
+    EXPECT_EQ(status.workers[0].worker, "driver");
     EXPECT_EQ(status.workers[0].records, 3u);
     EXPECT_TRUE(status.claims.empty());
     const std::string text = formatCampaignStatus(status);
@@ -623,7 +623,7 @@ TEST(Status, TornTailsAreSkippedNotFatal)
     const std::string dir = tempPath("status_torn");
     {
         CampaignJournal w0(dir, "unit-test", unitConfig(),
-                           workerOptions("w0", /*claims=*/true));
+                           workerOptions(0));
         ASSERT_TRUE(w0.tryClaim(taskKey(0)));
         w0.record(taskKey(0), Json(0));
     }
@@ -647,7 +647,7 @@ TEST(StatusDeath, MissingAndMismatchedJournalsAreFatal)
     const std::string dir = tempPath("status_mixed");
     {
         CampaignJournal w0(dir, "unit-test", unitConfig(),
-                           workerOptions("w0"));
+                           workerOptions(0));
         w0.record(taskKey(0), Json(0));
     }
     Json other = unitConfig();
@@ -655,53 +655,13 @@ TEST(StatusDeath, MissingAndMismatchedJournalsAreFatal)
     const std::string foreign = tempPath("status_mixed_src");
     {
         CampaignJournal w1(foreign, "unit-test", other,
-                           workerOptions("w1"));
+                           workerOptions(1));
         w1.record(taskKey(1), Json(1));
     }
     fs::copy_file(fs::path(foreign) / "journal.w1.jsonl",
                   fs::path(dir) / "journal.w1.jsonl");
     EXPECT_DEATH(campaignStatus(dir),
-                 "belongs to a different campaign configuration");
-}
-
-// --------------------------------------------------------------------------
-// Sharded checkpointed runs: disjoint expand() slices into one journal.
-// --------------------------------------------------------------------------
-
-TEST(ShardedSweep, ShardsUnionToTheCleanArtifact)
-{
-    const SweepSpec spec = tinySpec();
-    const std::string reference =
-        artifactOf(spec, SweepRunner(1).run(spec));
-    const std::string path = tempPath("sharded.jsonl");
-    {
-        SweepCheckpoint shard0(path, spec);
-        SweepRunner(1).run(spec, shard0, {}, /*shardIndex=*/0,
-                           /*shardCount=*/2);
-        EXPECT_EQ(shard0.cachedCount(), spec.size() / 2);
-    }
-    SweepCheckpoint shard1(path, spec);
-    const auto results = SweepRunner(1).run(spec, shard1, {},
-                                            /*shardIndex=*/1,
-                                            /*shardCount=*/2);
-    EXPECT_EQ(shard1.cachedCount(), spec.size());
-    EXPECT_EQ(artifactOf(spec, results), reference);
-}
-
-TEST(ShardedSweep, OffShardPointsAreNeverSimulated)
-{
-    const SweepSpec spec = tinySpec();
-    const std::string path = tempPath("shard_skip.jsonl");
-    SweepCheckpoint ckpt(path, spec);
-    std::size_t simulated = 0;
-    SweepRunner(1).run(
-        spec, ckpt,
-        [&](std::size_t, std::size_t, const SimResult &) {
-            simulated += 1;
-        },
-        /*shardIndex=*/1, /*shardCount=*/4);
-    EXPECT_EQ(simulated, spec.size() / 4);
-    EXPECT_EQ(ckpt.cachedCount(), spec.size() / 4);
+                 "different 'unit-test' campaign configuration.*spliced");
 }
 
 // --------------------------------------------------------------------------
@@ -713,14 +673,9 @@ TEST(ShardedSweep, OffShardPointsAreNeverSimulated)
 [[noreturn]] void
 workerMain(const std::string &dir, const SweepSpec &spec, int worker)
 {
-    JournalOptions options;
-    // Built by append (not operator+) to dodge GCC 12's -Wrestrict
-    // false positive on char* + std::string&&.
-    options.workerId = "w";
-    options.workerId += std::to_string(worker);
-    options.claims = true;
-    SweepCheckpoint ckpt(dir, spec, "sweep", options);
-    SweepRunner(1).run(spec, ckpt);
+    CampaignJournal journal(dir, "sweep", configOf(spec),
+                            workerOptions(worker));
+    SweepRunner(1).run(spec, &journal);
     std::_Exit(0);
 }
 
@@ -759,19 +714,20 @@ TEST(MultiProcessSweep, RandomlyKilledWorkersMergeBitIdentical)
         }
         // The merged resume completes whatever the victim dropped and
         // must reproduce the clean artifact byte-for-byte.
-        SweepCheckpoint merged(dir, spec, "sweep",
-                               workerOptions("merge"));
-        const auto results = SweepRunner(2).run(spec, merged);
+        std::vector<SimResult> results;
+        {
+            CampaignJournal merged(dir, "sweep", configOf(spec));
+            results = SweepRunner(2).run(spec, &merged);
+        }
         EXPECT_EQ(artifactOf(spec, results), reference)
             << "trial " << trial << " (killed w" << victim << ")";
 
         // And compaction of the survivor files round-trips.
         const CompactStats stats = compactCampaignJournal(dir);
         EXPECT_EQ(stats.recordsOut, spec.size());
-        SweepCheckpoint compacted(dir, spec, "sweep",
-                                  workerOptions("merge"));
+        CampaignJournal compacted(dir, "sweep", configOf(spec));
         EXPECT_EQ(compacted.cachedCount(), spec.size());
-        const auto again = SweepRunner(1).run(spec, compacted);
+        const auto again = SweepRunner(1).run(spec, &compacted);
         EXPECT_EQ(artifactOf(spec, again), reference);
     }
 }

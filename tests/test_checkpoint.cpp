@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for the sweep checkpoint/resume subsystem: crash recovery from
- * torn journal tails, bit-identical resumed artifacts at 1 and 4
- * threads (in both directions across thread counts), loud fingerprint
- * mismatches naming the offending spec field, and the exhaustive
- * SweepSpec::index()-vs-expand() cross-check the axis-keyed journal
- * relies on.
+ * Tests for journaled sweeps and the campaign journal under them: crash
+ * recovery from torn journal tails, bit-identical resumed artifacts at 1
+ * and 4 threads (in both directions across thread counts), every sweep
+ * axis — SLO policy included — telling journal records apart, loud
+ * fingerprint mismatches naming the offending spec field, and the
+ * exhaustive SweepSpec::index()-vs-expand() cross-check over all ten
+ * axes that every bench's printed table relies on.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +21,6 @@
 
 #include "devchar/experiments.hh"
 #include "exp/campaign.hh"
-#include "exp/checkpoint.hh"
 #include "exp/report.hh"
 #include "exp/sweep.hh"
 #include "workload/presets.hh"
@@ -43,13 +43,28 @@ tinySpec()
         .build();
 }
 
+/** A fresh journal directory path (removed if a previous run left it). */
 std::string
 tempJournal(const std::string &name)
 {
     const auto path =
         std::filesystem::path(::testing::TempDir()) / name;
-    std::filesystem::remove(path);
+    std::filesystem::remove_all(path);
     return path.string();
+}
+
+/** The file a single-process run appends to inside journal @p dir. */
+std::string
+driverFile(const std::string &dir)
+{
+    return (std::filesystem::path(dir) / "journal.driver.jsonl").string();
+}
+
+/** Open @p dir as the journal of a single-process `sweep` campaign. */
+CampaignJournal
+sweepJournal(const std::string &dir, const SweepSpec &spec)
+{
+    return CampaignJournal(dir, "sweep", configOf(spec));
 }
 
 /** The canonical artifact body two runs are compared by. */
@@ -109,17 +124,18 @@ TEST(CheckpointResume, TornTailResumesBitIdentical)
         artifactOf(spec, SweepRunner(1).run(spec));
 
     for (const int resumeThreads : {1, 4}) {
-        const std::string path = tempJournal("torn.jsonl");
+        const std::string path = tempJournal("torn.dir");
         {
-            SweepCheckpoint ckpt(path, spec);
-            SweepRunner(1).run(spec, ckpt);
+            CampaignJournal journal = sweepJournal(path, spec);
+            SweepRunner(1).run(spec, &journal);
         }
-        // Tear the journal mid-record, as a crash during the final
+        // Tear the worker file mid-record, as a crash during the final
         // write would: the last record loses its tail.
-        tearTail(path, 41);
-        SweepCheckpoint resumed(path, spec);
+        tearTail(driverFile(path), 41);
+        CampaignJournal resumed = sweepJournal(path, spec);
         EXPECT_EQ(resumed.cachedCount(), spec.size() - 1);
-        const auto results = SweepRunner(resumeThreads).run(spec, resumed);
+        const auto results =
+            SweepRunner(resumeThreads).run(spec, &resumed);
         EXPECT_EQ(artifactOf(spec, results), reference)
             << "resume at " << resumeThreads << " threads drifted";
     }
@@ -128,18 +144,18 @@ TEST(CheckpointResume, TornTailResumesBitIdentical)
 TEST(CheckpointResume, FullyJournaledRunSimulatesNothing)
 {
     const SweepSpec spec = tinySpec();
-    const std::string path = tempJournal("full.jsonl");
+    const std::string path = tempJournal("full.dir");
     const std::string reference =
         artifactOf(spec, SweepRunner(1).run(spec));
     {
-        SweepCheckpoint ckpt(path, spec);
-        SweepRunner(1).run(spec, ckpt);
+        CampaignJournal journal = sweepJournal(path, spec);
+        SweepRunner(1).run(spec, &journal);
     }
-    SweepCheckpoint reopened(path, spec);
+    CampaignJournal reopened = sweepJournal(path, spec);
     EXPECT_EQ(reopened.cachedCount(), spec.size());
     std::size_t simulated = 0;
     const auto results = SweepRunner(4).run(
-        spec, reopened,
+        spec, &reopened,
         [&](std::size_t, std::size_t, const SimResult &) {
             simulated += 1;
         });
@@ -152,22 +168,55 @@ TEST(CheckpointResume, ResumeAfterTruncationIsIdempotent)
     // Crash, resume, crash again, resume again: the journal must stay
     // parseable and the final artifact must still match the reference.
     const SweepSpec spec = tinySpec();
-    const std::string path = tempJournal("twice.jsonl");
+    const std::string path = tempJournal("twice.dir");
     const std::string reference =
         artifactOf(spec, SweepRunner(1).run(spec));
     {
-        SweepCheckpoint ckpt(path, spec);
-        SweepRunner(1).run(spec, ckpt);
+        CampaignJournal journal = sweepJournal(path, spec);
+        SweepRunner(1).run(spec, &journal);
     }
-    tearTail(path, 17);
+    tearTail(driverFile(path), 17);
     {
-        SweepCheckpoint resumed(path, spec);
-        SweepRunner(1).run(spec, resumed);
+        CampaignJournal resumed = sweepJournal(path, spec);
+        SweepRunner(1).run(spec, &resumed);
     }
-    tearTail(path, 23);
-    SweepCheckpoint again(path, spec);
-    const auto results = SweepRunner(1).run(spec, again);
+    tearTail(driverFile(path), 23);
+    CampaignJournal again = sweepJournal(path, spec);
+    const auto results = SweepRunner(1).run(spec, &again);
     EXPECT_EQ(artifactOf(spec, results), reference);
+}
+
+TEST(CheckpointResume, SloAxisPointsAreJournaledApart)
+{
+    // Regression: the journal key once left out the SLO axis, so the
+    // "none" and "throttle" points shared one record — a fully
+    // journaled grid reopened with half its points and resumed with the
+    // wrong rows. The key is now the point's own report columns.
+    SweepSpec spec = SweepBuilder()
+                         .workload("prxy")
+                         .sloPolicies({"none", "throttle"})
+                         .pec(2500.0)
+                         .requests(1500)
+                         .baseConfig(SsdConfig::tiny())
+                         .build();
+    // A budget below prxy's offered load, so "throttle" really defers.
+    spec.base.slo = parseTenantSloSpec("0:iops=150");
+    const std::string reference =
+        artifactOf(spec, SweepRunner(1).run(spec));
+
+    const std::string path = tempJournal("slo.dir");
+    {
+        CampaignJournal journal = sweepJournal(path, spec);
+        SweepRunner(1).run(spec, &journal);
+    }
+    for (const int resumeThreads : {1, 4}) {
+        CampaignJournal reopened = sweepJournal(path, spec);
+        EXPECT_EQ(reopened.cachedCount(), spec.size());
+        const auto results =
+            SweepRunner(resumeThreads).run(spec, &reopened);
+        EXPECT_EQ(artifactOf(spec, results), reference)
+            << "resume at " << resumeThreads << " threads";
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -185,20 +234,20 @@ TEST(CheckpointResume, CrossesThreadCountsInBothDirections)
     const std::pair<const char *, const char *> directions[] = {
         {"4", "1"}, {"1", "4"}};
     for (const auto &[writer, resumer] : directions) {
-        const std::string path = tempJournal("cross.jsonl");
+        const std::string path = tempJournal("cross.dir");
         setenv("AERO_SWEEP_THREADS", writer, 1);
         {
-            SweepCheckpoint ckpt(path, spec);
-            SweepRunner().run(spec, ckpt);
+            CampaignJournal journal = sweepJournal(path, spec);
+            SweepRunner().run(spec, &journal);
         }
         // Kill the run after two completed records (a 4-thread writer
         // journals in completion order, so these need not be the first
         // two points in spec order).
-        keepLines(path, 3);
+        keepLines(driverFile(path), 3);
         setenv("AERO_SWEEP_THREADS", resumer, 1);
-        SweepCheckpoint resumed(path, spec);
+        CampaignJournal resumed = sweepJournal(path, spec);
         EXPECT_EQ(resumed.cachedCount(), 2u);
-        const auto results = SweepRunner().run(spec, resumed);
+        const auto results = SweepRunner().run(spec, &resumed);
         unsetenv("AERO_SWEEP_THREADS");
         EXPECT_EQ(artifactOf(spec, results), reference)
             << "journal written at " << writer
@@ -213,102 +262,111 @@ TEST(CheckpointResume, CrossesThreadCountsInBothDirections)
 TEST(CheckpointFingerprint, ChangedRequestsDiesNamingRequests)
 {
     const SweepSpec spec = tinySpec();
-    const std::string path = tempJournal("mismatch_requests.jsonl");
+    const std::string path = tempJournal("mismatch_requests.dir");
     {
-        SweepCheckpoint ckpt(path, spec);
-        SweepRunner(1).run(spec, ckpt);
+        CampaignJournal journal = sweepJournal(path, spec);
+        SweepRunner(1).run(spec, &journal);
     }
     SweepSpec changed = spec;
     changed.requests = 2000;
-    EXPECT_DEATH(SweepCheckpoint(path, changed),
+    EXPECT_DEATH(sweepJournal(path, changed),
                  "different 'sweep' campaign.*requests: 1500 vs 2000");
 }
 
 TEST(CheckpointFingerprint, ChangedAxisDiesNamingAxis)
 {
     const SweepSpec spec = tinySpec();
-    const std::string path = tempJournal("mismatch_axis.jsonl");
+    const std::string path = tempJournal("mismatch_axis.dir");
     {
-        SweepCheckpoint ckpt(path, spec);  // header only, no results
+        CampaignJournal journal = sweepJournal(path, spec);  // header only
     }
     SweepSpec moreWorkloads = spec;
     moreWorkloads.workloads.push_back("usr");
-    EXPECT_DEATH(SweepCheckpoint(path, moreWorkloads),
+    EXPECT_DEATH(sweepJournal(path, moreWorkloads),
                  "different 'sweep' campaign.*workloads");
 
     SweepSpec otherSchemes = spec;
     otherSchemes.schemes = {SchemeKind::Baseline, SchemeKind::Dpes};
-    EXPECT_DEATH(SweepCheckpoint(path, otherSchemes),
+    EXPECT_DEATH(sweepJournal(path, otherSchemes),
                  "different 'sweep' campaign.*schemes");
 
     SweepSpec otherSeeds = spec;
     otherSeeds.seeds = {11};
-    EXPECT_DEATH(SweepCheckpoint(path, otherSeeds),
+    EXPECT_DEATH(sweepJournal(path, otherSeeds),
                  "different 'sweep' campaign.*seeds");
 }
 
 TEST(CheckpointFingerprint, WrongSchemaDies)
 {
-    const std::string path = tempJournal("not_a_journal.jsonl");
-    writeFile(path, "{\"schema\":\"aero-sweep/1\",\"results\":[]}\n");
-    EXPECT_DEATH(SweepCheckpoint(path, tinySpec()),
-                 "not an aero-campaign/1 journal");
+    const std::string path = tempJournal("not_a_journal.dir");
+    std::filesystem::create_directory(path);
+    writeFile(driverFile(path),
+              "{\"schema\":\"aero-sweep/1\",\"results\":[]}\n");
+    EXPECT_DEATH(sweepJournal(path, tinySpec()),
+                 "not an aero-campaign/2 journal");
 }
 
 TEST(CheckpointFingerprint, NonJournalFileIsNeverTruncated)
 {
-    // Torn-tail tolerance must not extend to the header line: pointing
-    // --checkpoint at some precious non-journal file has to fail
-    // loudly, not truncate it to zero and write a header over it.
-    const std::string path = tempJournal("precious.txt");
-    const std::string contents = "my precious data, not a checkpoint";
-    writeFile(path, contents);
-    EXPECT_DEATH(SweepCheckpoint(path, tinySpec()),
-                 "not a campaign journal");
-    EXPECT_EQ(readFile(path), contents);
+    // --checkpoint names a journal *directory*: pointing it at a regular
+    // file — some precious data, an artifact, or a journal from the old
+    // single-file format — has to fail loudly naming the path, never
+    // truncate the file or write a header over it.
+    const std::string oldJournal =
+        "{\"schema\":\"aero-campaign/1\",\"campaign\":\"sweep\","
+        "\"fingerprint\":\"0123456789abcdef\",\"config\":{}}\n";
+    for (const std::string &contents :
+         {std::string("my precious data, not a checkpoint"), oldJournal}) {
+        const std::string path = tempJournal("precious.jsonl");
+        writeFile(path, contents);
+        EXPECT_DEATH(sweepJournal(path, tinySpec()),
+                     "checkpoint '" + path +
+                         "' exists and is not a journal directory");
+        EXPECT_EQ(readFile(path), contents);
+    }
 }
 
 TEST(CheckpointFingerprint, CorruptMidJournalDies)
 {
     const SweepSpec spec = tinySpec();
-    const std::string path = tempJournal("corrupt.jsonl");
+    const std::string path = tempJournal("corrupt.dir");
     {
-        SweepCheckpoint ckpt(path, spec);
-        SweepRunner(1).run(spec, ckpt);
+        CampaignJournal journal = sweepJournal(path, spec);
+        SweepRunner(1).run(spec, &journal);
     }
     // Damage a record in the middle: tolerance is for torn *tails*
     // only, anything else must fail loudly.
-    std::string text = readFile(path);
+    std::string text = readFile(driverFile(path));
     const std::size_t mid = text.find("\n{") + 1;
     text[mid] = '#';
-    writeFile(path, text);
-    EXPECT_DEATH(SweepCheckpoint(path, spec), "corrupt");
+    writeFile(driverFile(path), text);
+    EXPECT_DEATH(sweepJournal(path, spec), "corrupt");
 }
 
 TEST(CheckpointFingerprint, ForeignRecordFingerprintDies)
 {
     const SweepSpec spec = tinySpec();
-    const std::string path = tempJournal("foreign.jsonl");
+    const std::string path = tempJournal("foreign.dir");
     {
-        SweepCheckpoint ckpt(path, spec);
-        SweepRunner(1).run(spec, ckpt);
+        CampaignJournal journal = sweepJournal(path, spec);
+        SweepRunner(1).run(spec, &journal);
     }
     // Splice a record stamped with another sweep's fingerprint.
-    std::string text = readFile(path);
+    std::string text = readFile(driverFile(path));
     const std::size_t firstRecord = text.find("\n{") + 1;
     std::string forged = text.substr(firstRecord);
     forged = forged.substr(0, forged.find('\n') + 1);
     const std::size_t fpAt = forged.find("\"fingerprint\":\"") +
                              std::string("\"fingerprint\":\"").size();
     forged[fpAt] = forged[fpAt] == '0' ? '1' : '0';
-    writeFile(path, text + forged);
-    EXPECT_DEATH(SweepCheckpoint(path, spec),
+    writeFile(driverFile(path), text + forged);
+    EXPECT_DEATH(sweepJournal(path, spec),
                  "refusing to splice records from a different campaign");
 }
 
 // --------------------------------------------------------------------------
-// SweepSpec::index() vs expand() — the invariant axis-keyed resume
-// (and every bench's printed table) depends on.
+// SweepSpec::index() vs expand() — the invariant every bench's printed
+// table depends on.
 // --------------------------------------------------------------------------
 
 TEST(SweepSpecIndex, AgreesWithExpandOverRandomizedGrids)
@@ -318,6 +376,12 @@ TEST(SweepSpecIndex, AgreesWithExpandOverRandomizedGrids)
     const std::vector<SchemeKind> schemePool = allSchemes();
     const std::vector<SuspensionMode> suspPool = {
         SuspensionMode::None, SuspensionMode::MidSegment};
+    const std::vector<std::string> gcPool = {"greedy", "cost-benefit",
+                                             "fifo-log"};
+    const std::vector<std::string> wearPool = {"none", "static",
+                                               "dynamic"};
+    const std::vector<std::string> sloPool = {"none", "throttle", "wfq",
+                                              "throttle+wfq"};
 
     for (int trial = 0; trial < 25; ++trial) {
         // A distinct prefix of each axis pool, randomized lengths.
@@ -344,6 +408,15 @@ TEST(SweepSpecIndex, AgreesWithExpandOverRandomizedGrids)
         spec.rberRequirements.clear();
         for (std::size_t i = 0; i < len(3); ++i)
             spec.rberRequirements.push_back(63 - static_cast<int>(i));
+        spec.gcPolicies.assign(
+            gcPool.begin(),
+            gcPool.begin() + static_cast<long>(len(gcPool.size())));
+        spec.wearLevels.assign(
+            wearPool.begin(),
+            wearPool.begin() + static_cast<long>(len(wearPool.size())));
+        spec.sloPolicies.assign(
+            sloPool.begin(),
+            sloPool.begin() + static_cast<long>(len(sloPool.size())));
         spec.seeds.clear();
         for (std::size_t i = 0; i < len(3); ++i)
             spec.seeds.push_back(7 + 1000 * i);
@@ -351,35 +424,42 @@ TEST(SweepSpecIndex, AgreesWithExpandOverRandomizedGrids)
         const auto points = spec.expand();
         ASSERT_EQ(points.size(), spec.size());
         // Decompose every flat position into per-axis indices with an
-        // independent mixed-radix walk (seed varies fastest), then
-        // require index() to invert it and expand() to have put the
-        // matching axis values there.
-        const std::size_t sizes[7] = {
+        // independent mixed-radix walk in the documented nesting order
+        // (PEC outermost, seed fastest), then require index() to invert
+        // it and expand() to have put the matching axis values there.
+        enum { Pec, Susp, Wl, Scheme, Mis, Rber, Gc, Wear, Slo, Seed, N };
+        const std::size_t sizes[N] = {
             spec.pecs.size(),          spec.suspensions.size(),
             spec.workloads.size(),     spec.schemes.size(),
             spec.mispredictionRates.size(),
-            spec.rberRequirements.size(), spec.seeds.size()};
+            spec.rberRequirements.size(), spec.gcPolicies.size(),
+            spec.wearLevels.size(),    spec.sloPolicies.size(),
+            spec.seeds.size()};
         for (std::size_t flat = 0; flat < points.size(); ++flat) {
-            std::size_t ix[7];
+            std::size_t ix[N];
             std::size_t rem = flat;
-            for (int axis = 6; axis >= 0; --axis) {
+            for (int axis = N - 1; axis >= 0; --axis) {
                 ix[axis] = rem % sizes[axis];
                 rem /= sizes[axis];
             }
-            ASSERT_EQ(spec.index(ix[0], ix[1], ix[2], ix[3], ix[4],
-                                 ix[5], ix[6]),
+            ASSERT_EQ(spec.index(ix[Pec], ix[Susp], ix[Wl], ix[Scheme],
+                                 ix[Mis], ix[Rber], ix[Seed], ix[Gc],
+                                 ix[Wear], ix[Slo]),
                       flat)
                 << "trial " << trial;
             const SimPoint &pt = points[flat];
-            ASSERT_EQ(pt.pec, spec.pecs[ix[0]]);
-            ASSERT_EQ(pt.suspension, spec.suspensions[ix[1]]);
-            ASSERT_EQ(pt.workload, spec.workloads[ix[2]]);
-            ASSERT_EQ(pt.scheme, spec.schemes[ix[3]]);
+            ASSERT_EQ(pt.pec, spec.pecs[ix[Pec]]);
+            ASSERT_EQ(pt.suspension, spec.suspensions[ix[Susp]]);
+            ASSERT_EQ(pt.workload, spec.workloads[ix[Wl]]);
+            ASSERT_EQ(pt.scheme, spec.schemes[ix[Scheme]]);
             ASSERT_EQ(pt.mispredictionRate,
-                      spec.mispredictionRates[ix[4]]);
+                      spec.mispredictionRates[ix[Mis]]);
             ASSERT_EQ(pt.rberRequirement,
-                      spec.rberRequirements[ix[5]]);
-            ASSERT_EQ(pt.seed, spec.seeds[ix[6]]);
+                      spec.rberRequirements[ix[Rber]]);
+            ASSERT_EQ(pt.gcPolicy, spec.gcPolicies[ix[Gc]]);
+            ASSERT_EQ(pt.wearLevel, spec.wearLevels[ix[Wear]]);
+            ASSERT_EQ(pt.sloPolicy, spec.sloPolicies[ix[Slo]]);
+            ASSERT_EQ(pt.seed, spec.seeds[ix[Seed]]);
         }
     }
 }
@@ -461,7 +541,7 @@ chipKey(int chip)
 
 TEST(CampaignJournal, RecordsSurviveReopen)
 {
-    const std::string path = tempJournal("campaign_roundtrip.jsonl");
+    const std::string path = tempJournal("campaign_roundtrip.dir");
     Json payload = Json::object();
     payload["value"] = 0.1;  // must round-trip bit-for-bit
     payload["count"] = std::uint64_t{18446744073709551615ull};
@@ -491,29 +571,32 @@ TEST(CampaignJournal, RecordsSurviveReopen)
 
 TEST(CampaignJournal, TornTailIsDroppedWithTheRestIntact)
 {
-    const std::string path = tempJournal("campaign_torn.jsonl");
+    const std::string path = tempJournal("campaign_torn.dir");
     {
         CampaignJournal journal(path, "unit-test", campaignConfig());
         for (int c = 0; c < 4; ++c)
             journal.record(chipKey(c), Json(c));
     }
-    tearTail(path, 9);  // mid-way through the chip-3 record
-    CampaignJournal resumed(path, "unit-test", campaignConfig());
-    EXPECT_EQ(resumed.cachedCount(), 3u);
-    EXPECT_TRUE(resumed.has(chipKey(2)));
-    EXPECT_FALSE(resumed.has(chipKey(3)));
-    // Appending after the truncation keeps the journal parseable.
-    resumed.record(chipKey(3), Json(3));
+    tearTail(driverFile(path), 9);  // mid-way through the chip-3 record
+    {
+        CampaignJournal resumed(path, "unit-test", campaignConfig());
+        EXPECT_EQ(resumed.cachedCount(), 3u);
+        EXPECT_TRUE(resumed.has(chipKey(2)));
+        EXPECT_FALSE(resumed.has(chipKey(3)));
+        // Appending after the truncation keeps the journal parseable.
+        resumed.record(chipKey(3), Json(3));
+    }
     CampaignJournal again(path, "unit-test", campaignConfig());
     EXPECT_EQ(again.cachedCount(), 4u);
 }
 
 TEST(CampaignJournal, RandomizedCrashPointsAlwaysResume)
 {
-    // Crash battery: truncate a full journal at arbitrary byte offsets
-    // (any of which a SIGKILL mid-write could produce) and require the
-    // loader to recover every intact record and never a corrupt one.
-    const std::string full = tempJournal("campaign_fuzz_full.jsonl");
+    // Crash battery: truncate a full worker file at arbitrary byte
+    // offsets (any of which a SIGKILL mid-write could produce) and
+    // require the loader to recover every intact record and never a
+    // corrupt one.
+    const std::string full = tempJournal("campaign_fuzz_full.dir");
     std::vector<std::uint64_t> recordEnds;  // byte offset after line i
     {
         CampaignJournal journal(full, "unit-test", campaignConfig());
@@ -523,7 +606,7 @@ TEST(CampaignJournal, RandomizedCrashPointsAlwaysResume)
             journal.record(chipKey(c), payload);
         }
     }
-    const std::string text = readFile(full);
+    const std::string text = readFile(driverFile(full));
     for (std::size_t pos = 0;
          (pos = text.find('\n', pos)) != std::string::npos; ++pos)
         recordEnds.push_back(pos + 1);
@@ -535,8 +618,9 @@ TEST(CampaignJournal, RandomizedCrashPointsAlwaysResume)
         const auto lo = recordEnds.front();
         const std::uint64_t cut =
             lo + rng() % (text.size() - lo + 1);
-        const std::string path = tempJournal("campaign_fuzz.jsonl");
-        writeFile(path, text.substr(0, cut));
+        const std::string path = tempJournal("campaign_fuzz.dir");
+        std::filesystem::create_directory(path);
+        writeFile(driverFile(path), text.substr(0, cut));
         CampaignJournal resumed(path, "unit-test", campaignConfig());
         // Every record wholly before the cut must be recovered.
         std::size_t wholeRecords = 0;
@@ -556,7 +640,7 @@ TEST(CampaignJournal, RandomizedCrashPointsAlwaysResume)
 
 TEST(CampaignJournal, DuplicateKeysLastWins)
 {
-    const std::string path = tempJournal("campaign_dup.jsonl");
+    const std::string path = tempJournal("campaign_dup.dir");
     {
         CampaignJournal journal(path, "unit-test", campaignConfig());
         journal.record(chipKey(1), Json(1));
@@ -571,7 +655,7 @@ TEST(CampaignJournal, DuplicateKeysLastWins)
 
 TEST(CampaignJournalDeath, OtherCampaignsJournalIsRejected)
 {
-    const std::string path = tempJournal("campaign_wrong_name.jsonl");
+    const std::string path = tempJournal("campaign_wrong_name.dir");
     {
         CampaignJournal journal(path, "fig07_failbits_vs_tep",
                                 campaignConfig());
@@ -584,7 +668,7 @@ TEST(CampaignJournalDeath, OtherCampaignsJournalIsRejected)
 
 TEST(CampaignJournalDeath, ChangedConfigDiesNamingTheNestedField)
 {
-    const std::string path = tempJournal("campaign_config.jsonl");
+    const std::string path = tempJournal("campaign_config.dir");
     {
         CampaignJournal journal(path, "unit-test", campaignConfig());
     }
@@ -608,15 +692,15 @@ TEST(CampaignJournalDeath, MissingParentDirectoryNamesThePath)
     // Regression: a bad --checkpoint path must fail up front naming
     // the path and the missing directory, not as a raw stream error
     // after the campaign started.
-    EXPECT_DEATH(CampaignJournal("no/such/dir/journal.jsonl",
+    EXPECT_DEATH(CampaignJournal("no/such/dir/journal.dir",
                                  "unit-test", campaignConfig()),
-                 "cannot create checkpoint 'no/such/dir/journal.jsonl':"
+                 "cannot create checkpoint 'no/such/dir/journal.dir':"
                  " parent directory 'no/such/dir' does not exist");
 }
 
 TEST(SweepCheckpointDeath, MissingParentDirectoryNamesThePath)
 {
-    EXPECT_DEATH(SweepCheckpoint("nowhere/at/all/ck.jsonl", tinySpec()),
+    EXPECT_DEATH(sweepJournal("nowhere/at/all/ck.dir", tinySpec()),
                  "parent directory 'nowhere/at/all' does not exist");
 }
 
@@ -665,7 +749,7 @@ TEST(DevcharCampaignResume, PartialJournalResumesBitIdentical)
 
     Json config = Json::object();
     config["what"] = "fig7 resume test";
-    const std::string full = tempJournal("devchar_full.jsonl");
+    const std::string full = tempJournal("devchar_full.dir");
     {
         CampaignJournal journal(full, "fig7-test", config);
         const std::string journaled = fig7Fingerprint(
@@ -674,18 +758,19 @@ TEST(DevcharCampaignResume, PartialJournalResumesBitIdentical)
         EXPECT_EQ(journal.cachedCount(),
                   static_cast<std::size_t>(fc.numChips));
     }
-    const std::string fullText = readFile(full);
+    const std::string fullText = readFile(driverFile(full));
 
     // Resume from every truncation prefix (complete records and torn
     // tails alike), across thread counts; the folded statistics must
     // be byte-identical each time.
     std::mt19937 rng(7);
     for (int trial = 0; trial < 8; ++trial) {
-        const std::string path = tempJournal("devchar_part.jsonl");
+        const std::string path = tempJournal("devchar_part.dir");
         const std::size_t header = fullText.find('\n') + 1;
         const std::size_t cut =
             header + rng() % (fullText.size() - header + 1);
-        writeFile(path, fullText.substr(0, cut));
+        std::filesystem::create_directory(path);
+        writeFile(driverFile(path), fullText.substr(0, cut));
         const char *threads = trial % 2 ? "4" : "1";
         setenv("AERO_SWEEP_THREADS", threads, 1);
         CampaignJournal journal(path, "fig7-test", config);
@@ -707,7 +792,7 @@ TEST(DevcharCampaignResume, FullyJournaledRunRecomputesNothing)
     const std::vector<double> pecs = {2500.0};
     Json config = Json::object();
     config["what"] = "fig7 cache test";
-    const std::string path = tempJournal("devchar_cached.jsonl");
+    const std::string path = tempJournal("devchar_cached.dir");
     std::string reference;
     {
         CampaignJournal journal(path, "fig7-test", config);

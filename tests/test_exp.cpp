@@ -358,8 +358,8 @@ TEST(SweepRunner, ProgressCoversEveryPointExactlyOnce)
     std::size_t calls = 0;
     const auto points = spec.expand();
     SweepRunner(2).run(
-        spec, [&](std::size_t done, std::size_t total,
-                  const SimResult &latest) {
+        spec, {}, [&](std::size_t done, std::size_t total,
+                      const SimResult &latest) {
             EXPECT_LE(done, total);
             EXPECT_EQ(total, points.size());
             for (std::size_t i = 0; i < points.size(); ++i) {

@@ -236,8 +236,11 @@ TEST(EventQueue, ThreadCountCannotPerturbReplays)
         points.push_back(pt);
     }
     const SsdConfig base = SsdConfig::tiny();
-    const auto one = SweepRunner(1).run(points, base);
-    const auto four = SweepRunner(4).run(points, base);
+    const auto replay = [&](const SimPoint &pt) {
+        return runSimPoint(pt, base);
+    };
+    const auto one = parallelMap(points, replay, 1);
+    const auto four = parallelMap(points, replay, 4);
     ASSERT_EQ(one.size(), four.size());
     for (std::size_t i = 0; i < one.size(); ++i)
         EXPECT_EQ(toJson(one[i]).dump(), toJson(four[i]).dump())
