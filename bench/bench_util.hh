@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "exp/campaign.hh"
 #include "exp/report.hh"
 
@@ -323,12 +324,10 @@ parseArtifactArgs(int argc, char **argv, bool allow_small = false,
         if (allow_workers && std::strcmp(arg, "--workers") == 0) {
             if (i + 1 >= argc)
                 AERO_FATAL("--workers needs a count");
-            char *end = nullptr;
-            const long v = std::strtol(argv[++i], &end, 10);
-            if (end == nullptr || *end != '\0' || v < 1 || v > 256)
+            out.workers = parseDecimal<int>(argv[++i]).value_or(0);
+            if (out.workers < 1 || out.workers > 256)
                 AERO_FATAL("--workers: '", argv[i],
                            "' is not a worker count in [1, 256]");
-            out.workers = static_cast<int>(v);
             continue;
         }
         std::string *dest = nullptr;

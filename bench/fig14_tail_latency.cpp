@@ -22,6 +22,7 @@
 
 #include "bench_util.hh"
 #include "exp/sweep.hh"
+#include "workload/presets.hh"
 
 using namespace aero;
 
@@ -37,21 +38,20 @@ main(int argc, char **argv)
     // --small: the regression-gate grid — three workloads, two PEC
     // points, one seed, a fixed request count (not AERO_SIM_REQUESTS,
     // so the golden baselines are hermetic).
-    SweepBuilder builder;
+    SweepSpec spec;
+    spec.schemes = allSchemes();
     if (artifacts.small) {
-        builder.workloads({"prxy", "hm", "usr"})
-            .allSchemes()
-            .pecs({500.0, 2500.0})
-            .requests(2000);
+        spec.workloads = {"prxy", "hm", "usr"};
+        spec.pecs = {500.0, 2500.0};
+        spec.requests = 2000;
     } else {
-        constexpr int kSeeds = 3;  // tail noise reduction
-        builder.allTable3Workloads()
-            .allSchemes()
-            .paperPecs()
-            .repeats(kSeeds)
-            .requests(defaultSimRequests());
+        spec.workloads.clear();
+        for (const auto &w : table3Workloads())
+            spec.workloads.push_back(w.name);
+        spec.pecs = paperPecPoints();
+        spec.seeds = {7, 1007, 2007};  // tail noise reduction
+        spec.requests = defaultSimRequests();
     }
-    const SweepSpec spec = builder.build();
     std::printf("requests/run: %llu (env AERO_SIM_REQUESTS), "
                 "%zu points on %d threads (env AERO_SWEEP_THREADS)\n",
                 static_cast<unsigned long long>(spec.requests), spec.size(),
@@ -73,7 +73,10 @@ main(int argc, char **argv)
                               std::size_t si, double SimResult::*metric) {
         double acc = 0.0;
         for (std::size_t se = 0; se < spec.seeds.size(); ++se)
-            acc += std::log(results[spec.index(pi, 0, wi, si, 0, 0, se)].*
+            acc += std::log(results[spec.index({{Axis::Pec, pi},
+                                                {Axis::Workload, wi},
+                                                {Axis::Scheme, si},
+                                                {Axis::Seed, se}})].*
                             metric);
         return std::exp(acc / static_cast<double>(spec.seeds.size()));
     };

@@ -27,16 +27,12 @@ main(int argc, char **argv)
 
     // --small pins a fixed request count so the golden baselines do not
     // depend on AERO_SIM_REQUESTS; the grid shape is already compact.
-    const SweepSpec spec =
-        SweepBuilder()
-            .workload("prxy")
-            .schemes({SchemeKind::Baseline, SchemeKind::AeroCons,
-                      SchemeKind::Aero})
-            .paperPecs()
-            .suspensions(
-                {SuspensionMode::None, SuspensionMode::MidSegment})
-            .requests(artifacts.small ? 2000 : defaultSimRequests())
-            .build();
+    SweepSpec spec;
+    spec.schemes = {SchemeKind::Baseline, SchemeKind::AeroCons,
+                    SchemeKind::Aero};
+    spec.pecs = paperPecPoints();
+    spec.suspensions = {SuspensionMode::None, SuspensionMode::MidSegment};
+    spec.requests = artifacts.small ? 2000 : defaultSimRequests();
     std::printf("workload prxy, %llu requests/run, %zu points on %d "
                 "threads\n",
                 static_cast<unsigned long long>(spec.requests), spec.size(),
@@ -59,10 +55,12 @@ main(int argc, char **argv)
     bench::rule();
     for (std::size_t pi = 0; pi < spec.pecs.size(); ++pi) {
         // Normalize to Baseline without suspension (susp index 0).
-        const auto &base = results[spec.index(pi, 0, 0, 0, 0, 0, 0)];
+        const auto &base = results[spec.index({{Axis::Pec, pi}})];
         for (std::size_t mi = 0; mi < spec.suspensions.size(); ++mi) {
             for (std::size_t si = 0; si < spec.schemes.size(); ++si) {
-                const auto &r = results[spec.index(pi, mi, 0, si, 0, 0, 0)];
+                const auto &r = results[spec.index(
+                    {{Axis::Pec, pi}, {Axis::Suspension, mi},
+                     {Axis::Scheme, si}})];
                 std::printf("%6.0f | %-10s | %10s | %9.0fus (%4.2f) | "
                             "%9.0fus (%4.2f)\n",
                             spec.pecs[pi], schemeKindName(spec.schemes[si]),

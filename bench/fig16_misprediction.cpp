@@ -48,16 +48,11 @@ main(int argc, char **argv)
 
     // Declare the tail-latency grids up front so the journal's config
     // fingerprints every stage of the campaign (lifetime + two sweeps).
-    SweepBuilder tail =
-        SweepBuilder()
-            .workload("prxy")
-            .pec(500.0)
-            .requests(artifacts.small ? 2000 : defaultSimRequests());
-    const SweepSpec base_spec =
-        tail.scheme(SchemeKind::Baseline).build();
-    const SweepSpec spec = tail.scheme(SchemeKind::Aero)
-                               .mispredictionRates(rates)
-                               .build();
+    SweepSpec base_spec;  // prxy at 0.5K PEC
+    base_spec.requests = artifacts.small ? 2000 : defaultSimRequests();
+    SweepSpec spec = base_spec;
+    spec.schemes = {SchemeKind::Aero};
+    spec.mispredictionRates = rates;
     Json journal_cfg = bench::farmJournalConfig(
         lc.farm.numChips, lc.farm.blocksPerChip, lc.farm.seed,
         artifacts.small);
@@ -125,7 +120,8 @@ main(int argc, char **argv)
     bench::rule();
     std::printf("%8s | %10s | %10s\n", "misrate", "p99.99", "p99.9999");
     for (std::size_t mi = 0; mi < rates.size(); ++mi) {
-        const auto &r = results[spec.index(0, 0, 0, 0, mi, 0, 0)];
+        const auto &r =
+            results[spec.index({{Axis::MispredictionRate, mi}})];
         std::printf("%7.0f%% | %10.2f | %10.2f\n", rates[mi] * 100.0,
                     r.p9999Us / base.p9999Us,
                     r.p999999Us / base.p999999Us);

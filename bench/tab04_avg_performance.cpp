@@ -14,6 +14,7 @@
 
 #include "bench_util.hh"
 #include "exp/sweep.hh"
+#include "workload/presets.hh"
 
 using namespace aero;
 
@@ -28,19 +29,19 @@ main(int argc, char **argv)
 
     // --small: the regression-gate grid (three workloads, two PEC
     // points, fixed request count so the baselines are hermetic).
-    SweepBuilder builder;
+    SweepSpec spec;
+    spec.schemes = allSchemes();
     if (artifacts.small) {
-        builder.workloads({"prxy", "hm", "usr"})
-            .allSchemes()
-            .pecs({500.0, 2500.0})
-            .requests(2000);
+        spec.workloads = {"prxy", "hm", "usr"};
+        spec.pecs = {500.0, 2500.0};
+        spec.requests = 2000;
     } else {
-        builder.allTable3Workloads()
-            .allSchemes()
-            .paperPecs()
-            .requests(defaultSimRequests());
+        spec.workloads.clear();
+        for (const auto &w : table3Workloads())
+            spec.workloads.push_back(w.name);
+        spec.pecs = paperPecPoints();
+        spec.requests = defaultSimRequests();
     }
-    const SweepSpec spec = builder.build();
     std::printf("requests/run: %llu, %zu points on %d threads\n",
                 static_cast<unsigned long long>(spec.requests), spec.size(),
                 SweepRunner().threads());
@@ -64,10 +65,11 @@ main(int argc, char **argv)
         for (std::size_t pi = 0; pi < spec.pecs.size(); ++pi) {
             double gr = 0, gw = 0, gi = 0;
             for (std::size_t wi = 0; wi < spec.workloads.size(); ++wi) {
-                const auto &base =
-                    results[spec.index(pi, 0, wi, 0, 0, 0, 0)];
-                const auto &r =
-                    results[spec.index(pi, 0, wi, si, 0, 0, 0)];
+                const auto &base = results[spec.index(
+                    {{Axis::Pec, pi}, {Axis::Workload, wi}})];
+                const auto &r = results[spec.index(
+                    {{Axis::Pec, pi}, {Axis::Workload, wi},
+                     {Axis::Scheme, si}})];
                 gr += std::log(r.avgReadUs / base.avgReadUs);
                 gw += std::log(r.avgWriteUs / base.avgWriteUs);
                 gi += std::log(r.iops / base.iops);

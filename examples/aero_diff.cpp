@@ -32,6 +32,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/parse.hh"
 #include "exp/diff.hh"
 
 namespace
@@ -142,12 +143,9 @@ main(int argc, char **argv)
             opts.ignoreKeys.push_back(value());
         } else if (std::strcmp(arg, "--max-rows") == 0) {
             const char *v = value();
-            char *end = nullptr;
-            maxRows = static_cast<std::size_t>(
-                std::strtoull(v, &end, 10));
-            // strtoull silently wraps "-5"; reject signs explicitly.
-            if (end == v || *end != '\0' || v[0] == '-' ||
-                v[0] == '+') {
+            const auto rows = aero::parseDecimal<std::size_t>(v);
+            maxRows = rows.value_or(0);
+            if (!rows) {
                 std::fprintf(stderr,
                              "aero_diff: --max-rows needs a "
                              "non-negative integer, got '%s'\n", v);

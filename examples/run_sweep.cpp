@@ -2,9 +2,11 @@
  * @file
  * Generic command-line sweep driver: declare any grid the paper's
  * evaluation uses straight from the shell, run it on all cores, and drop
- * machine-readable artifacts. Scheme and suspension names resolve through
- * the string-keyed registries, so this is also the round-trip demo for
- * schemeKindFromName().
+ * machine-readable artifacts. Every sweep axis has a flag named after its
+ * spec key (exp/sweep.hh's axis table): --workloads, --schemes, --pecs,
+ * --suspensions, --misprediction-rates, --rber-requirements,
+ * --gc-policies, --wear-levels, --slo-policies and --seeds, each taking
+ * a comma list; --help prints them with their presets and defaults.
  *
  *   run_sweep --workloads prxy,usr --schemes Baseline,AERO \
  *             --pecs 500,2500 --requests 20000 --seeds 7,1007 \
@@ -25,13 +27,14 @@
  * to a single-process clean run at any worker count.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "erase/scheme_registry.hh"
 #include "exp/report.hh"
 #include "exp/sweep.hh"
@@ -41,71 +44,23 @@ using namespace aero;
 namespace
 {
 
-double
-parseDouble(const std::string &flag, const std::string &tok)
-{
-    char *end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (tok.empty() || end == nullptr || *end != '\0')
-        AERO_FATAL(flag, ": '", tok, "' is not a number");
-    return v;
-}
-
-std::uint64_t
-parseU64(const std::string &flag, const std::string &tok)
-{
-    char *end = nullptr;
-    const auto v = std::strtoull(tok.c_str(), &end, 10);
-    if (tok.empty() || end == nullptr || *end != '\0' || tok[0] == '-')
-        AERO_FATAL(flag, ": '", tok, "' is not a non-negative integer");
-    return v;
-}
-
-int
-parseInt(const std::string &flag, const std::string &tok)
-{
-    char *end = nullptr;
-    const long v = std::strtol(tok.c_str(), &end, 10);
-    if (tok.empty() || end == nullptr || *end != '\0')
-        AERO_FATAL(flag, ": '", tok, "' is not an integer");
-    return static_cast<int>(v);
-}
-
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= csv.size()) {
-        const std::size_t comma = csv.find(',', start);
-        const std::size_t end =
-            comma == std::string::npos ? csv.size() : comma;
-        if (end > start)
-            out.push_back(csv.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
 void
 usage(const char *prog)
 {
+    // One flag per sweep axis, straight from the axis table.
+    std::printf("usage: %s [options]\n"
+                "  sweep axes (comma-separated values):\n",
+                prog);
+    for (const SweepAxis &axis : sweepAxes()) {
+        std::string presets;
+        for (const auto &preset : axis.presets)
+            presets += ", or '" + preset + "'";
+        std::printf("  %-21s %s%s (default %s)\n", axis.flag().c_str(),
+                    axis.help.c_str(), presets.c_str(),
+                    columnText(axis.defaultValue()).c_str());
+    }
     std::printf(
-        "usage: %s [options]\n"
-        "  --workloads a,b,..    Table-3 workload names (default prxy)\n"
-        "  --schemes a,b,..      scheme names, or 'all' (default "
-        "Baseline)\n"
-        "  --pecs p1,p2,..       P/E-cycle points, or 'paper' (default "
-        "500)\n"
-        "  --suspensions m,..    none|mid-segment (aliases off|on), or "
-        "'both'\n"
-        "  --misrates r1,..      injected FELP misprediction rates\n"
-        "  --rbers b1,..         RBER requirements [bits/1KiB]\n"
-        "  --gc-policies a,b,..  GC victim policies (default greedy)\n"
-        "  --wear-levels a,b,..  wear-leveling policies (default none)\n"
-        "  --seeds s1,..         per-point trace seeds (default 7)\n"
+        "  other options:\n"
         "  --requests n          requests per point (default "
         "AERO_SIM_REQUESTS)\n"
         "  --threads n           worker threads (default "
@@ -123,8 +78,7 @@ usage(const char *prog)
         "  --compact dir         compact a journal directory and exit\n"
         "  --status path         print who holds claims and per-worker "
         "progress for a journal, then exit\n"
-        "  --progress            per-point progress on stderr\n",
-        prog);
+        "  --progress            per-point progress on stderr\n");
 }
 
 } // namespace
@@ -132,8 +86,8 @@ usage(const char *prog)
 int
 main(int argc, char **argv)
 {
-    SweepBuilder builder;
-    builder.requests(defaultSimRequests());
+    SweepSpec spec;
+    spec.requests = defaultSimRequests();
     int threads = 0;
     bool progress = false;
     bool fsync_records = false;
@@ -159,55 +113,15 @@ main(int argc, char **argv)
         if (i + 1 >= argc)
             AERO_FATAL(arg, " needs a value (see --help)");
         const std::string value = argv[++i];
-        if (arg == "--workloads") {
-            builder.workloads(splitList(value));
-        } else if (arg == "--schemes") {
-            if (value == "all")
-                builder.allSchemes();
-            else
-                builder.schemeNames(splitList(value));
-        } else if (arg == "--pecs") {
-            if (value == "paper") {
-                builder.paperPecs();
-            } else {
-                std::vector<double> pecs;
-                for (const auto &tok : splitList(value))
-                    pecs.push_back(parseDouble(arg, tok));
-                builder.pecs(pecs);
-            }
-        } else if (arg == "--suspensions") {
-            if (value == "both") {
-                builder.suspensions({SuspensionMode::None,
-                                     SuspensionMode::MidSegment});
-            } else {
-                std::vector<SuspensionMode> modes;
-                for (const auto &tok : splitList(value))
-                    modes.push_back(suspensionModeFromName(tok));
-                builder.suspensions(modes);
-            }
-        } else if (arg == "--misrates") {
-            std::vector<double> rates;
-            for (const auto &tok : splitList(value))
-                rates.push_back(parseDouble(arg, tok));
-            builder.mispredictionRates(rates);
-        } else if (arg == "--rbers") {
-            std::vector<int> bits;
-            for (const auto &tok : splitList(value))
-                bits.push_back(parseInt(arg, tok));
-            builder.rberRequirements(bits);
-        } else if (arg == "--gc-policies") {
-            builder.gcPolicies(splitList(value));
-        } else if (arg == "--wear-levels") {
-            builder.wearLevels(splitList(value));
-        } else if (arg == "--seeds") {
-            std::vector<std::uint64_t> seeds;
-            for (const auto &tok : splitList(value))
-                seeds.push_back(parseU64(arg, tok));
-            builder.seeds(seeds);
+        const auto axis = std::find_if(
+            sweepAxes().begin(), sweepAxes().end(),
+            [&](const SweepAxis &a) { return a.flag() == arg; });
+        if (axis != sweepAxes().end()) {
+            axis->parse(value, spec);
         } else if (arg == "--requests") {
-            builder.requests(parseU64(arg, value));
+            spec.requests = parseDecimalOrDie<std::uint64_t>(arg, value);
         } else if (arg == "--threads") {
-            threads = parseInt(arg, value);
+            threads = parseDecimalOrDie<int>(arg, value);
         } else if (arg == "--json") {
             json_path = value;
         } else if (arg == "--csv") {
@@ -221,7 +135,7 @@ main(int argc, char **argv)
         } else if (arg == "--status") {
             status_path = value;
         } else if (arg == "--workers") {
-            workers = parseInt(arg, value);
+            workers = parseDecimalOrDie<int>(arg, value);
             if (workers < 1 || workers > 256)
                 AERO_FATAL("--workers: '", value,
                            "' is not a worker count in [1, 256]");
@@ -229,7 +143,6 @@ main(int argc, char **argv)
             AERO_FATAL("unknown option '", arg, "' (see --help)");
         }
     }
-
     if (!status_path.empty()) {
         const CampaignStatus status = campaignStatus(status_path);
         std::fputs(formatCampaignStatus(status).c_str(), stdout);
@@ -249,7 +162,7 @@ main(int argc, char **argv)
                    "journal");
     }
 
-    const SweepSpec spec = builder.build();
+    spec.validate();
     const SweepRunner runner(threads);
     std::printf("sweep: %zu points on %d threads\n", spec.size(),
                 runner.threads());

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/parse.hh"
 #include "exp/report.hh"
 #include "exp/sweep.hh"
 
@@ -42,7 +43,9 @@ main(int argc, char **argv)
         switch (positional++) {
           case 0: wl = argv[i]; break;
           case 1: pec = std::atof(argv[i]); break;
-          case 2: requests = std::strtoull(argv[i], nullptr, 10); break;
+          case 2:
+            requests = parseDecimalOrDie<std::uint64_t>("requests", argv[i]);
+            break;
           default:
             std::fprintf(stderr, "unexpected argument '%s' (usage: %s "
                                  "[workload] [pec] [requests] "
@@ -52,13 +55,11 @@ main(int argc, char **argv)
         }
     }
 
-    const SweepSpec spec = SweepBuilder()
-                               .workload(wl)
-                               .allSchemes()
-                               .pec(pec)
-                               .requests(requests)
-                               .seed(7)
-                               .build();
+    SweepSpec spec;
+    spec.workloads = {wl};
+    spec.schemes = allSchemes();
+    spec.pecs = {pec};
+    spec.requests = requests;
 
     std::printf("workload %s at %.0f P/E cycles, %llu requests, "
                 "%d sweep threads\n\n",

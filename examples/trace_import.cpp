@@ -20,24 +20,10 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "workload/trace_io/import.hh"
 
 using namespace aero;
-
-namespace
-{
-
-std::uint64_t
-parseNum(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(value, &end, 10);
-    if (*value == '\0' || end == nullptr || *end != '\0')
-        AERO_FATAL(flag, " needs a positive integer, got '", value, "'");
-    return v;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -48,20 +34,16 @@ main(int argc, char **argv)
         const char *arg = argv[i];
         const bool has_value = i + 1 < argc;
         if (std::strcmp(arg, "--page-kb") == 0 && has_value) {
-            opts.pageKB =
-                static_cast<std::uint32_t>(parseNum(arg, argv[++i]));
+            opts.pageKB = parseDecimalOrDie<std::uint32_t>(arg, argv[++i]);
             if (opts.pageKB == 0)
                 AERO_FATAL("--page-kb must be > 0");
         } else if (std::strcmp(arg, "--unit-ns") == 0 && has_value) {
-            opts.timestampUnitNs = parseNum(arg, argv[++i]);
+            opts.timestampUnitNs =
+                parseDecimalOrDie<std::uint64_t>(arg, argv[++i]);
             if (opts.timestampUnitNs == 0)
                 AERO_FATAL("--unit-ns must be > 0");
         } else if (std::strcmp(arg, "--tenant") == 0 && has_value) {
-            const std::uint64_t t = parseNum(arg, argv[++i]);
-            if (t > std::numeric_limits<TenantId>::max())
-                AERO_FATAL("--tenant must be <= ",
-                           std::numeric_limits<TenantId>::max());
-            opts.tenant = static_cast<TenantId>(t);
+            opts.tenant = parseDecimalOrDie<TenantId>(arg, argv[++i]);
         } else if (std::strcmp(arg, "--no-rebase") == 0) {
             opts.rebaseToZero = false;
         } else if (arg[0] == '-') {

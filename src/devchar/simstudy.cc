@@ -1,9 +1,9 @@
 #include "devchar/simstudy.hh"
 
-#include <cerrno>
 #include <cstdlib>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace aero
 {
@@ -14,17 +14,12 @@ defaultSimRequests(std::uint64_t fallback)
     const char *env = std::getenv("AERO_SIM_REQUESTS");
     if (env == nullptr)
         return fallback;
-    char *end = nullptr;
-    errno = 0;
-    const auto v = std::strtoull(env, &end, 10);
-    if (*env == '\0' || end == nullptr || *end != '\0' || errno == ERANGE ||
-        env[0] == '-') {
+    const auto v = parseDecimal<std::uint64_t>(env);
+    if (!v || *v == 0) {
         AERO_FATAL("AERO_SIM_REQUESTS must be a positive integer, got '",
                    env, "'");
     }
-    if (v == 0)
-        AERO_FATAL("AERO_SIM_REQUESTS must be > 0, got '", env, "'");
-    return v;
+    return *v;
 }
 
 const std::vector<SchemeKind> &

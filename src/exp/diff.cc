@@ -13,6 +13,8 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
+#include "exp/sweep.hh"
 
 namespace aero
 {
@@ -188,14 +190,16 @@ class Differ
         result.rowsA = ra->size();
         result.rowsB = rb->size();
 
-        std::vector<std::string> axes = reportAxes(a);
         // --ignore applies to axis keys too: drop them from the row
         // identity so rows differing only in an ignored axis pair up.
-        axes.erase(std::remove_if(axes.begin(), axes.end(),
-                                  [&](const std::string &axis) {
-                                      return isIgnored(opts, axis);
-                                  }),
-                   axes.end());
+        const auto keyAxes = [&](const Json &doc) {
+            std::vector<std::string> axes = reportAxes(doc);
+            std::erase_if(axes, [&](const std::string &axis) {
+                return isIgnored(opts, axis);
+            });
+            return axes;
+        };
+        const std::vector<std::string> axes = keyAxes(a);
         if (axes.empty()) {
             // No axis declaration: match rows by position.
             const std::size_t n = std::min(ra->size(), rb->size());
@@ -211,19 +215,8 @@ class Differ
                          &rb->at(i), "row");
             return;
         }
-        {
-            std::vector<std::string> axesB = reportAxes(b);
-            axesB.erase(std::remove_if(axesB.begin(), axesB.end(),
-                                       [&](const std::string &axis) {
-                                           return isIgnored(opts, axis);
-                                       }),
-                        axesB.end());
-            if (!axesB.empty() && axesB != axes) {
-                const Json *xa = a.find("axes");
-                const Json *xb = b.find("axes");
-                addDelta("", "axes", xa, xb, "schema");
-            }
-        }
+        if (const auto axesB = keyAxes(b); !axesB.empty() && axesB != axes)
+            addDelta("", "axes", a.find("axes"), b.find("axes"), "schema");
 
         // Index side B by axis key; duplicate keys are themselves a
         // defect (the key no longer identifies a row).
@@ -444,20 +437,6 @@ parseCsv(const std::string &text,
     return true;
 }
 
-/** Is @p cell exactly an optionally-'-'-signed run of digits? */
-bool
-lexicallyInteger(const std::string &cell)
-{
-    std::size_t i = cell[0] == '-' ? 1 : 0;
-    if (i >= cell.size())
-        return false;
-    for (; i < cell.size(); ++i) {
-        if (!std::isdigit(static_cast<unsigned char>(cell[i])))
-            return false;
-    }
-    return true;
-}
-
 /**
  * Type a CSV cell the way the serializers wrote it: integers exactly
  * (so the diff's exact-integer rule applies), other numbers as double,
@@ -473,32 +452,28 @@ typedCell(const std::string &cell, Json *out, std::string *error)
         *out = Json{};
         return true;
     }
-    char *end = nullptr;
-    if (lexicallyInteger(cell)) {
-        // Only a lexically vetted cell may reach strtoull/strtoll:
-        // both skip leading whitespace, and strtoull *accepts* a
-        // leading '-' by wrapping modulo 2^64 (" -1" would become
-        // 18446744073709551615 and pass exact integer comparison).
-        errno = 0;
-        if (cell[0] == '-') {
-            const long long v = std::strtoll(cell.c_str(), &end, 10);
-            if (errno == ERANGE) {
-                *error = "integer cell overflows a signed 64-bit value";
-                return false;
-            }
-            *out = Json{static_cast<std::int64_t>(v)};
-        } else {
-            const unsigned long long v =
-                std::strtoull(cell.c_str(), &end, 10);
-            if (errno == ERANGE) {
-                *error =
-                    "integer cell overflows an unsigned 64-bit value";
-                return false;
-            }
-            *out = Json{static_cast<std::uint64_t>(v)};
+    // Only an optionally '-'-signed run of digits is an integer cell:
+    // " -1" must not wrap to 18446744073709551615 and pass exact
+    // integer comparison.
+    const bool negative = cell[0] == '-';
+    const std::string_view digits =
+        std::string_view(cell).substr(negative ? 1 : 0);
+    if (!digits.empty() &&
+        std::all_of(digits.begin(), digits.end(), [](char c) {
+            return std::isdigit(static_cast<unsigned char>(c));
+        })) {
+        const auto magnitude = parseDecimal<std::uint64_t>(digits);
+        if (!magnitude || (negative && *magnitude > (1ULL << 63))) {
+            *error = negative
+                ? "integer cell overflows a signed 64-bit value"
+                : "integer cell overflows an unsigned 64-bit value";
+            return false;
         }
+        *out = negative ? Json{static_cast<std::int64_t>(0 - *magnitude)}
+                        : Json{*magnitude};
         return true;
     }
+    char *end = nullptr;
     errno = 0;
     const double d = std::strtod(cell.c_str(), &end);
     if (end && *end == '\0' && errno != ERANGE) {
@@ -507,6 +482,22 @@ typedCell(const std::string &cell, Json *out, std::string *error)
     }
     *out = Json{cell};
     return true;
+}
+
+/**
+ * A sweep row's key columns in report order; with @p requiredOnly, just
+ * those every row carries (the optional axes are absent at default).
+ */
+std::vector<std::string>
+sweepKeyColumns(bool requiredOnly = false)
+{
+    std::vector<std::string> out;
+    forEachColumn(SimPoint{},
+                  [&](const std::string &column, Json, bool omitted) {
+                      if (!requiredOnly || !omitted)
+                          out.push_back(column);
+                  });
+    return out;
 }
 
 } // namespace
@@ -525,21 +516,19 @@ csvToReport(const std::string &text, Json *out, std::string *error)
 
     Json doc = Json::object();
     doc["schema"] = "aero-csv/1";
-    // When every sweep axis column is present the rows carry the full
-    // sweep identity; reuse the axis-keyed matcher so reordered rows
-    // are not differences. Otherwise rows match by position.
-    const std::vector<std::string> sweepAxes = {
-        "workload", "scheme", "pec", "suspension", "misprediction_rate",
-        "rber_requirement", "requests", "seed"};
+    // A header with every column a sweep row always carries is a sweep
+    // CSV: rows match by the sweep's key columns (reordering is not a
+    // difference). Otherwise rows match by position.
+    const std::vector<std::string> required = sweepKeyColumns(true);
     const bool sweepShaped = std::all_of(
-        sweepAxes.begin(), sweepAxes.end(), [&](const std::string &axis) {
-            return std::find(header.begin(), header.end(), axis) !=
+        required.begin(), required.end(), [&](const std::string &column) {
+            return std::find(header.begin(), header.end(), column) !=
                    header.end();
         });
     if (sweepShaped) {
         Json axes = Json::array();
-        for (const auto &axis : sweepAxes)
-            axes.push(axis);
+        for (const auto &column : sweepKeyColumns())
+            axes.push(column);
         doc["axes"] = std::move(axes);
     }
 
@@ -600,9 +589,7 @@ reportAxes(const Json &doc)
     if (const Json *schema = doc.find("schema");
         schema && schema->isString() &&
         schema->asString() == "aero-sweep/1") {
-        return {"workload", "scheme", "pec", "suspension",
-                "misprediction_rate", "rber_requirement", "requests",
-                "seed"};
+        return sweepKeyColumns();
     }
     return {};
 }

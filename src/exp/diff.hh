@@ -5,10 +5,11 @@
  * Compares two experiment artifacts (`aero-sweep/1`, `aero-devchar/1`,
  * or any document following the same shape) row by row. Rows in the
  * top-level "results" array are matched by their *axis key* — the tuple
- * of values under the keys listed in the document's "axes" array (the
- * fixed sweep axis set is assumed for `aero-sweep/1`, which predates the
- * "axes" field) — so reordering rows is not a difference, while a row
- * present on only one side is.
+ * of values under the keys listed in the document's "axes" array (an
+ * `aero-sweep/1` report, which predates the "axes" field, is keyed by
+ * the sweep's key columns from the axis table in exp/sweep.hh) — so
+ * reordering rows is not a difference, while a row present on only one
+ * side is.
  *
  * Metric comparison rules:
  *  - exact 64-bit integers compare exactly, regardless of tolerances;
@@ -78,8 +79,9 @@ struct DiffResult
 
 /**
  * Axis keys identifying a result row: the document's "axes" array when
- * present, the fixed sweep axis set for `aero-sweep/1`, else empty
- * (rows are then matched by position).
+ * present, every sweep key column (forEachColumn in exp/sweep.hh) for
+ * `aero-sweep/1`, else empty (rows are then matched by position). A
+ * row without an optional axis's column keys it as absent.
  */
 std::vector<std::string> reportAxes(const Json &doc);
 
@@ -95,8 +97,9 @@ DiffResult diffReports(const Json &a, const Json &b,
  * that parse fully as integers become exact integers, as numbers become
  * doubles, empty cells become null, everything else stays a string.
  * RFC 4180 quoting (doubled quotes, embedded commas/newlines) and CRLF
- * line ends are understood. "axes" is the sweep axis set when every
- * sweep axis column is present, else absent (rows match by position).
+ * line ends are understood. "axes" is every sweep key column when the
+ * header has each column a sweep row always carries, else absent (rows
+ * match by position).
  * Fatal on a row whose cell count disagrees with the header.
  */
 Json csvToReport(const std::string &text);

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "erase/scheme_registry.hh"
 
 namespace aero
 {
@@ -14,23 +13,11 @@ Json
 toJson(const SimPoint &pt)
 {
     Json row = Json::object();
-    row["workload"] = pt.workload;
-    row["scheme"] = schemeKindName(pt.scheme);
-    row["pec"] = pt.pec;
-    row["suspension"] = suspensionModeName(pt.suspension);
-    row["misprediction_rate"] = pt.mispredictionRate;
-    row["rber_requirement"] = pt.rberRequirement;
-    // The reclamation axes (PR 8) are emitted only off their defaults so
-    // every pre-existing golden artifact stays byte-identical.
-    if (pt.gcPolicy != "greedy")
-        row["gc_policy"] = pt.gcPolicy;
-    if (pt.wearLevel != "none")
-        row["wear_level"] = pt.wearLevel;
-    // Same contract for the SLO axis (PR 10).
-    if (pt.sloPolicy != "none")
-        row["slo_policy"] = pt.sloPolicy;
-    row["requests"] = pt.requests;
-    row["seed"] = pt.seed;
+    forEachColumn(pt, [&](const std::string &column, Json value,
+                          bool omitted) {
+        if (!omitted)
+            row[column] = std::move(value);
+    });
     return row;
 }
 
@@ -61,22 +48,13 @@ simResultFromJson(const Json &row)
         return *v;
     };
     SimResult r;
-    r.point.workload = need("workload").asString();
-    r.point.scheme = schemeKindFromName(need("scheme").asString());
-    r.point.pec = need("pec").asDouble();
-    r.point.suspension =
-        suspensionModeFromName(need("suspension").asString());
-    r.point.mispredictionRate = need("misprediction_rate").asDouble();
-    r.point.rberRequirement =
-        static_cast<int>(need("rber_requirement").asInt64());
-    if (const Json *gc = row.find("gc_policy"))
-        r.point.gcPolicy = gc->asString();
-    if (const Json *wl = row.find("wear_level"))
-        r.point.wearLevel = wl->asString();
-    if (const Json *slo = row.find("slo_policy"))
-        r.point.sloPolicy = slo->asString();
+    for (const SweepAxis &axis : sweepAxes()) {
+        if (const Json *value = row.find(axis.column))
+            axis.set(*value, r.point);
+        else if (!axis.optional)
+            AERO_FATAL("result row is missing '", axis.column, "'");
+    }
     r.point.requests = need("requests").asUint64();
-    r.point.seed = need("seed").asUint64();
     r.avgReadUs = need("avg_read_us").asDouble();
     r.avgWriteUs = need("avg_write_us").asDouble();
     r.iops = need("iops").asDouble();
@@ -94,56 +72,21 @@ Json
 toJson(const SweepSpec &spec)
 {
     Json out = Json::object();
-    Json workloads = Json::array();
-    for (const auto &w : spec.workloads)
-        workloads.push(w);
-    out["workloads"] = std::move(workloads);
-    Json schemes = Json::array();
-    for (const auto k : spec.schemes)
-        schemes.push(schemeKindName(k));
-    out["schemes"] = std::move(schemes);
-    Json pecs = Json::array();
-    for (const double p : spec.pecs)
-        pecs.push(p);
-    out["pecs"] = std::move(pecs);
-    Json suspensions = Json::array();
-    for (const auto m : spec.suspensions)
-        suspensions.push(suspensionModeName(m));
-    out["suspensions"] = std::move(suspensions);
-    Json misrates = Json::array();
-    for (const double r : spec.mispredictionRates)
-        misrates.push(r);
-    out["misprediction_rates"] = std::move(misrates);
-    Json rbers = Json::array();
-    for (const int b : spec.rberRequirements)
-        rbers.push(b);
-    out["rber_requirements"] = std::move(rbers);
-    // Reclamation axes only when swept off their defaults (see
-    // toJson(SimResult)): keeps pre-PR-8 spec blocks — and the journal
-    // fingerprints derived from them — byte-identical.
-    if (spec.gcPolicies != std::vector<std::string>{"greedy"}) {
-        Json gcs = Json::array();
-        for (const auto &g : spec.gcPolicies)
-            gcs.push(g);
-        out["gc_policies"] = std::move(gcs);
+    for (const SweepAxis &axis : sweepAxes()) {
+        Json values = Json::array();
+        SimPoint pt;
+        for (std::size_t i = 0; i < axis.size(spec); ++i) {
+            axis.assign(spec, i, pt);
+            values.push(axis.get(pt));
+        }
+        if (values.size() == 1 && axis.omitted(values.at(0)))
+            continue;
+        out[axis.specKey] = std::move(values);
+        // The SLO policies enforce the base drive's budgets, so a spec
+        // that sweeps them also records (and fingerprints) the budgets.
+        if (axis.id == Axis::SloPolicy)
+            out["slo_spec"] = renderTenantSloSpec(spec.base.slo);
     }
-    if (spec.wearLevels != std::vector<std::string>{"none"}) {
-        Json wls = Json::array();
-        for (const auto &w : spec.wearLevels)
-            wls.push(w);
-        out["wear_levels"] = std::move(wls);
-    }
-    if (spec.sloPolicies != std::vector<std::string>{"none"}) {
-        Json slos = Json::array();
-        for (const auto &p : spec.sloPolicies)
-            slos.push(p);
-        out["slo_policies"] = std::move(slos);
-        out["slo_spec"] = renderTenantSloSpec(spec.base.slo);
-    }
-    Json seeds = Json::array();
-    for (const auto s : spec.seeds)
-        seeds.push(s);
-    out["seeds"] = std::move(seeds);
     out["requests"] = spec.requests;
     out["drive_capacity_gib"] =
         static_cast<double>(spec.base.capacityBytes()) /
@@ -154,6 +97,7 @@ toJson(const SweepSpec &spec)
 Json
 configOf(const SweepSpec &spec)
 {
+    spec.validate();
     Json config = toJson(spec);
     config["drive"] = spec.base.summary();
     return config;
@@ -175,40 +119,40 @@ sweepReport(const SweepSpec &spec, const std::vector<SimResult> &results)
 std::string
 toCsv(const std::vector<SimResult> &results)
 {
+    // An optional axis gets a column when some row moved it off its
+    // default, mirroring its omission from the JSON rows.
+    std::vector<bool> shown;
+    forEachColumn(SimPoint{}, [&](const std::string &, Json, bool omitted) {
+        shown.push_back(!omitted);
+    });
+    for (const auto &r : results) {
+        std::size_t c = 0;
+        forEachColumn(r.point, [&](const std::string &, Json, bool omitted) {
+            shown[c] = shown[c] || !omitted;
+            ++c;
+        });
+    }
+
     std::ostringstream os;
     // Round-trippable doubles, like the JSON serializer's shortest form.
     os.precision(std::numeric_limits<double>::max_digits10);
-    // The reclamation columns appear only when some row swept them off
-    // their defaults, mirroring the conditional JSON emission.
-    bool reclamation = false;
-    bool slo = false;
+    std::size_t c = 0;
+    forEachColumn(SimPoint{}, [&](const std::string &column, Json, bool) {
+        if (shown[c++])
+            os << column << ',';
+    });
+    os << "avg_read_us,avg_write_us,iops,p999_us,p9999_us,p999999_us,"
+          "erases,avg_erase_ms,suspensions,write_amplification\n";
     for (const auto &r : results) {
-        if (r.point.gcPolicy != "greedy" || r.point.wearLevel != "none")
-            reclamation = true;
-        if (r.point.sloPolicy != "none")
-            slo = true;
-    }
-    os << "workload,scheme,pec,suspension,misprediction_rate,"
-          "rber_requirement,"
-       << (reclamation ? "gc_policy,wear_level," : "")
-       << (slo ? "slo_policy," : "")
-       << "requests,seed,avg_read_us,avg_write_us,iops,"
-          "p999_us,p9999_us,p999999_us,erases,avg_erase_ms,suspensions,"
-          "write_amplification\n";
-    for (const auto &r : results) {
-        const SimPoint &pt = r.point;
-        os << pt.workload << ',' << schemeKindName(pt.scheme) << ','
-           << pt.pec << ',' << suspensionModeName(pt.suspension) << ','
-           << pt.mispredictionRate << ',' << pt.rberRequirement << ',';
-        if (reclamation)
-            os << pt.gcPolicy << ',' << pt.wearLevel << ',';
-        if (slo)
-            os << pt.sloPolicy << ',';
-        os << pt.requests << ',' << pt.seed << ',' << r.avgReadUs << ','
-           << r.avgWriteUs << ',' << r.iops << ',' << r.p999Us << ','
-           << r.p9999Us << ',' << r.p999999Us << ',' << r.erases << ','
-           << r.avgEraseMs << ',' << r.suspensions << ','
-           << r.writeAmplification << '\n';
+        c = 0;
+        forEachColumn(r.point, [&](const std::string &, Json value, bool) {
+            if (shown[c++])
+                os << columnText(value) << ',';
+        });
+        os << r.avgReadUs << ',' << r.avgWriteUs << ',' << r.iops << ','
+           << r.p999Us << ',' << r.p9999Us << ',' << r.p999999Us << ','
+           << r.erases << ',' << r.avgEraseMs << ',' << r.suspensions
+           << ',' << r.writeAmplification << '\n';
     }
     return os.str();
 }

@@ -1,11 +1,18 @@
 #include "exp/sweep.hh"
 
-#include <cerrno>
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
+#include <sstream>
+#include <type_traits>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "erase/scheme_registry.hh"
 #include "exp/report.hh"
 #include "ssd/gc.hh"
@@ -34,328 +41,267 @@ int
 sweepThreads()
 {
     if (const char *env = std::getenv("AERO_SWEEP_THREADS")) {
-        char *end = nullptr;
-        errno = 0;
-        const long v = std::strtol(env, &end, 10);
-        if (*env == '\0' || end == nullptr || *end != '\0' ||
-            errno == ERANGE || v <= 0) {
+        const auto v = parseDecimal<int>(env);
+        if (!v || *v == 0) {
             AERO_FATAL("AERO_SWEEP_THREADS must be a positive integer, "
                        "got '", env, "'");
         }
-        return static_cast<int>(v);
+        return *v;
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
+namespace
+{
+
+/** An axis value as its report column: enums by name. */
+template <typename T>
+Json
+toColumn(const T &value)
+{
+    if constexpr (std::is_same_v<T, SchemeKind>)
+        return Json{schemeKindName(value)};
+    else if constexpr (std::is_same_v<T, SuspensionMode>)
+        return Json{suspensionModeName(value)};
+    else
+        return Json{value};
+}
+
+/**
+ * An axis value from a run_sweep token or a column's columnText();
+ * fatal, naming @p what, on malformed text or an unknown enum name.
+ */
+template <typename T>
+T
+fromText(const std::string &what, const std::string &text)
+{
+    if constexpr (std::is_same_v<T, SchemeKind>) {
+        return schemeKindFromName(text);
+    } else if constexpr (std::is_same_v<T, SuspensionMode>) {
+        return suspensionModeFromName(text);
+    } else if constexpr (std::is_integral_v<T>) {
+        return parseDecimalOrDie<T>(what, text);
+    } else if constexpr (std::is_floating_point_v<T>) {
+        T v{};
+        const char *last = text.data() + text.size();
+        const auto [end, ec] = std::from_chars(text.data(), last, v);
+        if (text.empty() || ec != std::errc{} || end != last ||
+            !std::isfinite(v))
+            AERO_FATAL(what, ": '", text, "' is not a number");
+        return v;
+    } else {
+        return text;
+    }
+}
+
+/**
+ * The table entry over SweepSpec::*values and SimPoint::*field. A string
+ * axis passes its registry lookup as @p check (fatal on unknown names),
+ * which validate() runs; the report decoder must not, so it can reload
+ * any row it wrote.
+ */
+template <typename T>
+SweepAxis
+makeAxis(Axis id, const char *specKey, const char *column, bool optional,
+         const char *help, std::vector<T> SweepSpec::*values,
+         T SimPoint::*field,
+         std::vector<std::pair<std::string, std::vector<T>>> presets = {},
+         std::type_identity_t<void (*)(const T &)> check = nullptr)
+{
+    SweepAxis axis{id, specKey, column, optional, help, {}, {}, {}, {}, {},
+                   {}, {}};
+    for (const auto &preset : presets)
+        axis.presets.push_back(preset.first);
+    axis.size = [values](const SweepSpec &spec) {
+        return (spec.*values).size();
+    };
+    axis.assign = [values, field](const SweepSpec &spec, std::size_t i,
+                                  SimPoint &point) {
+        point.*field = (spec.*values)[i];
+    };
+    axis.get = [field](const SimPoint &point) {
+        return toColumn(point.*field);
+    };
+    axis.set = [field, column](const Json &value, SimPoint &point) {
+        point.*field = fromText<T>(column, columnText(value));
+    };
+    axis.check = [values, check](const SweepSpec &spec) {
+        for (const T &value : spec.*values) {
+            if (check)
+                check(value);
+        }
+    };
+    axis.parse = [values, presets, flag = axis.flag()](
+                     const std::string &list, SweepSpec &spec) {
+        for (const auto &[name, preset] : presets) {
+            if (list == name) {
+                spec.*values = preset;
+                return;
+            }
+        }
+        std::vector<T> parsed;
+        std::istringstream tokens(list);
+        for (std::string token; std::getline(tokens, token, ',');) {
+            if (!token.empty())
+                parsed.push_back(fromText<T>(flag, token));
+        }
+        spec.*values = std::move(parsed);
+    };
+    return axis;
+}
+
+} // namespace
+
+std::string
+SweepAxis::flag() const
+{
+    std::string out = "--" + specKey;
+    std::replace(out.begin(), out.end(), '_', '-');
+    return out;
+}
+
+const std::vector<SweepAxis> &
+sweepAxes()
+{
+    using S = SweepSpec;
+    using P = SimPoint;
+    static const std::vector<SweepAxis> table = {
+        makeAxis(Axis::Workload, "workloads", "workload", false,
+                 "Table-3 workload names", &S::workloads, &P::workload, {},
+                 [](const std::string &n) { (void)workloadByName(n); }),
+        makeAxis(Axis::Scheme, "schemes", "scheme", false,
+                 "erase scheme names", &S::schemes, &P::scheme,
+                 {{"all", allSchemes()}}),
+        makeAxis(Axis::Pec, "pecs", "pec", false, "P/E-cycle points",
+                 &S::pecs, &P::pec, {{"paper", paperPecPoints()}}),
+        makeAxis(Axis::Suspension, "suspensions", "suspension", false,
+                 "suspension modes none|mid-segment (or off|on)",
+                 &S::suspensions, &P::suspension,
+                 {{"both",
+                   {SuspensionMode::None, SuspensionMode::MidSegment}}}),
+        makeAxis(Axis::MispredictionRate, "misprediction_rates",
+                 "misprediction_rate", false,
+                 "injected FELP misprediction rates",
+                 &S::mispredictionRates, &P::mispredictionRate),
+        makeAxis(Axis::RberRequirement, "rber_requirements",
+                 "rber_requirement", false, "RBER requirements [bits/1KiB]",
+                 &S::rberRequirements, &P::rberRequirement),
+        makeAxis(Axis::GcPolicy, "gc_policies", "gc_policy", true,
+                 "GC victim policies", &S::gcPolicies, &P::gcPolicy, {},
+                 [](const std::string &n) { (void)makeGcPolicy(n); }),
+        makeAxis(Axis::WearLevel, "wear_levels", "wear_level", true,
+                 "wear-leveling policies", &S::wearLevels, &P::wearLevel,
+                 {},
+                 [](const std::string &n) { (void)makeWearLevelPolicy(n); }),
+        makeAxis(Axis::SloPolicy, "slo_policies", "slo_policy", true,
+                 "tenant SLO enforcement policies", &S::sloPolicies,
+                 &P::sloPolicy, {},
+                 [](const std::string &n) { (void)sloPolicyFromName(n); }),
+        makeAxis(Axis::Seed, "seeds", "seed", false, "per-point trace seeds",
+                 &S::seeds, &P::seed),
+    };
+    return table;
+}
+
+void
+forEachColumn(const SimPoint &point,
+              const std::function<void(const std::string &, Json, bool)> &fn)
+{
+    for (const SweepAxis &axis : sweepAxes()) {
+        if (axis.id == Axis::Seed)
+            fn("requests", Json{point.requests}, false);
+        Json value = axis.get(point);
+        const bool omitted = axis.omitted(value);
+        fn(axis.column, std::move(value), omitted);
+    }
+}
+
+std::string
+columnText(const Json &value)
+{
+    if (value.isString())
+        return value.asString();
+    if (value.isIntegral())
+        return value.dump();
+    std::ostringstream os;
+    os.precision(std::numeric_limits<double>::max_digits10);
+    os << value.asDouble();
+    return os.str();
+}
+
+namespace
+{
+
+/** Each axis's value count, indexed by Axis. */
+std::array<std::size_t, kAxisCount>
+extents(const SweepSpec &spec)
+{
+    std::array<std::size_t, kAxisCount> n{};
+    for (const SweepAxis &axis : sweepAxes())
+        n[static_cast<std::size_t>(axis.id)] = axis.size(spec);
+    return n;
+}
+
+} // namespace
+
 std::size_t
 SweepSpec::size() const
 {
-    return pecs.size() * suspensions.size() * workloads.size() *
-           schemes.size() * mispredictionRates.size() *
-           rberRequirements.size() * gcPolicies.size() *
-           wearLevels.size() * sloPolicies.size() * seeds.size();
+    std::size_t total = 1;
+    for (const std::size_t n : extents(*this))
+        total *= n;
+    return total;
 }
 
 std::vector<SimPoint>
 SweepSpec::expand() const
 {
-    std::vector<SimPoint> points;
-    points.reserve(size());
-    for (const double pec : pecs) {
-        for (const auto susp : suspensions) {
-            for (const auto &wl : workloads) {
-                for (const auto scheme : schemes) {
-                    for (const double mis : mispredictionRates) {
-                        for (const int rber : rberRequirements) {
-                            for (const auto &gc : gcPolicies) {
-                                for (const auto &wear : wearLevels) {
-                                  for (const auto &slo : sloPolicies) {
-                                    for (const auto seed : seeds) {
-                                        SimPoint pt;
-                                        pt.workload = wl;
-                                        pt.scheme = scheme;
-                                        pt.pec = pec;
-                                        pt.suspension = susp;
-                                        pt.mispredictionRate = mis;
-                                        pt.rberRequirement = rber;
-                                        pt.gcPolicy = gc;
-                                        pt.wearLevel = wear;
-                                        pt.sloPolicy = slo;
-                                        pt.requests = requests;
-                                        pt.seed = seed;
-                                        points.push_back(pt);
-                                    }
-                                  }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+    const auto n = extents(*this);
+    std::vector<SimPoint> points(size());
+    for (std::size_t flat = 0; flat < points.size(); ++flat) {
+        // Mixed-radix digits of the flat position, innermost axis last.
+        std::array<std::size_t, kAxisCount> ix{};
+        for (std::size_t k = kAxisCount, rem = flat; k-- > 0; rem /= n[k])
+            ix[k] = rem % n[k];
+        for (const SweepAxis &axis : sweepAxes())
+            axis.assign(*this, ix[static_cast<std::size_t>(axis.id)],
+                        points[flat]);
+        points[flat].requests = requests;
     }
     return points;
 }
 
 std::size_t
-SweepSpec::index(std::size_t pec, std::size_t susp, std::size_t wl,
-                 std::size_t scheme, std::size_t mis, std::size_t rber,
-                 std::size_t seed, std::size_t gc, std::size_t wear,
-                 std::size_t slo) const
+SweepSpec::index(std::initializer_list<std::pair<Axis, std::size_t>> at) const
 {
-    AERO_CHECK(pec < pecs.size() && susp < suspensions.size() &&
-                   wl < workloads.size() && scheme < schemes.size() &&
-                   mis < mispredictionRates.size() &&
-                   rber < rberRequirements.size() &&
-                   gc < gcPolicies.size() && wear < wearLevels.size() &&
-                   slo < sloPolicies.size() && seed < seeds.size(),
-               "sweep axis index out of range");
-    std::size_t idx = pec;
-    idx = idx * suspensions.size() + susp;
-    idx = idx * workloads.size() + wl;
-    idx = idx * schemes.size() + scheme;
-    idx = idx * mispredictionRates.size() + mis;
-    idx = idx * rberRequirements.size() + rber;
-    idx = idx * gcPolicies.size() + gc;
-    idx = idx * wearLevels.size() + wear;
-    idx = idx * sloPolicies.size() + slo;
-    idx = idx * seeds.size() + seed;
-    return idx;
+    std::array<std::size_t, kAxisCount> ix{};
+    std::array<bool, kAxisCount> named{};
+    for (const auto &[axis, i] : at) {
+        const auto k = static_cast<std::size_t>(axis);
+        AERO_CHECK(!named[k], "sweep axis named twice in index()");
+        named[k] = true;
+        ix[k] = i;
+    }
+    const auto n = extents(*this);
+    std::size_t flat = 0;
+    for (std::size_t k = 0; k < kAxisCount; ++k) {
+        AERO_CHECK(ix[k] < n[k], "sweep axis index out of range");
+        flat = flat * n[k] + ix[k];
+    }
+    return flat;
 }
 
-SweepBuilder &
-SweepBuilder::workload(const std::string &name)
+void
+SweepSpec::validate() const
 {
-    spec.workloads = {name};
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::workloads(const std::vector<std::string> &names)
-{
-    spec.workloads = names;
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::allTable3Workloads()
-{
-    spec.workloads.clear();
-    for (const auto &w : table3Workloads())
-        spec.workloads.push_back(w.name);
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::scheme(SchemeKind kind)
-{
-    spec.schemes = {kind};
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::schemes(const std::vector<SchemeKind> &kinds)
-{
-    spec.schemes = kinds;
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::schemeNames(const std::vector<std::string> &names)
-{
-    spec.schemes.clear();
-    for (const auto &name : names)
-        spec.schemes.push_back(schemeKindFromName(name));
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::allSchemes()
-{
-    spec.schemes = aero::allSchemes();
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::pec(double pec)
-{
-    spec.pecs = {pec};
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::pecs(const std::vector<double> &pecs)
-{
-    spec.pecs = pecs;
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::paperPecs()
-{
-    spec.pecs = paperPecPoints();
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::suspension(SuspensionMode mode)
-{
-    spec.suspensions = {mode};
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::suspensions(const std::vector<SuspensionMode> &modes)
-{
-    spec.suspensions = modes;
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::mispredictionRate(double rate)
-{
-    spec.mispredictionRates = {rate};
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::mispredictionRates(const std::vector<double> &rates)
-{
-    spec.mispredictionRates = rates;
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::rberRequirement(int bits)
-{
-    spec.rberRequirements = {bits};
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::rberRequirements(const std::vector<int> &bits)
-{
-    spec.rberRequirements = bits;
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::gcPolicy(const std::string &name)
-{
-    spec.gcPolicies = {name};
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::gcPolicies(const std::vector<std::string> &names)
-{
-    spec.gcPolicies = names;
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::wearLevel(const std::string &name)
-{
-    spec.wearLevels = {name};
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::wearLevels(const std::vector<std::string> &names)
-{
-    spec.wearLevels = names;
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::sloPolicy(const std::string &name)
-{
-    spec.sloPolicies = {name};
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::sloPolicies(const std::vector<std::string> &names)
-{
-    spec.sloPolicies = names;
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::seed(std::uint64_t seed)
-{
-    spec.seeds = {seed};
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::seeds(const std::vector<std::uint64_t> &seeds)
-{
-    spec.seeds = seeds;
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::repeats(int n, std::uint64_t base, std::uint64_t stride)
-{
-    AERO_CHECK(n > 0, "repeats() needs n > 0");
-    spec.seeds.clear();
-    for (int i = 0; i < n; ++i)
-        spec.seeds.push_back(base + stride * static_cast<std::uint64_t>(i));
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::requests(std::uint64_t n)
-{
-    spec.requests = n;
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::baseConfig(const SsdConfig &cfg)
-{
-    spec.base = cfg;
-    return *this;
-}
-
-SweepSpec
-SweepBuilder::build() const
-{
-    if (spec.workloads.empty())
-        AERO_FATAL("sweep has no workloads");
-    if (spec.schemes.empty())
-        AERO_FATAL("sweep has no schemes");
-    if (spec.pecs.empty())
-        AERO_FATAL("sweep has no PEC points");
-    if (spec.suspensions.empty())
-        AERO_FATAL("sweep has no suspension modes");
-    if (spec.mispredictionRates.empty())
-        AERO_FATAL("sweep has no misprediction rates");
-    if (spec.rberRequirements.empty())
-        AERO_FATAL("sweep has no RBER requirements");
-    if (spec.gcPolicies.empty())
-        AERO_FATAL("sweep has no GC policies");
-    if (spec.wearLevels.empty())
-        AERO_FATAL("sweep has no wear-leveling policies");
-    if (spec.sloPolicies.empty())
-        AERO_FATAL("sweep has no SLO policies");
-    if (spec.seeds.empty())
-        AERO_FATAL("sweep has no seeds");
-    if (spec.requests == 0)
+    for (const SweepAxis &axis : sweepAxes()) {
+        if (axis.size(*this) == 0)
+            AERO_FATAL("sweep has no ", axis.specKey);
+        axis.check(*this);
+    }
+    if (requests == 0)
         AERO_FATAL("sweep has zero requests per point");
-    // Fail on a typo'd workload before hours of simulation, not after.
-    for (const auto &name : spec.workloads)
-        (void)workloadByName(name);
-    // Same for typo'd policy names: both registries are fatal on unknown.
-    for (const auto &name : spec.gcPolicies)
-        (void)makeGcPolicy(name);
-    for (const auto &name : spec.wearLevels)
-        (void)makeWearLevelPolicy(name);
-    for (const auto &name : spec.sloPolicies)
-        (void)sloPolicyFromName(name);
-    return spec;
 }
 
 SweepRunner::SweepRunner(int threads)
@@ -367,6 +313,7 @@ std::vector<SimResult>
 SweepRunner::run(const SweepSpec &spec, CampaignScope scope,
                  const Progress &progress) const
 {
+    spec.validate();
     const auto points = spec.expand();
     const auto keyOf = [&](std::size_t, const SimPoint &pt) {
         return scope.key("point", toJson(pt));

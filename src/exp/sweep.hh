@@ -4,12 +4,31 @@
  *
  * The paper's evaluation is one big grid — 11 Table-3 workloads x 5 erase
  * schemes x 3 PEC points (x seeds x suspension modes x sensitivity
- * overrides). SweepSpec declares such a grid once; expand() flattens it to
- * an ordered vector of SimPoints with a fixed axis nesting (outermost to
- * innermost):
+ * overrides). A SweepSpec declares such a grid as one value list per
+ * axis, and expand() flattens it to an ordered vector of SimPoints.
  *
- *   PEC > suspension > workload > scheme > misprediction > RBER
- *       > GC policy > wear leveling > SLO policy > seed
+ * The ten axes live in one table, sweepAxes(). Everything that walks the
+ * axes reads it: size(), expand(), index() and validate(); a point's
+ * report row, which is also its journal key (toJson(SimPoint)), and its
+ * decoder; the spec block and the CSV columns (exp/report.hh);
+ * aero_diff's row keys; and run_sweep's flags and --help. A new axis is
+ * a SweepSpec vector, a SimPoint field, an Axis enumerator and one table
+ * entry.
+ *
+ * Goldens, journal keys and fingerprints pin three orders:
+ *   - Expansion nests as the Axis enum reads (outermost first), so the
+ *     seed varies fastest:
+ *       PEC > suspension > workload > scheme > misprediction > RBER
+ *           > GC policy > wear leveling > SLO policy > seed
+ *   - Report rows and the spec block list the axes in table order
+ *     (workload, scheme, pec, suspension, misprediction_rate,
+ *     rber_requirement, gc_policy, wear_level, slo_policy, seed). A row
+ *     carries the per-spec "requests" just before "seed"; the spec block
+ *     carries it after "seeds".
+ *   - The optional axes (GC policy, wear leveling, SLO policy) are left
+ *     out of a row at their default and out of the spec block when they
+ *     sweep exactly [default], so artifacts that never move them keep
+ *     the bytes they had before those axes existed.
  *
  * SweepRunner executes the points through parallelMapJournaled (each
  * point builds its own Ssd, so points are fully independent) and returns
@@ -22,15 +41,36 @@
 #define AERO_EXP_SWEEP_HH
 
 #include <functional>
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "devchar/simstudy.hh"
 #include "exp/campaign.hh"
+#include "exp/json.hh"
 #include "ssd/config.hh"
 
 namespace aero
 {
+
+/** The sweep axes, in expansion nesting order (outermost first). */
+enum class Axis
+{
+    Pec,
+    Suspension,
+    Workload,
+    Scheme,
+    MispredictionRate,
+    RberRequirement,
+    GcPolicy,
+    WearLevel,
+    SloPolicy,
+    Seed,
+};
+
+inline constexpr std::size_t kAxisCount =
+    static_cast<std::size_t>(Axis::Seed) + 1;
 
 struct SweepSpec
 {
@@ -61,84 +101,86 @@ struct SweepSpec
     std::vector<SimPoint> expand() const;
 
     /**
-     * Flat index of the point at the given per-axis indices, matching
-     * expand() order. Lets a bench walk a result vector with the same
-     * nested loops it uses for printing.
+     * Flat expand() position of the point at the given per-axis
+     * indices; an axis left out is at index 0. Lets a bench walk a
+     * result vector with the same nested loops it uses for printing:
+     *
+     *   results[spec.index({{Axis::Pec, pi}, {Axis::Scheme, si}})]
      */
-    std::size_t index(std::size_t pec, std::size_t susp, std::size_t wl,
-                      std::size_t scheme, std::size_t mis, std::size_t rber,
-                      std::size_t seed, std::size_t gc = 0,
-                      std::size_t wear = 0, std::size_t slo = 0) const;
+    std::size_t
+    index(std::initializer_list<std::pair<Axis, std::size_t>> at) const;
+
+    /**
+     * Fatal unless every axis is non-empty, every name resolves in its
+     * registry and requests > 0. SweepRunner::run and configOf() call it,
+     * so an ill-formed grid fails before hours of simulation.
+     */
+    void validate() const;
 };
 
 /**
- * Fluent builder for SweepSpec. Singular setters collapse an axis to one
- * value; plural setters sweep it. build() validates every axis (non-empty,
- * known workload names) so a bad grid fails before hours of simulation.
- *
- *   const SweepSpec spec = SweepBuilder()
- *                              .allTable3Workloads()
- *                              .allSchemes()
- *                              .paperPecs()
- *                              .repeats(3)
- *                              .requests(defaultSimRequests())
- *                              .build();
+ * One axis of the table. Its typed values live in a SweepSpec vector and
+ * a SimPoint field; the accessors erase that type, so serializers, CLI
+ * and diff treat every axis alike. A value crosses the erasure as its
+ * report column, a Json.
  */
-class SweepBuilder
+struct SweepAxis
 {
-  public:
-    SweepBuilder &workload(const std::string &name);
-    SweepBuilder &workloads(const std::vector<std::string> &names);
-    SweepBuilder &allTable3Workloads();
+    Axis id;
+    std::string specKey;  //!< spec block key; flag() derives from it
+    std::string column;   //!< report column key
+    bool optional;        //!< left out of reports at its default
+    std::string help;     //!< run_sweep --help text
+    std::vector<std::string> presets;  //!< value lists the flag names
 
-    SweepBuilder &scheme(SchemeKind kind);
-    SweepBuilder &schemes(const std::vector<SchemeKind> &kinds);
-    /** Scheme names resolved via the EraseSchemeRegistry. */
-    SweepBuilder &schemeNames(const std::vector<std::string> &names);
-    /** All five schemes in the paper's comparison order. */
-    SweepBuilder &allSchemes();
+    std::function<std::size_t(const SweepSpec &)> size;
+    /** Set the point's field to the spec's i-th value. */
+    std::function<void(const SweepSpec &, std::size_t i, SimPoint &)>
+        assign;
+    /** The point's value as its report column. */
+    std::function<Json(const SimPoint &)> get;
+    /** Inverse of get(). */
+    std::function<void(const Json &, SimPoint &)> set;
+    /** Fatal on a spec value the axis's registry does not know. */
+    std::function<void(const SweepSpec &)> check;
+    /**
+     * Set the spec's values from a comma list or a preset name, as the
+     * run_sweep flag does; fatal, naming flag(), on a malformed number
+     * or an unknown enum name (validate() checks the other names).
+     */
+    std::function<void(const std::string &list, SweepSpec &)> parse;
 
-    SweepBuilder &pec(double pec);
-    SweepBuilder &pecs(const std::vector<double> &pecs);
-    /** The 0.5K / 2.5K / 4.5K conditioning points of section 7. */
-    SweepBuilder &paperPecs();
+    /** "--" + specKey with '_' as '-', e.g. --misprediction-rates. */
+    std::string flag() const;
 
-    SweepBuilder &suspension(SuspensionMode mode);
-    SweepBuilder &suspensions(const std::vector<SuspensionMode> &modes);
+    Json defaultValue() const { return get(SimPoint{}); }
 
-    SweepBuilder &mispredictionRate(double rate);
-    SweepBuilder &mispredictionRates(const std::vector<double> &rates);
-
-    SweepBuilder &rberRequirement(int bits);
-    SweepBuilder &rberRequirements(const std::vector<int> &bits);
-
-    /** GC victim-selection policy names (ssd/gc.hh registry). */
-    SweepBuilder &gcPolicy(const std::string &name);
-    SweepBuilder &gcPolicies(const std::vector<std::string> &names);
-
-    /** Wear-leveling policy names (ssd/wear_level.hh registry). */
-    SweepBuilder &wearLevel(const std::string &name);
-    SweepBuilder &wearLevels(const std::vector<std::string> &names);
-
-    /** SLO enforcement policy names (ssd/config.hh SloPolicy). */
-    SweepBuilder &sloPolicy(const std::string &name);
-    SweepBuilder &sloPolicies(const std::vector<std::string> &names);
-
-    SweepBuilder &seed(std::uint64_t seed);
-    SweepBuilder &seeds(const std::vector<std::uint64_t> &seeds);
-    /** n seeds base, base+stride, ... (the benches' repeat idiom). */
-    SweepBuilder &repeats(int n, std::uint64_t base = 7,
-                          std::uint64_t stride = 1000);
-
-    SweepBuilder &requests(std::uint64_t n);
-    SweepBuilder &baseConfig(const SsdConfig &cfg);
-
-    /** Validate and return the spec (fatal on an ill-formed grid). */
-    SweepSpec build() const;
-
-  private:
-    SweepSpec spec;
+    /** Do reports leave this column out when it holds @p value? */
+    bool
+    omitted(const Json &value) const
+    {
+        return optional && value == defaultValue();
+    }
 };
+
+/** The axis table, in report column order. */
+const std::vector<SweepAxis> &sweepAxes();
+
+/**
+ * Visit @p point's key columns in report order: every axis column, with
+ * "requests" (one value per spec, not an axis) just before "seed".
+ * @p omitted is true for an optional axis at its default.
+ */
+void forEachColumn(
+    const SimPoint &point,
+    const std::function<void(const std::string &column, Json value,
+                             bool omitted)> &fn);
+
+/**
+ * A column value as CSV cells and --help print it: strings bare, doubles
+ * at max_digits10 so they round-trip, integers exactly.
+ */
+std::string columnText(const Json &value);
 
 /**
  * Thread count for sweeps: the AERO_SWEEP_THREADS env when set (fatal if

@@ -38,13 +38,13 @@ namespace fs = std::filesystem;
 SweepSpec
 tinySpec()
 {
-    return SweepBuilder()
-        .workloads({"prxy", "hm"})
-        .schemes({SchemeKind::Baseline, SchemeKind::Aero})
-        .pec(2500.0)
-        .requests(1500)
-        .baseConfig(SsdConfig::tiny())
-        .build();
+    SweepSpec spec;
+    spec.workloads = {"prxy", "hm"};
+    spec.schemes = {SchemeKind::Baseline, SchemeKind::Aero};
+    spec.pecs = {2500.0};
+    spec.requests = 1500;
+    spec.base = SsdConfig::tiny();
+    return spec;
 }
 
 std::string

@@ -34,13 +34,13 @@ namespace
 SweepSpec
 tinySpec()
 {
-    return SweepBuilder()
-        .workloads({"prxy", "hm"})
-        .schemes({SchemeKind::Baseline, SchemeKind::Aero})
-        .pec(2500.0)
-        .requests(1500)
-        .baseConfig(SsdConfig::tiny())
-        .build();
+    SweepSpec spec;
+    spec.workloads = {"prxy", "hm"};
+    spec.schemes = {SchemeKind::Baseline, SchemeKind::Aero};
+    spec.pecs = {2500.0};
+    spec.requests = 1500;
+    spec.base = SsdConfig::tiny();
+    return spec;
 }
 
 /** A fresh journal directory path (removed if a previous run left it). */
@@ -192,13 +192,11 @@ TEST(CheckpointResume, SloAxisPointsAreJournaledApart)
     // "none" and "throttle" points shared one record — a fully
     // journaled grid reopened with half its points and resumed with the
     // wrong rows. The key is now the point's own report columns.
-    SweepSpec spec = SweepBuilder()
-                         .workload("prxy")
-                         .sloPolicies({"none", "throttle"})
-                         .pec(2500.0)
-                         .requests(1500)
-                         .baseConfig(SsdConfig::tiny())
-                         .build();
+    SweepSpec spec;
+    spec.sloPolicies = {"none", "throttle"};
+    spec.pecs = {2500.0};
+    spec.requests = 1500;
+    spec.base = SsdConfig::tiny();
     // A budget below prxy's offered load, so "throttle" really defers.
     spec.base.slo = parseTenantSloSpec("0:iops=150");
     const std::string reference =
@@ -442,9 +440,17 @@ TEST(SweepSpecIndex, AgreesWithExpandOverRandomizedGrids)
                 ix[axis] = rem % sizes[axis];
                 rem /= sizes[axis];
             }
-            ASSERT_EQ(spec.index(ix[Pec], ix[Susp], ix[Wl], ix[Scheme],
-                                 ix[Mis], ix[Rber], ix[Seed], ix[Gc],
-                                 ix[Wear], ix[Slo]),
+            // Named in shuffled order: index() must not care.
+            ASSERT_EQ(spec.index({{Axis::Seed, ix[Seed]},
+                                  {Axis::Workload, ix[Wl]},
+                                  {Axis::SloPolicy, ix[Slo]},
+                                  {Axis::Pec, ix[Pec]},
+                                  {Axis::Scheme, ix[Scheme]},
+                                  {Axis::WearLevel, ix[Wear]},
+                                  {Axis::Suspension, ix[Susp]},
+                                  {Axis::RberRequirement, ix[Rber]},
+                                  {Axis::GcPolicy, ix[Gc]},
+                                  {Axis::MispredictionRate, ix[Mis]}}),
                       flat)
                 << "trial " << trial;
             const SimPoint &pt = points[flat];

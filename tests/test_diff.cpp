@@ -4,7 +4,7 @@
  * matching (reorders are not differences, missing rows are), exact
  * integer metrics vs toleranced floating-point metrics (including
  * exactly-at-tolerance), NaN/infinity handling, ignored keys at every
- * level, and the `aero-sweep/1` fallback axis set.
+ * level, and the `aero-sweep/1` key columns from the sweep-axis table.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,8 @@
 
 #include "common/logging.hh"
 #include "exp/diff.hh"
+#include "exp/report.hh"
+#include "exp/sweep.hh"
 
 namespace aero
 {
@@ -28,6 +30,17 @@ Json
 doc(const std::string &text)
 {
     return Json::parseOrDie(text, "test document");
+}
+
+/** How many key columns the axis table gives a sweep row. */
+std::size_t
+sweepColumnCount()
+{
+    std::size_t n = 0;
+    forEachColumn(SimPoint{}, [&](const std::string &, Json, bool) {
+        ++n;
+    });
+    return n;
 }
 
 /** A small two-row aero-devchar/1 report. */
@@ -261,7 +274,8 @@ TEST(DiffReports, SweepSchemaFallsBackToFixedAxes)
            "iops": 6000.0}
         ]})";
     const Json a = doc(sweep);
-    EXPECT_EQ(reportAxes(a).size(), 8u);
+    EXPECT_EQ(reportAxes(a).size(), sweepColumnCount());
+    EXPECT_EQ(sweepColumnCount(), 11u);
     Json b = doc(sweep);
     Json swapped = Json::array();
     swapped.push(b.find("results")->at(1));
@@ -277,6 +291,49 @@ TEST(DiffReports, SweepSchemaFallsBackToFixedAxes)
     EXPECT_EQ(result.deltas[0].metric, "iops");
     EXPECT_NE(result.deltas[0].row.find("scheme=\"AERO\""),
               std::string::npos);
+}
+
+/**
+ * Unsimulated result rows of a sweep over the three optional axes (GC
+ * policy, wear leveling, SLO policy): eight rows that differ only there.
+ */
+std::vector<SimResult>
+optionalAxesSweep(SweepSpec *spec)
+{
+    spec->gcPolicies = {"greedy", "fifo-log"};
+    spec->wearLevels = {"none", "dynamic"};
+    spec->sloPolicies = {"none", "throttle"};
+    std::vector<SimResult> results;
+    for (const SimPoint &pt : spec->expand()) {
+        SimResult r;
+        r.point = pt;
+        r.iops = 1000.0 + static_cast<double>(results.size());
+        results.push_back(r);
+    }
+    return results;
+}
+
+TEST(DiffReports, SweepRowsAreKeyedByTheOptionalAxesToo)
+{
+    // Regression: aero-sweep/1 rows were keyed by eight columns that
+    // left out gc_policy, wear_level and slo_policy, so a self-diff of
+    // such a sweep reported duplicate-key row deltas.
+    SweepSpec spec;
+    const auto results = optionalAxesSweep(&spec);
+    const Json report = sweepReport(spec, results);
+    const DiffResult result = diffReports(report, report);
+    EXPECT_TRUE(result.match) << result.table();
+    EXPECT_EQ(result.rowsCompared, results.size());
+}
+
+TEST(CsvReports, SweepRowsAreKeyedByTheOptionalAxesToo)
+{
+    SweepSpec spec;
+    const auto results = optionalAxesSweep(&spec);
+    const Json report = csvToReport(toCsv(results));
+    const DiffResult result = diffReports(report, report);
+    EXPECT_TRUE(result.match) << result.table();
+    EXPECT_EQ(result.rowsCompared, results.size());
 }
 
 TEST(DiffReports, PositionalFallbackWithoutAxes)
@@ -329,7 +386,7 @@ TEST(CsvReports, CellsAreTypedLikeTheSerializers)
 {
     const Json report = csvToReport(sweepCsv());
     EXPECT_EQ(report.find("schema")->asString(), "aero-csv/1");
-    EXPECT_EQ(reportAxes(report).size(), 8u);
+    EXPECT_EQ(reportAxes(report).size(), sweepColumnCount());
     const Json &row = report.find("results")->at(0);
     EXPECT_TRUE(row.find("workload")->isString());
     EXPECT_TRUE(row.find("pec")->isIntegral());      // "500"

@@ -1,13 +1,17 @@
 /**
  * @file
  * Tests for the experiment API: the string-keyed EraseSchemeRegistry,
- * SweepBuilder grid expansion, SweepRunner thread-count determinism, the
- * JSON/CSV report serializers, and the hardened env parsing.
+ * the sweep-axis table (expansion, named index(), validation, and every
+ * axis through reports, journal keys and its run_sweep flag), SweepRunner
+ * thread-count determinism, the JSON/CSV report serializers, and the
+ * strict env and flag parsing.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 
 #include "core/aero_scheme.hh"
@@ -15,9 +19,12 @@
 #include "devchar/experiments.hh"
 #include "devchar/lifetime.hh"
 #include "erase/scheme_registry.hh"
+#include "common/parse.hh"
+#include "exp/diff.hh"
 #include "exp/report.hh"
 #include "exp/sweep.hh"
 #include "workload/presets.hh"
+#include "workload/trace_io/tenant.hh"
 
 namespace aero
 {
@@ -113,6 +120,18 @@ TEST(SimRequestsEnv, RejectsMalformedValues)
     unsetenv("AERO_SIM_REQUESTS");
 }
 
+TEST(SimRequestsEnv, RejectsLeadingWhitespaceAndSign)
+{
+    // strtoull skipped the blank and wrapped "-1" to 2^64-1.
+    setenv("AERO_SIM_REQUESTS", " -1", 1);
+    EXPECT_DEATH(defaultSimRequests(), "AERO_SIM_REQUESTS");
+    setenv("AERO_SIM_REQUESTS", "+5", 1);
+    EXPECT_DEATH(defaultSimRequests(), "AERO_SIM_REQUESTS");
+    setenv("AERO_SIM_REQUESTS", " 5", 1);
+    EXPECT_DEATH(defaultSimRequests(), "AERO_SIM_REQUESTS");
+    unsetenv("AERO_SIM_REQUESTS");
+}
+
 TEST(SweepThreadsEnv, OverrideAndRejects)
 {
     setenv("AERO_SWEEP_THREADS", "3", 1);
@@ -125,20 +144,43 @@ TEST(SweepThreadsEnv, OverrideAndRejects)
     EXPECT_GE(sweepThreads(), 1);
 }
 
+TEST(SweepThreadsEnv, RejectsValuesOutsideInt)
+{
+    // 2^32 + 1 once truncated to a single thread.
+    setenv("AERO_SWEEP_THREADS", "4294967297", 1);
+    EXPECT_DEATH(sweepThreads(), "AERO_SWEEP_THREADS");
+    setenv("AERO_SWEEP_THREADS", " 2", 1);
+    EXPECT_DEATH(sweepThreads(), "AERO_SWEEP_THREADS");
+    unsetenv("AERO_SWEEP_THREADS");
+}
+
+TEST(ParseDecimal, AcceptsOnlyBareDigitsInRange)
+{
+    EXPECT_EQ(parseDecimal<int>("42"), 42);
+    EXPECT_EQ(parseDecimal<std::uint64_t>("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_FALSE(parseDecimal<std::uint64_t>("18446744073709551616"));
+    EXPECT_FALSE(parseDecimal<int>("4294967359"));
+    EXPECT_FALSE(parseDecimal<int>("-1"));
+    EXPECT_FALSE(parseDecimal<int>("+1"));
+    EXPECT_FALSE(parseDecimal<int>(" 1"));
+    EXPECT_FALSE(parseDecimal<int>("1 "));
+    EXPECT_FALSE(parseDecimal<int>(""));
+}
+
 // --------------------------------------------------------------------------
-// SweepBuilder / SweepSpec expansion
+// SweepSpec expansion and the axis table
 // --------------------------------------------------------------------------
 
-TEST(SweepBuilder, ExpandsGridInDeclaredNestingOrder)
+TEST(SweepSpec, ExpandsGridInDeclaredNestingOrder)
 {
-    const SweepSpec spec =
-        SweepBuilder()
-            .workloads({"prxy", "usr"})
-            .schemes({SchemeKind::Baseline, SchemeKind::Aero})
-            .pecs({500.0, 2500.0})
-            .seeds({7, 1007})
-            .requests(100)
-            .build();
+    SweepSpec spec;
+    spec.workloads = {"prxy", "usr"};
+    spec.schemes = {SchemeKind::Baseline, SchemeKind::Aero};
+    spec.pecs = {500.0, 2500.0};
+    spec.seeds = {7, 1007};
+    spec.requests = 100;
+    spec.validate();
     ASSERT_EQ(spec.size(), 16u);
     const auto points = spec.expand();
     ASSERT_EQ(points.size(), 16u);
@@ -161,8 +203,9 @@ TEST(SweepBuilder, ExpandsGridInDeclaredNestingOrder)
         for (std::size_t wi = 0; wi < 2; ++wi) {
             for (std::size_t si = 0; si < 2; ++si) {
                 for (std::size_t se = 0; se < 2; ++se) {
-                    const auto &pt =
-                        points[spec.index(pi, 0, wi, si, 0, 0, se)];
+                    const auto &pt = points[spec.index(
+                        {{Axis::Pec, pi}, {Axis::Workload, wi},
+                         {Axis::Scheme, si}, {Axis::Seed, se}})];
                     EXPECT_EQ(pt.pec, spec.pecs[pi]);
                     EXPECT_EQ(pt.workload, spec.workloads[wi]);
                     EXPECT_EQ(pt.scheme, spec.schemes[si]);
@@ -171,20 +214,23 @@ TEST(SweepBuilder, ExpandsGridInDeclaredNestingOrder)
             }
         }
     }
+    // Omitted axes are at index 0.
+    EXPECT_EQ(spec.index({}), 0u);
+    EXPECT_EQ(spec.index({{Axis::Seed, 1}}), 1u);
 }
 
-TEST(SweepBuilder, SingularSettersCollapseAxes)
+TEST(SweepSpec, OneValuePerAxisIsOnePoint)
 {
-    const SweepSpec spec = SweepBuilder()
-                               .workload("hm")
-                               .scheme(SchemeKind::Dpes)
-                               .pec(4500.0)
-                               .suspension(SuspensionMode::None)
-                               .mispredictionRate(0.05)
-                               .rberRequirement(31)
-                               .seed(42)
-                               .requests(10)
-                               .build();
+    SweepSpec spec;
+    spec.workloads = {"hm"};
+    spec.schemes = {SchemeKind::Dpes};
+    spec.pecs = {4500.0};
+    spec.suspensions = {SuspensionMode::None};
+    spec.mispredictionRates = {0.05};
+    spec.rberRequirements = {31};
+    spec.seeds = {42};
+    spec.requests = 10;
+    spec.validate();
     ASSERT_EQ(spec.size(), 1u);
     const auto pt = spec.expand().front();
     EXPECT_EQ(pt.workload, "hm");
@@ -196,37 +242,192 @@ TEST(SweepBuilder, SingularSettersCollapseAxes)
     EXPECT_EQ(pt.seed, 42u);
 }
 
-TEST(SweepBuilder, RepeatsMatchTheBenchSeedIdiom)
+TEST(SweepSpec, IndexRejectsOutOfRangeAndRepeatedAxes)
 {
-    const SweepSpec spec = SweepBuilder().repeats(3).build();
-    EXPECT_EQ(spec.seeds, (std::vector<std::uint64_t>{7, 1007, 2007}));
+    SweepSpec spec;
+    spec.pecs = {500.0, 2500.0};
+    EXPECT_DEATH(spec.index({{Axis::Pec, 2}}), "out of range");
+    EXPECT_DEATH(spec.index({{Axis::Pec, 0}, {Axis::Pec, 1}}),
+                 "named twice");
 }
 
-TEST(SweepBuilder, SchemeNamesResolveThroughRegistry)
+TEST(SweepSpec, ValidateRejectsIllFormedGrids)
 {
-    const SweepSpec spec =
-        SweepBuilder().schemeNames({"baseline", "AERO"}).build();
-    EXPECT_EQ(spec.schemes,
-              (std::vector<SchemeKind>{SchemeKind::Baseline,
-                                       SchemeKind::Aero}));
+    const auto validated = [](auto edit) {
+        SweepSpec spec;
+        edit(spec);
+        spec.validate();
+    };
+    EXPECT_DEATH(validated([](SweepSpec &s) { s.workloads.clear(); }),
+                 "no workloads");
+    EXPECT_DEATH(validated([](SweepSpec &s) { s.schemes.clear(); }),
+                 "no schemes");
+    EXPECT_DEATH(validated([](SweepSpec &s) { s.seeds.clear(); }),
+                 "no seeds");
+    EXPECT_DEATH(validated([](SweepSpec &s) { s.requests = 0; }),
+                 "zero requests");
+    EXPECT_DEATH(
+        validated([](SweepSpec &s) { s.workloads = {"bogus"}; }),
+        "unknown");
+    EXPECT_DEATH(
+        validated([](SweepSpec &s) { s.gcPolicies = {"bogus"}; }),
+        "greedy");
+    EXPECT_DEATH(
+        validated([](SweepSpec &s) { s.sloPolicies = {"bogus"}; }),
+        "throttle");
 }
 
-TEST(SweepBuilder, RejectsIllFormedGrids)
+TEST(SweepSpec, ConfigOfAndRunValidateBeforeSimulating)
 {
-    EXPECT_DEATH(SweepBuilder().workloads({}).build(), "no workloads");
-    EXPECT_DEATH(SweepBuilder().schemes({}).build(), "no schemes");
-    EXPECT_DEATH(SweepBuilder().requests(0).build(), "zero requests");
-    EXPECT_DEATH(SweepBuilder().workload("bogus").build(), "unknown");
+    // fig16 declares its sweeps before a long lifetime stage: the
+    // journal config (configOf) must already reject a bad grid.
+    SweepSpec spec;
+    spec.wearLevels = {"bogus"};
+    EXPECT_DEATH(configOf(spec), "bogus");
+    EXPECT_DEATH(SweepRunner(1).run(spec), "bogus");
 }
 
 TEST(SweepSpec, AllTable3AllSchemesPaperGridSize)
 {
-    const SweepSpec spec = SweepBuilder()
-                               .allTable3Workloads()
-                               .allSchemes()
-                               .paperPecs()
-                               .build();
+    SweepSpec spec;
+    spec.workloads.clear();
+    for (const auto &w : table3Workloads())
+        spec.workloads.push_back(w.name);
+    spec.schemes = allSchemes();
+    spec.pecs = paperPecPoints();
     EXPECT_EQ(spec.size(), 11u * 5u * 3u);
+}
+
+/** The table entry for @p id. */
+const SweepAxis &
+axisOf(Axis id)
+{
+    for (const SweepAxis &axis : sweepAxes()) {
+        if (axis.id == id)
+            return axis;
+    }
+    ADD_FAILURE() << "axis missing from the table";
+    return sweepAxes().front();
+}
+
+TEST(SweepAxis, TableCoversEveryAxisOnceInReportOrder)
+{
+    std::vector<std::string> columns;
+    std::vector<bool> seen(kAxisCount, false);
+    for (const SweepAxis &axis : sweepAxes()) {
+        const auto k = static_cast<std::size_t>(axis.id);
+        ASSERT_LT(k, kAxisCount);
+        EXPECT_FALSE(seen[k]) << axis.column;
+        seen[k] = true;
+        columns.push_back(axis.column);
+        // A default spec sweeps exactly the default point's value.
+        const SweepSpec spec;
+        ASSERT_EQ(axis.size(spec), 1u) << axis.column;
+        SimPoint pt;
+        axis.assign(spec, 0, pt);
+        EXPECT_EQ(axis.get(pt), axis.defaultValue()) << axis.column;
+    }
+    EXPECT_EQ(sweepAxes().size(), kAxisCount);
+    EXPECT_EQ(columns,
+              (std::vector<std::string>{
+                  "workload", "scheme", "pec", "suspension",
+                  "misprediction_rate", "rber_requirement", "gc_policy",
+                  "wear_level", "slo_policy", "seed"}));
+    EXPECT_EQ(axisOf(Axis::MispredictionRate).flag(),
+              "--misprediction-rates");
+    EXPECT_EQ(axisOf(Axis::SloPolicy).flag(), "--slo-policies");
+}
+
+TEST(SweepAxis, EveryAxisFlowsThroughKeysReportsAndItsFlag)
+{
+    // Two distinct values per axis, as run_sweep tokens.
+    const std::pair<Axis, std::string> lists[] = {
+        {Axis::Workload, "prxy,usr"},
+        {Axis::Scheme, "Baseline,AERO"},
+        {Axis::Pec, "500,2500.5"},
+        {Axis::Suspension, "none,mid-segment"},
+        {Axis::MispredictionRate, "0,0.05"},
+        {Axis::RberRequirement, "63,31"},
+        {Axis::GcPolicy, "greedy,fifo-log"},
+        {Axis::WearLevel, "none,dynamic"},
+        {Axis::SloPolicy, "none,throttle"},
+        {Axis::Seed, "7,18446744073709551615"},
+    };
+    ASSERT_EQ(std::size(lists), kAxisCount);
+    for (const auto &[id, list] : lists) {
+        const SweepAxis &axis = axisOf(id);
+        SCOPED_TRACE(axis.flag());
+        SweepSpec spec;
+        axis.parse(list, spec);
+        spec.validate();
+        ASSERT_EQ(axis.size(spec), 2u);
+        ASSERT_EQ(spec.size(), 2u);
+
+        std::vector<SimResult> results(2);
+        for (std::size_t i = 0; i < 2; ++i) {
+            results[i].point = spec.expand()[spec.index({{id, i}})];
+            results[i].iops = 1000.0 + static_cast<double>(i);
+        }
+        // Distinct journal keys (the key is the point's report row).
+        const Json key0 = toJson(results[0].point);
+        const Json key1 = toJson(results[1].point);
+        EXPECT_NE(key0.dump(), key1.dump());
+        // The decoder restores the value exactly.
+        for (const SimResult &r : results) {
+            const SimResult back = simResultFromJson(toJson(r));
+            EXPECT_EQ(axis.get(back.point), axis.get(r.point));
+            EXPECT_EQ(toJson(back).dump(), toJson(r).dump());
+        }
+        // A CSV column and an aero_diff key column.
+        const std::string csv = toCsv(results);
+        const std::string header = csv.substr(0, csv.find('\n'));
+        EXPECT_NE(("," + header + ",").find("," + axis.column + ","),
+                  std::string::npos)
+            << header;
+        const auto keys = reportAxes(sweepReport(spec, results));
+        EXPECT_NE(std::find(keys.begin(), keys.end(), axis.column),
+                  keys.end());
+        EXPECT_TRUE(diffReports(sweepReport(spec, results),
+                                sweepReport(spec, results))
+                        .match);
+    }
+}
+
+TEST(SweepAxis, SchemeNamesResolveThroughRegistry)
+{
+    SweepSpec spec;
+    axisOf(Axis::Scheme).parse("baseline,AERO", spec);
+    EXPECT_EQ(spec.schemes,
+              (std::vector<SchemeKind>{SchemeKind::Baseline,
+                                       SchemeKind::Aero}));
+    axisOf(Axis::Scheme).parse("all", spec);
+    EXPECT_EQ(spec.schemes, allSchemes());
+    axisOf(Axis::Pec).parse("paper", spec);
+    EXPECT_EQ(spec.pecs, paperPecPoints());
+    axisOf(Axis::Suspension).parse("both", spec);
+    EXPECT_EQ(spec.suspensions,
+              (std::vector<SuspensionMode>{SuspensionMode::None,
+                                           SuspensionMode::MidSegment}));
+    EXPECT_DEATH(axisOf(Axis::Scheme).parse("sandisk-turbo", spec),
+                 "AERO-CONS");
+    axisOf(Axis::Workload).parse("prxy,nope", spec);
+    EXPECT_DEATH(spec.validate(), "unknown workload: 'nope'");
+}
+
+TEST(SweepAxis, IntegerFlagsAreStrict)
+{
+    SweepSpec spec;
+    const SweepAxis &seeds = axisOf(Axis::Seed);
+    const SweepAxis &rbers = axisOf(Axis::RberRequirement);
+    // " -1" once wrapped to 18446744073709551615.
+    EXPECT_DEATH(seeds.parse(" -1", spec), "--seeds: ' -1'");
+    EXPECT_DEATH(seeds.parse("18446744073709551616", spec),
+                 "--seeds: '18446744073709551616'");
+    // 2^32 + 63 once wrapped to 63.
+    EXPECT_DEATH(rbers.parse("4294967359", spec),
+                 "--rber-requirements: '4294967359'");
+    EXPECT_DEATH(rbers.parse("-1", spec), "--rber-requirements");
+    EXPECT_DEATH(axisOf(Axis::Pec).parse("5e", spec), "--pecs: '5e'");
 }
 
 // --------------------------------------------------------------------------
@@ -236,14 +437,13 @@ TEST(SweepSpec, AllTable3AllSchemesPaperGridSize)
 SweepSpec
 tinySweep()
 {
-    SsdConfig base = SsdConfig::tiny();
-    return SweepBuilder()
-        .workloads({"prxy", "hm"})
-        .schemes({SchemeKind::Baseline, SchemeKind::Aero})
-        .pec(2500.0)
-        .requests(1500)
-        .baseConfig(base)
-        .build();
+    SweepSpec spec;
+    spec.workloads = {"prxy", "hm"};
+    spec.schemes = {SchemeKind::Baseline, SchemeKind::Aero};
+    spec.pecs = {2500.0};
+    spec.requests = 1500;
+    spec.base = SsdConfig::tiny();
+    return spec;
 }
 
 TEST(SweepRunner, DeterministicAcrossThreadCounts)
@@ -425,12 +625,9 @@ TEST(Json, NonFiniteNumbersBecomeNull)
 
 TEST(Report, SweepReportHasStableKeysAndSpecOrder)
 {
-    const SweepSpec spec = SweepBuilder()
-                               .workload("prxy")
-                               .schemes({SchemeKind::Baseline,
-                                         SchemeKind::Aero})
-                               .requests(10)
-                               .build();
+    SweepSpec spec;
+    spec.schemes = {SchemeKind::Baseline, SchemeKind::Aero};
+    spec.requests = 10;
     std::vector<SimResult> results(2);
     results[0].point = spec.expand()[0];
     results[0].avgReadUs = 100.0;
@@ -450,6 +647,86 @@ TEST(Report, SweepReportHasStableKeysAndSpecOrder)
     EXPECT_EQ(csv.substr(0, 15), "workload,scheme");
     EXPECT_NE(csv.find("prxy,Baseline"), std::string::npos);
     EXPECT_NE(csv.find("prxy,AERO"), std::string::npos);
+}
+
+// Both strings were recorded before the sweep axes moved into one table;
+// the journal keys and fingerprints of existing checkpoints depend on
+// every byte of them.
+TEST(Report, PointKeyBytesArePinned)
+{
+    SimPoint pt;
+    pt.workload = "usr";
+    pt.scheme = SchemeKind::Aero;
+    pt.pec = 2500.0;
+    pt.suspension = SuspensionMode::None;
+    pt.mispredictionRate = 0.05;
+    pt.rberRequirement = 31;
+    pt.gcPolicy = "fifo-log";
+    pt.wearLevel = "dynamic";
+    pt.sloPolicy = "throttle+wfq";
+    pt.requests = 1500;
+    pt.seed = 1007;
+    EXPECT_EQ(toJson(pt).dump(),
+              "{\"workload\":\"usr\",\"scheme\":\"AERO\",\"pec\":2500.0,"
+              "\"suspension\":\"none\",\"misprediction_rate\":0.05,"
+              "\"rber_requirement\":31,\"gc_policy\":\"fifo-log\","
+              "\"wear_level\":\"dynamic\",\"slo_policy\":\"throttle+wfq\","
+              "\"requests\":1500,\"seed\":1007}");
+}
+
+TEST(Report, SpecConfigBytesArePinned)
+{
+    SweepSpec spec;
+    spec.workloads = {"prxy", "usr"};
+    spec.schemes = {SchemeKind::Baseline, SchemeKind::Aero};
+    spec.pecs = {500.0, 2500.0};
+    spec.suspensions = {SuspensionMode::None, SuspensionMode::MidSegment};
+    spec.mispredictionRates = {0.0, 0.05};
+    spec.rberRequirements = {63, 31};
+    spec.gcPolicies = {"greedy", "fifo-log"};
+    spec.wearLevels = {"none", "dynamic"};
+    spec.sloPolicies = {"none", "throttle"};
+    spec.seeds = {7, 1007};
+    spec.requests = 1500;
+    spec.base = SsdConfig::tiny();
+    spec.base.slo = parseTenantSloSpec("0:weight=4:iops=150");
+    EXPECT_EQ(
+        configOf(spec).dump(),
+        "{\"workloads\":[\"prxy\",\"usr\"],\"schemes\":[\"Baseline\","
+        "\"AERO\"],\"pecs\":[500.0,2500.0],\"suspensions\":[\"none\","
+        "\"mid-segment\"],\"misprediction_rates\":[0.0,0.05],"
+        "\"rber_requirements\":[63,31],\"gc_policies\":[\"greedy\","
+        "\"fifo-log\"],\"wear_levels\":[\"none\",\"dynamic\"],"
+        "\"slo_policies\":[\"none\",\"throttle\"],"
+        "\"slo_spec\":\"0:weight=4:iops=150\",\"seeds\":[7,1007],"
+        "\"requests\":1500,\"drive_capacity_gib\":0.017181396484375,"
+        "\"drive\":\"SSD configuration:\\n  capacity:        0.0171814 "
+        "GiB logical (45% OP)\\n  topology:        2 channels x 1 chips "
+        "x 2 planes x 16 blocks x 32 pages x 16 KiB\\n  chip type:       "
+        "3D TLC (48L)\\n  erase scheme:    Baseline\\n  suspension:      "
+        "enabled\\n  arbitration:     legacy\\n  GC policy:       "
+        "greedy\\n  wear leveling:   none\\n  initial PEC:     0\\n\"}");
+}
+
+TEST(Report, CsvShowsEachOptionalAxisOnItsOwn)
+{
+    // One optional axis off its default adds only its own column, and
+    // the rows at the default spell the default out.
+    std::vector<SimResult> results(2);
+    results[1].point.wearLevel = "dynamic";
+    const std::string csv = toCsv(results);
+    EXPECT_EQ(csv.substr(0, csv.find(",avg_read_us")),
+              "workload,scheme,pec,suspension,misprediction_rate,"
+              "rber_requirement,wear_level,requests,seed");
+    EXPECT_NE(csv.find("\nprxy,Baseline,500,mid-segment,0,63,none,120000,7,"),
+              std::string::npos);
+    EXPECT_NE(csv.find("\nprxy,Baseline,500,mid-segment,0,63,dynamic,"),
+              std::string::npos);
+    // Every row at its default: no optional column at all.
+    const std::string plain = toCsv({SimResult{}});
+    EXPECT_EQ(plain.substr(0, plain.find(",avg_read_us")),
+              "workload,scheme,pec,suspension,misprediction_rate,"
+              "rber_requirement,requests,seed");
 }
 
 TEST(Report, SuspensionModeNamesRoundTrip)

@@ -117,14 +117,13 @@ TEST(TenantSloSpec, SweepReportEmitsSpecKeysOnlyWhenSwept)
 {
     // Default spec: no SLO keys anywhere (the 16 pre-SLO goldens depend
     // on this staying true).
-    const SweepSpec plain = SweepBuilder().build();
+    const SweepSpec plain{};
     const Json plain_json = toJson(plain);
     EXPECT_EQ(plain_json.find("slo_policies"), nullptr);
     EXPECT_EQ(plain_json.find("slo_spec"), nullptr);
 
-    SweepBuilder builder;
-    builder.sloPolicies({"none", "throttle+wfq"});
-    SweepSpec swept = builder.build();
+    SweepSpec swept;
+    swept.sloPolicies = {"none", "throttle+wfq"};
     swept.base.slo = parseTenantSloSpec("0:weight=8:iops=2000");
     const Json swept_json = toJson(swept);
     ASSERT_NE(swept_json.find("slo_policies"), nullptr);
@@ -432,13 +431,11 @@ TEST(SloScheduler, BucketRefillIsDeterministicAcrossWorkerCounts)
     // config — must produce bit-identical results at 1 and 4 sweep
     // threads: bucket state lives per-drive, so worker count can't leak
     // into admission timing.
-    SweepBuilder builder;
-    builder.workload("prxy");
-    builder.schemes({SchemeKind::Baseline, SchemeKind::Aero});
-    builder.pec(2500.0);
-    builder.sloPolicies({"none", "throttle", "wfq", "throttle+wfq"});
-    builder.requests(2500);
-    SweepSpec spec = builder.build();
+    SweepSpec spec;
+    spec.schemes = {SchemeKind::Baseline, SchemeKind::Aero};
+    spec.pecs = {2500.0};
+    spec.sloPolicies = {"none", "throttle", "wfq", "throttle+wfq"};
+    spec.requests = 2500;
     spec.base = SsdConfig::tiny();
     spec.base.arbitration = Arbitration::Queued;
     // prxy offers ~280 req/s; a 150/s budget makes every throttled

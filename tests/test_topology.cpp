@@ -287,15 +287,10 @@ TEST(TopologyQueued, LegacyAndQueuedConserveTheSameWork)
 
 TEST(TopologySweep, ReclamationAxesAreThreadCountInvariant)
 {
-    const SweepSpec spec = SweepBuilder()
-                               .workloads({"prxy"})
-                               .schemes({SchemeKind::Baseline})
-                               .pecs({500.0})
-                               .gcPolicies({"greedy", "fifo-log"})
-                               .wearLevels({"none", "dynamic"})
-                               .requests(800)
-                               .seeds({7})
-                               .build();
+    SweepSpec spec;
+    spec.gcPolicies = {"greedy", "fifo-log"};
+    spec.wearLevels = {"none", "dynamic"};
+    spec.requests = 800;
     ASSERT_EQ(spec.size(), 4u);
 
     const auto one = SweepRunner(1).run(spec);
