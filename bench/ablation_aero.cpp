@@ -120,7 +120,8 @@ runMultiPlaneRow(const std::string &scheme_name)
 int
 main(int argc, char **argv)
 {
-    const auto artifacts = bench::parseArtifactArgs(argc, argv);
+    const auto artifacts =
+        bench::parseArtifactArgs(argc, argv, bench::BenchFlags::Artifacts);
     bench::header("Ablation: AERO's ingredients and multi-plane erase");
 
     // Single-plane: every (variant, PEC) cell in parallel.

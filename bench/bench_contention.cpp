@@ -87,7 +87,7 @@ int
 benchMain(int argc, char **argv)
 {
     const auto artifacts =
-        bench::parseArtifactArgs(argc, argv, /*allow_small=*/true);
+        bench::parseArtifactArgs(argc, argv, bench::BenchFlags::Small);
 
     const int trials = artifacts.small ? 7 : 11;
     const std::uint64_t requests = artifacts.small ? 6000 : 20000;

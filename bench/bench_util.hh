@@ -12,14 +12,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
-#include "common/parse.hh"
 #include "exp/campaign.hh"
 #include "exp/report.hh"
 
@@ -45,8 +42,10 @@ note(const std::string &text)
 }
 
 /**
- * One `aero-devchar/1` artifact under construction: the device-
- * characterization counterpart of the `aero-sweep/1` report. The
+ * One devchar-shaped artifact under construction: the device-
+ * characterization counterpart of the `aero-sweep/1` report, also
+ * written under their own schema by the other benches that share its
+ * shape (`aero-gc/1`, `aero-tenant/1`, `aero-kernel-bench/1`). The
  * document shape is
  *
  *   {"schema": "aero-devchar/1", "bench": .., "axes": [..],
@@ -61,11 +60,14 @@ note(const std::string &text)
 struct DevcharReport
 {
     DevcharReport(std::string bench_name,
-                  std::vector<std::string> axis_keys)
-        : bench(std::move(bench_name)), axes(std::move(axis_keys))
+                  std::vector<std::string> axis_keys,
+                  std::string schema_name = "aero-devchar/1")
+        : schema(std::move(schema_name)), bench(std::move(bench_name)),
+          axes(std::move(axis_keys))
     {
     }
 
+    std::string schema;
     std::string bench;
     std::vector<std::string> axes;
     Json spec = Json::object();
@@ -78,7 +80,7 @@ struct DevcharReport
     doc() const
     {
         Json d = Json::object();
-        d["schema"] = "aero-devchar/1";
+        d["schema"] = schema;
         d["bench"] = bench;
         Json ax = Json::array();
         for (const auto &a : axes)
@@ -184,93 +186,21 @@ struct Artifacts
     std::string jsonPath;
     std::string csvPath;
     /**
-     * `--checkpoint <dir>`: journal every completed campaign task into
-     * this journal directory and, on a rerun, resume from it instead of
-     * restarting from zero (see exp/campaign.hh). All sixteen gated
-     * benches accept it; the resumed artifacts are byte-identical to an
-     * uninterrupted run at any thread or worker count.
-     */
-    std::string checkpointPath;
-    /**
      * `--small`: run a reduced configuration sized for the golden-file
      * regression gate (seconds, stable numbers, compact artifacts)
-     * instead of the paper-scale study. Only the devchar benches accept
-     * it.
+     * instead of the paper-scale study.
      */
     bool small = false;
     /**
-     * `--workers <n>`: fork n campaign worker processes sharing the
-     * `--checkpoint` journal directory (requires `--checkpoint`; see
-     * exp/campaign.hh). Zero means single-process.
+     * `--checkpoint <dir>` / `--workers <n>`: how runCampaign() journals
+     * and distributes the bench's campaign (see exp/campaign.hh). The
+     * resumed artifacts are byte-identical to an uninterrupted run at
+     * any thread or worker count.
      */
-    int workers = 0;
-    /** This process's worker index after forkWorkers(). */
-    int workerIndex = JournalOptions::kDriver;
+    CampaignArgs campaign;
 
     bool wantJson() const { return !jsonPath.empty(); }
     bool wantCsv() const { return !csvPath.empty(); }
-    bool wantCheckpoint() const { return !checkpointPath.empty(); }
-
-    /**
-     * Fork the `--workers` processes (no-op without the flag). Call
-     * before openJournal(): each child then opens its own worker file
-     * with claims armed, the parent waits for all children and opens
-     * the merged directory. A forked worker must exitWorker() as soon
-     * as its share of the campaign is journaled — artifact assembly
-     * belongs to the parent, which resumes with every record cached.
-     */
-    void
-    forkWorkers()
-    {
-        if (workers <= 1)
-            return;
-        if (!wantCheckpoint()) {
-            AERO_FATAL("--workers needs --checkpoint <dir>: the worker "
-                       "processes coordinate through the shared journal "
-                       "directory");
-        }
-        workerIndex = forkCampaignWorkers(workers);
-    }
-
-    /** Is this process a forked campaign worker (not the driver)? */
-    bool isWorker() const { return workerIndex >= 0; }
-
-    /** A worker's exit point once its tasks are journaled. */
-    [[noreturn]] void
-    exitWorker() const
-    {
-        // _Exit, not exit(): the child shares the parent's stdio
-        // buffers, and flushing them here would duplicate output.
-        std::_Exit(0);
-    }
-
-    /**
-     * Open this bench's campaign journal (null without `--checkpoint`).
-     * @p bench pins the journal to this bench (resuming another
-     * bench's journal fails loudly) and @p config fingerprints the
-     * campaign configuration — every knob that influences the numbers
-     * must be in it, so a resumed run can never splice stale records.
-     *
-     * A forked worker appends to `journal.w<i>.jsonl` with file-locked
-     * claims armed; the driver merges every worker file and appends to
-     * `journal.driver.jsonl` with claims off.
-     */
-    std::unique_ptr<CampaignJournal>
-    openJournal(const std::string &bench, Json config) const
-    {
-        if (!wantCheckpoint())
-            return nullptr;
-        JournalOptions options;
-        options.worker = workerIndex;
-        auto journal = std::make_unique<CampaignJournal>(
-            checkpointPath, bench, std::move(config), options);
-        if (!isWorker() && journal->cachedCount() > 0) {
-            std::printf("checkpoint: resuming %zu journaled task(s) "
-                        "from %s\n",
-                        journal->cachedCount(), checkpointPath.c_str());
-        }
-        return journal;
-    }
 
     /** Write the standard sweep artifacts (whichever were requested). */
     void
@@ -291,7 +221,7 @@ struct Artifacts
             writeJsonFile(jsonPath, doc);
     }
 
-    /** Write an `aero-devchar/1` report (whichever formats requested). */
+    /** Write a devchar-shaped report (whichever formats requested). */
     void
     writeDevchar(const DevcharReport &report) const
     {
@@ -303,31 +233,35 @@ struct Artifacts
 };
 
 /**
- * Parse `--json <path>` / `--csv <path>` (plus `--small` when
- * @p allow_small, `--checkpoint <path>` when @p allow_checkpoint, and
- * `--workers <n>` when @p allow_workers); fatal on anything else, so a
- * bench that has not wired a journal rejects `--checkpoint` instead of
- * silently ignoring it.
+ * The flags a bench accepts, each set a superset of the one before:
+ * `--json <path>`/`--csv <path>`; plus `--small`; plus the campaign
+ * flags `--checkpoint <dir>`/`--workers <n>` of a bench that journals.
+ */
+enum class BenchFlags { Artifacts, Small, Campaign };
+
+/**
+ * Parse @p accepted's flags; fatal with the usage line on anything
+ * else, so a bench that journals nothing rejects `--checkpoint` instead
+ * of silently ignoring it. Each `--json`/`--csv` path is checked
+ * writable before the bench does any work.
  */
 inline Artifacts
-parseArtifactArgs(int argc, char **argv, bool allow_small = false,
-                  bool allow_checkpoint = false,
-                  bool allow_workers = false)
+parseArtifactArgs(int argc, char **argv,
+                  BenchFlags accepted = BenchFlags::Campaign)
 {
+    const bool small_ok = accepted != BenchFlags::Artifacts;
+    const bool campaign_ok = accepted == BenchFlags::Campaign;
     Artifacts out;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        if (allow_small && std::strcmp(arg, "--small") == 0) {
+        if (small_ok && std::strcmp(arg, "--small") == 0) {
             out.small = true;
             continue;
         }
-        if (allow_workers && std::strcmp(arg, "--workers") == 0) {
+        if (campaign_ok && std::strcmp(arg, "--workers") == 0) {
             if (i + 1 >= argc)
                 AERO_FATAL("--workers needs a count");
-            out.workers = parseDecimal<int>(argv[++i]).value_or(0);
-            if (out.workers < 1 || out.workers > 256)
-                AERO_FATAL("--workers: '", argv[i],
-                           "' is not a worker count in [1, 256]");
+            out.campaign.workers = parseWorkerCount(argv[++i]);
             continue;
         }
         std::string *dest = nullptr;
@@ -335,19 +269,22 @@ parseArtifactArgs(int argc, char **argv, bool allow_small = false,
             dest = &out.jsonPath;
         else if (std::strcmp(arg, "--csv") == 0)
             dest = &out.csvPath;
-        else if (allow_checkpoint &&
-                 std::strcmp(arg, "--checkpoint") == 0)
-            dest = &out.checkpointPath;
+        else if (campaign_ok && std::strcmp(arg, "--checkpoint") == 0)
+            dest = &out.campaign.checkpointPath;
         else
             AERO_FATAL("unknown argument '", arg,
                        "' (usage: ", argv[0],
                        " [--json <path>] [--csv <path>]",
-                       allow_checkpoint ? " [--checkpoint <path>]" : "",
-                       allow_workers ? " [--workers <n>]" : "",
-                       allow_small ? " [--small]" : "", ")");
+                       campaign_ok ? " [--checkpoint <path>]" : "",
+                       campaign_ok ? " [--workers <n>]" : "",
+                       small_ok ? " [--small]" : "", ")");
         if (i + 1 >= argc)
             AERO_FATAL(arg, " needs a file path");
         *dest = argv[++i];
+    }
+    for (const std::string *path : {&out.jsonPath, &out.csvPath}) {
+        if (!path->empty())
+            checkArtifactPath(*path);
     }
     return out;
 }

@@ -21,29 +21,22 @@ using namespace aero;
 int
 main(int argc, char **argv)
 {
-    auto artifacts =
-        bench::parseArtifactArgs(argc, argv, /*allow_small=*/true,
-                                 /*allow_checkpoint=*/true,
-                                 /*allow_workers=*/true);
+    const auto artifacts = bench::parseArtifactArgs(argc, argv);
     bench::header("Figure 4: erase latency variation vs P/E cycles");
     FarmConfig fc;
     fc.numChips = artifacts.small ? 6 : 24;
     fc.blocksPerChip = artifacts.small ? 10 : 30;
     const std::vector<double> pecs = {0,    1000, 2000, 3000,
                                       3500, 4000, 5000};
-    Json journal_cfg = bench::farmJournalConfig(
+    const Json farm = bench::farmJournalConfig(
         fc.numChips, fc.blocksPerChip, fc.seed, artifacts.small);
+    Json journal_cfg = farm;
     journal_cfg["pecs"] = bench::jsonArray(pecs);
-    // Fork before opening the journal: each worker child opens its own
-    // journal file with claims armed, computes its claimed share, and
-    // exits; the parent waits, then reopens the merged directory with
-    // every record cached and assembles the artifacts alone.
-    artifacts.forkWorkers();
-    const auto journal = artifacts.openJournal("fig04_erase_latency_cdf",
-                                               std::move(journal_cfg));
-    const auto data = runFig4Experiment(fc, pecs, {journal.get()});
-    if (artifacts.isWorker())
-        artifacts.exitWorker();
+    const auto data = runCampaign(
+        artifacts.campaign, "fig04_erase_latency_cdf",
+        std::move(journal_cfg), [&](const CampaignScope &scope) {
+            return runFig4Experiment(fc, pecs, scope);
+        });
     std::printf("%zu blocks per curve (paper: 19200 across 160 chips)\n",
                 static_cast<std::size_t>(data.blocksPerCurve));
     bench::rule();
@@ -87,10 +80,7 @@ main(int argc, char **argv)
 
     bench::DevcharReport report("fig04_erase_latency_cdf",
                                 {"kind", "pec", "ms"});
-    report.spec["num_chips"] = fc.numChips;
-    report.spec["blocks_per_chip"] = fc.blocksPerChip;
-    report.spec["seed"] = fc.seed;
-    report.spec["small"] = artifacts.small;
+    report.spec = farm;
     report.summary["blocks_per_curve"] = data.blocksPerCurve;
     for (const auto &c : data.curves) {
         Json row = Json::object();

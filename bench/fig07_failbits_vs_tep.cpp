@@ -16,28 +16,21 @@ using namespace aero;
 int
 main(int argc, char **argv)
 {
-    auto artifacts =
-        bench::parseArtifactArgs(argc, argv, /*allow_small=*/true,
-                                 /*allow_checkpoint=*/true,
-                                 /*allow_workers=*/true);
+    const auto artifacts = bench::parseArtifactArgs(argc, argv);
     bench::header("Figure 7: fail-bit count vs accumulated tEP");
     FarmConfig fc;
     fc.numChips = artifacts.small ? 8 : 24;
     fc.blocksPerChip = artifacts.small ? 10 : 24;
     const std::vector<double> pecs = {1500, 2500, 3500, 4500};
-    Json journal_cfg = bench::farmJournalConfig(
+    const Json farm = bench::farmJournalConfig(
         fc.numChips, fc.blocksPerChip, fc.seed, artifacts.small);
+    Json journal_cfg = farm;
     journal_cfg["pecs"] = bench::jsonArray(pecs);
-    // Fork before opening the journal: each worker child opens its own
-    // journal file with claims armed, computes its claimed share, and
-    // exits; the parent waits, then reopens the merged directory with
-    // every record cached and assembles the artifacts alone.
-    artifacts.forkWorkers();
-    const auto journal = artifacts.openJournal("fig07_failbits_vs_tep",
-                                               std::move(journal_cfg));
-    const auto data = runFig7Experiment(fc, pecs, {journal.get()});
-    if (artifacts.isWorker())
-        artifacts.exitWorker();
+    const auto data = runCampaign(
+        artifacts.campaign, "fig07_failbits_vs_tep", std::move(journal_cfg),
+        [&](const CampaignScope &scope) {
+            return runFig7Experiment(fc, pecs, scope);
+        });
     const auto p = ChipParams::tlc3d();
     std::printf("max F(N_ISPE) by remaining erase time "
                 "(columns: slots of 0.5 ms still needed)\n");
@@ -68,10 +61,7 @@ main(int argc, char **argv)
 
     bench::DevcharReport report("fig07_failbits_vs_tep",
                                 {"n_ispe", "remaining_slots"});
-    report.spec["num_chips"] = fc.numChips;
-    report.spec["blocks_per_chip"] = fc.blocksPerChip;
-    report.spec["seed"] = fc.seed;
-    report.spec["small"] = artifacts.small;
+    report.spec = farm;
     report.summary["gamma_estimate"] = data.gammaEstimate;
     report.summary["delta_estimate"] = data.deltaEstimate;
     report.summary["gamma_model"] = p.gamma;

@@ -17,29 +17,22 @@ using namespace aero;
 int
 main(int argc, char **argv)
 {
-    auto artifacts =
-        bench::parseArtifactArgs(argc, argv, /*allow_small=*/true,
-                                 /*allow_checkpoint=*/true,
-                                 /*allow_workers=*/true);
+    const auto artifacts = bench::parseArtifactArgs(argc, argv);
     bench::header("Figure 8: mtEP(N_ISPE) probability by fail-bit range");
     FarmConfig fc;
     fc.numChips = artifacts.small ? 8 : 28;
     fc.blocksPerChip = artifacts.small ? 10 : 24;
     const std::vector<double> pecs = {2000, 2500, 3000, 3500,
                                       4000, 4500, 5200};
-    Json journal_cfg = bench::farmJournalConfig(
+    const Json farm = bench::farmJournalConfig(
         fc.numChips, fc.blocksPerChip, fc.seed, artifacts.small);
+    Json journal_cfg = farm;
     journal_cfg["pecs"] = bench::jsonArray(pecs);
-    // Fork before opening the journal: each worker child opens its own
-    // journal file with claims armed, computes its claimed share, and
-    // exits; the parent waits, then reopens the merged directory with
-    // every record cached and assembles the artifacts alone.
-    artifacts.forkWorkers();
-    const auto journal = artifacts.openJournal("fig08_felp_accuracy",
-                                               std::move(journal_cfg));
-    const auto data = runFig8Experiment(fc, pecs, {journal.get()});
-    if (artifacts.isWorker())
-        artifacts.exitWorker();
+    const auto data = runCampaign(
+        artifacts.campaign, "fig08_felp_accuracy", std::move(journal_cfg),
+        [&](const CampaignScope &scope) {
+            return runFig8Experiment(fc, pecs, scope);
+        });
     for (const auto &row : data.rows) {
         std::printf("\nN_ISPE = %d (%d samples)\n", row.nIspe,
                     row.samples);
@@ -64,10 +57,7 @@ main(int argc, char **argv)
 
     bench::DevcharReport report("fig08_felp_accuracy",
                                 {"n_ispe", "range"});
-    report.spec["num_chips"] = fc.numChips;
-    report.spec["blocks_per_chip"] = fc.blocksPerChip;
-    report.spec["seed"] = fc.seed;
-    report.spec["small"] = artifacts.small;
+    report.spec = farm;
     for (const auto &row : data.rows) {
         for (int rg = 0; rg < 9; ++rg) {
             Json j = Json::object();

@@ -18,31 +18,23 @@ using namespace aero;
 int
 main(int argc, char **argv)
 {
-    auto artifacts =
-        bench::parseArtifactArgs(argc, argv, /*allow_small=*/true,
-                                 /*allow_checkpoint=*/true,
-                                 /*allow_workers=*/true);
+    const auto artifacts = bench::parseArtifactArgs(argc, argv);
     bench::header("Figure 9: fail-bit distribution under varying tSE");
     FarmConfig fc;
     fc.numChips = artifacts.small ? 6 : 24;
     fc.blocksPerChip = artifacts.small ? 10 : 30;
     const std::vector<int> tse_slots = {1, 2, 3, 4};
     const std::vector<double> pecs = {100, 500};
-    Json journal_cfg = bench::farmJournalConfig(
+    const Json farm = bench::farmJournalConfig(
         fc.numChips, fc.blocksPerChip, fc.seed, artifacts.small);
+    Json journal_cfg = farm;
     journal_cfg["tse_slots"] = bench::jsonArray(tse_slots);
     journal_cfg["pecs"] = bench::jsonArray(pecs);
-    // Fork before opening the journal: each worker child opens its own
-    // journal file with claims armed, computes its claimed share, and
-    // exits; the parent waits, then reopens the merged directory with
-    // every record cached and assembles the artifacts alone.
-    artifacts.forkWorkers();
-    const auto journal = artifacts.openJournal("fig09_shallow_erase",
-                                               std::move(journal_cfg));
-    const auto data =
-        runFig9Experiment(fc, tse_slots, pecs, {journal.get()});
-    if (artifacts.isWorker())
-        artifacts.exitWorker();
+    const auto data = runCampaign(
+        artifacts.campaign, "fig09_shallow_erase", std::move(journal_cfg),
+        [&](const CampaignScope &scope) {
+            return runFig9Experiment(fc, tse_slots, pecs, scope);
+        });
     bench::rule();
     std::printf("%6s | %5s | F(0) range occupancy [%%]%18s| %8s | %8s\n",
                 "PEC", "tSE", "", "benefit", "tBERS");
@@ -64,10 +56,7 @@ main(int argc, char **argv)
 
     bench::DevcharReport report("fig09_shallow_erase",
                                 {"pec", "tse_slots"});
-    report.spec["num_chips"] = fc.numChips;
-    report.spec["blocks_per_chip"] = fc.blocksPerChip;
-    report.spec["seed"] = fc.seed;
-    report.spec["small"] = artifacts.small;
+    report.spec = farm;
     for (const auto &cell : data.cells) {
         Json j = Json::object();
         j["pec"] = cell.pec;

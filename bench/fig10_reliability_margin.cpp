@@ -16,27 +16,19 @@ using namespace aero;
 int
 main(int argc, char **argv)
 {
-    auto artifacts =
-        bench::parseArtifactArgs(argc, argv, /*allow_small=*/true,
-                                 /*allow_checkpoint=*/true,
-                                 /*allow_workers=*/true);
+    const auto artifacts = bench::parseArtifactArgs(argc, argv);
     bench::header("Figure 10: reliability margin vs erase status");
     FarmConfig fc;
     fc.numChips = artifacts.small ? 8 : 24;
     fc.blocksPerChip = artifacts.small ? 10 : 24;
-    Json journal_cfg = bench::farmJournalConfig(
+    const Json farm = bench::farmJournalConfig(
         fc.numChips, fc.blocksPerChip, fc.seed, artifacts.small);
-    // Fork before opening the journal: each worker child opens its own
-    // journal file with claims armed, computes its claimed share, and
-    // exits; the parent waits, then reopens the merged directory with
-    // every record cached and assembles the artifacts alone.
-    artifacts.forkWorkers();
-    const auto journal = artifacts.openJournal(
-        "fig10_reliability_margin", std::move(journal_cfg));
-    const auto data = runFig10Experiment(
-        fc, {500, 1500, 2500, 3500, 4500}, {journal.get()});
-    if (artifacts.isWorker())
-        artifacts.exitWorker();
+    const auto data = runCampaign(
+        artifacts.campaign, "fig10_reliability_margin", farm,
+        [&](const CampaignScope &scope) {
+            return runFig10Experiment(fc, {500, 1500, 2500, 3500, 4500},
+                                      scope);
+        });
     std::printf("ECC capability %d, RBER requirement %d (per 1 KiB)\n",
                 data.eccCapability, data.rberRequirement);
 
@@ -68,10 +60,7 @@ main(int argc, char **argv)
 
     bench::DevcharReport report("fig10_reliability_margin",
                                 {"kind", "n_ispe", "range"});
-    report.spec["num_chips"] = fc.numChips;
-    report.spec["blocks_per_chip"] = fc.blocksPerChip;
-    report.spec["seed"] = fc.seed;
-    report.spec["small"] = artifacts.small;
+    report.spec = farm;
     report.summary["ecc_capability"] = data.eccCapability;
     report.summary["rber_requirement"] = data.rberRequirement;
     for (const auto &row : data.complete) {

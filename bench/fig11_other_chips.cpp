@@ -18,48 +18,37 @@ using namespace aero;
 int
 main(int argc, char **argv)
 {
-    auto artifacts =
-        bench::parseArtifactArgs(argc, argv, /*allow_small=*/true,
-                                 /*allow_checkpoint=*/true,
-                                 /*allow_workers=*/true);
+    const auto artifacts = bench::parseArtifactArgs(argc, argv);
     bench::header("Figure 11: erase characteristics of other chip types");
     const int farm_chips = artifacts.small ? 6 : 16;
     const int farm_blocks = artifacts.small ? 10 : 24;
     const std::uint64_t farm_seed = 0xfeed;
     const std::vector<ChipType> types = {ChipType::Tlc2d,
                                          ChipType::Mlc3d48L};
-    Json journal_cfg = bench::farmJournalConfig(
-        farm_chips, farm_blocks, farm_seed, artifacts.small);
+    const Json farm = bench::farmJournalConfig(farm_chips, farm_blocks,
+                                               farm_seed, artifacts.small);
+    Json journal_cfg = farm;
     Json journal_types = Json::array();
     for (const ChipType type : types)
         journal_types.push(chipTypeName(type));
     journal_cfg["chip_types"] = std::move(journal_types);
-    // Fork before opening the journal: each worker child opens its own
-    // journal file with claims armed, computes its claimed share, and
-    // exits; the parent waits, then reopens the merged directory with
-    // every record cached and assembles the artifacts alone.
-    artifacts.forkWorkers();
-    const auto journal = artifacts.openJournal("fig11_other_chips",
-                                               std::move(journal_cfg));
-    const CampaignScope scope{journal.get()};
-    const auto results = parallelMap(types, [&](ChipType type) {
-        FarmConfig fc;
-        fc.type = type;
-        fc.numChips = farm_chips;
-        fc.blocksPerChip = farm_blocks;
-        fc.seed = farm_seed;
-        return runFig11Experiment(
-            fc, scope.with("chip_type", chipTypeName(type)));
-    });
-    if (artifacts.isWorker())
-        artifacts.exitWorker();
+    const auto results = runCampaign(
+        artifacts.campaign, "fig11_other_chips", std::move(journal_cfg),
+        [&](const CampaignScope &scope) {
+            return parallelMap(types, [&](ChipType type) {
+                FarmConfig fc;
+                fc.type = type;
+                fc.numChips = farm_chips;
+                fc.blocksPerChip = farm_blocks;
+                fc.seed = farm_seed;
+                return runFig11Experiment(
+                    fc, scope.with("chip_type", chipTypeName(type)));
+            });
+        });
 
     bench::DevcharReport report("fig11_other_chips",
                                 {"chip", "kind", "n_ispe", "range"});
-    report.spec["num_chips"] = farm_chips;
-    report.spec["blocks_per_chip"] = farm_blocks;
-    report.spec["seed"] = farm_seed;
-    report.spec["small"] = artifacts.small;
+    report.spec = farm;
 
     for (const auto &data : results) {
         const auto p = ChipParams::forType(data.type);

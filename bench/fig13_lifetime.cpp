@@ -19,10 +19,7 @@ using namespace aero;
 int
 main(int argc, char **argv)
 {
-    auto artifacts =
-        bench::parseArtifactArgs(argc, argv, /*allow_small=*/true,
-                                 /*allow_checkpoint=*/true,
-                                 /*allow_workers=*/true);
+    const auto artifacts = bench::parseArtifactArgs(argc, argv);
     bench::header("Figure 13: SSD lifetime and reliability comparison");
     LifetimeConfig cfg;
     cfg.farm.numChips = artifacts.small ? 6 : 16;
@@ -33,18 +30,11 @@ main(int argc, char **argv)
         artifacts.small);
     journal_cfg["checkpoint_every"] = cfg.checkpointEvery;
     journal_cfg["max_pec"] = cfg.maxPec;
-    // Fork before opening the journal: each worker child opens its own
-    // journal file with claims armed, computes its claimed share, and
-    // exits; the parent waits, then reopens the merged directory with
-    // every record cached and assembles the artifacts alone.
-    artifacts.forkWorkers();
-    const auto journal = artifacts.openJournal("fig13_lifetime",
-                                               std::move(journal_cfg));
     const LifetimeTester tester(cfg);
     // Parallel across schemes; one journal record per finished scheme.
-    const auto results = tester.runAll({journal.get()});
-    if (artifacts.isWorker())
-        artifacts.exitWorker();
+    const auto results = runCampaign(
+        artifacts.campaign, "fig13_lifetime", std::move(journal_cfg),
+        [&](const CampaignScope &scope) { return tester.runAll(scope); });
 
     const double base_life = results.front().lifetimePec;
     bench::rule();

@@ -29,10 +29,7 @@ using namespace aero;
 int
 main(int argc, char **argv)
 {
-    auto artifacts =
-        bench::parseArtifactArgs(argc, argv, /*allow_small=*/true,
-                                 /*allow_checkpoint=*/true,
-                                 /*allow_workers=*/true);
+    const auto artifacts = bench::parseArtifactArgs(argc, argv);
     bench::header("Figure 14: read tail latency (normalized to Baseline)");
 
     // --small: the regression-gate grid — three workloads, two PEC
@@ -56,16 +53,11 @@ main(int argc, char **argv)
                 "%zu points on %d threads (env AERO_SWEEP_THREADS)\n",
                 static_cast<unsigned long long>(spec.requests), spec.size(),
                 SweepRunner().threads());
-    // Fork before opening the journal: each worker child opens its own
-    // journal file with claims armed, computes its claimed share, and
-    // exits; the parent waits, then reopens the merged directory with
-    // every record cached and assembles the artifacts alone.
-    artifacts.forkWorkers();
-    const auto journal =
-        artifacts.openJournal("fig14_tail_latency", configOf(spec));
-    const auto results = SweepRunner().run(spec, journal.get());
-    if (artifacts.isWorker())
-        artifacts.exitWorker();
+    const auto results = runCampaign(
+        artifacts.campaign, "fig14_tail_latency", configOf(spec),
+        [&](const CampaignScope &scope) {
+            return SweepRunner().run(spec, scope);
+        });
     artifacts.writeSweep(spec, results);
 
     // Geometric mean over seeds of one result metric.

@@ -19,10 +19,7 @@ using namespace aero;
 int
 main(int argc, char **argv)
 {
-    auto artifacts =
-        bench::parseArtifactArgs(argc, argv, /*allow_small=*/true,
-                                 /*allow_checkpoint=*/true,
-                                 /*allow_workers=*/true);
+    const auto artifacts = bench::parseArtifactArgs(argc, argv);
     bench::header("Figure 15: erase suspension vs AERO");
 
     // --small pins a fixed request count so the golden baselines do not
@@ -37,16 +34,11 @@ main(int argc, char **argv)
                 "threads\n",
                 static_cast<unsigned long long>(spec.requests), spec.size(),
                 SweepRunner().threads());
-    // Fork before opening the journal: each worker child opens its own
-    // journal file with claims armed, computes its claimed share, and
-    // exits; the parent waits, then reopens the merged directory with
-    // every record cached and assembles the artifacts alone.
-    artifacts.forkWorkers();
-    const auto journal =
-        artifacts.openJournal("fig15_erase_suspension", configOf(spec));
-    const auto results = SweepRunner().run(spec, journal.get());
-    if (artifacts.isWorker())
-        artifacts.exitWorker();
+    const auto results = runCampaign(
+        artifacts.campaign, "fig15_erase_suspension", configOf(spec),
+        [&](const CampaignScope &scope) {
+            return SweepRunner().run(spec, scope);
+        });
     artifacts.writeSweep(spec, results);
 
     bench::rule();

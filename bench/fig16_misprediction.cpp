@@ -10,6 +10,8 @@
  * improvement and ~40% tail-latency reduction at 0.5K PEC.
  */
 
+#include <tuple>
+
 #include "bench_util.hh"
 #include "devchar/lifetime.hh"
 #include "exp/sweep.hh"
@@ -19,10 +21,7 @@ using namespace aero;
 int
 main(int argc, char **argv)
 {
-    auto artifacts =
-        bench::parseArtifactArgs(argc, argv, /*allow_small=*/true,
-                                 /*allow_checkpoint=*/true,
-                                 /*allow_workers=*/true);
+    const auto artifacts = bench::parseArtifactArgs(argc, argv);
     bench::header("Figure 16: impact of misprediction rate");
     // --small: the regression-gate config — three rates, a smaller
     // block farm, and a fixed request count for the tail-latency side.
@@ -59,45 +58,37 @@ main(int argc, char **argv)
     journal_cfg["misprediction_rates"] = bench::jsonArray(rates);
     journal_cfg["tail_baseline_spec"] = configOf(base_spec);
     journal_cfg["tail_aero_spec"] = configOf(spec);
-    // Fork before opening the journal: each worker child opens its own
-    // journal file with claims armed, computes its claimed share, and
-    // exits; the parent waits, then reopens the merged directory with
-    // every record cached and assembles the artifacts alone.
-    artifacts.forkWorkers();
-    const auto journal = artifacts.openJournal("fig16_misprediction",
-                                               std::move(journal_cfg));
-    const CampaignScope scope{journal.get()};
-
-    const auto lifetimes = parallelMapJournaled(
-        scope.journal, cases,
-        [&](std::size_t, const LifetimeCase &c) {
-            Json key = scope.base();
-            key["stage"] = "lifetime";
-            key["scheme"] = schemeKindName(c.scheme);
-            key["misprediction_rate"] = c.rate;
-            return key;
-        },
-        [&](const LifetimeCase &c) {
-            LifetimeConfig cfg = lc;
-            cfg.schemeOptions.mispredictionRate = c.rate;
-            return LifetimeTester(cfg).run(c.scheme);
-        },
-        [](const LifetimeResult &r) { return toJson(r); },
-        lifetimeResultFromJson);
-
-    // Tail-latency side (0.5K PEC, prxy): one Baseline reference point
-    // plus AERO across the misprediction axis (Baseline ignores the
-    // misprediction knob, so sweeping it there would waste 4 runs).
-    // Both sweeps share the bench journal, namespaced by key prefixes.
-    const auto base_results = SweepRunner().run(
-        base_spec, scope.with("stage", "tail-baseline"));
-    const auto results =
-        SweepRunner().run(spec, scope.with("stage", "tail-aero"));
-    // A worker's share is journaled once both stages have run; the
-    // tables and artifacts below belong to the driver, which resumes
-    // with every record cached.
-    if (artifacts.isWorker())
-        artifacts.exitWorker();
+    const auto [lifetimes, base_results, results] = runCampaign(
+        artifacts.campaign, "fig16_misprediction", std::move(journal_cfg),
+        [&](const CampaignScope &scope) {
+            auto life = parallelMapJournaled(
+                scope.journal, cases,
+                [&](std::size_t, const LifetimeCase &c) {
+                    Json key = scope.base();
+                    key["stage"] = "lifetime";
+                    key["scheme"] = schemeKindName(c.scheme);
+                    key["misprediction_rate"] = c.rate;
+                    return key;
+                },
+                [&](const LifetimeCase &c) {
+                    LifetimeConfig cfg = lc;
+                    cfg.schemeOptions.mispredictionRate = c.rate;
+                    return LifetimeTester(cfg).run(c.scheme);
+                },
+                [](const LifetimeResult &r) { return toJson(r); },
+                lifetimeResultFromJson);
+            // Tail-latency side (0.5K PEC, prxy): one Baseline reference
+            // point plus AERO across the misprediction axis (Baseline
+            // ignores the misprediction knob, so sweeping it there would
+            // waste 4 runs). Both sweeps share the bench journal,
+            // namespaced by key prefixes.
+            auto base = SweepRunner().run(
+                base_spec, scope.with("stage", "tail-baseline"));
+            auto aero =
+                SweepRunner().run(spec, scope.with("stage", "tail-aero"));
+            return std::make_tuple(std::move(life), std::move(base),
+                                   std::move(aero));
+        });
 
     const double base_life = lifetimes[0].lifetimePec;
     std::printf("lifetime improvement over Baseline (%0.0f PEC)\n",

@@ -21,10 +21,7 @@ using namespace aero;
 int
 main(int argc, char **argv)
 {
-    auto artifacts =
-        bench::parseArtifactArgs(argc, argv, /*allow_small=*/true,
-                                 /*allow_checkpoint=*/true,
-                                 /*allow_workers=*/true);
+    const auto artifacts = bench::parseArtifactArgs(argc, argv);
     bench::header("Figure 17: impact of the RBER requirement");
     const std::vector<int> requirements = {40, 50, 63};
     const int farm_chips = artifacts.small ? 4 : 6;
@@ -43,52 +40,11 @@ main(int argc, char **argv)
         farm_chips, farm_blocks, FarmConfig{}.seed, artifacts.small);
     journal_cfg["rber_requirements"] = bench::jsonArray(requirements);
     journal_cfg["requests"] = requests;
-    // Fork before opening the journal: each worker child opens its own
-    // journal file with claims armed, computes its claimed share, and
-    // exits; the parent waits, then reopens the merged directory with
-    // every record cached and assembles the artifacts alone.
-    artifacts.forkWorkers();
-    const auto journal = artifacts.openJournal("fig17_rber_requirement",
-                                               std::move(journal_cfg));
-    const CampaignScope scope{journal.get()};
 
     struct LifetimeRow
     {
         LifetimeResult base, cons, aero;
     };
-    const auto lifetimes = parallelMapJournaled(
-        scope.journal, requirements,
-        [&](std::size_t, int req) {
-            Json key = scope.base();
-            key["stage"] = "lifetime";
-            key["rber_requirement"] = req;
-            return key;
-        },
-        [&](int req) {
-            LifetimeConfig cfg;
-            cfg.farm.numChips = farm_chips;
-            cfg.farm.blocksPerChip = farm_blocks;
-            cfg.rberRequirement = req;
-            cfg.schemeOptions.rberRequirement = req;
-            LifetimeTester tester(cfg);
-            return LifetimeRow{tester.run(SchemeKind::Baseline),
-                               tester.run(SchemeKind::AeroCons),
-                               tester.run(SchemeKind::Aero)};
-        },
-        [](const LifetimeRow &row) {
-            Json j = Json::object();
-            j["baseline"] = toJson(row.base);
-            j["aero_cons"] = toJson(row.cons);
-            j["aero"] = toJson(row.aero);
-            return j;
-        },
-        [](const Json &j) {
-            return LifetimeRow{
-                lifetimeResultFromJson(j.get("baseline")),
-                lifetimeResultFromJson(j.get("aero_cons")),
-                lifetimeResultFromJson(j.get("aero"))};
-        });
-
     struct LatencyPoint
     {
         int req;
@@ -103,40 +59,73 @@ main(int argc, char **argv)
     {
         SimResult base, aero;
     };
-    const auto latencies = parallelMapJournaled(
-        scope.journal, points,
-        [&](std::size_t, const LatencyPoint &pt) {
-            Json key = scope.base();
-            key["stage"] = "latency";
-            key["rber_requirement"] = pt.req;
-            key["pec"] = pt.pec;
-            return key;
-        },
-        [&](const LatencyPoint &pt) {
-            SimPoint bp;
-            bp.workload = "prxy";
-            bp.pec = pt.pec;
-            bp.requests = requests;
-            bp.rberRequirement = pt.req;
-            SimPoint ap = bp;
-            ap.scheme = SchemeKind::Aero;
-            return LatencyRow{runSimPoint(bp), runSimPoint(ap)};
-        },
-        [](const LatencyRow &row) {
-            Json j = Json::object();
-            j["baseline"] = toJson(row.base);
-            j["aero"] = toJson(row.aero);
-            return j;
-        },
-        [](const Json &j) {
-            return LatencyRow{simResultFromJson(j.get("baseline")),
-                              simResultFromJson(j.get("aero"))};
+    const auto [lifetimes, latencies] = runCampaign(
+        artifacts.campaign, "fig17_rber_requirement",
+        std::move(journal_cfg), [&](const CampaignScope &scope) {
+            auto lifetimes = parallelMapJournaled(
+                scope.journal, requirements,
+                [&](std::size_t, int req) {
+                    Json key = scope.base();
+                    key["stage"] = "lifetime";
+                    key["rber_requirement"] = req;
+                    return key;
+                },
+                [&](int req) {
+                    LifetimeConfig cfg;
+                    cfg.farm.numChips = farm_chips;
+                    cfg.farm.blocksPerChip = farm_blocks;
+                    cfg.rberRequirement = req;
+                    cfg.schemeOptions.rberRequirement = req;
+                    LifetimeTester tester(cfg);
+                    return LifetimeRow{tester.run(SchemeKind::Baseline),
+                                       tester.run(SchemeKind::AeroCons),
+                                       tester.run(SchemeKind::Aero)};
+                },
+                [](const LifetimeRow &row) {
+                    Json j = Json::object();
+                    j["baseline"] = toJson(row.base);
+                    j["aero_cons"] = toJson(row.cons);
+                    j["aero"] = toJson(row.aero);
+                    return j;
+                },
+                [](const Json &j) {
+                    return LifetimeRow{
+                        lifetimeResultFromJson(j.get("baseline")),
+                        lifetimeResultFromJson(j.get("aero_cons")),
+                        lifetimeResultFromJson(j.get("aero"))};
+                });
+
+            auto latencies = parallelMapJournaled(
+                scope.journal, points,
+                [&](std::size_t, const LatencyPoint &pt) {
+                    Json key = scope.base();
+                    key["stage"] = "latency";
+                    key["rber_requirement"] = pt.req;
+                    key["pec"] = pt.pec;
+                    return key;
+                },
+                [&](const LatencyPoint &pt) {
+                    SimPoint bp;
+                    bp.workload = "prxy";
+                    bp.pec = pt.pec;
+                    bp.requests = requests;
+                    bp.rberRequirement = pt.req;
+                    SimPoint ap = bp;
+                    ap.scheme = SchemeKind::Aero;
+                    return LatencyRow{runSimPoint(bp), runSimPoint(ap)};
+                },
+                [](const LatencyRow &row) {
+                    Json j = Json::object();
+                    j["baseline"] = toJson(row.base);
+                    j["aero"] = toJson(row.aero);
+                    return j;
+                },
+                [](const Json &j) {
+                    return LatencyRow{simResultFromJson(j.get("baseline")),
+                                      simResultFromJson(j.get("aero"))};
+                });
+            return std::make_pair(std::move(lifetimes), std::move(latencies));
         });
-    // A worker's share is journaled once both stages have run; the
-    // tables and the devchar artifact belong to the driver, which
-    // resumes with every record cached.
-    if (artifacts.isWorker())
-        artifacts.exitWorker();
 
     std::printf("lifetime under each requirement (PEC)\n");
     bench::rule();

@@ -133,9 +133,7 @@ runCell(const Cell &cell, std::uint64_t requests)
 int
 main(int argc, char **argv)
 {
-    auto artifacts = bench::parseArtifactArgs(
-        argc, argv, /*allow_small=*/true, /*allow_checkpoint=*/true,
-        /*allow_workers=*/true);
+    const auto artifacts = bench::parseArtifactArgs(argc, argv);
 
     bench::header("GC contention: reclamation policies under queued "
                   "channel arbitration");
@@ -172,27 +170,22 @@ main(int argc, char **argv)
     journal_cfg["requests"] = requests;
     journal_cfg["arbitration"] = "queued";
     journal_cfg["small"] = artifacts.small;
-    // Fork before opening the journal: each worker child opens its own
-    // journal file with claims armed, runs its share of the map, and
-    // exits; the parent then reopens the merged directory with every
-    // cell cached and assembles the artifacts alone.
-    artifacts.forkWorkers();
-    const auto journal =
-        artifacts.openJournal("gc_contention", std::move(journal_cfg));
-    const CampaignScope scope{journal.get()};
-
-    const auto results = parallelMapJournaled(
-        scope.journal, cells,
-        [&](std::size_t, const Cell &c) {
-            Json key = scope.key("scheme", schemeKindName(c.scheme));
-            key["gc_policy"] = c.gcPolicy;
-            key["wear_level"] = c.wearLevel;
-            return key;
-        },
-        [&](const Cell &c) { return runCell(c, requests); },
-        [](const CellResult &r) { return toJson(r); }, cellFromJson);
-    if (artifacts.isWorker())
-        artifacts.exitWorker();
+    const auto results = runCampaign(
+        artifacts.campaign, "gc_contention", std::move(journal_cfg),
+        [&](const CampaignScope &scope) {
+            return parallelMapJournaled(
+                scope.journal, cells,
+                [&](std::size_t, const Cell &c) {
+                    Json key =
+                        scope.key("scheme", schemeKindName(c.scheme));
+                    key["gc_policy"] = c.gcPolicy;
+                    key["wear_level"] = c.wearLevel;
+                    return key;
+                },
+                [&](const Cell &c) { return runCell(c, requests); },
+                [](const CellResult &r) { return toJson(r); },
+                cellFromJson);
+        });
 
     for (std::size_t si = 0; si < schemes.size(); ++si) {
         std::printf("\nscheme = %s\n", schemeKindName(schemes[si]));
@@ -226,7 +219,8 @@ main(int argc, char **argv)
                 "queueing delays under queued arbitration");
 
     bench::DevcharReport report("gc_contention",
-                                {"scheme", "gc_policy", "wear_level"});
+                                {"scheme", "gc_policy", "wear_level"},
+                                "aero-gc/1");
     report.spec["requests"] = requests;
     report.spec["arbitration"] = "queued";
     report.spec["workload"] = "prxy";
@@ -243,11 +237,6 @@ main(int argc, char **argv)
         }
         report.addRow(std::move(row));
     }
-    Json doc = report.doc();
-    doc["schema"] = "aero-gc/1";
-    if (artifacts.wantJson())
-        writeJsonFile(artifacts.jsonPath, doc);
-    if (artifacts.wantCsv())
-        writeTextFile(artifacts.csvPath, bench::devcharCsv(report.results));
+    artifacts.writeDevchar(report);
     return 0;
 }

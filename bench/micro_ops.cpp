@@ -83,26 +83,9 @@ BENCHMARK(BM_EraseOperation)
     ->Arg(static_cast<int>(SchemeKind::Aero));
 
 void
-BM_EventQueue(benchmark::State &state)
-{
-    for (auto _ : state) {
-        EventQueue eq;
-        int fired = 0;
-        for (int i = 0; i < 1000; ++i)
-            eq.schedule(static_cast<Tick>((i * 7919) % 1000),
-                        [&fired] { ++fired; });
-        eq.run();
-        benchmark::DoNotOptimize(fired);
-    }
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventQueue);
-
-void
 BM_EventQueueTagged(benchmark::State &state)
 {
-    // The allocation-free tagged lane the simulator actually runs on,
-    // measured against BM_EventQueue's std::function compat lane.
+    // The allocation-free tagged kernel the simulator runs on.
     for (auto _ : state) {
         EventQueue eq;
         int fired = 0;

@@ -16,10 +16,7 @@ using namespace aero;
 int
 main(int argc, char **argv)
 {
-    auto artifacts =
-        bench::parseArtifactArgs(argc, argv, /*allow_small=*/true,
-                                 /*allow_checkpoint=*/true,
-                                 /*allow_workers=*/true);
+    const auto artifacts = bench::parseArtifactArgs(argc, argv);
     bench::header("Table 1: erase-timing parameter table (EPT)");
     const auto params = ChipParams::tlc3d();
 
@@ -33,20 +30,14 @@ main(int argc, char **argv)
     ChipPopulation pop(pc);
     EptBuilderConfig bcfg;
     bcfg.blocksPerChip = artifacts.small ? 10 : 20;
-    Json journal_cfg = bench::farmJournalConfig(
+    const Json farm = bench::farmJournalConfig(
         pc.numChips, bcfg.blocksPerChip, pc.seed, artifacts.small);
+    Json journal_cfg = farm;
     journal_cfg["pec_points"] = bench::jsonArray(bcfg.pecPoints);
-    // Fork before opening the journal: each worker child opens its own
-    // journal file with claims armed, computes its claimed share, and
-    // exits; the parent waits, then reopens the merged directory with
-    // every record cached and assembles the artifacts alone.
-    artifacts.forkWorkers();
-    const auto journal = artifacts.openJournal("tab01_ept_model",
-                                               std::move(journal_cfg));
     EptBuilder builder(pop, bcfg);
-    const Ept built = builder.build({journal.get()});
-    if (artifacts.isWorker())
-        artifacts.exitWorker();
+    const Ept built = runCampaign(
+        artifacts.campaign, "tab01_ept_model", std::move(journal_cfg),
+        [&](const CampaignScope &scope) { return builder.build(scope); });
     std::printf("\nderived by m-ISPE characterization "
                 "(%llu measurements):\n%s",
                 static_cast<unsigned long long>(builder.measurements()),
@@ -55,10 +46,7 @@ main(int argc, char **argv)
     const Ept canonical = Ept::canonical(params);
     int matches = 0, cells = 0;
     bench::DevcharReport report("tab01_ept_model", {"row", "range"});
-    report.spec["num_chips"] = pc.numChips;
-    report.spec["blocks_per_chip"] = bcfg.blocksPerChip;
-    report.spec["seed"] = pc.seed;
-    report.spec["small"] = artifacts.small;
+    report.spec = farm;
     for (int row = 1; row <= Ept::kRows; ++row) {
         for (int rg = 0; rg < Ept::kRanges; ++rg) {
             cells += 1;

@@ -18,10 +18,7 @@ using namespace aero;
 int
 main(int argc, char **argv)
 {
-    auto artifacts =
-        bench::parseArtifactArgs(argc, argv, /*allow_small=*/true,
-                                 /*allow_checkpoint=*/true,
-                                 /*allow_workers=*/true);
+    const auto artifacts = bench::parseArtifactArgs(argc, argv);
     bench::header("Table 2: simulated SSD configurations");
     std::printf("paper scale:\n%s\n", SsdConfig::paper().summary().c_str());
     std::printf("bench scale (capacity-reduced, same topology):\n%s",
@@ -36,31 +33,25 @@ main(int argc, char **argv)
     journal_cfg["footprint_pages"] = footprint_pages;
     journal_cfg["num_requests"] = num_requests;
     journal_cfg["small"] = artifacts.small;
-    // Fork before opening the journal: each worker child opens its own
-    // journal file with claims armed, computes its claimed share, and
-    // exits; the parent waits, then reopens the merged directory with
-    // every record cached and assembles the artifacts alone.
-    artifacts.forkWorkers();
-    const auto journal = artifacts.openJournal("tab03_workloads",
-                                               std::move(journal_cfg));
-    const CampaignScope scope{journal.get()};
-    const auto stats = parallelMapJournaled(
-        scope.journal, table3Workloads(),
-        [&](std::size_t, const WorkloadSpec &w) {
-            return scope.key("workload", w.name);
-        },
-        [&](const WorkloadSpec &spec) {
-            SyntheticConfig cfg;
-            cfg.spec = spec;
-            cfg.footprintPages = footprint_pages;
-            cfg.numRequests = num_requests;
-            return computeExtendedStats(generateTrace(cfg),
-                                        cfg.pageSizeKB);
-        },
-        [](const ExtendedTraceStats &s) { return toJson(s); },
-        extendedStatsFromJson);
-    if (artifacts.isWorker())
-        artifacts.exitWorker();
+    const auto stats = runCampaign(
+        artifacts.campaign, "tab03_workloads", std::move(journal_cfg),
+        [&](const CampaignScope &scope) {
+            return parallelMapJournaled(
+                scope.journal, table3Workloads(),
+                [&](std::size_t, const WorkloadSpec &w) {
+                    return scope.key("workload", w.name);
+                },
+                [&](const WorkloadSpec &spec) {
+                    SyntheticConfig cfg;
+                    cfg.spec = spec;
+                    cfg.footprintPages = footprint_pages;
+                    cfg.numRequests = num_requests;
+                    return computeExtendedStats(generateTrace(cfg),
+                                                cfg.pageSizeKB);
+                },
+                [](const ExtendedTraceStats &s) { return toJson(s); },
+                extendedStatsFromJson);
+        });
 
     bench::rule();
     std::printf("%-7s | %8s | %9s | %9s | %11s | %8s\n", "trace",

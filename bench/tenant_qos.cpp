@@ -291,9 +291,8 @@ main(int argc, char **argv)
         }
         rest.push_back(argv[i]);
     }
-    auto artifacts = bench::parseArtifactArgs(
-        static_cast<int>(rest.size()), rest.data(), /*allow_small=*/true,
-        /*allow_checkpoint=*/true, /*allow_workers=*/true);
+    const auto artifacts = bench::parseArtifactArgs(
+        static_cast<int>(rest.size()), rest.data());
     if (artifacts.small && !tenant_spec.empty())
         AERO_FATAL("--small runs the fixed regression-gate mix and "
                    "rejects --tenants");
@@ -384,27 +383,23 @@ main(int argc, char **argv)
             policy_names.push(sloPolicyName(p));
         journal_cfg["slo_policies"] = std::move(policy_names);
     }
-    // Fork before opening the journal: worker children journal their
-    // share of the cells and exit; the parent reopens the merged
-    // directory with every cell cached and assembles the artifacts.
-    artifacts.forkWorkers();
-    const auto journal =
-        artifacts.openJournal("tenant_qos", std::move(journal_cfg));
-    const CampaignScope scope{journal.get()};
-
-    const auto results = parallelMapJournaled(
-        scope.journal, cells,
-        [&](std::size_t, const Cell &c) {
-            Json key = scope.key("scheme", schemeKindName(c.scheme));
-            key["pec"] = c.pec;
-            if (setup.slo)
-                key["slo"] = sloPolicyName(c.policy);
-            return key;
-        },
-        [&](const Cell &c) { return runCell(c, setup); },
-        [](const CellResult &r) { return toJson(r); }, cellFromJson);
-    if (artifacts.isWorker())
-        artifacts.exitWorker();
+    const auto results = runCampaign(
+        artifacts.campaign, "tenant_qos", std::move(journal_cfg),
+        [&](const CampaignScope &scope) {
+            return parallelMapJournaled(
+                scope.journal, cells,
+                [&](std::size_t, const Cell &c) {
+                    Json key =
+                        scope.key("scheme", schemeKindName(c.scheme));
+                    key["pec"] = c.pec;
+                    if (setup.slo)
+                        key["slo"] = sloPolicyName(c.policy);
+                    return key;
+                },
+                [&](const Cell &c) { return runCell(c, setup); },
+                [](const CellResult &r) { return toJson(r); },
+                cellFromJson);
+        });
 
     for (std::size_t pi = 0; pi < pecs.size(); ++pi) {
         for (std::size_t si = 0; si < schemes.size(); ++si) {
@@ -444,7 +439,7 @@ main(int argc, char **argv)
             ? std::vector<std::string>{"slo_policy", "scheme", "pec",
                                        "tenant"}
             : std::vector<std::string>{"scheme", "pec", "tenant"};
-    bench::DevcharReport report("tenant_qos", axes);
+    bench::DevcharReport report("tenant_qos", axes, "aero-tenant/1");
     report.spec["tenants"] = tenant_spec;
     report.spec["small"] = artifacts.small;
     if (gc_policy != "greedy")
@@ -478,11 +473,6 @@ main(int argc, char **argv)
             report.addRow(std::move(row));
         }
     }
-    Json doc = report.doc();
-    doc["schema"] = "aero-tenant/1";
-    if (artifacts.wantJson())
-        writeJsonFile(artifacts.jsonPath, doc);
-    if (artifacts.wantCsv())
-        writeTextFile(artifacts.csvPath, bench::devcharCsv(report.results));
+    artifacts.writeDevchar(report);
     return 0;
 }

@@ -29,13 +29,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "erase/scheme_registry.hh"
+#include "exp/campaign.hh"
 #include "exp/report.hh"
 #include "exp/sweep.hh"
 
@@ -90,9 +90,8 @@ main(int argc, char **argv)
     spec.requests = defaultSimRequests();
     int threads = 0;
     bool progress = false;
-    bool fsync_records = false;
-    int workers = 0;
-    std::string json_path, csv_path, checkpoint_path, compact_path;
+    CampaignArgs campaign_args;
+    std::string json_path, csv_path, compact_path;
     std::string status_path;
     std::string campaign = "run_sweep";
 
@@ -107,7 +106,7 @@ main(int argc, char **argv)
             continue;
         }
         if (arg == "--fsync") {
-            fsync_records = true;
+            campaign_args.fsyncRecords = true;
             continue;
         }
         if (i + 1 >= argc)
@@ -123,11 +122,13 @@ main(int argc, char **argv)
         } else if (arg == "--threads") {
             threads = parseDecimalOrDie<int>(arg, value);
         } else if (arg == "--json") {
+            checkArtifactPath(value);
             json_path = value;
         } else if (arg == "--csv") {
+            checkArtifactPath(value);
             csv_path = value;
         } else if (arg == "--checkpoint") {
-            checkpoint_path = value;
+            campaign_args.checkpointPath = value;
         } else if (arg == "--campaign") {
             campaign = value;
         } else if (arg == "--compact") {
@@ -135,10 +136,7 @@ main(int argc, char **argv)
         } else if (arg == "--status") {
             status_path = value;
         } else if (arg == "--workers") {
-            workers = parseDecimalOrDie<int>(arg, value);
-            if (workers < 1 || workers > 256)
-                AERO_FATAL("--workers: '", value,
-                           "' is not a worker count in [1, 256]");
+            campaign_args.workers = parseWorkerCount(value);
         } else {
             AERO_FATAL("unknown option '", arg, "' (see --help)");
         }
@@ -156,47 +154,20 @@ main(int argc, char **argv)
                     stats.recordsOut);
         return 0;
     }
-    if (workers > 1 && checkpoint_path.empty()) {
-        AERO_FATAL("--workers needs --checkpoint: the processes "
-                   "coordinate (and the artifact assembles) through the "
-                   "journal");
-    }
-
     spec.validate();
     const SweepRunner runner(threads);
     std::printf("sweep: %zu points on %d threads\n", spec.size(),
                 runner.threads());
     const auto onPoint =
         progress ? stderrProgress() : SweepRunner::Progress{};
-    std::vector<SimResult> results;
-    if (!checkpoint_path.empty()) {
-        // Fork before opening the journal: each child opens its own
-        // worker file (claims armed), the parent opens the merged
-        // directory once every child has exited.
-        JournalOptions options;
-        options.worker = forkCampaignWorkers(workers);
-        options.fsyncRecords = fsync_records;
-        // Journal under this driver's bench-style name (--campaign, by
-        // default "run_sweep") so the artifact self-identifies like a
-        // BENCH_*.json (and cannot be spliced into another driver's
-        // campaign by accident).
-        CampaignJournal journal(checkpoint_path, campaign, configOf(spec),
-                                options);
-        if (!journal.claimsEnabled() && journal.cachedCount() > 0) {
-            std::printf("checkpoint: resuming %zu/%zu points from %s\n",
-                        journal.cachedCount(), spec.size(),
-                        checkpoint_path.c_str());
-        }
-        results = runner.run(spec, &journal, onPoint);
-        if (journal.claimsEnabled()) {
-            // _Exit, not return: the child shares the parent's stdio
-            // buffers, and flushing them here would duplicate output.
-            // Artifact writing belongs to the parent's merged resume.
-            std::_Exit(0);
-        }
-    } else {
-        results = runner.run(spec, {}, onPoint);
-    }
+    // Journal under this driver's bench-style name (--campaign, by
+    // default "run_sweep") so the journal cannot be spliced into another
+    // driver's campaign by accident.
+    const auto results = runCampaign(
+        campaign_args, campaign, configOf(spec),
+        [&](const CampaignScope &scope) {
+            return runner.run(spec, scope, onPoint);
+        });
 
     if (!json_path.empty())
         writeJsonFile(json_path, sweepReport(spec, results));

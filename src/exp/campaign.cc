@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -22,6 +23,7 @@
 #endif
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace aero
 {
@@ -813,11 +815,23 @@ formatCampaignStatus(const CampaignStatus &status)
     return out;
 }
 
+namespace
+{
+
+/**
+ * Fork @p n campaign worker processes. Returns the worker index
+ * (0..n-1) in each child and JournalOptions::kDriver in the parent
+ * after every child has exited; with n <= 1 nothing is forked. Children
+ * die with the parent (PDEATHSIG on Linux), so a SIGKILLed driver never
+ * leaks workers that would fight the next resume for journal file
+ * locks. A child that dies or exits nonzero is only a warning: the
+ * parent completes its remaining tasks from the journal.
+ */
 int
 forkCampaignWorkers(int n)
 {
     if (n <= 1)
-        return -1;
+        return JournalOptions::kDriver;
 #ifdef _WIN32
     AERO_FATAL("multi-process campaigns need POSIX fork(); run "
                "single-process instead");
@@ -856,8 +870,55 @@ forkCampaignWorkers(int n)
                   "exit cleanly; completing their remaining tasks "
                   "in-process from the journal");
     }
-    return -1;
+    return JournalOptions::kDriver;
 #endif
+}
+
+} // namespace
+
+int
+parseWorkerCount(const std::string &value)
+{
+    const int n = parseDecimal<int>(value).value_or(0);
+    if (n < 1 || n > 256)
+        AERO_FATAL("--workers: '", value,
+                   "' is not a worker count in [1, 256]");
+    return n;
+}
+
+void
+detail::runCampaign(const CampaignArgs &args, const std::string &name,
+                    Json config,
+                    const std::function<void(const CampaignScope &)> &body)
+{
+    if (args.workers > 1 && args.checkpointPath.empty()) {
+        AERO_FATAL("--workers needs --checkpoint <dir>: the worker "
+                   "processes coordinate through the shared journal "
+                   "directory");
+    }
+    if (args.checkpointPath.empty()) {
+        body(CampaignScope{});
+        return;
+    }
+    // Fork before opening the journal: each child opens its own worker
+    // file with claims armed, the driver opens the merged directory once
+    // every child has exited.
+    JournalOptions options;
+    options.worker = forkCampaignWorkers(args.workers);
+    options.fsyncRecords = args.fsyncRecords;
+    CampaignJournal journal(args.checkpointPath, name, std::move(config),
+                            options);
+    if (!journal.claimsEnabled() && journal.cachedCount() > 0) {
+        std::printf("checkpoint: resuming %zu journaled task(s) from %s\n",
+                    journal.cachedCount(), args.checkpointPath.c_str());
+    }
+    body(CampaignScope{&journal});
+    if (journal.claimsEnabled()) {
+        // _Exit, not exit(): the child shares the driver's stdio
+        // buffers, and flushing them here would duplicate output. Its
+        // records are already flushed; artifacts belong to the driver.
+        std::_Exit(0);
+    }
 }
 
 } // namespace aero

@@ -74,6 +74,7 @@
 #include <functional>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -290,20 +291,6 @@ std::string formatCampaignStatus(const CampaignStatus &status);
 CompactStats compactCampaignJournal(const std::string &path);
 
 /**
- * Fork @p n campaign worker processes. Returns the worker index
- * (0..n-1) in each child and -1 in the parent after every child has
- * exited; with n <= 1 no processes are forked and the caller proceeds
- * single-process. Children are torn down with the parent (PDEATHSIG on
- * Linux), so a SIGKILLed driver never leaks workers that would fight
- * the next resume for journal file locks. A child that dies or exits
- * nonzero is only a warning: the parent resumes the campaign from the
- * journal and completes the remaining tasks itself. Children must
- * `std::_Exit(0)` once their share of the campaign is journaled —
- * returning from main() would duplicate the driver's artifact writing.
- */
-int forkCampaignWorkers(int n);
-
-/**
  * A journal handle plus a key prefix, cheap to pass down through the
  * stages of a multi-part campaign. An empty scope (null journal) turns
  * every journaled engine into its plain, uncheckpointed self, so
@@ -366,12 +353,13 @@ struct CampaignScope
  * null journal this is exactly parallelMap(). When the journal has
  * claims enabled (a forked campaign worker), each pending item is
  * claimed first; an item another live worker owns is *skipped* and its
- * slot left default-constructed — a forked worker must therefore exit
- * after the map and leave artifact assembly to the parent, which
- * reruns the map with every record cached. Results are byte-stable
- * across kill/resume cycles, thread counts, and worker counts provided
- * `decode(encode(x))` reproduces `x` exactly (every codec in this repo
- * round-trips doubles bit-for-bit through the JSON serializer).
+ * slot left default-constructed — which is why runCampaign() exits a
+ * forked worker after its body and leaves artifact assembly to the
+ * driver, which reruns the body with every record cached. Results are
+ * byte-stable across kill/resume cycles, thread counts, and worker
+ * counts provided `decode(encode(x))` reproduces `x` exactly (every
+ * codec in this repo round-trips doubles bit-for-bit through the JSON
+ * serializer).
  */
 template <typename Item, typename KeyFn, typename Fn, typename Enc,
           typename Dec>
@@ -399,6 +387,59 @@ parallelMapJournaled(CampaignJournal *journal,
             return r;
         },
         threads);
+}
+
+/**
+ * The campaign flags every driver shares: `--checkpoint <dir>`,
+ * `--workers <n>` and `run_sweep --fsync`.
+ */
+struct CampaignArgs
+{
+    /** Journal directory; empty runs the campaign unjournaled. */
+    std::string checkpointPath;
+    /** Forked worker processes; <= 1 runs single-process. */
+    int workers = 0;
+    /** JournalOptions::fsyncRecords. */
+    bool fsyncRecords = false;
+};
+
+/** `--workers <n>`: a count in [1, 256] (fatal otherwise). */
+int parseWorkerCount(const std::string &value);
+
+namespace detail
+{
+/** The type-erased half of runCampaign(); call that instead. */
+void runCampaign(const CampaignArgs &args, const std::string &name,
+                 Json config,
+                 const std::function<void(const CampaignScope &)> &body);
+} // namespace detail
+
+/**
+ * Run one campaign named @p name, whose every knob is in @p config, and
+ * return what @p body (a `CampaignScope -> Result` callable) returns.
+ *
+ * Without `--checkpoint` the body runs once on an empty scope. With it,
+ * `--workers n` first forks n worker processes; each opens its own file
+ * in the journal directory with claims armed, runs the body on its
+ * claimed share and exits without returning (`_Exit`: the child shares
+ * the driver's unflushed stdio buffers and must not write artifacts).
+ * The driver waits for every worker, opens the merged directory, prints
+ * a `checkpoint: resuming` line when records are cached, and runs the
+ * body itself — only uncached tasks are computed, so a killed campaign
+ * resumes from its last flushed task at any worker count. Fatal when
+ * `--workers` exceeds 1 without `--checkpoint`.
+ */
+template <typename Body>
+auto
+runCampaign(const CampaignArgs &args, const std::string &name, Json config,
+            Body body)
+{
+    std::optional<std::decay_t<decltype(body(CampaignScope{}))>> result;
+    detail::runCampaign(args, name, std::move(config),
+                        [&](const CampaignScope &scope) {
+                            result.emplace(body(scope));
+                        });
+    return std::move(*result);
 }
 
 } // namespace aero

@@ -1,8 +1,13 @@
 #include "exp/report.hh"
 
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
+
+#ifndef _WIN32
+#include <unistd.h>
+#endif
 
 #include "common/logging.hh"
 
@@ -167,6 +172,25 @@ writeTextFile(const std::string &path, const std::string &content)
     out.flush();
     if (!out)
         AERO_FATAL("failed writing '", path, "'");
+}
+
+void
+checkArtifactPath(const std::string &path)
+{
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    const fs::path parent = fs::path(path).parent_path();
+    const fs::path dir = parent.empty() ? fs::path(".") : parent;
+    if (!fs::is_directory(dir, ec))
+        AERO_FATAL("cannot write '", path, "': no directory '",
+                   dir.string(), "'");
+    if (fs::is_directory(path, ec))
+        AERO_FATAL("cannot write '", path, "': it is a directory");
+#ifndef _WIN32
+    if (::access(dir.c_str(), W_OK) != 0)
+        AERO_FATAL("cannot write '", path, "': directory '", dir.string(),
+                   "' is not writable");
+#endif
 }
 
 void

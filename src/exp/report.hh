@@ -63,6 +63,14 @@ Json sweepReport(const SweepSpec &spec,
 /** The same rows as CSV (header + one line per result). */
 std::string toCsv(const std::vector<SimResult> &results);
 
+/**
+ * Fail fast on an artifact path that writeTextFile() could not write:
+ * fatal unless @p path's directory exists and is writable and @p path
+ * is not itself a directory. Creates nothing. Drivers call it while
+ * parsing `--json`/`--csv`, before any campaign work.
+ */
+void checkArtifactPath(const std::string &path);
+
 /** Write a file or die (fatal on I/O failure). */
 void writeTextFile(const std::string &path, const std::string &content);
 

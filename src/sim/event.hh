@@ -2,13 +2,11 @@
  * @file
  * The simulation kernel's event vocabulary: a small closed set of POD
  * event kinds, dispatched by switch in EventQueue::step() instead of
- * through type-erased callbacks. Every hot-path event the simulator
- * schedules — page-op completions, erase-segment completions, suspension
- * quiesce, host-overhead completions, trace admission — is one tagged
- * arena slot: no per-event heap allocation, no std::function indirection.
- * A `Callback` kind keeps the old `schedule(Tick, std::function)` surface
- * alive for tests and examples (that path still heap-allocates its
- * closure, deliberately — it is the compatibility lane, not the hot one).
+ * through type-erased callbacks. Every event the simulator schedules —
+ * page-op completions, erase-segment completions, suspension quiesce,
+ * host-overhead completions, trace admission — is one tagged arena slot
+ * with no per-event heap allocation; a `Timer` (free function plus
+ * context pointer) covers anything else, such as tests and benches.
  *
  * PageOp lives here rather than in ssd/chip_agent.hh because completion
  * events carry one by value; the SSD layer re-exports it via its usual
@@ -19,7 +17,6 @@
 #define AERO_SIM_EVENT_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "common/types.hh"
 
@@ -51,7 +48,6 @@ struct PageOp
 enum class EventKind : std::uint8_t
 {
     Dead = 0,          //!< free or cancelled arena slot; never dispatched
-    Callback,          //!< compat lane: heap-allocated std::function
     Timer,             //!< free function + context pointer
     ChipOpComplete,    //!< a page read/write finished on a chip
     EraseSegmentDone,  //!< an erase segment (or resumed remainder) ended
@@ -67,8 +63,8 @@ enum class EventKind : std::uint8_t
  * Handle to a scheduled event: arena slot plus generation. The
  * generation is bumped whenever a slot is cancelled or fires, so a stale
  * handle can never cancel the slot's next occupant — cancelling an event
- * that already fired is a harmless no-op returning false. This replaces
- * the per-agent version-counter idiom the std::function kernel needed.
+ * that already fired is a harmless no-op returning false, so no agent
+ * needs a version counter to ignore its stale events.
  */
 struct EventId
 {
@@ -127,9 +123,8 @@ struct Event
 
     union Payload
     {
-        Payload() : cb(nullptr) {}
+        Payload() : timer{nullptr, nullptr} {}
 
-        std::function<void()> *cb;  //!< Callback (compat lane, owned)
         TimerPayload timer;         //!< Timer
         AgentPayload agent;         //!< ChipOpComplete / EraseSegmentDone
                                     //!< / SuspendQuiesced / DieOpComplete

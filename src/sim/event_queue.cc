@@ -9,18 +9,6 @@
 namespace aero
 {
 
-EventQueue::~EventQueue()
-{
-    // Only the compat lane owns heap state: orphaned closures of events
-    // still pending at teardown must be freed.
-    for (auto &chunk : chunks) {
-        for (std::size_t i = 0; i < kChunkSize; ++i) {
-            if (chunk[i].kind == EventKind::Callback)
-                delete chunk[i].payload.cb;
-        }
-    }
-}
-
 Event *
 EventQueue::slotAt(std::uint32_t slot) const
 {
@@ -138,13 +126,6 @@ EventQueue::post(Tick when, EventKind kind)
     return ev;
 }
 
-void
-EventQueue::scheduleAt(Tick when, Callback cb)
-{
-    Event *ev = post(when, EventKind::Callback);
-    ev->payload.cb = new Callback(std::move(cb));
-}
-
 EventId
 EventQueue::scheduleTimerAt(Tick when, TimerFn fn, void *ctx)
 {
@@ -228,8 +209,6 @@ EventQueue::cancel(EventId id)
     Event *ev = slotAt(id.slot);
     if (ev->gen != id.gen || ev->kind == EventKind::Dead)
         return false;
-    // The compat lane returns no EventId, so a Callback can never be the
-    // target of a cancel with a matching generation.
     ev->kind = EventKind::Dead;
     ev->gen += 1;
     --liveCount;
@@ -252,12 +231,6 @@ void
 EventQueue::dispatch(EventKind kind, const Event::Payload &payload)
 {
     switch (kind) {
-      case EventKind::Callback: {
-        Callback *cb = payload.cb;
-        (*cb)();
-        delete cb;
-        break;
-      }
       case EventKind::Timer:
         payload.timer.fn(payload.timer.ctx);
         break;

@@ -7,23 +7,16 @@
  *
  * Storage is an arena of fixed-size slots recycled through a freelist —
  * the hot path never heap-allocates — and ordering is an intrusive
- * pairing heap keyed on (tick, seq): O(1) push, amortized O(log n) pop,
- * and the same bit-for-bit firing order as the std::function binary heap
- * this kernel replaced. Cancellation is explicit: the typed schedule
- * calls return an EventId that cancel() invalidates lazily (dead slots
- * are skipped and recycled when they surface), replacing the per-agent
- * version-counter idiom.
- *
- * The `schedule(Tick, std::function)` compatibility lane remains for
- * tests and examples; it heap-allocates its closure and cannot be
- * cancelled.
+ * pairing heap keyed on (tick, seq): O(1) push, amortized O(log n) pop.
+ * Cancellation is explicit: every schedule call returns an EventId that
+ * cancel() invalidates lazily (dead slots are skipped and recycled when
+ * they surface).
  */
 
 #ifndef AERO_SIM_EVENT_QUEUE_HH
 #define AERO_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -36,11 +29,9 @@ namespace aero
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
     using TimerFn = void (*)(void *);
 
     EventQueue() = default;
-    ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -59,17 +50,10 @@ class EventQueue
      */
     Tick nextEventTick() const { return root ? root->when : kTickMax; }
 
-    /** Schedule `cb` to run `delay` ticks from now (compat lane). */
-    void
-    schedule(Tick delay, Callback cb)
-    {
-        scheduleAt(currentTick + delay, std::move(cb));
-    }
-
-    /** Schedule `cb` at an absolute tick (must not be in the past). */
-    void scheduleAt(Tick when, Callback cb);
-
-    /** @name Tagged, allocation-free schedule calls (absolute ticks) */
+    /**
+     * @name Tagged, allocation-free schedule calls (absolute ticks, never
+     * in the past)
+     */
     /** @{ */
     EventId scheduleTimerAt(Tick when, TimerFn fn, void *ctx);
     EventId scheduleChipOpAt(Tick when, ChipAgent &agent, const PageOp &op);

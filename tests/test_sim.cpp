@@ -15,6 +15,7 @@
 #include "sim/event_queue.hh"
 #include "ssd/block_manager.hh"
 #include "ssd/mapping.hh"
+#include "ssd/ssd.hh"
 
 namespace aero
 {
@@ -35,13 +36,40 @@ recordTag(void *ctx)
     probe->order->push_back(probe->tag);
 }
 
+void
+bumpCount(void *ctx)
+{
+    *static_cast<int *>(ctx) += 1;
+}
+
+void
+noop(void *)
+{
+}
+
+/** Timer payload that reschedules itself 10 ticks on until it fired 5x. */
+struct Chain
+{
+    EventQueue *eq;
+    int fired;
+};
+
+void
+chainLink(void *ctx)
+{
+    auto *chain = static_cast<Chain *>(ctx);
+    if (++chain->fired < 5)
+        chain->eq->scheduleTimerAt(chain->eq->now() + 10, chainLink, ctx);
+}
+
 TEST(EventQueue, FiresInTimeOrder)
 {
     EventQueue eq;
     std::vector<int> order;
-    eq.schedule(30, [&] { order.push_back(3); });
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(20, [&] { order.push_back(2); });
+    OrderProbe p1{&order, 1}, p2{&order, 2}, p3{&order, 3};
+    eq.scheduleTimerAt(30, recordTag, &p3);
+    eq.scheduleTimerAt(10, recordTag, &p1);
+    eq.scheduleTimerAt(20, recordTag, &p2);
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.now(), 30u);
@@ -52,8 +80,11 @@ TEST(EventQueue, SameTickIsFifo)
 {
     EventQueue eq;
     std::vector<int> order;
+    std::vector<OrderProbe> probes;
     for (int i = 0; i < 5; ++i)
-        eq.schedule(7, [&order, i] { order.push_back(i); });
+        probes.push_back({&order, i});
+    for (auto &probe : probes)
+        eq.scheduleTimerAt(7, recordTag, &probe);
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -61,14 +92,10 @@ TEST(EventQueue, SameTickIsFifo)
 TEST(EventQueue, EventsCanScheduleEvents)
 {
     EventQueue eq;
-    int fired = 0;
-    std::function<void()> chain = [&] {
-        if (++fired < 5)
-            eq.schedule(10, chain);
-    };
-    eq.schedule(0, chain);
+    Chain chain{&eq, 0};
+    eq.scheduleTimerAt(0, chainLink, &chain);
     eq.run();
-    EXPECT_EQ(fired, 5);
+    EXPECT_EQ(chain.fired, 5);
     EXPECT_EQ(eq.now(), 40u);
 }
 
@@ -76,8 +103,8 @@ TEST(EventQueue, RunUntilStopsEarly)
 {
     EventQueue eq;
     int fired = 0;
-    eq.schedule(10, [&] { ++fired; });
-    eq.schedule(100, [&] { ++fired; });
+    eq.scheduleTimerAt(10, bumpCount, &fired);
+    eq.scheduleTimerAt(100, bumpCount, &fired);
     eq.run(50);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(eq.now(), 50u);
@@ -89,9 +116,9 @@ TEST(EventQueue, RunUntilStopsEarly)
 TEST(EventQueue, SchedulingInPastPanics)
 {
     EventQueue eq;
-    eq.schedule(10, [] {});
+    eq.scheduleTimerAt(10, noop, nullptr);
     eq.run();
-    EXPECT_DEATH(eq.scheduleAt(5, [] {}), "past");
+    EXPECT_DEATH(eq.scheduleTimerAt(5, noop, nullptr), "past");
 }
 
 TEST(EventQueue, TaggedTimerFiresAndInvalidatesHandle)
@@ -148,26 +175,46 @@ TEST(EventQueue, CancelledSlotIsSkippedAmongSameTickPeers)
 TEST(EventQueue, SameTickMixedKindsFireInScheduleOrder)
 {
     // FIFO-at-a-tick must hold across event kinds, not just within one:
-    // compat callbacks and tagged timers interleaved at one tick fire
-    // in exactly the order they were scheduled.
+    // timers interleaved at one tick with two tenant-gate releases
+    // (TraceAdmitThrottled, which clears the gate's pending handle)
+    // see exactly the releases scheduled before them.
+    struct GateProbe
+    {
+        std::vector<int> *order;
+        const TracePump *pump;
+    };
     EventQueue eq;
+    TracePump pump;
+    pump.eq = &eq;
+    pump.gates.resize(2);
     std::vector<int> order;
-    OrderProbe t1{&order, 1};
-    OrderProbe t3{&order, 3};
-    eq.scheduleTimerAt(5, recordTag, &t1);
-    eq.scheduleAt(5, [&order] { order.push_back(2); });
-    eq.scheduleTimerAt(5, recordTag, &t3);
-    eq.scheduleAt(5, [&order] { order.push_back(4); });
+    GateProbe probe{&order, &pump};
+    // Each timer records a bitmask of the gates released so far.
+    const auto record = [](void *ctx) {
+        const auto *p = static_cast<GateProbe *>(ctx);
+        int released = 0;
+        for (std::size_t t = 0; t < p->pump->gates.size(); ++t) {
+            if (!p->pump->gates[t].release)
+                released |= 1 << t;
+        }
+        p->order->push_back(released);
+    };
+    eq.scheduleTimerAt(5, record, &probe);
+    pump.gates[0].release = eq.scheduleTraceAdmitThrottledAt(5, pump, 0);
+    eq.scheduleTimerAt(5, record, &probe);
+    pump.gates[1].release = eq.scheduleTraceAdmitThrottledAt(5, pump, 1);
+    eq.scheduleTimerAt(5, record, &probe);
     eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 3}));
+    EXPECT_EQ(eq.processed(), 5u);
 }
 
 TEST(EventQueue, NextEventTickTracksHeapRoot)
 {
     EventQueue eq;
     EXPECT_EQ(eq.nextEventTick(), kTickMax);
-    eq.schedule(42, [] {});
-    eq.schedule(17, [] {});
+    eq.scheduleTimerAt(42, noop, nullptr);
+    eq.scheduleTimerAt(17, noop, nullptr);
     EXPECT_EQ(eq.nextEventTick(), 17u);
     eq.run();
     EXPECT_EQ(eq.nextEventTick(), kTickMax);
