@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "nand/erase_model.hh"
 
@@ -16,6 +17,25 @@ Felp::Felp(const ChipParams &params, const WearModel &wear_, Ept ept,
 
 double
 Felp::allowedLeftoverSlots(double block_pec) const
+{
+    // The slot is the PEC's integer part mod kMemoSlots (slot 0 for a
+    // PEC the cast cannot take); the key is the exact PEC, so fractional
+    // PECs memoize too and collisions only evict.
+    const std::size_t slot =
+        block_pec >= 0.0 && block_pec < 0x1p62
+            ? static_cast<std::size_t>(
+                  static_cast<std::uint64_t>(block_pec) % kMemoSlots)
+            : 0;
+    MemoEntry &e = memo[slot];
+    if (e.pec != block_pec) {
+        e.slots = computeLeftoverSlots(block_pec);
+        e.pec = block_pec;
+    }
+    return e.slots;
+}
+
+double
+Felp::computeLeftoverSlots(double block_pec) const
 {
     if (!cfg.useEccMargin)
         return 0.0;

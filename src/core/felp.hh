@@ -13,6 +13,10 @@
 #ifndef AERO_CORE_FELP_HH
 #define AERO_CORE_FELP_HH
 
+#include <array>
+#include <cstddef>
+#include <limits>
+
 #include "core/ept.hh"
 #include "nand/wear_model.hh"
 
@@ -54,6 +58,10 @@ class Felp
     /**
      * Slots of leftover whose residual RBER still fits the block's margin
      * (0 when the margin optimization is disabled or exhausted).
+     * Memoized per block PEC in a small table indexed by the PEC's
+     * integer part: a drive's blocks sit within a few PECs of each other,
+     * so nearly every call after the first few is a hit. Hits return the
+     * stored result of the same computation, so values are bit-identical.
      */
     double allowedLeftoverSlots(double block_pec) const;
 
@@ -61,10 +69,24 @@ class Felp
     const FelpConfig &config() const { return cfg; }
 
   private:
+    /** The un-memoized margin bisection behind allowedLeftoverSlots. */
+    double computeLeftoverSlots(double block_pec) const;
+
     const ChipParams &chip;
     const WearModel &wear;
     Ept table;
     FelpConfig cfg;
+    /** One memoized allowedLeftoverSlots result (NaN PEC: empty). */
+    struct MemoEntry
+    {
+        double pec = std::numeric_limits<double>::quiet_NaN();
+        double slots = 0.0;
+    };
+    static constexpr std::size_t kMemoSlots = 16;
+
+    /** Per instance, not shared: a Felp lives in one chip's scheme,
+     *  and one drive runs on one thread. */
+    mutable std::array<MemoEntry, kMemoSlots> memo{};
 };
 
 } // namespace aero

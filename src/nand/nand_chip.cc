@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 #include "nand/erase_model.hh"
@@ -11,7 +12,16 @@ namespace aero
 
 NandChip::NandChip(const ChipParams &params, const ChipGeometry &geom,
                    std::uint64_t seed, double chip_pv)
-    : chip(params), geo(geom), wear(params), chipPvFactor(chip_pv)
+    : NandChip(std::make_shared<const WearModel>(params), geom, seed,
+               chip_pv)
+{
+}
+
+NandChip::NandChip(std::shared_ptr<const WearModel> wear_,
+                   const ChipGeometry &geom, std::uint64_t seed,
+                   double chip_pv)
+    : chip(wear_->params()), geo(geom), wear(std::move(wear_)),
+      chipPvFactor(chip_pv)
 {
     AERO_CHECK(geo.planes > 0 && geo.blocksPerPlane > 0 &&
                geo.pagesPerBlock > 0, "invalid chip geometry");
@@ -46,7 +56,7 @@ NandChip::beginErase(BlockId id)
     AERO_CHECK(!blk.op().active, "beginErase on block with in-flight erase");
     blk.op().reset();
     blk.op().active = true;
-    const double peq = wear.equivalentPec(blk.wear());
+    const double peq = wear->equivalentPec(blk.wear());
     blk.op().requirement = sampleRequirement(chip, peq, blk.pvZ(),
                                              chipPvFactor, blk.rng());
 }
@@ -155,7 +165,7 @@ double
 NandChip::maxRber(BlockId id) const
 {
     const Block &blk = block(id);
-    return wear.maxRber(blk.wear(), blk.leftoverSlots());
+    return wear->maxRber(blk.wear(), blk.leftoverSlots());
 }
 
 double
@@ -177,9 +187,9 @@ NandChip::ageBaseline(BlockId id, int cycles)
     // Closed-form: along the Baseline trajectory, equivalent PEC tracks
     // nominal PEC, so the delta of the cumulative curve is the expected
     // damage of `cycles` full-tEP erases.
-    const double peq0 = wear.equivalentPec(blk.wear());
-    const double add = wear.baselineCumDamage(peq0 + cycles) -
-                       wear.baselineCumDamage(peq0);
+    const double peq0 = wear->equivalentPec(blk.wear());
+    const double add = wear->baselineCumDamage(peq0 + cycles) -
+                       wear->baselineCumDamage(peq0);
     blk.addWear(add);
     blk.setPec(blk.pec() + cycles);
     blk.setLeftover(0.0);

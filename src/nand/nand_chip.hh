@@ -16,12 +16,19 @@
  * top of this surface; none of them touches block internals. All
  * micro-operations return their duration so the event-driven SSD simulator
  * can charge chip-occupancy time, including mid-pulse suspension.
+ *
+ * The WearModel is a pure function of the chip type, and building one
+ * integrates the whole Baseline damage curve. A chip therefore holds it
+ * through a shared pointer to const, so one drive (Ftl) or one
+ * characterization farm (ChipPopulation) builds a single model and hands
+ * it to every chip. Sharing is read-only and thread-safe.
  */
 
 #ifndef AERO_NAND_NAND_CHIP_HH
 #define AERO_NAND_NAND_CHIP_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hh"
@@ -80,9 +87,17 @@ class NandChip
     NandChip(const ChipParams &params, const ChipGeometry &geom,
              std::uint64_t seed, double chip_pv = 1.0);
 
+    /**
+     * A chip of the model's type that shares `wear` with other chips;
+     * the chip-type parameters are the model's. Otherwise as above.
+     */
+    NandChip(std::shared_ptr<const WearModel> wear,
+             const ChipGeometry &geom, std::uint64_t seed,
+             double chip_pv = 1.0);
+
     const ChipParams &params() const { return chip; }
     const ChipGeometry &geometry() const { return geo; }
-    const WearModel &wearModel() const { return wear; }
+    const WearModel &wearModel() const { return *wear; }
     double chipPv() const { return chipPvFactor; }
 
     int numBlocks() const { return static_cast<int>(blocks.size()); }
@@ -138,7 +153,7 @@ class NandChip
   private:
     ChipParams chip;
     ChipGeometry geo;
-    WearModel wear;
+    std::shared_ptr<const WearModel> wear;  //!< never null
     double chipPvFactor;
     std::vector<Block> blocks;
     std::uint64_t eraseOps = 0;

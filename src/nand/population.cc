@@ -1,5 +1,7 @@
 #include "nand/population.hh"
 
+#include <memory>
+
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -10,13 +12,13 @@ ChipPopulation::ChipPopulation(const PopulationConfig &cfg_)
     : cfg(cfg_), chipParams(ChipParams::forType(cfg_.type))
 {
     AERO_CHECK(cfg.numChips > 0, "population needs at least one chip");
+    const auto wear = std::make_shared<const WearModel>(chipParams);
     Rng pop_rng(cfg.seed);
     chips.reserve(cfg.numChips);
     for (int i = 0; i < cfg.numChips; ++i) {
         const double chip_pv =
             pop_rng.lognormFactor(chipParams.chipPvSigma);
-        chips.emplace_back(chipParams, cfg.geometry,
-                           pop_rng.next(), chip_pv);
+        chips.emplace_back(wear, cfg.geometry, pop_rng.next(), chip_pv);
     }
 }
 

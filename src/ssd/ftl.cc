@@ -34,11 +34,15 @@ Ftl::Ftl(const SsdConfig &cfg_, EventQueue &eq_)
       blocks(cfg)
 {
     const auto params = ChipParams::forType(cfg.chipType);
+    // Every chip of the drive shares one wear model (see NandChip).
+    const auto wear = std::make_shared<const WearModel>(params);
     Rng seeder(cfg.seed);
     chips.reserve(cfg.totalChips());
     for (int i = 0; i < cfg.totalChips(); ++i) {
-        chips.emplace_back(params, cfg.geometry, seeder.next(),
-                           seeder.lognormFactor(params.chipPvSigma));
+        // Named in draw order: argument evaluation order is unspecified.
+        const double chip_pv = seeder.lognormFactor(params.chipPvSigma);
+        const std::uint64_t chip_seed = seeder.next();
+        chips.emplace_back(wear, cfg.geometry, chip_seed, chip_pv);
     }
     preAge(cfg.initialPec);
     channels.resize(cfg.channels);

@@ -1,6 +1,9 @@
 #include "ssd/geometry.hh"
 
+#include <limits>
+
 #include "common/logging.hh"
+#include "ssd/mapping.hh"
 
 namespace aero
 {
@@ -49,6 +52,25 @@ DriveGeometry::validate() const
     if (pagesPerBlock <= 0)
         AERO_FATAL("geometry: pages per block must be positive, got ",
                    pagesPerBlock);
+    if (totalPages() >= PageMapping::kNoEntry)
+        AERO_FATAL("geometry: ", totalPages(),
+                   " physical pages do not fit 32-bit page numbers; a "
+                   "drive must have fewer than ", PageMapping::kNoEntry);
+}
+
+std::uint64_t
+DriveGeometry::totalPages() const
+{
+    // Saturate instead of wrapping, so no combination of int fields can
+    // come back under validate()'s limit.
+    constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t pages = 1;
+    for (const int n : {channels, diesPerChannel, planesPerDie,
+                        blocksPerPlane, pagesPerBlock}) {
+        const auto f = static_cast<std::uint64_t>(n);
+        pages = f != 0 && pages > kMax / f ? kMax : pages * f;
+    }
+    return pages;
 }
 
 void

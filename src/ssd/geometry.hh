@@ -12,7 +12,9 @@
  * fast path relies on (power-of-two pages per block, so page indices
  * split into shift/mask fields). The paper's Table 2 drive (2112 pages
  * per block) is legal under legacy arbitration and rejected only when
- * queued arbitration is requested.
+ * queued arbitration is requested. validate() also bounds the page
+ * count: PageMapping stores page numbers in 32 bits, so a drive must have
+ * fewer than PageMapping::kNoEntry (2^32 - 1) physical pages.
  */
 
 #ifndef AERO_SSD_GEOMETRY_HH
@@ -63,12 +65,8 @@ class DriveGeometry
     int totalDies() const { return channels * diesPerChannel; }
     int blocksPerDie() const { return planesPerDie * blocksPerPlane; }
 
-    std::uint64_t
-    totalPages() const
-    {
-        return static_cast<std::uint64_t>(totalDies()) * blocksPerDie() *
-               pagesPerBlock;
-    }
+    /** Physical pages in the drive, saturating at UINT64_MAX. */
+    std::uint64_t totalPages() const;
 
     /** Flat chip index of a decomposed address. */
     int

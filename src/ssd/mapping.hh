@@ -5,13 +5,25 @@
  * in modern DRAM-backed SSDs).
  *
  * A PPN encodes (chip, chip-local block, page):
- *   ppn = (chip * blocksPerChip + block) * pagesPerBlock + page.
+ *   ppn = (chip * blocksPerChip + block) * pagesPerBlock + page,
+ * so ppn / pagesPerBlock is the drive-wide block index.
+ *
+ * Both tables hold 32-bit entries, 4 B per logical and 4 B per physical
+ * page: the paper's Table-2 drive has 67.2M pages, far below 2^32. One
+ * sentinel, kNoEntry (UINT32_MAX), means "unmapped" in either table. A
+ * drive must have fewer than kNoEntry physical pages, so every page
+ * number and the page count itself stay below the sentinel (the
+ * constructor checks; DriveGeometry::validate() rejects larger drives
+ * before any table is allocated).
+ * The interface keeps 64-bit Lpn/Ppn and translates the sentinel to
+ * kInvalidPpn / kInvalidLpn.
  */
 
 #ifndef AERO_SSD_MAPPING_HH
 #define AERO_SSD_MAPPING_HH
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/types.hh"
@@ -29,6 +41,10 @@ struct PpnParts
 class PageMapping
 {
   public:
+    /** The 32-bit "no entry" value of both tables. */
+    static constexpr std::uint32_t kNoEntry =
+        std::numeric_limits<std::uint32_t>::max();
+
     PageMapping(std::uint64_t logical_pages, int chips, int blocks_per_chip,
                 int pages_per_block);
 
@@ -69,11 +85,11 @@ class PageMapping
     std::size_t blockIndex(int chip, BlockId block) const;
 
     int chips;
-    int blocksPerChip;
-    int pagesPerBlock;
-    std::vector<Ppn> l2p;
-    std::vector<Lpn> p2l;
-    std::vector<std::int32_t> validCount;  //!< per (chip, block)
+    std::uint32_t blocksPerChip;
+    std::uint32_t pagesPerBlock;
+    std::vector<std::uint32_t> l2p;  //!< LPN -> PPN, or kNoEntry
+    std::vector<std::uint32_t> p2l;  //!< PPN -> LPN, or kNoEntry
+    std::vector<std::int32_t> validCount;  //!< per ppn / pagesPerBlock
     std::uint64_t mapped = 0;
 };
 

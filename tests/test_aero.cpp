@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "core/aero_scheme.hh"
 #include "core/ept.hh"
 #include "core/ept_builder.hh"
@@ -141,6 +145,45 @@ TEST(Felp, AggressiveSpendsMarginAtLowPecOnly)
     EXPECT_LT(young.slots, old_pred.slots);
     EXPECT_GT(young.allowedLeftover, 0.0);
     EXPECT_EQ(old_pred.slots, 2);  // falls back to conservative
+}
+
+TEST(Felp, MemoizedLeftoverMatchesDirectComputation)
+{
+    const auto p = ChipParams::tlc3d();
+    const WearModel wear(p);
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    // Integer and fractional PECs; pec and pec + 16 share a memo slot.
+    std::vector<double> pecs;
+    for (double pec = 0.0; pec <= 6000.0; pec += 375.0) {
+        for (const double d : {0.0, 0.25, 0.5, 1.0, 16.0, 16.5})
+            pecs.push_back(pec + d);
+    }
+    for (const bool use_margin : {true, false}) {
+        const FelpConfig cfg{use_margin, 12.0, 63};
+        Felp felp(p, wear, Ept::canonical(p), cfg);
+        // FELP's margin rule evaluated on the wear model, with no memo.
+        const auto direct = [&](double pec) {
+            if (!use_margin)
+                return 0.0;
+            const double margin = cfg.rberRequirement - cfg.marginPad -
+                                  wear.predictedBaseRber(pec);
+            return margin <= 0.0 ? 0.0 : wear.leftoverForResidual(margin);
+        };
+        // Forward, then backward: the second pass mixes hits with
+        // evictions by slot collisions.
+        for (int pass = 0; pass < 2; ++pass) {
+            for (std::size_t i = 0; i < pecs.size(); ++i) {
+                const double pec =
+                    pecs[pass == 0 ? i : pecs.size() - 1 - i];
+                EXPECT_EQ(bits(felp.allowedLeftoverSlots(pec)),
+                          bits(direct(pec)))
+                    << "pec " << pec << " margin " << use_margin;
+                EXPECT_EQ(bits(felp.allowedLeftoverSlots(pec)),
+                          bits(direct(pec)))
+                    << "repeat at pec " << pec;
+            }
+        }
+    }
 }
 
 TEST(Felp, WeakerEccReducesAggression)

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <unordered_map>
+#include <vector>
 
 #include "exp/report.hh"
 #include "exp/sweep.hh"
@@ -353,6 +355,117 @@ TEST(Mapping, EncodeDecodeExhaustive)
                 EXPECT_EQ(parts.page, pg);
             }
         }
+    }
+}
+
+TEST(Mapping, RandomizedDifferentialAgainstReference)
+{
+    // No dimension is a power of two, so every 32-bit division in
+    // decode and every ppn / pagesPerBlock block index is exercised.
+    constexpr int kChips = 3;
+    constexpr int kBlocks = 5;
+    constexpr int kPages = 7;
+    constexpr int kBlocksTotal = kChips * kBlocks;
+    constexpr Lpn kLogical = 60;  // of 105 physical pages
+    PageMapping m(kLogical, kChips, kBlocks, kPages);
+
+    // Reference model: hash maps plus per-block valid counts and write
+    // pointers (erase-before-write: a page is programmed once per erase).
+    std::unordered_map<Lpn, Ppn> l2p;
+    std::unordered_map<Ppn, Lpn> p2l;
+    std::vector<int> valid(kBlocksTotal, 0);
+    std::vector<int> written(kBlocksTotal, 0);
+    const auto blockOf = [](Ppn ppn) {
+        return static_cast<int>(ppn / kPages);
+    };
+    const auto dropOld = [&](Lpn lpn) {
+        const auto it = l2p.find(lpn);
+        if (it == l2p.end())
+            return kInvalidPpn;
+        const Ppn old = it->second;
+        p2l.erase(old);
+        valid[blockOf(old)] -= 1;
+        l2p.erase(it);
+        return old;
+    };
+    const auto eraseBlock = [&](int blk) {
+        const int chip = blk / kBlocks;
+        const auto block = static_cast<BlockId>(blk % kBlocks);
+        // TRIM whatever is still live, as a host would before erasing.
+        for (int pg = 0; pg < kPages; ++pg) {
+            const Ppn ppn = m.encode(chip, block, pg);
+            const auto it = p2l.find(ppn);
+            if (it != p2l.end()) {
+                const Lpn lpn = it->second;
+                m.invalidateLpn(lpn);
+                dropOld(lpn);
+            }
+        }
+        m.onBlockErased(chip, block);
+        written[blk] = 0;
+    };
+    const auto matches = [&](int step) {
+        ASSERT_EQ(m.mappedCount(), l2p.size()) << "step " << step;
+        for (Lpn lpn = 0; lpn < kLogical; ++lpn) {
+            const auto it = l2p.find(lpn);
+            ASSERT_EQ(m.lookup(lpn),
+                      it == l2p.end() ? kInvalidPpn : it->second)
+                << "lpn " << lpn << " step " << step;
+        }
+        for (Ppn ppn = 0; ppn < kChips * kBlocks * kPages; ++ppn) {
+            const auto it = p2l.find(ppn);
+            ASSERT_EQ(m.reverseLookup(ppn),
+                      it == p2l.end() ? kInvalidLpn : it->second)
+                << "ppn " << ppn << " step " << step;
+            ASSERT_EQ(m.isValid(ppn), it != p2l.end());
+        }
+        for (int blk = 0; blk < kBlocksTotal; ++blk) {
+            ASSERT_EQ(m.validPages(blk / kBlocks,
+                                   static_cast<BlockId>(blk % kBlocks)),
+                      valid[blk])
+                << "block " << blk << " step " << step;
+        }
+    };
+
+    std::mt19937_64 rng(0xae60);
+    const auto pick = [&](int n) {
+        return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+    };
+    for (int step = 0; step < 4000; ++step) {
+        const int op = pick(10);
+        if (op < 7) {
+            // Program a random LPN onto the next page of a random block
+            // with room; if none has room, erase one first.
+            std::vector<int> open;
+            for (int blk = 0; blk < kBlocksTotal; ++blk) {
+                if (written[blk] < kPages)
+                    open.push_back(blk);
+            }
+            if (open.empty()) {
+                const int blk = pick(kBlocksTotal);
+                eraseBlock(blk);
+                open.push_back(blk);
+            }
+            const int blk = open[pick(static_cast<int>(open.size()))];
+            const Ppn ppn = m.encode(blk / kBlocks,
+                                     static_cast<BlockId>(blk % kBlocks),
+                                     written[blk]++);
+            const auto lpn = static_cast<Lpn>(pick(kLogical));
+            const Ppn expect_old = dropOld(lpn);
+            ASSERT_EQ(m.update(lpn, ppn), expect_old) << "step " << step;
+            l2p[lpn] = ppn;
+            p2l[ppn] = lpn;
+            valid[blockOf(ppn)] += 1;
+        } else if (op < 9) {
+            const auto lpn = static_cast<Lpn>(pick(kLogical));
+            m.invalidateLpn(lpn);
+            dropOld(lpn);
+        } else {
+            eraseBlock(pick(kBlocksTotal));
+        }
+        matches(step);
+        if (HasFatalFailure())
+            return;
     }
 }
 

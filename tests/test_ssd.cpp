@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "devchar/simstudy.hh"
 #include "ssd/ssd.hh"
 #include "workload/synthetic.hh"
@@ -181,6 +184,52 @@ TEST(Ssd, ConfigSummaryMentionsScheme)
     EXPECT_NE(cfg.summary().find("AERO"), std::string::npos);
     EXPECT_GT(cfg.logicalPages(), 0u);
     EXPECT_LT(cfg.logicalPages(), cfg.physicalPages());
+}
+
+TEST(Ftl, ChipsShareOneWearModel)
+{
+    SsdConfig cfg = tinyCfg();
+    cfg.channels = 4;
+    cfg.chipsPerChannel = 2;
+    EventQueue eq;
+    Ftl ftl(cfg, eq);
+    for (int i = 1; i < cfg.totalChips(); ++i)
+        EXPECT_EQ(&ftl.chipAt(0).wearModel(), &ftl.chipAt(i).wearModel())
+            << "chip " << i;
+}
+
+TEST(Ftl, PreAgedBlocksMatchStandaloneChips)
+{
+    // Ftl draws each chip's process-variation factor, then its seed,
+    // from one seeder. A chip built alone (its own wear model) from the
+    // same draws and aged the same way must agree bit for bit.
+    SsdConfig cfg = tinyCfg();
+    cfg.initialPec = 2500.0;
+    EventQueue eq;
+    Ftl ftl(cfg, eq);
+    const auto params = ChipParams::forType(cfg.chipType);
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    Rng seeder(cfg.seed);
+    for (int i = 0; i < cfg.totalChips(); ++i) {
+        const double chip_pv = seeder.lognormFactor(params.chipPvSigma);
+        const std::uint64_t chip_seed = seeder.next();
+        NandChip alone(params, cfg.geometry, chip_seed, chip_pv);
+        NandChip &shared = ftl.chipAt(i);
+        ASSERT_EQ(shared.numBlocks(), alone.numBlocks());
+        EXPECT_EQ(bits(shared.chipPv()), bits(alone.chipPv()));
+        for (int b = 0; b < alone.numBlocks(); ++b) {
+            const auto id = static_cast<BlockId>(b);
+            alone.ageBaseline(id, static_cast<int>(cfg.initialPec));
+            EXPECT_EQ(bits(shared.block(id).pvZ()),
+                      bits(alone.block(id).pvZ()));
+            EXPECT_EQ(bits(shared.block(id).wear()),
+                      bits(alone.block(id).wear()))
+                << "chip " << i << " block " << b;
+            EXPECT_EQ(bits(shared.block(id).pec()),
+                      bits(alone.block(id).pec()))
+                << "chip " << i << " block " << b;
+        }
+    }
 }
 
 TEST(SimStudy, RunSimPointProducesConsistentResult)

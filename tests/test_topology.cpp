@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "exp/report.hh"
 #include "exp/sweep.hh"
 #include "ssd/geometry.hh"
@@ -185,6 +188,41 @@ TEST(TopologyDeathTest, ZeroPagesPerBlockDies)
     g.pagesPerBlock = 0;
     EXPECT_DEATH(g.validate(),
                  "geometry: pages per block must be positive, got 0");
+}
+
+TEST(TopologyDeathTest, PageCountMustFit32BitPageNumbers)
+{
+    // validate() only multiplies: no table is allocated at any size.
+    // The largest legal drive has 2^32 - 2 = 2 x (2^31 - 1) pages.
+    DriveGeometry largest;
+    largest.channels = 1;
+    largest.diesPerChannel = 1;
+    largest.planesPerDie = 2;
+    largest.blocksPerPlane = 1;
+    largest.pagesPerBlock = 2147483647;
+    ASSERT_EQ(largest.totalPages(), PageMapping::kNoEntry - 1ULL);
+    largest.validate();  // must not die
+
+    // One page more: 2^32 - 1 = 3 x 5 x (17 x 257) x 65537, a page count
+    // equal to the 32-bit sentinel.
+    DriveGeometry over;
+    over.channels = 3;
+    over.diesPerChannel = 5;
+    over.planesPerDie = 1;
+    over.blocksPerPlane = 17 * 257;
+    over.pagesPerBlock = 65537;
+    ASSERT_EQ(over.totalPages(), largest.totalPages() + 1);
+    EXPECT_DEATH(over.validate(),
+                 "geometry: 4294967295 physical pages do not fit 32-bit "
+                 "page numbers; a drive must have fewer than 4294967295");
+
+    // A product past 2^64 saturates rather than wrapping under the limit.
+    DriveGeometry huge = over;
+    huge.channels = huge.diesPerChannel = huge.blocksPerPlane =
+        huge.pagesPerBlock = 2147483647;
+    huge.planesPerDie = 8;
+    ASSERT_EQ(huge.totalPages(), std::numeric_limits<std::uint64_t>::max());
+    EXPECT_DEATH(huge.validate(), "physical pages do not fit 32-bit");
 }
 
 TEST(TopologyDeathTest, NonPowerOfTwoPagesRejectedOnlyWhenQueued)
