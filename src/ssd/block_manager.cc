@@ -85,16 +85,20 @@ BlockManager::allocate(int chip, int plane, BlockId &block, int &page,
             return false;
         open = takeFreeBlock(chip, ps);
         cursor = 0;
-        blockStates[blockIndex(chip, open)] = BlockState::Open;
+        BlockState &st = blockStates[blockIndex(chip, open)];
+        AERO_CHECK(st == BlockState::Free, "opened block ", open,
+                   " was not Free");
+        st = BlockState::Open;
         if (lines)
             lines->onBlockOpened(chip, open);
     }
     block = open;
     page = cursor++;
     if (cursor == pagesPerBlock) {
-        blockStates[blockIndex(chip, open)] = BlockState::Full;
-        if (lines)
-            lines->onBlockFull(chip, open);
+        BlockState &st = blockStates[blockIndex(chip, open)];
+        AERO_CHECK(st == BlockState::Open, "filled block ", open,
+                   " was not Open");
+        st = BlockState::Full;
         open = kInvalidBlock;
         cursor = 0;
     }
@@ -118,8 +122,6 @@ BlockManager::onBlockErased(int chip, BlockId block)
     st = BlockState::Free;
     eraseCounts[blockIndex(chip, block)] += 1;
     totalEraseCount += 1;
-    if (lines)
-        lines->onBlockErased(chip, block);
     const int plane = planeOf(block);
     planesState[planeIndex(chip, plane)].freeList.push_back(block);
 }

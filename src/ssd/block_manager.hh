@@ -4,10 +4,12 @@
  * points. Blocks move Free -> Open -> Full -> (GC erase) -> Free.
  *
  * The manager also owns wear accounting (per-block erase counts since
- * mount) and reports structural transitions to an optional LineManager
- * observer so the GC victim heaps stay incremental. Which free block a
- * plane opens next is delegated to an optional WearLevelPolicy; without
- * one, reuse is LIFO exactly as before.
+ * mount) and tells an optional LineManager observer when a block opens,
+ * so GC policies can order blocks by fill generation. Its block states
+ * define the GC victim candidates: LineManager scans a plane for Full
+ * blocks when GC needs a victim. Which free block a plane opens next is
+ * delegated to an optional WearLevelPolicy; without one, reuse is LIFO
+ * exactly as before.
  */
 
 #ifndef AERO_SSD_BLOCK_MANAGER_HH
@@ -30,7 +32,7 @@ class BlockManager
   public:
     explicit BlockManager(const SsdConfig &cfg);
 
-    /** Wire the victim-heap observer (FTL does this once at mount). */
+    /** Wire the fill-stamp observer (FTL does this once at mount). */
     void setLineManager(LineManager *lines_) { lines = lines_; }
 
     /** Wire the free-block selection policy (null = LIFO reuse). */

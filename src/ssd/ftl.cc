@@ -71,7 +71,7 @@ Ftl::Ftl(const SsdConfig &cfg_, EventQueue &eq_)
                   cfg.geometry.planes);
     gcPolicy = makeGcPolicy(cfg.gcPolicy);
     wlPolicy = makeWearLevelPolicy(cfg.wearLevel);
-    lines = std::make_unique<LineManager>(cfg, *gcPolicy, blocks);
+    lines = std::make_unique<LineManager>(cfg, *gcPolicy, blocks, mapping);
     blocks.setLineManager(lines.get());
     blocks.setWearPolicy(wlPolicy.get());
     burstTouched.assign(cfg.totalChips(), 0);
@@ -131,7 +131,7 @@ Ftl::prefill()
             int page;
             if (!blocks.allocate(chip, plane, blk, page))
                 continue;
-            remap(lpn, mapping.encode(chip, blk, page));
+            mapping.update(lpn, mapping.encode(chip, blk, page));
             chips[chip].programPage(blk);
             placed = true;
             writePointer = (key + 1) % tries;
@@ -164,25 +164,13 @@ Ftl::warmup(std::uint64_t overwrites)
             if (!blocks.allocate(chip, plane, blk, page))
                 continue;
             writePointer = (key + 1) % tries;
-            remap(lpn, mapping.encode(chip, blk, page));
+            mapping.update(lpn, mapping.encode(chip, blk, page));
             chips[chip].programPage(blk);
             placed = true;
             if (blocks.freeBlocks(chip, plane) <= cfg.gcLowWatermark)
                 functionalGc(chip, plane);
         }
         AERO_CHECK(placed, "warmup could not place a write");
-    }
-}
-
-void
-Ftl::remap(Lpn lpn, Ppn ppn)
-{
-    const auto parts = mapping.decode(ppn);
-    const Ppn old = mapping.update(lpn, ppn);
-    lines->onPageMapped(parts.chip, parts.block);
-    if (old != kInvalidPpn) {
-        const auto prev = mapping.decode(old);
-        lines->onPageInvalidated(prev.chip, prev.block);
     }
 }
 
@@ -210,7 +198,7 @@ Ftl::functionalGc(int chip, int plane)
             bool ok = blocks.allocate(chip, plane, dst, dpage, true);
             AERO_CHECK(ok && dst != victim,
                        "warmup GC ran out of destination space");
-            remap(lpn, mapping.encode(chip, dst, dpage));
+            mapping.update(lpn, mapping.encode(chip, dst, dpage));
             chips[chip].programPage(dst);
         }
         eraseNow(*schemes[chip], victim);
@@ -304,7 +292,7 @@ Ftl::submitWritePage(Lpn lpn, std::uint64_t request_id, TenantId tenant)
             continue;
         writePointer = (key + 1) % tries;
         const Ppn ppn = mapping.encode(chip, blk, page);
-        remap(lpn, ppn);
+        mapping.update(lpn, ppn);
         chips[chip].programPage(blk);  // functional effect at issue
         PageOp op;
         op.kind = PageOp::Kind::UserWrite;
@@ -404,7 +392,7 @@ Ftl::issueGcWrite(GcJob *job, Lpn lpn)
         if (!blocks.allocate(chip, plane, blk, page, true))
             continue;
         const Ppn ppn = mapping.encode(chip, blk, page);
-        remap(lpn, ppn);
+        mapping.update(lpn, ppn);
         chips[chip].programPage(blk);
         PageOp op;
         op.kind = PageOp::Kind::GcWrite;

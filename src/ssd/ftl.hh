@@ -96,8 +96,6 @@ class Ftl : public FtlCallbacks
     void flushReadBurst();
     /** @return false if no plane had space (write stalled). */
     bool submitWritePage(Lpn lpn, std::uint64_t request_id, TenantId tenant);
-    /** Map lpn -> ppn and mirror both deltas into the line manager. */
-    void remap(Lpn lpn, Ppn ppn);
     void functionalGc(int chip, int plane);
     void issueGcWrite(GcJob *job, Lpn lpn);
     void completeRequestPage(std::uint64_t request_id);

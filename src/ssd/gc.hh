@@ -2,19 +2,17 @@
  * @file
  * Garbage-collection victim selection behind a scoring-policy interface.
  *
- * Since PR 8 a policy no longer scans the plane itself: the LineManager
- * (ssd/line_manager.hh) keeps every Full block in a per-plane priority
- * queue keyed by the policy's score and updates it in O(log n) on each
- * page invalidation, so victim selection is a heap peek instead of the
- * old O(blocks) rescan. Policies therefore only define an ordering:
+ * A policy does not scan the plane itself: when GC needs a victim, the
+ * LineManager (ssd/line_manager.hh) scans the plane's Full blocks and
+ * keeps the lowest key. Policies therefore only define an ordering:
  * score() (lower is better) plus a tieBreak() key, with the block id as
  * the final tie-breaker so the order is total and selection is
- * deterministic.
+ * deterministic. Scores read only the GcLineInfo fields (valid pages,
+ * fill stamp, erase count, block id), never the simulated clock.
  *
  * Registered policies:
  *  - greedy:       fewest valid pages (the paper's Table 2 policy [77]);
- *                  ties fall to the lowest block id, reproducing the
- *                  pre-PR-8 scan exactly.
+ *                  ties fall to the lowest block id.
  *  - cost-benefit: migration cost over reclaimed space, weighted by the
  *                  block's erase count so worn blocks are cycled less
  *                  (Kawaguchi-style, with wear standing in for age);

@@ -2,19 +2,21 @@
 
 #include "common/logging.hh"
 #include "ssd/block_manager.hh"
+#include "ssd/mapping.hh"
 
 namespace aero
 {
 
 LineManager::LineManager(const SsdConfig &cfg, const GcPolicy &policy_,
-                         const BlockManager &blocks_)
+                         const BlockManager &blocks_,
+                         const PageMapping &mapping_)
     : numChips(cfg.totalChips()), planesPerChip(cfg.geometry.planes),
       blocksPerPlane(cfg.geometry.blocksPerPlane),
       pagesPerBlock(cfg.geometry.pagesPerBlock), policy(policy_),
-      blocks(blocks_),
-      lines(static_cast<std::size_t>(numChips) * planesPerChip *
-            blocksPerPlane),
-      heaps(static_cast<std::size_t>(numChips) * planesPerChip)
+      blocks(blocks_), mapping(mapping_),
+      openSeqs(static_cast<std::size_t>(numChips) * planesPerChip *
+                   blocksPerPlane,
+               0)
 {
 }
 
@@ -38,22 +40,14 @@ LineManager::blockIndex(int chip, BlockId block) const
            block;
 }
 
-std::size_t
-LineManager::planeIndex(int chip, int plane) const
-{
-    AERO_CHECK(plane >= 0 && plane < planesPerChip, "plane out of range");
-    return static_cast<std::size_t>(chip) * planesPerChip + plane;
-}
-
 GcLineInfo
 LineManager::lineInfo(int chip, BlockId block) const
 {
-    const Line &line = lines[blockIndex(chip, block)];
     GcLineInfo info;
     info.block = block;
-    info.validPages = line.valid;
+    info.validPages = mapping.validPages(chip, block);
     info.pagesPerBlock = pagesPerBlock;
-    info.openSeq = line.openSeq;
+    info.openSeq = openSeqs[blockIndex(chip, block)];
     info.eraseCount = blocks.eraseCount(chip, block);
     return info;
 }
@@ -66,172 +60,28 @@ LineManager::keyFor(int chip, BlockId block) const
 }
 
 void
-LineManager::siftUp(PlaneHeap &heap, int chip, std::size_t pos)
-{
-    auto &h = heap.entries;
-    while (pos > 0) {
-        const std::size_t parent = (pos - 1) / 2;
-        if (!less(h[pos], h[parent]))
-            break;
-        std::swap(h[pos], h[parent]);
-        lines[blockIndex(chip, h[pos].block)].pos = pos;
-        lines[blockIndex(chip, h[parent].block)].pos = parent;
-        pos = parent;
-    }
-}
-
-void
-LineManager::siftDown(PlaneHeap &heap, int chip, std::size_t pos)
-{
-    auto &h = heap.entries;
-    const std::size_t n = h.size();
-    for (;;) {
-        std::size_t best = pos;
-        const std::size_t left = 2 * pos + 1;
-        const std::size_t right = left + 1;
-        if (left < n && less(h[left], h[best]))
-            best = left;
-        if (right < n && less(h[right], h[best]))
-            best = right;
-        if (best == pos)
-            return;
-        std::swap(h[pos], h[best]);
-        lines[blockIndex(chip, h[pos].block)].pos = pos;
-        lines[blockIndex(chip, h[best].block)].pos = best;
-        pos = best;
-    }
-}
-
-void
-LineManager::heapRemove(PlaneHeap &heap, int chip, std::size_t pos)
-{
-    auto &h = heap.entries;
-    lines[blockIndex(chip, h[pos].block)].pos = kNoPos;
-    const std::size_t last = h.size() - 1;
-    if (pos != last) {
-        h[pos] = h[last];
-        lines[blockIndex(chip, h[pos].block)].pos = pos;
-    }
-    h.pop_back();
-    if (pos < h.size()) {
-        siftUp(heap, chip, pos);
-        siftDown(heap, chip, pos);
-    }
-}
-
-void
-LineManager::reposition(int chip, BlockId block)
-{
-    Line &line = lines[blockIndex(chip, block)];
-    if (line.pos == kNoPos)
-        return;
-    const int plane = static_cast<int>(block) / blocksPerPlane;
-    PlaneHeap &heap = heaps[planeIndex(chip, plane)];
-    heap.entries[line.pos] = keyFor(chip, block);
-    siftUp(heap, chip, line.pos);
-    siftDown(heap, chip, line.pos);
-}
-
-void
 LineManager::onBlockOpened(int chip, BlockId block)
 {
-    Line &line = lines[blockIndex(chip, block)];
-    AERO_CHECK(line.pos == kNoPos, "opened block still in victim heap");
-    line.openSeq = nextOpenSeq++;
-}
-
-void
-LineManager::onBlockFull(int chip, BlockId block)
-{
-    Line &line = lines[blockIndex(chip, block)];
-    AERO_CHECK(line.pos == kNoPos, "full block already in victim heap");
-    const int plane = static_cast<int>(block) / blocksPerPlane;
-    PlaneHeap &heap = heaps[planeIndex(chip, plane)];
-    heap.entries.push_back(keyFor(chip, block));
-    line.pos = heap.entries.size() - 1;
-    siftUp(heap, chip, line.pos);
-}
-
-void
-LineManager::onBlockErased(int chip, BlockId block)
-{
-    Line &line = lines[blockIndex(chip, block)];
-    AERO_CHECK(line.valid == 0, "erased block still has ", line.valid,
-               " valid pages tracked");
-    if (line.pos != kNoPos) {
-        const int plane = static_cast<int>(block) / blocksPerPlane;
-        heapRemove(heaps[planeIndex(chip, plane)], chip, line.pos);
-    }
-    line.openSeq = 0;
-}
-
-void
-LineManager::onPageMapped(int chip, BlockId block)
-{
-    Line &line = lines[blockIndex(chip, block)];
-    line.valid += 1;
-    AERO_CHECK(line.valid <= pagesPerBlock, "valid pages overflow block");
-    reposition(chip, block);
-}
-
-void
-LineManager::onPageInvalidated(int chip, BlockId block)
-{
-    Line &line = lines[blockIndex(chip, block)];
-    AERO_CHECK(line.valid > 0, "invalidation underflow on block ", block);
-    line.valid -= 1;
-    reposition(chip, block);
+    openSeqs[blockIndex(chip, block)] = nextOpenSeq++;
 }
 
 BlockId
 LineManager::pickVictim(int chip, int plane) const
 {
-    const PlaneHeap &heap = heaps[planeIndex(chip, plane)];
-    if (heap.entries.empty())
-        return kInvalidBlock;
-    return heap.entries.front().block;
-}
-
-BlockId
-LineManager::bruteForceVictim(int chip, int plane) const
-{
-    const PlaneHeap &heap = heaps[planeIndex(chip, plane)];
-    BlockId best = kInvalidBlock;
-    Key best_key;
-    for (const Key &stored : heap.entries) {
-        // Re-derive the key from current state rather than trusting the
-        // stored copy: the whole point is to catch a stale heap.
-        const Key key = keyFor(chip, stored.block);
-        if (best == kInvalidBlock || less(key, best_key)) {
-            best = stored.block;
-            best_key = key;
-        }
+    AERO_CHECK(plane >= 0 && plane < planesPerChip, "plane out of range");
+    const auto lo = static_cast<BlockId>(plane * blocksPerPlane);
+    const auto hi = lo + static_cast<BlockId>(blocksPerPlane);
+    // Filters states in place rather than through BlockManager::fullBlocks
+    // (a vector per pick measured +1.4% peak RSS on fig14-grid).
+    Key best;
+    for (BlockId b = lo; b < hi; ++b) {
+        if (blocks.state(chip, b) != BlockState::Full)
+            continue;
+        const Key key = keyFor(chip, b);
+        if (best.block == kInvalidBlock || less(key, best))
+            best = key;
     }
-    return best;
-}
-
-std::vector<BlockId>
-LineManager::fullBlocks(int chip, int plane) const
-{
-    std::vector<BlockId> out;
-    const BlockId lo = static_cast<BlockId>(plane) * blocksPerPlane;
-    for (BlockId b = lo; b < lo + static_cast<BlockId>(blocksPerPlane); ++b) {
-        if (lines[blockIndex(chip, b)].pos != kNoPos)
-            out.push_back(b);
-    }
-    return out;
-}
-
-std::size_t
-LineManager::fullCount(int chip, int plane) const
-{
-    return heaps[planeIndex(chip, plane)].entries.size();
-}
-
-int
-LineManager::trackedValid(int chip, BlockId block) const
-{
-    return lines[blockIndex(chip, block)].valid;
+    return best.block;
 }
 
 } // namespace aero

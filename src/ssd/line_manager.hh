@@ -1,24 +1,22 @@
 /**
  * @file
- * FEMU-style line manager: tracks every block's fill generation and
- * valid-page count, and keeps the Full blocks of each plane in an
- * indexed min-heap (FEMU's `victim_line_pq`) keyed by the GC policy's
- * (score, tieBreak, block) order. The heap is updated incrementally —
- * O(log n) on block-full, page-invalidation, remap and erase events — so
- * victim selection is a peek instead of the O(blocks) plane rescan it
- * replaced. bruteForceVictim() re-derives the winner by rescanning and
- * exists for the randomized differential tests.
+ * Line manager: stamps every block's fill generation and picks GC
+ * victims by scanning the plane at the moment a victim is needed. The
+ * candidates are the plane's blocks whose BlockManager state is Full;
+ * the winner is the lowest (score, tieBreak, block) under the GC
+ * policy, a total order, so the pick is exact and deterministic. A scan
+ * costs O(blocks per plane) once per GC run instead of heap upkeep on
+ * every page write: warmup invalidates thousands of pages per erase.
  *
- * The manager learns structural transitions (open/full/erase) from
- * BlockManager's observer hooks and valid-count changes from the FTL's
- * remap path; erase counts are read back from the BlockManager, which
- * owns wear accounting.
+ * The manager owns no valid counts: it reads them from the PageMapping,
+ * erase counts from the BlockManager (which owns wear accounting) and
+ * learns block openings from BlockManager's observer hook.
  */
 
 #ifndef AERO_SSD_LINE_MANAGER_HH
 #define AERO_SSD_LINE_MANAGER_HH
 
-#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "ssd/config.hh"
@@ -28,45 +26,25 @@ namespace aero
 {
 
 class BlockManager;
+class PageMapping;
 
 class LineManager
 {
   public:
     LineManager(const SsdConfig &cfg, const GcPolicy &policy,
-                const BlockManager &blocks);
+                const BlockManager &blocks, const PageMapping &mapping);
 
-    /** @name Structural transitions (BlockManager observer) */
-    /** @{ */
+    /** Stamp a fresh fill generation (BlockManager observer). */
     void onBlockOpened(int chip, BlockId block);
-    void onBlockFull(int chip, BlockId block);
-    void onBlockErased(int chip, BlockId block);
-    /** @} */
-
-    /** @name Valid-count deltas (FTL remap path) */
-    /** @{ */
-    void onPageMapped(int chip, BlockId block);
-    void onPageInvalidated(int chip, BlockId block);
-    /** @} */
 
     /** Best victim of the plane, kInvalidBlock when no block is Full. */
     BlockId pickVictim(int chip, int plane) const;
-
-    /** O(blocks) rescan over the heap members (differential testing). */
-    BlockId bruteForceVictim(int chip, int plane) const;
-
-    /** Full blocks currently victim candidates, ascending block id. */
-    std::vector<BlockId> fullBlocks(int chip, int plane) const;
-
-    std::size_t fullCount(int chip, int plane) const;
-
-    /** Valid pages as this manager tracks them (tests cross-check). */
-    int trackedValid(int chip, BlockId block) const;
 
     /** Scoring inputs of a block, as the policy would see them. */
     GcLineInfo lineInfo(int chip, BlockId block) const;
 
   private:
-    /** Heap key; lexicographic (score, tie, block), lower wins. */
+    /** Victim order; lexicographic (score, tie, block), lower wins. */
     struct Key
     {
         double score = 0.0;
@@ -74,30 +52,10 @@ class LineManager
         BlockId block = kInvalidBlock;
     };
 
-    struct Line
-    {
-        int valid = 0;
-        std::uint64_t openSeq = 0;
-        std::size_t pos = kNoPos;  //!< index in the plane heap, or kNoPos
-    };
-
-    struct PlaneHeap
-    {
-        std::vector<Key> entries;
-    };
-
-    static constexpr std::size_t kNoPos = ~static_cast<std::size_t>(0);
-
     static bool less(const Key &a, const Key &b);
 
     std::size_t blockIndex(int chip, BlockId block) const;
-    std::size_t planeIndex(int chip, int plane) const;
     Key keyFor(int chip, BlockId block) const;
-    void siftUp(PlaneHeap &heap, int chip, std::size_t pos);
-    void siftDown(PlaneHeap &heap, int chip, std::size_t pos);
-    void heapRemove(PlaneHeap &heap, int chip, std::size_t pos);
-    /** Re-key `block` and restore heap order (no-op when not Full). */
-    void reposition(int chip, BlockId block);
 
     int numChips;
     int planesPerChip;
@@ -105,9 +63,9 @@ class LineManager
     int pagesPerBlock;
     const GcPolicy &policy;
     const BlockManager &blocks;
-    std::vector<Line> lines;        //!< per (chip, chip-local block)
-    std::vector<PlaneHeap> heaps;   //!< per (chip, plane)
-    std::uint64_t nextOpenSeq = 1;  //!< 0 means "never opened"
+    const PageMapping &mapping;
+    std::vector<std::uint64_t> openSeqs;  //!< per (chip, chip-local block)
+    std::uint64_t nextOpenSeq = 1;        //!< 0 means "never opened"
 };
 
 } // namespace aero

@@ -71,7 +71,9 @@ PageMapping::invalidateLpn(Lpn lpn)
     if (old == kNoEntry)
         return;
     p2l[old] = kNoEntry;
-    validCount[old / pagesPerBlock] -= 1;
+    std::int32_t &valid = validCount[old / pagesPerBlock];
+    valid -= 1;
+    AERO_CHECK(valid >= 0, "negative valid count");
     l2p[lpn] = kNoEntry;
     --mapped;
 }

@@ -2,10 +2,12 @@
  * @file
  * GC victim-selection battery (ssd/gc.hh + ssd/line_manager.hh): policy
  * scoring units, the name registry, the fifo-log reuse-cycle regression,
- * a randomized differential check of the incremental victim heap against
- * a brute-force rescan (10k sequences per registered policy), and a
- * 50k-op mixed host/GC/WL fuzz asserting mapping bijectivity, free-page
- * accounting and wear-count conservation after every reclamation cycle.
+ * a randomized differential check of the line manager's plane scan
+ * against a test-local oracle that recounts valid pages from the P2L
+ * table and stamps fills itself (10k sequences per registered policy,
+ * plus one run on the bench drive), and a 50k-op mixed host/GC/WL fuzz
+ * asserting mapping bijectivity, free-page accounting and wear-count
+ * conservation after every reclamation cycle.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/logging.hh"
@@ -48,8 +51,7 @@ TEST(GcPolicyScore, GreedyOrdersByValidPagesAndBreaksTiesByBlockId)
     GreedyGcPolicy greedy;
     EXPECT_LT(greedy.score(line(0, 2, 32, 9, 0)),
               greedy.score(line(1, 5, 32, 1, 0)));
-    // Equal valid counts: the lower block id must win the tie-break so
-    // the heap reproduces the old ascending plane scan exactly.
+    // Equal valid counts: the lower block id must win the tie-break.
     EXPECT_EQ(greedy.score(line(3, 4, 32, 1, 0)),
               greedy.score(line(7, 4, 32, 2, 0)));
     EXPECT_LT(greedy.tieBreak(line(3, 4, 32, 9, 0)),
@@ -94,41 +96,60 @@ TEST(GcPolicy, UnknownNameIsFatalAndListsChoices)
 }
 
 /**
- * A tiny drive's worth of BlockManager + LineManager + PageMapping wired
- * together the way the FTL wires them, with functional write/trim/GC
- * helpers mirroring Ftl::remap() and functionalGc().
+ * A drive's worth of BlockManager + PageMapping + LineManager and the
+ * config's wear-level policy, wired together the way the FTL wires them
+ * (tiny geometry unless given), with functional write/trim/GC helpers
+ * mirroring the FTL's prefill/warmup paths and functionalGc(). The
+ * fixture also keeps its own record of every block's fill order and
+ * erase count for the victim oracle.
  */
 struct LineFixture
 {
     SsdConfig cfg;
     std::unique_ptr<GcPolicy> policy;
+    std::unique_ptr<WearLevelPolicy> wear;
     BlockManager blocks;
-    LineManager lines;
     PageMapping mapping;
+    LineManager lines;
     Lpn nextLpn = 0;
+    std::vector<std::uint64_t> fillStamps;  //!< per (chip, block), 0 = none
+    std::vector<std::uint64_t> erases;      //!< per (chip, block)
+    std::uint64_t fills = 0;
 
-    explicit LineFixture(const std::string &policy_name = "greedy")
-        : cfg(SsdConfig::tiny()), policy(makeGcPolicy(policy_name)),
-          blocks(cfg), lines(cfg, *policy, blocks),
+    explicit LineFixture(const std::string &policy_name = "greedy",
+                         const SsdConfig &config = SsdConfig::tiny())
+        : cfg(config), policy(makeGcPolicy(policy_name)),
+          wear(makeWearLevelPolicy(cfg.wearLevel)), blocks(cfg),
           mapping(cfg.logicalPages(), cfg.totalChips(), cfg.blocksPerChip(),
-                  cfg.geometry.pagesPerBlock)
+                  cfg.geometry.pagesPerBlock),
+          lines(cfg, *policy, blocks, mapping),
+          fillStamps(static_cast<std::size_t>(cfg.totalChips()) *
+                         cfg.blocksPerChip(),
+                     0),
+          erases(fillStamps.size(), 0)
     {
         blocks.setLineManager(&lines);
+        blocks.setWearPolicy(wear.get());
     }
 
     int pagesPerBlock() const { return cfg.geometry.pagesPerBlock; }
 
-    /** Mirror of Ftl::remap(): map and report both deltas to the lines. */
-    void
-    remap(Lpn lpn, Ppn ppn)
+    std::size_t
+    slot(int chip, BlockId block) const
     {
-        const Ppn old = mapping.update(lpn, ppn);
-        const PpnParts parts = mapping.decode(ppn);
-        lines.onPageMapped(parts.chip, parts.block);
-        if (old != kInvalidPpn) {
-            const PpnParts prev = mapping.decode(old);
-            lines.onPageInvalidated(prev.chip, prev.block);
-        }
+        return static_cast<std::size_t>(chip) * cfg.blocksPerChip() + block;
+    }
+
+    /** BlockManager::allocate, stamping each block as its fill begins. */
+    bool
+    allocate(int chip, int plane, BlockId &blk, int &page,
+             bool for_gc = false)
+    {
+        if (!blocks.allocate(chip, plane, blk, page, for_gc))
+            return false;
+        if (page == 0)
+            fillStamps[slot(chip, blk)] = ++fills;
+        return true;
     }
 
     /** @return false when the plane is out of user space. */
@@ -137,9 +158,9 @@ struct LineFixture
     {
         BlockId blk = kInvalidBlock;
         int page = 0;
-        if (!blocks.allocate(chip, plane, blk, page))
+        if (!allocate(chip, plane, blk, page))
             return false;
-        remap(lpn, mapping.encode(chip, blk, page));
+        mapping.update(lpn, mapping.encode(chip, blk, page));
         return true;
     }
 
@@ -150,23 +171,14 @@ struct LineFixture
         BlockId blk = kInvalidBlock;
         for (int i = 0; i < pagesPerBlock(); ++i) {
             int page = 0;
-            AERO_CHECK(blocks.allocate(chip, plane, blk, page),
+            AERO_CHECK(allocate(chip, plane, blk, page),
                        "fixture plane ran out of blocks");
-            remap(nextLpn++, mapping.encode(chip, blk, page));
+            mapping.update(nextLpn++, mapping.encode(chip, blk, page));
         }
         return blk;
     }
 
-    void
-    trim(Lpn lpn)
-    {
-        const Ppn old = mapping.lookup(lpn);
-        if (old == kInvalidPpn)
-            return;
-        mapping.invalidateLpn(lpn);
-        const PpnParts parts = mapping.decode(old);
-        lines.onPageInvalidated(parts.chip, parts.block);
-    }
+    void trim(Lpn lpn) { mapping.invalidateLpn(lpn); }
 
     /** Functional GC: migrate every valid page off `victim`, erase it. */
     void
@@ -180,14 +192,60 @@ struct LineFixture
                 continue;
             BlockId dst = kInvalidBlock;
             int dst_page = 0;
-            AERO_CHECK(blocks.allocate(chip, plane, dst, dst_page, true),
+            AERO_CHECK(allocate(chip, plane, dst, dst_page, true),
                        "GC found no relocation target");
-            remap(lpn, mapping.encode(chip, dst, dst_page));
+            mapping.update(lpn, mapping.encode(chip, dst, dst_page));
         }
         mapping.onBlockErased(chip, victim);
         blocks.onBlockErased(chip, victim);
+        erases[slot(chip, victim)] += 1;
     }
 };
+
+/** Valid pages of a block, recounted from the P2L table. */
+int
+recountValid(const LineFixture &fx, int chip, BlockId block)
+{
+    int valid = 0;
+    for (int page = 0; page < fx.pagesPerBlock(); ++page) {
+        if (fx.mapping.reverseLookup(fx.mapping.encode(chip, block, page)) !=
+            kInvalidLpn)
+            valid += 1;
+    }
+    return valid;
+}
+
+/**
+ * Victim oracle independent of LineManager: the candidates are the
+ * plane's blocks in state Full, scored by the policy over inputs the
+ * fixture derives itself (P2L recount, its own fill stamps and erase
+ * counts), ordered by (score, tieBreak, block).
+ */
+BlockId
+oracleVictim(const LineFixture &fx, int chip, int plane)
+{
+    const int per_plane = fx.cfg.geometry.blocksPerPlane;
+    BlockId best = kInvalidBlock;
+    std::tuple<double, std::uint64_t, BlockId> best_key;
+    for (int i = 0; i < per_plane; ++i) {
+        const auto b = static_cast<BlockId>(plane * per_plane + i);
+        if (fx.blocks.state(chip, b) != BlockState::Full)
+            continue;
+        GcLineInfo info;
+        info.block = b;
+        info.validPages = recountValid(fx, chip, b);
+        info.pagesPerBlock = fx.pagesPerBlock();
+        info.openSeq = fx.fillStamps[fx.slot(chip, b)];
+        info.eraseCount = fx.erases[fx.slot(chip, b)];
+        const auto key = std::make_tuple(fx.policy->score(info),
+                                         fx.policy->tieBreak(info), b);
+        if (best == kInvalidBlock || key < best_key) {
+            best = b;
+            best_key = key;
+        }
+    }
+    return best;
+}
 
 TEST(LineManager, GreedyPicksFewestValidPages)
 {
@@ -200,7 +258,7 @@ TEST(LineManager, GreedyPicksFewestValidPages)
             fx.trim(fx.nextLpn - 1 - static_cast<Lpn>(i));
     }
     EXPECT_EQ(fx.lines.pickVictim(0, 0), full[1]);
-    EXPECT_EQ(fx.lines.bruteForceVictim(0, 0), full[1]);
+    EXPECT_EQ(oracleVictim(fx, 0, 0), full[1]);
 }
 
 TEST(LineManager, GreedyBreaksTiesTowardLowestBlockId)
@@ -220,8 +278,7 @@ TEST(LineManager, NoFullBlocksMeansNoVictim)
 {
     LineFixture fx;
     EXPECT_EQ(fx.lines.pickVictim(0, 0), kInvalidBlock);
-    EXPECT_EQ(fx.lines.bruteForceVictim(0, 0), kInvalidBlock);
-    EXPECT_EQ(fx.lines.fullCount(0, 0), 0u);
+    EXPECT_TRUE(fx.blocks.fullBlocks(0, 0).empty());
     // An Open (not yet Full) block is not a candidate either.
     BlockId blk = kInvalidBlock;
     int page = 0;
@@ -229,7 +286,7 @@ TEST(LineManager, NoFullBlocksMeansNoVictim)
     EXPECT_EQ(fx.lines.pickVictim(0, 0), kInvalidBlock);
 }
 
-TEST(LineManager, ErasedVictimLeavesTheHeap)
+TEST(LineManager, ErasedVictimIsNoLongerACandidate)
 {
     LineFixture fx;
     const BlockId a = fx.fillBlock(0, 0);
@@ -240,7 +297,7 @@ TEST(LineManager, ErasedVictimLeavesTheHeap)
     ASSERT_EQ(fx.lines.pickVictim(0, 0), a);
     fx.collect(0, a);
     EXPECT_EQ(fx.lines.pickVictim(0, 0), b);
-    const auto remaining = fx.lines.fullBlocks(0, 0);
+    const auto remaining = fx.blocks.fullBlocks(0, 0);
     EXPECT_EQ(remaining, std::vector<BlockId>{b});
 }
 
@@ -277,22 +334,24 @@ TEST(LineManager, TracksValidCountsAgainstTheMapping)
     std::mt19937_64 rng(17);
     for (int i = 0; i < 64; ++i)
         fx.trim(rng() % fx.nextLpn);
-    for (const BlockId blk : fx.lines.fullBlocks(0, 0))
-        EXPECT_EQ(fx.lines.trackedValid(0, blk),
-                  fx.mapping.validPages(0, blk));
+    for (const BlockId blk : fx.blocks.fullBlocks(0, 0))
+        EXPECT_EQ(fx.mapping.validPages(0, blk), recountValid(fx, 0, blk));
 }
 
 /**
  * Differential engine: one randomized churn step (overwrite / trim /
- * GC), then require the incremental heap and the brute-force rescan to
- * agree on every plane. Each step is one randomized invalidation
- * sequence against a drive state no other step has seen.
+ * GC), then require LineManager::pickVictim and the oracle to agree.
+ * Each step is one randomized invalidation sequence against a drive
+ * state no other step has seen. The step's own plane is compared after
+ * every step and every plane after every `all_planes_every` steps (a
+ * trim may land on any plane).
  */
 void
 differentialChurn(const std::string &policy_name, std::uint64_t seed,
-                  int steps)
+                  int steps, const SsdConfig &cfg = SsdConfig::tiny(),
+                  int all_planes_every = 1)
 {
-    LineFixture fx(policy_name);
+    LineFixture fx(policy_name, cfg);
     std::mt19937_64 rng(seed);
     // Start from a mostly-written drive so Full blocks exist early.
     const Lpn span = fx.cfg.logicalPages();
@@ -321,10 +380,12 @@ differentialChurn(const std::string &policy_name, std::uint64_t seed,
             if (victim != kInvalidBlock)
                 fx.collect(chip, victim);
         }
+        const bool all_planes = (step + 1) % all_planes_every == 0;
         for (int c = 0; c < fx.cfg.totalChips(); ++c) {
             for (int p = 0; p < fx.cfg.geometry.planes; ++p) {
-                ASSERT_EQ(fx.lines.pickVictim(c, p),
-                          fx.lines.bruteForceVictim(c, p))
+                if (!all_planes && (c != chip || p != plane))
+                    continue;
+                ASSERT_EQ(fx.lines.pickVictim(c, p), oracleVictim(fx, c, p))
                     << policy_name << " diverged at step " << step
                     << " chip " << c << " plane " << p;
             }
@@ -345,6 +406,19 @@ TEST(LineManagerDifferential, CostBenefitMatchesBruteForceOver10kSequences)
 TEST(LineManagerDifferential, FifoLogMatchesBruteForceOver10kSequences)
 {
     differentialChurn("fifo-log", 0xAE03, 10000);
+}
+
+/**
+ * Bench-drive geometry (64 planes of 32 blocks x 128 pages). Dynamic
+ * wear leveling opens the least-erased free block, so every block of a
+ * plane takes turns as a candidate; LIFO reuse leaves the top few ids
+ * of each plane free for the whole run.
+ */
+TEST(LineManagerDifferential, CostBenefitMatchesBruteForceOnTheBenchDrive)
+{
+    SsdConfig cfg = SsdConfig::bench();
+    cfg.wearLevel = "dynamic";
+    differentialChurn("cost-benefit", 0xAE04, 20000, cfg, 100);
 }
 
 /** Ring buffer of the ops leading up to a fuzz failure. */
@@ -378,8 +452,8 @@ struct OpLog
 /**
  * The fuzz's whole-drive invariant check:
  *  - mapping bijectivity: L2P and P2L are exact inverses;
- *  - valid-page accounting: the line manager, the mapping and the
- *    global mapped count all agree;
+ *  - valid-page accounting: the mapping's per-block counts, a recount
+ *    of the P2L table and the global mapped count all agree;
  *  - free-page accounting: the free lists match the block states;
  *  - wear conservation: per-block erase counts are monotone and sum to
  *    the drive-wide total.
@@ -409,18 +483,20 @@ checkFuzzInvariants(LineFixture &fx,
         for (BlockId b = 0; b < static_cast<BlockId>(blocks_per_chip);
              ++b) {
             // Bijectivity, reverse: every owned PPA is pointed back at.
+            int owned = 0;
             for (int pg = 0; pg < fx.pagesPerBlock(); ++pg) {
                 const Ppn ppn = fx.mapping.encode(c, b, pg);
                 const Lpn lpn = fx.mapping.reverseLookup(ppn);
                 if (lpn == kInvalidLpn)
                     continue;
+                owned += 1;
                 ASSERT_EQ(fx.mapping.lookup(lpn), ppn)
                     << "P2L names an lpn mapped elsewhere\n" << log.dump();
             }
             const int valid = fx.mapping.validPages(c, b);
             total_valid += static_cast<std::uint64_t>(valid);
-            ASSERT_EQ(fx.lines.trackedValid(c, b), valid)
-                << "line manager lost a valid-count delta on chip " << c
+            ASSERT_EQ(owned, valid)
+                << "mapping lost a valid-count delta on chip " << c
                 << " block " << b << "\n" << log.dump();
             // A Free block must hold no valid data.
             if (fx.blocks.state(c, b) == BlockState::Free) {
