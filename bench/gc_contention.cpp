@@ -110,7 +110,8 @@ runCell(const Cell &cell, std::uint64_t requests)
     wc.footprintPages = ssd.config().logicalPages();
     wc.numRequests = requests;
     wc.seed = 7;
-    ssd.run(generateTrace(wc));
+    SyntheticTraceStream trace(wc);
+    ssd.run(trace);
 
     const SsdMetrics &m = ssd.metrics();
     CellResult r;

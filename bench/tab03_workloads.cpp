@@ -46,8 +46,8 @@ main(int argc, char **argv)
                     cfg.spec = spec;
                     cfg.footprintPages = footprint_pages;
                     cfg.numRequests = num_requests;
-                    return computeExtendedStats(generateTrace(cfg),
-                                                cfg.pageSizeKB);
+                    SyntheticTraceStream trace(cfg);
+                    return computeExtendedStats(trace, cfg.pageSizeKB);
                 },
                 [](const ExtendedTraceStats &s) { return toJson(s); },
                 extendedStatsFromJson);

@@ -6,8 +6,8 @@
  *
  *   SsdConfig   -> describe the drive (topology, scheme, conditioning)
  *   Ssd         -> construct (prefills + warms up to steady state)
- *   generateTrace -> make a Table-3-style workload
- *   ssd.run     -> replay to completion
+ *   SyntheticTraceStream -> stream a Table-3-style workload
+ *   ssd.run     -> replay to completion, one record resident at a time
  *   ssd.metrics -> exact tail percentiles, IOPS, erase/GC counters
  */
 
@@ -36,8 +36,9 @@ main()
     wc.spec = workloadByName("prxy");
     wc.footprintPages = ssd.config().logicalPages();
     wc.numRequests = 20000;
-    const Trace trace = generateTrace(wc);
-    std::printf("replaying %zu requests...\n", trace.size());
+    SyntheticTraceStream trace(wc);
+    std::printf("replaying %llu requests...\n",
+                static_cast<unsigned long long>(wc.numRequests));
 
     ssd.run(trace);
 

@@ -68,7 +68,7 @@ runSimPoint(const SimPoint &point, const SsdConfig &base)
     wc.footprintPages = ssd.config().logicalPages();
     wc.numRequests = point.requests;
     wc.seed = point.seed;
-    const Trace trace = generateTrace(wc);
+    SyntheticTraceStream trace(wc);
     ssd.run(trace);
 
     const SsdMetrics &m = ssd.metrics();

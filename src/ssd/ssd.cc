@@ -22,34 +22,20 @@ Ssd::Ssd(const SsdConfig &cfg_) : cfg(cfg_)
 void
 Ssd::run(const Trace &trace)
 {
-    run(trace, kTickMax);
-}
-
-void
-Ssd::run(const Trace &trace, Tick deadline)
-{
     VectorTraceStream stream(trace);
-    run(stream, deadline);
+    run(stream);
 }
 
 void
 Ssd::run(TraceStream &stream)
 {
-    run(stream, kTickMax);
-}
-
-void
-Ssd::run(TraceStream &stream, Tick deadline)
-{
     // Feed arrivals incrementally, keeping the queue small. The queue is
-    // always drained before returning (the deadline only stops *new*
-    // arrivals), so the stack pump cannot dangle.
+    // always drained before returning, so the stack pump cannot dangle.
     TracePump pump{};
     pump.ftl = ftlImpl.get();
     pump.eq = &eq;
     pump.stream = &stream;
     pump.base = eq.now();
-    pump.deadline = deadline;
     if (sloPolicyThrottles(cfg.sloPolicy) && !cfg.slo.empty())
         pump.configureThrottle(cfg.slo, cfg.pageSizeKB, metrics());
     pump.hasPending = stream.next(pump.pending);
@@ -206,7 +192,7 @@ TracePump::fire()
     for (;;) {
         admit(pending);
         hasPending = stream->next(pending);
-        if (!hasPending || eq->now() >= deadline)
+        if (!hasPending)
             return;
         const Tick due_raw = base + pending.arrival;
         const Tick due = due_raw < eq->now() ? eq->now() : due_raw;

@@ -1,8 +1,9 @@
 /**
  * @file
- * Top-level simulated SSD: owns the event queue and the FTL, replays
- * traces, and exposes run metrics. This is the library's main entry point
- * for system-level experiments (see examples/quickstart.cpp).
+ * Top-level simulated SSD: owns the event queue and the FTL, replays a
+ * TraceStream (a synthetic generator, an `aero-trace/1` file or a
+ * tenant mix), and exposes run metrics. This is the library's main
+ * entry point for system-level experiments (see examples/quickstart.cpp).
  */
 
 #ifndef AERO_SSD_SSD_HH
@@ -69,7 +70,6 @@ struct TracePump
     TraceRecord pending;    //!< next record to admit (valid iff hasPending)
     bool hasPending = false;
     Tick base = 0;          //!< eq->now() when the replay started
-    Tick deadline = kTickMax;
     std::vector<TenantGate> gates;  //!< indexed by tenant; empty: no gate
     SsdMetrics *stats = nullptr;    //!< deferral accounting (throttle only)
     std::uint32_t pageKB = 16;      //!< bandwidth-cell cost per page
@@ -104,22 +104,17 @@ class Ssd
     explicit Ssd(const SsdConfig &cfg);
 
     /**
-     * Replay a trace to completion (all requests serviced). Can be called
-     * repeatedly; time continues monotonically.
-     */
-    void run(const Trace &trace);
-
-    /** Replay and also force-quiesce after `deadline` of simulated time. */
-    void run(const Trace &trace, Tick deadline);
-
-    /**
-     * Replay from a pull stream — the admission path every overload
-     * funnels into. Only one record is resident at a time beyond the
-     * stream's own buffering, so multi-billion-request file traces
-     * replay in O(chunk) memory.
+     * Replay from a pull stream to completion (all requests serviced).
+     * Only one record is resident at a time beyond the stream's own
+     * buffering, so file and synthetic traces of any length replay in
+     * O(chunk) memory. Can be called repeatedly; time continues
+     * monotonically.
      */
     void run(TraceStream &stream);
-    void run(TraceStream &stream, Tick deadline);
+
+    /** Replay a pre-built trace, for callers that replay one trace many
+     *  times; the same admission path through a VectorTraceStream. */
+    void run(const Trace &trace);
 
     SsdMetrics &metrics() { return ftlImpl->metrics(); }
     Ftl &ftl() { return *ftlImpl; }

@@ -1,88 +1,42 @@
 #include "workload/trace.hh"
 
 #include <cstdio>
-#include <fstream>
-
-#include "common/logging.hh"
 
 namespace aero
 {
 
+void
+TraceStatsAcc::add(const TraceRecord &r, std::uint32_t page_kb)
+{
+    if (requests == 0)
+        first = r.arrival;
+    last = r.arrival;
+    requests += 1;
+    if (r.op == IoOp::Read)
+        reads += 1;
+    sizeSum += static_cast<double>(r.pages) * page_kb;
+    const Lpn last_page = r.startPage + r.pages - 1;
+    if (last_page > maxPage)
+        maxPage = last_page;
+}
+
 TraceStats
-computeStats(const Trace &trace, std::uint32_t page_kb)
+TraceStatsAcc::finalize() const
 {
     TraceStats s;
-    s.requests = trace.size();
-    if (trace.empty())
+    s.requests = requests;
+    if (requests == 0)
         return s;
-    std::uint64_t reads = 0;
-    double size_sum = 0.0;
-    for (const auto &r : trace) {
-        if (r.op == IoOp::Read)
-            ++reads;
-        size_sum += static_cast<double>(r.pages) * page_kb;
-        const Lpn last = r.startPage + r.pages - 1;
-        if (last > s.maxPage)
-            s.maxPage = last;
-    }
     s.readRatio = static_cast<double>(reads) /
-                  static_cast<double>(trace.size());
-    s.avgReqSizeKB = size_sum / static_cast<double>(trace.size());
-    if (trace.size() > 1) {
-        const double span = static_cast<double>(trace.back().arrival -
-                                                trace.front().arrival);
-        s.avgInterArrivalMs =
-            span / static_cast<double>(kMs) /
-            static_cast<double>(trace.size() - 1);
+                  static_cast<double>(requests);
+    s.avgReqSizeKB = sizeSum / static_cast<double>(requests);
+    s.maxPage = maxPage;
+    if (requests > 1) {
+        const double span = static_cast<double>(last - first);
+        s.avgInterArrivalMs = span / static_cast<double>(kMs) /
+                              static_cast<double>(requests - 1);
     }
     return s;
-}
-
-void
-saveTrace(const Trace &trace, const std::string &path)
-{
-    std::ofstream out(path);
-    if (!out)
-        AERO_FATAL("cannot open trace file for writing: ", path);
-    out << "timestamp_ns,op,start_page,pages\n";
-    for (const auto &r : trace) {
-        out << r.arrival << ',' << (r.op == IoOp::Read ? 'R' : 'W')
-            << ',' << r.startPage << ',' << r.pages << '\n';
-    }
-    if (!out)
-        AERO_FATAL("short write to trace file: ", path);
-}
-
-Trace
-loadTrace(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        AERO_FATAL("cannot open trace file: ", path);
-    Trace trace;
-    std::string line;
-    std::getline(in, line);  // header
-    std::size_t lineno = 1;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        TraceRecord rec;
-        char opc = 0;
-        unsigned long long ts = 0, page = 0, pages = 0;
-        if (std::sscanf(line.c_str(), "%llu,%c,%llu,%llu", &ts, &opc,
-                        &page, &pages) != 4 ||
-            (opc != 'R' && opc != 'W') || pages == 0) {
-            AERO_FATAL("malformed trace record at ", path, ":", lineno,
-                       ": ", line);
-        }
-        rec.arrival = ts;
-        rec.op = opc == 'R' ? IoOp::Read : IoOp::Write;
-        rec.startPage = page;
-        rec.pages = static_cast<std::uint32_t>(pages);
-        trace.push_back(rec);
-    }
-    return trace;
 }
 
 std::string

@@ -45,21 +45,25 @@ struct TraceStats
     Lpn maxPage = 0;
 };
 
-TraceStats computeStats(const Trace &trace, std::uint32_t page_kb);
+/**
+ * Running Table-3 aggregates over records fed in arrival order: the one
+ * stats pass behind computeStreamStats() and computeExtendedStats().
+ */
+struct TraceStatsAcc
+{
+    std::uint64_t requests = 0;
+    std::uint64_t reads = 0;
+    double sizeSum = 0.0;
+    Tick first = 0;
+    Tick last = 0;
+    Lpn maxPage = 0;
+
+    void add(const TraceRecord &r, std::uint32_t page_kb);
+    TraceStats finalize() const;
+};
 
 /** Render stats as a Table 3 style row. */
 std::string statsRow(const std::string &name, const TraceStats &s);
-
-/**
- * @name Trace file I/O
- * CSV in an MSRC-like layout: `timestamp_ns,op,start_page,pages` with a
- * one-line header. Lets users replay their own block traces through the
- * simulator and persist generated ones.
- */
-/** @{ */
-void saveTrace(const Trace &trace, const std::string &path);
-Trace loadTrace(const std::string &path);
-/** @} */
 
 } // namespace aero
 

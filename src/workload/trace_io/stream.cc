@@ -205,64 +205,12 @@ writeTraceFile(const Trace &trace, const std::string &path,
 // Streaming stats
 // ---------------------------------------------------------------------------
 
-namespace
-{
-
-/** Running aggregates for one stats bucket (whole stream or tenant). */
-struct StatsAcc
-{
-    std::uint64_t requests = 0;
-    std::uint64_t reads = 0;
-    double sizeSum = 0.0;
-    Tick first = 0;
-    Tick last = 0;
-    Lpn maxPage = 0;
-
-    void
-    add(const TraceRecord &r, std::uint32_t page_kb)
-    {
-        if (requests == 0)
-            first = r.arrival;
-        last = r.arrival;
-        requests += 1;
-        if (r.op == IoOp::Read)
-            reads += 1;
-        sizeSum += static_cast<double>(r.pages) * page_kb;
-        const Lpn last_page = r.startPage + r.pages - 1;
-        if (last_page > maxPage)
-            maxPage = last_page;
-    }
-
-    TraceStats
-    finalize() const
-    {
-        // Same arithmetic (and accumulation order) as computeStats(),
-        // so the streaming pass is bit-identical to the vector pass.
-        TraceStats s;
-        s.requests = requests;
-        if (requests == 0)
-            return s;
-        s.readRatio = static_cast<double>(reads) /
-                      static_cast<double>(requests);
-        s.avgReqSizeKB = sizeSum / static_cast<double>(requests);
-        s.maxPage = maxPage;
-        if (requests > 1) {
-            const double span = static_cast<double>(last - first);
-            s.avgInterArrivalMs = span / static_cast<double>(kMs) /
-                                  static_cast<double>(requests - 1);
-        }
-        return s;
-    }
-};
-
-} // namespace
-
 StreamTraceStats
 computeStreamStats(TraceStream &stream, std::uint32_t page_kb,
                    bool per_tenant)
 {
-    StatsAcc total;
-    std::vector<StatsAcc> tenants;
+    TraceStatsAcc total;
+    std::vector<TraceStatsAcc> tenants;
     TraceRecord rec;
     while (stream.next(rec)) {
         total.add(rec, page_kb);

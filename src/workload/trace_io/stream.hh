@@ -2,11 +2,12 @@
  * @file
  * Streaming trace replay: the pull interface the simulator admits
  * requests through, with a chunk-buffered `aero-trace/1` file reader so
- * multi-billion-request traces replay in O(chunk) memory, a vector
- * adapter for the in-memory Trace path, and a streaming writer.
+ * multi-billion-request traces replay in O(chunk) memory, a borrowing
+ * adapter over a Trace vector, and a streaming writer. The synthetic
+ * generator is the third source (workload/synthetic.hh).
  *
- * `Ssd::run` consumes a TraceStream (ssd/ssd.hh); the `const Trace&`
- * overload is now a VectorTraceStream adapter over this interface.
+ * `Ssd::run` consumes a TraceStream (ssd/ssd.hh); its `const Trace&`
+ * overload replays through a VectorTraceStream.
  */
 
 #ifndef AERO_WORKLOAD_TRACE_IO_STREAM_HH
@@ -34,18 +35,12 @@ class TraceStream
     virtual bool next(TraceRecord &out) = 0;
 };
 
-/** In-memory adapter: replays a Trace vector (borrowed or owned). */
+/** In-memory adapter: replays a borrowed Trace vector, which must
+ *  outlive the stream. */
 class VectorTraceStream : public TraceStream
 {
   public:
-    /** Borrow @p trace (must outlive the stream). */
     explicit VectorTraceStream(const Trace &trace) : records(&trace) {}
-
-    /** Take ownership of @p trace. */
-    explicit VectorTraceStream(Trace &&trace)
-        : owned(std::move(trace)), records(&owned)
-    {
-    }
 
     bool
     next(TraceRecord &out) override
@@ -57,7 +52,6 @@ class VectorTraceStream : public TraceStream
     }
 
   private:
-    Trace owned;
     const Trace *records;
     std::size_t cursor = 0;
 };
@@ -160,8 +154,7 @@ void writeTraceFile(const Trace &trace, const std::string &path,
 /**
  * One bounded-memory pass over any stream: the Table-3 aggregates for
  * the whole stream plus a per-tenant breakdown (index = TenantId;
- * empty when @p per_tenant is false). Matches computeStats() exactly on
- * the same records.
+ * empty when @p per_tenant is false), accumulated by TraceStatsAcc.
  */
 struct StreamTraceStats
 {

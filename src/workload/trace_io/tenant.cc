@@ -299,7 +299,7 @@ openTenantSource(const TenantSource &src, const SyntheticConfig &base)
     if (src.hasSeed)
         cfg.seed = src.seed;
     cfg.intensityScale = base.intensityScale * src.intensity;
-    return std::make_unique<VectorTraceStream>(generateTrace(cfg));
+    return std::make_unique<SyntheticTraceStream>(cfg);
 }
 
 TenantMix::TenantMix(std::vector<std::unique_ptr<TraceStream>> streams)

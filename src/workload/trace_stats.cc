@@ -8,17 +8,16 @@ namespace aero
 {
 
 ExtendedTraceStats
-computeExtendedStats(const Trace &trace, std::uint32_t page_kb)
+computeExtendedStats(TraceStream &stream, std::uint32_t page_kb)
 {
     ExtendedTraceStats s;
-    s.basic = computeStats(trace, page_kb);
-    if (trace.empty())
-        return s;
-
+    TraceStatsAcc basic;
     double wsum = 0.0, rsum = 0.0;
     std::uint64_t wcnt = 0, rcnt = 0;
     std::unordered_map<Lpn, std::uint64_t> touch;
-    for (const auto &r : trace) {
+    TraceRecord r;
+    while (stream.next(r)) {
+        basic.add(r, page_kb);
         const double kb = static_cast<double>(r.pages) * page_kb;
         if (r.op == IoOp::Read) {
             rsum += kb;
@@ -32,6 +31,7 @@ computeExtendedStats(const Trace &trace, std::uint32_t page_kb)
         touch[r.startPage] += 1;
         s.totalPagesAccessed += r.pages;
     }
+    s.basic = basic.finalize();
     s.readAvgSizeKB = rcnt ? rsum / static_cast<double>(rcnt) : 0.0;
     s.writeAvgSizeKB = wcnt ? wsum / static_cast<double>(wcnt) : 0.0;
     s.distinctPages = touch.size();

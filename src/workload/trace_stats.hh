@@ -9,7 +9,7 @@
 #define AERO_WORKLOAD_TRACE_STATS_HH
 
 #include "exp/json.hh"
-#include "workload/trace.hh"
+#include "workload/trace_io/stream.hh"
 
 namespace aero
 {
@@ -26,7 +26,8 @@ struct ExtendedTraceStats
     std::uint64_t totalPagesAccessed = 0;
 };
 
-ExtendedTraceStats computeExtendedStats(const Trace &trace,
+/** One pass over @p stream; holds one counter per distinct start page. */
+ExtendedTraceStats computeExtendedStats(TraceStream &stream,
                                         std::uint32_t page_kb);
 
 /** @name Campaign-journal codec (exact round trip, bit-for-bit). */

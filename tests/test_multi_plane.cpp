@@ -1,17 +1,13 @@
 /**
  * @file
- * Unit tests for multi-plane erase composition (paper section 6) and the
- * trace file I/O round trip.
+ * Unit tests for multi-plane erase composition (paper section 6).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "core/aero_scheme.hh"
 #include "erase/baseline_ispe.hh"
 #include "erase/multi_plane.hh"
-#include "workload/synthetic.hh"
 
 namespace aero
 {
@@ -95,45 +91,6 @@ TEST(MultiPlane, RejectsTooManyBlocks)
     BaselineIspe scheme(chip, SchemeOptions{});
     EXPECT_DEATH(MultiPlaneErase(scheme, {0, 1, 2, 3, 4}),
                  "more blocks than planes");
-}
-
-TEST(TraceIo, SaveLoadRoundTrip)
-{
-    SyntheticConfig cfg;
-    cfg.spec = workloadByName("hm");
-    cfg.footprintPages = 4096;
-    cfg.numRequests = 500;
-    const auto trace = generateTrace(cfg);
-    const std::string path = "/tmp/aero_trace_roundtrip.csv";
-    saveTrace(trace, path);
-    const auto loaded = loadTrace(path);
-    ASSERT_EQ(loaded.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        EXPECT_EQ(loaded[i].arrival, trace[i].arrival);
-        EXPECT_EQ(loaded[i].op, trace[i].op);
-        EXPECT_EQ(loaded[i].startPage, trace[i].startPage);
-        EXPECT_EQ(loaded[i].pages, trace[i].pages);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, MissingFileIsFatal)
-{
-    EXPECT_DEATH(loadTrace("/nonexistent/path/trace.csv"),
-                 "cannot open");
-}
-
-TEST(TraceIo, MalformedRecordIsFatal)
-{
-    const std::string path = "/tmp/aero_trace_bad.csv";
-    {
-        FILE *f = std::fopen(path.c_str(), "w");
-        std::fputs("timestamp_ns,op,start_page,pages\n", f);
-        std::fputs("123,X,4,1\n", f);
-        std::fclose(f);
-    }
-    EXPECT_DEATH(loadTrace(path), "malformed");
-    std::remove(path.c_str());
 }
 
 } // namespace

@@ -206,13 +206,13 @@ struct MixOutcome
 };
 
 MixOutcome
-runMix(const SsdConfig &cfg, std::vector<Trace> traces)
+runMix(const SsdConfig &cfg, const std::vector<Trace> &traces)
 {
     Ssd ssd(cfg);
     ssd.metrics().enableTenantTracking(traces.size());
     std::vector<std::unique_ptr<TraceStream>> streams;
-    for (Trace &t : traces)
-        streams.push_back(std::make_unique<VectorTraceStream>(std::move(t)));
+    for (const Trace &t : traces)
+        streams.push_back(std::make_unique<VectorTraceStream>(t));
     TenantMix mix(std::move(streams));
     ssd.run(mix);
 
@@ -511,7 +511,7 @@ TEST(SloScheduler, RandomizedFuzzConservesEveryTenant)
         submitted[tenant][rec.op == IoOp::Write ? 1 : 0] += 1;
     }
 
-    const MixOutcome out = runMix(cfg, std::move(traces));
+    const MixOutcome out = runMix(cfg, traces);
     ASSERT_EQ(out.tenants.size(), kTenants);
     for (std::size_t t = 0; t < kTenants; ++t) {
         const TenantLatency &m = out.tenants[t];

@@ -1,14 +1,11 @@
 /**
  * @file
- * Unit tests for the statistics substrate: exact percentiles, histograms,
- * empirical CDFs.
+ * Unit tests for the statistics substrate: exact percentiles.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
-#include "stats/cdf.hh"
-#include "stats/histogram.hh"
 #include "stats/percentile.hh"
 
 namespace aero
@@ -56,64 +53,6 @@ TEST(Percentile, InterleavedAddAndQuery)
     t.add(9);
     EXPECT_EQ(t.percentile(0.5), 5u);
     EXPECT_EQ(t.max(), 9u);
-}
-
-TEST(Histogram, BinsAndBounds)
-{
-    Histogram h(0.0, 1.0, 10);
-    h.add(0.5);
-    h.add(9.99);
-    h.add(-1.0);
-    h.add(10.0);
-    h.add(42.0);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_DOUBLE_EQ(h.binFraction(0), 0.2);
-    EXPECT_DOUBLE_EQ(h.binLeft(3), 3.0);
-    EXPECT_DOUBLE_EQ(h.binCenter(3), 3.5);
-}
-
-TEST(Histogram, WeightedAdds)
-{
-    Histogram h(0.0, 1.0, 4);
-    h.add(1.5, 10);
-    EXPECT_EQ(h.binCount(1), 10u);
-    EXPECT_EQ(h.total(), 10u);
-}
-
-TEST(Cdf, FractionAndQuantiles)
-{
-    Cdf c;
-    for (int i = 1; i <= 10; ++i)
-        c.add(i);
-    EXPECT_DOUBLE_EQ(c.fractionAtOrBelow(5.0), 0.5);
-    EXPECT_DOUBLE_EQ(c.fractionAtOrBelow(0.0), 0.0);
-    EXPECT_DOUBLE_EQ(c.fractionAtOrBelow(10.0), 1.0);
-    EXPECT_DOUBLE_EQ(c.quantile(0.5), 5.0);
-    EXPECT_NEAR(c.mean(), 5.5, 1e-12);
-}
-
-TEST(Cdf, StddevOfConstantIsZero)
-{
-    Cdf c;
-    c.add(3.0);
-    c.add(3.0);
-    c.add(3.0);
-    EXPECT_DOUBLE_EQ(c.stddev(), 0.0);
-}
-
-TEST(Cdf, EvaluateAtGrid)
-{
-    Cdf c;
-    for (int i = 0; i < 100; ++i)
-        c.add(i);
-    const auto ys = c.evaluateAt({-1.0, 49.0, 99.0});
-    EXPECT_DOUBLE_EQ(ys[0], 0.0);
-    EXPECT_DOUBLE_EQ(ys[1], 0.5);
-    EXPECT_DOUBLE_EQ(ys[2], 1.0);
 }
 
 class PercentileRandomSweep : public ::testing::TestWithParam<int>

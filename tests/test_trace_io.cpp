@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <random>
@@ -34,15 +35,21 @@ struct TempFile
     std::string path;
 };
 
-Trace
-smallSyntheticTrace(std::uint64_t requests = 3000, std::uint64_t seed = 7)
+SyntheticConfig
+smallSyntheticConfig(std::uint64_t requests = 3000, std::uint64_t seed = 7)
 {
     SyntheticConfig cfg;
     cfg.spec = workloadByName("prxy");
     cfg.footprintPages = 1 << 14;
     cfg.numRequests = requests;
     cfg.seed = seed;
-    return generateTrace(cfg);
+    return cfg;
+}
+
+Trace
+smallSyntheticTrace(std::uint64_t requests = 3000, std::uint64_t seed = 7)
+{
+    return generateTrace(smallSyntheticConfig(requests, seed));
 }
 
 std::string
@@ -248,11 +255,13 @@ TEST(TraceStreamIo, WriteStreamRoundTripsAtOneAndFourThreads)
 
 TEST(TraceStreamIo, StreamStatsMatchVectorStatsExactly)
 {
-    const Trace trace = smallSyntheticTrace(2000, 13);
+    const SyntheticConfig cfg = smallSyntheticConfig(2000, 13);
+    const Trace trace = generateTrace(cfg);
     TempFile file("aero_trace_stats.trc");
     writeTraceFile(trace, file.path, 16);
 
-    const TraceStats vec = computeStats(trace, 16);
+    SyntheticTraceStream synthetic(cfg);
+    const TraceStats vec = computeStreamStats(synthetic, 16).total;
     FileTraceStream stream(file.path);
     const StreamTraceStats st = computeStreamStats(stream, 16);
     EXPECT_EQ(st.total.requests, vec.requests);
@@ -263,6 +272,18 @@ TEST(TraceStreamIo, StreamStatsMatchVectorStatsExactly)
     // Single-tenant trace: the tenant-0 bucket IS the total.
     ASSERT_EQ(st.perTenant.size(), 1u);
     EXPECT_EQ(st.perTenant[0].requests, vec.requests);
+
+    // And both equal a direct recount of the records.
+    std::size_t reads = 0;
+    Lpn max_page = 0;
+    for (const TraceRecord &r : trace) {
+        reads += r.op == IoOp::Read;
+        max_page = std::max<Lpn>(max_page, r.startPage + r.pages - 1);
+    }
+    EXPECT_EQ(vec.requests, trace.size());
+    EXPECT_EQ(vec.readRatio, static_cast<double>(reads) /
+                                 static_cast<double>(trace.size()));
+    EXPECT_EQ(vec.maxPage, max_page);
 }
 
 TEST(TraceStreamIo, WriterEnforcesValidityAtAppendTime)
@@ -570,11 +591,11 @@ TEST(TraceImport, FileImportRoundTripsThroughBinaryFormat)
 
 TEST(TenantMix, MergesByArrivalWithStableTieBreak)
 {
-    Trace a = {{100, IoOp::Read, 0, 1, 0}, {300, IoOp::Read, 1, 1, 0}};
-    Trace b = {{100, IoOp::Write, 2, 1, 0}, {200, IoOp::Write, 3, 1, 0}};
+    const Trace a = {{100, IoOp::Read, 0, 1, 0}, {300, IoOp::Read, 1, 1, 0}};
+    const Trace b = {{100, IoOp::Write, 2, 1, 0}, {200, IoOp::Write, 3, 1, 0}};
     std::vector<std::unique_ptr<TraceStream>> streams;
-    streams.push_back(std::make_unique<VectorTraceStream>(std::move(a)));
-    streams.push_back(std::make_unique<VectorTraceStream>(std::move(b)));
+    streams.push_back(std::make_unique<VectorTraceStream>(a));
+    streams.push_back(std::make_unique<VectorTraceStream>(b));
     TenantMix mix(std::move(streams));
     EXPECT_EQ(mix.tenantCount(), 2u);
 
@@ -637,8 +658,7 @@ TEST(TenantMix, PerTenantMetricsPartitionTheGlobalCounters)
         SyntheticConfig wc = base;
         wc.spec = workloadByName("hm");
         wc.seed = seed;
-        streams.push_back(
-            std::make_unique<VectorTraceStream>(generateTrace(wc)));
+        streams.push_back(std::make_unique<SyntheticTraceStream>(wc));
     }
     TenantMix mix(std::move(streams));
     ssd.run(mix);
@@ -673,6 +693,34 @@ TEST(TraceStreamReplay, FileStreamReplayMatchesVectorReplayExactly)
 
     const SsdMetrics &a = vec.metrics();
     const SsdMetrics &b = streamed.metrics();
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.erases, b.erases);
+    EXPECT_EQ(a.simulatedTime, b.simulatedTime);
+    EXPECT_EQ(a.readLatency.percentile(0.999),
+              b.readLatency.percentile(0.999));
+    EXPECT_EQ(a.writeLatency.percentile(0.999),
+              b.writeLatency.percentile(0.999));
+}
+
+TEST(TraceStreamReplay, SyntheticStreamReplayMatchesVectorReplayExactly)
+{
+    SsdConfig cfg = SsdConfig::tiny();
+    SyntheticConfig wc;
+    wc.spec = workloadByName("prxy");
+    wc.footprintPages = cfg.logicalPages();
+    wc.numRequests = 3000;
+    wc.seed = 17;
+
+    Ssd vec(cfg);
+    vec.run(generateTrace(wc));
+    Ssd streamed(cfg);
+    SyntheticTraceStream stream(wc);
+    streamed.run(stream);
+
+    const SsdMetrics &a = vec.metrics();
+    const SsdMetrics &b = streamed.metrics();
+    EXPECT_EQ(a.reads + a.writes, wc.numRequests);
     EXPECT_EQ(a.reads, b.reads);
     EXPECT_EQ(a.writes, b.writes);
     EXPECT_EQ(a.erases, b.erases);
