@@ -192,10 +192,9 @@ struct Artifacts
      */
     bool small = false;
     /**
-     * `--checkpoint <dir>` / `--workers <n>`: how runCampaign() journals
-     * and distributes the bench's campaign (see exp/campaign.hh). The
-     * resumed artifacts are byte-identical to an uninterrupted run at
-     * any thread or worker count.
+     * `--checkpoint <dir>`: where runCampaign() journals the bench's
+     * campaign (see exp/campaign.hh). The resumed artifacts are
+     * byte-identical to an uninterrupted run at any thread count.
      */
     CampaignArgs campaign;
 
@@ -235,7 +234,7 @@ struct Artifacts
 /**
  * The flags a bench accepts, each set a superset of the one before:
  * `--json <path>`/`--csv <path>`; plus `--small`; plus the campaign
- * flags `--checkpoint <dir>`/`--workers <n>` of a bench that journals.
+ * flag `--checkpoint <dir>` of a bench that journals.
  */
 enum class BenchFlags { Artifacts, Small, Campaign };
 
@@ -258,12 +257,6 @@ parseArtifactArgs(int argc, char **argv,
             out.small = true;
             continue;
         }
-        if (campaign_ok && std::strcmp(arg, "--workers") == 0) {
-            if (i + 1 >= argc)
-                AERO_FATAL("--workers needs a count");
-            out.campaign.workers = parseWorkerCount(argv[++i]);
-            continue;
-        }
         std::string *dest = nullptr;
         if (std::strcmp(arg, "--json") == 0)
             dest = &out.jsonPath;
@@ -276,7 +269,6 @@ parseArtifactArgs(int argc, char **argv,
                        "' (usage: ", argv[0],
                        " [--json <path>] [--csv <path>]",
                        campaign_ok ? " [--checkpoint <path>]" : "",
-                       campaign_ok ? " [--workers <n>]" : "",
                        small_ok ? " [--small]" : "", ")");
         if (i + 1 >= argc)
             AERO_FATAL(arg, " needs a file path");

@@ -26,8 +26,7 @@ main(int argc, char **argv)
     const auto data = runCampaign(
         artifacts.campaign, "fig10_reliability_margin", farm,
         [&](const CampaignScope &scope) {
-            return runFig10Experiment(fc, {500, 1500, 2500, 3500, 4500},
-                                      scope);
+            return runFig10Experiment(fc, scope);
         });
     std::printf("ECC capability %d, RBER requirement %d (per 1 KiB)\n",
                 data.eccCapability, data.rberRequirement);

@@ -14,17 +14,13 @@
  *
  * Every flag is optional; the default is a single Baseline/prxy/0.5K
  * point. `--progress` prints per-point completion lines to stderr.
- * `--checkpoint DIR` journals each completed point into the journal
- * directory DIR and, on a rerun, resumes from it instead of restarting
- * the grid from zero; the final artifacts are bit-identical to an
- * uninterrupted run.
- *
- * Distributed campaigns (see exp/campaign.hh for the journal format):
- * `--workers N` forks N worker processes sharing `--checkpoint DIR`,
- * coordinating through file-locked claims; `--compact DIR` rewrites a
- * journal down to one deduplicated file and exits; `--status DIR`
- * prints claims and per-worker progress. Artifacts stay byte-identical
- * to a single-process clean run at any worker count.
+ * The points run in parallel on `--threads` threads of this one
+ * process. `--checkpoint DIR` journals each completed point into the
+ * journal directory DIR (see exp/campaign.hh for the format) and, on a
+ * rerun, resumes from it instead of restarting the grid from zero; the
+ * final artifacts are bit-identical to an uninterrupted run at any
+ * thread count. `--status DIR` prints a journal's campaign, fingerprint
+ * and record counts without touching it.
  */
 
 #include <algorithm>
@@ -71,13 +67,10 @@ usage(const char *prog)
         "directory and resume from it\n"
         "  --campaign name       journal campaign name (default "
         "run_sweep)\n"
-        "  --workers n           fork n worker processes sharing the "
-        "checkpoint directory\n"
         "  --fsync               fsync every journal record (power-loss "
         "durability)\n"
-        "  --compact dir         compact a journal directory and exit\n"
-        "  --status path         print who holds claims and per-worker "
-        "progress for a journal, then exit\n"
+        "  --status path         print a journal's campaign and record "
+        "counts, then exit\n"
         "  --progress            per-point progress on stderr\n");
 }
 
@@ -91,8 +84,7 @@ main(int argc, char **argv)
     int threads = 0;
     bool progress = false;
     CampaignArgs campaign_args;
-    std::string json_path, csv_path, compact_path;
-    std::string status_path;
+    std::string json_path, csv_path, status_path;
     std::string campaign = "run_sweep";
 
     for (int i = 1; i < argc; ++i) {
@@ -131,12 +123,8 @@ main(int argc, char **argv)
             campaign_args.checkpointPath = value;
         } else if (arg == "--campaign") {
             campaign = value;
-        } else if (arg == "--compact") {
-            compact_path = value;
         } else if (arg == "--status") {
             status_path = value;
-        } else if (arg == "--workers") {
-            campaign_args.workers = parseWorkerCount(value);
         } else {
             AERO_FATAL("unknown option '", arg, "' (see --help)");
         }
@@ -144,14 +132,6 @@ main(int argc, char **argv)
     if (!status_path.empty()) {
         const CampaignStatus status = campaignStatus(status_path);
         std::fputs(formatCampaignStatus(status).c_str(), stdout);
-        return 0;
-    }
-    if (!compact_path.empty()) {
-        const CompactStats stats = compactCampaignJournal(compact_path);
-        std::printf("compacted %s: %zu file(s), %zu record(s) in, "
-                    "%zu out\n",
-                    compact_path.c_str(), stats.files, stats.recordsIn,
-                    stats.recordsOut);
         return 0;
     }
     spec.validate();

@@ -15,8 +15,8 @@
  * so accumulating from the returned records is bit-identical to a
  * single-threaded pec-major loop, for any thread count.
  *
- * The journaled overload additionally checkpoints the campaign through
- * a CampaignJournal (exp/campaign.hh): every completed chip task is
+ * With a non-empty scope the engine checkpoints the campaign through a
+ * CampaignJournal (exp/campaign.hh): every completed chip task is
  * flushed as one record keyed by `scope.prefix + {"chip": c}`, and a
  * resumed run decodes journaled chips instead of re-measuring them.
  * Because the codec round-trips every record field bit-exactly through
@@ -40,97 +40,11 @@
 namespace aero
 {
 
-namespace detail
-{
-
 /**
- * One chip's whole campaign: replay the serial walk's schedule for
- * chip @p c — PEC points outermost, blocks in sampling order,
- * conditioning each block to the point first. Shared by both
- * measureChipSharded overloads so the plain and journaled engines can
- * never drift apart (the crash/resume byte-identity contract depends
- * on them measuring identically).
- */
-template <typename Measure>
-auto
-measureOneChip(ChipPopulation &pop, int blocks_per_chip,
-               const std::vector<double> &pecs, Measure &measure, int c)
-    -> std::vector<std::vector<std::invoke_result_t<
-        Measure &, NandChip &, BlockId, std::size_t>>>
-{
-    using Record = std::invoke_result_t<Measure &, NandChip &, BlockId,
-                                        std::size_t>;
-    std::vector<std::vector<Record>> by_pec(pecs.size());
-    for (std::size_t pi = 0; pi < pecs.size(); ++pi) {
-        const double pec = pecs[pi];
-        pop.forEachSampledBlockOfChip(
-            c, blocks_per_chip, [&](NandChip &chip, BlockId id) {
-                Block &blk = chip.block(id);
-                if (blk.pec() < pec) {
-                    chip.ageBaseline(
-                        id, static_cast<int>(pec - blk.pec()));
-                }
-                by_pec[pi].push_back(measure(chip, id, pi));
-            });
-    }
-    return by_pec;
-}
-
-/** Concatenate per-chip records into records[pec], chip-major. */
-template <typename Record>
-std::vector<std::vector<Record>>
-foldChipRecordsByPec(std::vector<std::vector<std::vector<Record>>> &per_chip,
-                     std::size_t num_pecs)
-{
-    std::vector<std::vector<Record>> by_pec(num_pecs);
-    for (std::size_t pi = 0; pi < num_pecs; ++pi) {
-        for (auto &chip_records : per_chip) {
-            // A chip claimed by a sibling campaign worker comes back
-            // default-constructed (see parallelMapJournaled); only the
-            // driver, which resumes with every record cached, folds the
-            // full population.
-            if (chip_records.empty())
-                continue;
-            by_pec[pi].insert(
-                by_pec[pi].end(),
-                std::make_move_iterator(chip_records[pi].begin()),
-                std::make_move_iterator(chip_records[pi].end()));
-        }
-    }
-    return by_pec;
-}
-
-} // namespace detail
-
-/** @return records[pec_index], concatenated in chip-major order. */
-template <typename Measure>
-auto
-measureChipSharded(ChipPopulation &pop, int blocks_per_chip,
-                   const std::vector<double> &pecs, Measure measure,
-                   int threads = 0)
-    -> std::vector<std::vector<std::invoke_result_t<
-        Measure &, NandChip &, BlockId, std::size_t>>>
-{
-    std::vector<int> chip_indices(
-        static_cast<std::size_t>(pop.numChips()));
-    std::iota(chip_indices.begin(), chip_indices.end(), 0);
-
-    auto per_chip = parallelMap(
-        chip_indices,
-        [&](int c) {
-            return detail::measureOneChip(pop, blocks_per_chip, pecs,
-                                          measure, c);
-        },
-        threads);
-
-    return detail::foldChipRecordsByPec(per_chip, pecs.size());
-}
-
-/**
- * The journaled engine: as above, plus one checkpoint record per
- * completed chip task. @p codec must provide
- * `Json encode(const Record &)` and `Record decode(const Json &)`
- * (exact round-trip). With a null scope this is the plain engine.
+ * @return records[pec_index], concatenated in chip-major order. @p codec
+ * must provide `Json encode(const Record &)` and
+ * `Record decode(const Json &)` (exact round-trip); with an empty
+ * @p scope nothing is journaled.
  */
 template <typename Measure, typename Codec>
 auto
@@ -152,8 +66,15 @@ measureChipSharded(ChipPopulation &pop, int blocks_per_chip,
         scope.journal, chip_indices,
         [&](std::size_t, int c) { return scope.key("chip", c); },
         [&](int c) {
-            return detail::measureOneChip(pop, blocks_per_chip, pecs,
-                                          measure, c);
+            ChipRecords by_pec(pecs.size());
+            for (std::size_t pi = 0; pi < pecs.size(); ++pi) {
+                pop.forEachConditionedBlockOfChip(
+                    c, blocks_per_chip, pecs[pi],
+                    [&](NandChip &chip, BlockId id) {
+                        by_pec[pi].push_back(measure(chip, id, pi));
+                    });
+            }
+            return by_pec;
         },
         [&](const ChipRecords &by_pec) {
             Json doc = Json::array();
@@ -179,7 +100,16 @@ measureChipSharded(ChipPopulation &pop, int blocks_per_chip,
         },
         threads);
 
-    return detail::foldChipRecordsByPec(per_chip, pecs.size());
+    ChipRecords by_pec(pecs.size());
+    for (std::size_t pi = 0; pi < pecs.size(); ++pi) {
+        for (auto &chip_records : per_chip) {
+            by_pec[pi].insert(
+                by_pec[pi].end(),
+                std::make_move_iterator(chip_records[pi].begin()),
+                std::make_move_iterator(chip_records[pi].end()));
+        }
+    }
+    return by_pec;
 }
 
 } // namespace aero

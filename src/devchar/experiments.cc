@@ -11,24 +11,6 @@
 namespace aero
 {
 
-namespace
-{
-
-/** The shared (journaled) campaign engine on a farm's sampled blocks. */
-template <typename Measure, typename Codec>
-auto
-measureFarmSharded(ChipFarm &farm, const std::vector<double> &pecs,
-                   Measure measure, const CampaignScope &scope,
-                   Codec codec)
-{
-    return measureChipSharded(farm.population(),
-                              farm.config().blocksPerChip, pecs,
-                              std::move(measure), scope,
-                              std::move(codec));
-}
-
-} // namespace
-
 Fig4Data
 runFig4Experiment(const FarmConfig &farm_cfg,
                   const std::vector<double> &pecs,
@@ -37,8 +19,8 @@ runFig4Experiment(const FarmConfig &farm_cfg,
     ChipFarm farm(farm_cfg);
     Fig4Data data;
     data.blocksPerCurve = farm.totalSampledBlocks();
-    const auto by_pec = measureFarmSharded(
-        farm, pecs,
+    const auto by_pec = measureChipSharded(
+        farm.population(), farm_cfg.blocksPerChip, pecs,
         [](NandChip &chip, BlockId id, std::size_t) {
             return measureMIspe(chip, id);
         },
@@ -55,12 +37,6 @@ runFig4Experiment(const FarmConfig &farm_cfg,
                 curve.fracSingleLoop += 1.0;
         }
         const auto n = static_cast<double>(curve.mtBersMs.size());
-        // A forked campaign worker folds only its claimed chips and may
-        // see an empty curve; its aggregate is discarded (the worker
-        // exits right after the journaled map), so skip instead of
-        // tripping the driver's completeness check.
-        if (n == 0 && scope.partialShare())
-            continue;
         AERO_CHECK(n > 0, "fig4: empty curve");
         curve.fracWithin2_5Ms /= n;
         curve.fracSingleLoop /= n;
@@ -86,8 +62,8 @@ runFig7Experiment(const FarmConfig &farm_cfg,
     const ChipParams &p = farm.params();
     Fig7Data data;
     std::map<int, Fig7Data::Row> rows;
-    const auto by_pec = measureFarmSharded(
-        farm, pecs,
+    const auto by_pec = measureChipSharded(
+        farm.population(), farm_cfg.blocksPerChip, pecs,
         [](NandChip &chip, BlockId id, std::size_t) {
             return measureMIspe(chip, id);
         },
@@ -145,8 +121,8 @@ runFig8Experiment(const FarmConfig &farm_cfg,
     const ChipParams &p = farm.params();
     std::map<int, std::array<std::array<int, 8>, 9>> counts;
     std::map<int, int> totals;
-    const auto by_pec = measureFarmSharded(
-        farm, pecs,
+    const auto by_pec = measureChipSharded(
+        farm.population(), farm_cfg.blocksPerChip, pecs,
         [](NandChip &chip, BlockId id, std::size_t) {
             return measureMIspe(chip, id);
         },
@@ -395,11 +371,8 @@ struct InsufficientCodec
 } // namespace
 
 Fig10Data
-runFig10Experiment(const FarmConfig &farm_cfg,
-                   const std::vector<double> &pecs,
-                   const CampaignScope &scope)
+runFig10Experiment(const FarmConfig &farm_cfg, const CampaignScope &scope)
 {
-    (void)pecs;
     Fig10Data data;
     std::map<int, Fig10Data::CompleteRow> complete;
     std::map<std::pair<int, int>, Fig10Data::InsufficientRow> insufficient;
@@ -417,8 +390,8 @@ runFig10Experiment(const FarmConfig &farm_cfg,
         // conditioned blocks (see part (b) below).
         ChipFarm farm(farm_cfg);
         const ChipParams &p = farm.params();
-        const auto by_pec = measureFarmSharded(
-            farm, cond_pecs,
+        const auto by_pec = measureChipSharded(
+            farm.population(), farm_cfg.blocksPerChip, cond_pecs,
             [&p](NandChip &chip, BlockId id, std::size_t) {
                 chip.beginErase(id);
                 const int n = std::min(
@@ -448,8 +421,8 @@ runFig10Experiment(const FarmConfig &farm_cfg,
         // much older population; every block is restored to complete
         // erasure so later PEC points see a normally conditioned block.
         ChipFarm farm(farm_cfg);
-        const auto by_pec = measureFarmSharded(
-            farm, cond_pecs,
+        const auto by_pec = measureChipSharded(
+            farm.population(), farm_cfg.blocksPerChip, cond_pecs,
             [](NandChip &chip, BlockId id, std::size_t) {
                 const auto r = eraseInsufficiently(chip, id);
                 chip.beginErase(id);
@@ -514,8 +487,7 @@ runFig11Experiment(const FarmConfig &base, const CampaignScope &scope)
     FarmConfig fc10 = base;
     fc10.seed = base.seed + 17;
     data.reliability =
-        runFig10Experiment(fc10, {500.0, 1500.0, 2500.0, 3500.0},
-                           scope.with("stage", "reliability"));
+        runFig10Experiment(fc10, scope.with("stage", "reliability"));
     return data;
 }
 

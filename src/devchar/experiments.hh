@@ -124,8 +124,11 @@ struct Fig10Data
     int eccCapability = 72;
 };
 
+/**
+ * Each N_ISPE row is measured on blocks conditioned to the fixed PEC
+ * where that loop count is typical (the Fig. 4 bands).
+ */
 Fig10Data runFig10Experiment(const FarmConfig &farm_cfg,
-                             const std::vector<double> &pecs,
                              const CampaignScope &scope = {});
 
 /** Fig. 11: gamma/delta and insufficient-erasure RBER for other chips. */

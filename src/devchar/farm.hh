@@ -47,28 +47,7 @@ class ChipFarm
     forEachBlockAt(double pec, Fn &&fn)
     {
         for (int c = 0; c < pop.numChips(); ++c)
-            forEachBlockOfChipAt(c, pec, fn);
-    }
-
-    /**
-     * The conditioned walk restricted to one chip, for chip-sharded
-     * experiments (each chip may be driven by a different thread; see
-     * ChipPopulation::forEachSampledBlockOfChip for the safety
-     * argument).
-     */
-    template <typename Fn>
-    void
-    forEachBlockOfChipAt(int chip_index, double pec, Fn &&fn)
-    {
-        pop.forEachSampledBlockOfChip(chip_index, cfg.blocksPerChip,
-                                      [&](NandChip &chip, BlockId id) {
-            Block &blk = chip.block(id);
-            if (blk.pec() < pec) {
-                chip.ageBaseline(id,
-                                 static_cast<int>(pec - blk.pec()));
-            }
-            fn(chip, id);
-        });
+            pop.forEachConditionedBlockOfChip(c, cfg.blocksPerChip, pec, fn);
     }
 
   private:

@@ -6,69 +6,57 @@
  * or anything else shaped as "many independent tasks, each producing one
  * record".
  *
- * On-disk format (`aero-campaign/2`): the journal path is a *directory*.
- * Every process of the campaign appends to its own file inside it —
- * `journal.driver.jsonl` for the driver (a single-process run is just
- * this one file) and `journal.w<k>.jsonl` for forked worker k — one
- * JSON document per line:
+ * A campaign runs in one process, in parallel on parallelMap()'s thread
+ * pool (AERO_SWEEP_THREADS). On-disk format (`aero-campaign/2`): the
+ * journal path is a *directory* holding one file, `journal.driver.jsonl`,
+ * which the campaign's threads append to — one JSON document per line:
  *
  *   {"schema":"aero-campaign/2","campaign":"<name>",
- *    "fingerprint":"<hex>","worker":"<id>","config":{..}}
+ *    "fingerprint":"<hex>","worker":"driver","config":{..}}
  *   {"fingerprint":"<hex>","key":{..axes..},"payload":<any JSON>}
  *   ...
- *
- * Every reader merges all `journal.*.jsonl` files in sorted filename
- * order with duplicate-key *last-wins* semantics. Forked workers
- * coordinate in-flight tasks through `claims.jsonl`: before running a
- * task, a worker takes an advisory `flock()` on the claims file,
- * re-reads it, and appends a fsync'ed claim record
- * `{"key":..,"worker":..,"pid":..}` — a task claimed by another *live*
- * pid is skipped, a claim left by a dead pid is stale and silently
- * reaped. Because task payloads are deterministic functions of their
- * keys, a reaped-and-recomputed task produces an identical record and
- * last-wins merging keeps every reader byte-consistent.
- * `compactCampaignJournal()` rewrites a directory down to one
- * deduplicated `journal.compacted.jsonl` with a fresh header, so
- * journals do not grow without bound across resume cycles.
  *
  * The header pins the journal to one (campaign, configuration) pair via
  * a fingerprint over the campaign name and the canonical config JSON;
  * every record repeats the fingerprint so a record can never be spliced
  * into the wrong campaign. Records are keyed by an *axis object* (chip
  * index, scheme name, grid point, ...), not by position, so a journal
- * written under any thread count — or any worker count — resumes
- * correctly under any other.
+ * written under any thread count resumes correctly under any other. A
+ * key journaled twice (only journal surgery does that) resolves
+ * last-wins. Any other JSON-lines file in the directory — a per-worker
+ * or compacted journal or the claims file, left by the removed
+ * multi-process mode — is fatal, naming the file and leaving it
+ * untouched.
  *
  * Crash tolerance and the durability contract:
  *
  *   - Each record is one write() followed by std::fflush(), so a torn
  *     write leaves at most one partial final line. On open, the loader
  *     parses each line with Json::parse and drops a malformed or
- *     unterminated *final* line (warning; the file this process appends
- *     to is truncated back to its last good record, other workers' files
- *     are merged read-only and never touched). Corruption anywhere else
- *     is fatal, as is a journal path that names a regular file (never
- *     overwrite a file the caller pointed us at by mistake) and any
- *     campaign or fingerprint mismatch, naming the config field that
+ *     unterminated *final* line (warning; the file is truncated back to
+ *     its last good record before the next append). Corruption anywhere
+ *     else is fatal, as is a journal path that names a regular file
+ *     (never overwrite a file the caller pointed us at by mistake) and
+ *     any campaign or fingerprint mismatch, naming the config field that
  *     differs.
  *   - fflush() hands the record to the kernel page cache: a flushed
  *     record survives process death of any kind (SIGKILL included)
  *     because the kernel owns the dirty page. It does NOT survive
  *     power loss or a host crash before the kernel writes the page
- *     back. JournalOptions::fsyncRecords (or AERO_JOURNAL_FSYNC=1)
- *     additionally fsync()s every record, extending "resumes from its
- *     last flushed task" to power loss at the cost of one device sync
- *     per task.
- *   - Claim records are *always* fsync'ed regardless of fsyncRecords:
- *     a lost claim means two workers duplicating an expensive task,
- *     so claims buy durability unconditionally (they are tiny and
- *     written once per task).
+ *     back. The fsyncRecords constructor argument (or
+ *     AERO_JOURNAL_FSYNC=1) additionally fsync()s every record,
+ *     extending "resumes from its last flushed task" to power loss at
+ *     the cost of one device sync per task.
+ *   - The journal file is held under an exclusive advisory flock() for
+ *     as long as the journal is open, so a second live process on the
+ *     same directory is refused instead of interleaving torn lines. The
+ *     lock dies with its process: a SIGKILLed run never wedges the next
+ *     resume.
  */
 
 #ifndef AERO_EXP_CAMPAIGN_HH
 #define AERO_EXP_CAMPAIGN_HH
 
-#include <cstdint>
 #include <cstdio>
 #include <deque>
 #include <functional>
@@ -85,63 +73,31 @@
 namespace aero
 {
 
-/** How a CampaignJournal is opened (see the file comment). */
-struct JournalOptions
-{
-    /** The worker index of a campaign's driver process. */
-    static constexpr int kDriver = -1;
-
-    /**
-     * Which process of the campaign this is. The driver (kDriver, the
-     * default — also the only process of a single-process run) appends
-     * to `journal.driver.jsonl` and never claims. Forked worker k >= 0
-     * appends to `journal.w<k>.jsonl` and must win tryClaim() before
-     * running a task, so concurrent workers never duplicate in-flight
-     * work.
-     */
-    int worker = kDriver;
-
-    /**
-     * fsync() every journal record after flushing it (see the
-     * durability contract in the file comment). Overridable either way
-     * by the AERO_JOURNAL_FSYNC environment variable ("1" or "0").
-     */
-    bool fsyncRecords = false;
-};
-
 struct CampaignStatus;
-struct CompactStats;
-
-/** One journal file's contribution to a merged journal. */
-struct CampaignWorkerStatus
-{
-    std::string file;    //!< file name (journal.w0.jsonl, ...)
-    std::string worker;  //!< worker id from the header (w0, driver, ...)
-    std::size_t records = 0;  //!< journaled records, duplicates included
-};
 
 class CampaignJournal
 {
   public:
     /**
      * Open (or create) the journal directory at @p path for the
-     * campaign named @p campaign with configuration @p config. Every
-     * worker file already in the directory is validated (schema,
-     * campaign name, fingerprint) and merged; a journal written for a
-     * different campaign or configuration is fatal with a message
-     * naming the mismatch. This process then appends to its own worker
-     * file (refusing to start when another live process already holds
-     * that file's lock).
+     * campaign named @p campaign with configuration @p config. A journal
+     * already in the directory is validated (schema, campaign name,
+     * fingerprint) and loaded; a journal written for a different
+     * campaign or configuration is fatal with a message naming the
+     * mismatch, as is a file left by the removed multi-process mode or
+     * another live process holding the journal. @p fsyncRecords
+     * fsync()s every record after flushing it (see the durability
+     * contract in the file comment); the AERO_JOURNAL_FSYNC environment
+     * variable ("1" or "0") overrides it either way.
      */
     CampaignJournal(std::string path, std::string campaign, Json config,
-                    JournalOptions options = {});
+                    bool fsyncRecords = false);
 
     /**
      * Open the journal directory at @p path read-only, adopting the
-     * campaign and configuration its headers pin. Nothing is created,
-     * truncated or locked, and a torn final line in any file is skipped
-     * (it may be a write still in flight). Fatal when @p path holds no
-     * journal or its files disagree on the campaign fingerprint.
+     * campaign and configuration its header pins. Nothing is created,
+     * truncated or locked, and a torn final line is skipped (it may be a
+     * write still in flight). Fatal when @p path holds no journal.
      */
     explicit CampaignJournal(std::string path);
 
@@ -153,9 +109,6 @@ class CampaignJournal
     const std::string &path() const { return journalPath; }
     const std::string &campaignName() const { return campaign; }
 
-    /** Are file-locked claim records in force (a forked worker)? */
-    bool claimsEnabled() const { return options.worker >= 0; }
-
     /** Number of distinct keys already journaled. */
     std::size_t cachedCount() const;
 
@@ -165,26 +118,16 @@ class CampaignJournal
     /**
      * The journaled payload for @p key (fatal when absent; check has()
      * first). Returns a copy so the reference cannot dangle while other
-     * workers append. Thread-safe.
+     * threads append. Thread-safe.
      */
     Json cached(const Json &key) const;
 
     /**
      * Append one completed task's record and flush it to disk.
-     * Thread-safe: workers journal records in completion order, and the
+     * Thread-safe: threads journal records in completion order, and the
      * key-addressed loader makes order irrelevant on resume.
      */
     void record(const Json &key, Json payload);
-
-    /**
-     * Claim @p key for this worker before running its task. Returns
-     * true when this worker now owns the claim (including reclaiming
-     * its own or a dead worker's stale claim) and false when another
-     * live worker holds it — skip the task, that worker will journal
-     * it. Always true for the driver. Thread-safe and cross-process
-     * safe (exclusive flock on the claims file).
-     */
-    bool tryClaim(const Json &key);
 
     /** Visit every cached (key, payload) pair, in journal order. */
     void forEachCached(
@@ -193,9 +136,6 @@ class CampaignJournal
 
     /** Records fsync'ed so far (durability-contract observability). */
     std::size_t recordSyncCount() const;
-
-    /** Claim records fsync'ed so far (claims are always synced). */
-    std::size_t claimSyncCount() const;
 
     /**
      * Fingerprint of a campaign: a hash over its name and its canonical
@@ -206,59 +146,32 @@ class CampaignJournal
 
   private:
     friend CampaignStatus campaignStatus(const std::string &path);
-    friend CompactStats compactCampaignJournal(const std::string &path);
 
     void load(bool readOnly);
-    void loadHeader(const std::string &filePath, const Json &row,
-                    std::size_t lineNo);
-    void openForAppend(std::uint64_t keepBytes, bool writeHeader);
+    void loadHeader(const Json &row, std::size_t lineNo);
+    void openForAppend();
     void append(const Json &row);
     void insert(Json key, Json payload);
-    std::string workerName() const;
-    std::string claimsPath() const;
 
     std::string journalPath;
     std::string campaign;
     std::string fp;        //!< fingerprint of (campaign, config)
     Json configJson;       //!< canonical config (header payload)
-    JournalOptions options;
-    std::string appendPath;  //!< file this process appends to
-    /** Files merged on open, in merge order; headerless ones skipped. */
-    std::vector<CampaignWorkerStatus> loaded;
+    bool fsyncRecords = false;
+    std::string filePath;  //!< the journal file inside journalPath
     /** (key, payload) in journal order; deque keeps entries stable. */
     std::deque<std::pair<Json, Json>> entries;
     std::unordered_map<std::string, std::size_t> indexByKey;
+    std::size_t loadedRecords = 0;  //!< records read on open, duplicates too
     std::FILE *out = nullptr;
-    int claimsFd = -1;
     std::size_t recordSyncs = 0;  //!< guarded by mutex
-    std::size_t claimSyncs = 0;   //!< guarded by claimsMutex
     mutable std::mutex mutex;
-    mutable std::mutex claimsMutex;
-};
-
-/** What compactCampaignJournal() rewrote. */
-struct CompactStats
-{
-    std::size_t files = 0;       //!< journal files merged
-    std::size_t recordsIn = 0;   //!< records read (duplicates included)
-    std::size_t recordsOut = 0;  //!< deduplicated records written
-};
-
-/** One claimed task's state in a CampaignStatus. */
-struct CampaignClaimStatus
-{
-    Json key;            //!< the claimed task key
-    std::string worker;  //!< claiming worker id (last claim wins)
-    long long pid = 0;   //!< claiming pid
-    bool live = false;   //!< the claiming pid still runs
-    bool completed = false;  //!< a journal record exists for the key
 };
 
 /**
- * A read-only snapshot of a campaign journal: who holds claims and how
- * far each worker got. Safe to take while workers run (live claims are
- * reported as such); torn final lines — a crash or a write in flight —
- * are skipped, not errors.
+ * A read-only snapshot of a campaign journal. Safe to take while the
+ * campaign runs: a torn final line — a crash or a write in flight — is
+ * skipped, not an error.
  */
 struct CampaignStatus
 {
@@ -267,8 +180,6 @@ struct CampaignStatus
     std::string fingerprint;
     std::size_t records = 0;      //!< total records, duplicates included
     std::size_t distinctKeys = 0; //!< deduplicated journaled tasks
-    std::vector<CampaignWorkerStatus> workers;  //!< file-name order
-    std::vector<CampaignClaimStatus> claims;    //!< first-claim order
 };
 
 /**
@@ -279,16 +190,6 @@ CampaignStatus campaignStatus(const std::string &path);
 
 /** Render @p status as the human summary `run_sweep --status` prints. */
 std::string formatCampaignStatus(const CampaignStatus &status);
-
-/**
- * Rewrite the journal directory at @p path down to a single
- * deduplicated `journal.compacted.jsonl` (worker id "compacted") with a
- * fresh header, adopting the campaign/config the journal's own headers
- * pin (no external knowledge needed). All other worker files and the
- * claims file are removed. Only compact a quiescent journal — no live
- * workers. Fatal on corruption or on files from mismatched campaigns.
- */
-CompactStats compactCampaignJournal(const std::string &path);
 
 /**
  * A journal handle plus a key prefix, cheap to pass down through the
@@ -309,19 +210,6 @@ struct CampaignScope
     }
 
     explicit operator bool() const { return journal != nullptr; }
-
-    /**
-     * Is this a forked campaign worker's scope (claims armed)? Such a
-     * worker folds only its claimed share of the campaign, so
-     * aggregation invariants that assume full coverage must be relaxed
-     * — the driver re-runs them on the merged journal with every
-     * record cached.
-     */
-    bool
-    partialShare() const
-    {
-        return journal != nullptr && journal->claimsEnabled();
-    }
 
     /** This scope narrowed by one more key axis. */
     CampaignScope
@@ -350,16 +238,10 @@ struct CampaignScope
  * journaled under `keyOf(index, item)` as `encode(result)`, and items
  * already journaled are decoded from the journal instead of recomputed
  * — so a killed campaign resumes from its last flushed task. With a
- * null journal this is exactly parallelMap(). When the journal has
- * claims enabled (a forked campaign worker), each pending item is
- * claimed first; an item another live worker owns is *skipped* and its
- * slot left default-constructed — which is why runCampaign() exits a
- * forked worker after its body and leaves artifact assembly to the
- * driver, which reruns the body with every record cached. Results are
- * byte-stable across kill/resume cycles, thread counts, and worker
- * counts provided `decode(encode(x))` reproduces `x` exactly (every
- * codec in this repo round-trips doubles bit-for-bit through the JSON
- * serializer).
+ * null journal this is exactly parallelMap(). Results are byte-stable
+ * across kill/resume cycles and thread counts provided
+ * `decode(encode(x))` reproduces `x` exactly (every codec in this repo
+ * round-trips doubles bit-for-bit through the JSON serializer).
  */
 template <typename Item, typename KeyFn, typename Fn, typename Enc,
           typename Dec>
@@ -380,8 +262,6 @@ parallelMapJournaled(CampaignJournal *journal,
             const Json key = keyOf(i, items[i]);
             if (journal->has(key))
                 return decode(journal->cached(key));
-            if (!journal->tryClaim(key))
-                return Result{};
             Result r = fn(items[i]);
             journal->record(key, encode(r));
             return r;
@@ -390,21 +270,16 @@ parallelMapJournaled(CampaignJournal *journal,
 }
 
 /**
- * The campaign flags every driver shares: `--checkpoint <dir>`,
- * `--workers <n>` and `run_sweep --fsync`.
+ * The campaign flags every driver shares: `--checkpoint <dir>` and
+ * `run_sweep --fsync`.
  */
 struct CampaignArgs
 {
     /** Journal directory; empty runs the campaign unjournaled. */
     std::string checkpointPath;
-    /** Forked worker processes; <= 1 runs single-process. */
-    int workers = 0;
-    /** JournalOptions::fsyncRecords. */
+    /** fsync() every journal record (CampaignJournal's fsyncRecords). */
     bool fsyncRecords = false;
 };
-
-/** `--workers <n>`: a count in [1, 256] (fatal otherwise). */
-int parseWorkerCount(const std::string &value);
 
 namespace detail
 {
@@ -419,15 +294,10 @@ void runCampaign(const CampaignArgs &args, const std::string &name,
  * return what @p body (a `CampaignScope -> Result` callable) returns.
  *
  * Without `--checkpoint` the body runs once on an empty scope. With it,
- * `--workers n` first forks n worker processes; each opens its own file
- * in the journal directory with claims armed, runs the body on its
- * claimed share and exits without returning (`_Exit`: the child shares
- * the driver's unflushed stdio buffers and must not write artifacts).
- * The driver waits for every worker, opens the merged directory, prints
- * a `checkpoint: resuming` line when records are cached, and runs the
- * body itself — only uncached tasks are computed, so a killed campaign
- * resumes from its last flushed task at any worker count. Fatal when
- * `--workers` exceeds 1 without `--checkpoint`.
+ * the journal directory is opened (a `checkpoint: resuming` line is
+ * printed when records are cached) and the body runs on its scope —
+ * only uncached tasks are computed, so a killed campaign resumes from
+ * its last flushed task at any thread count.
  */
 template <typename Body>
 auto

@@ -206,11 +206,9 @@ class SweepRunner
      * journaled under `scope.key("point", toJson(point))` as it
      * completes, and points already journaled are decoded instead of
      * re-simulated, so a killed sweep resumes where it stopped under
-     * any thread or worker count. A forked worker (claims armed) skips
-     * points a live sibling owns and leaves their slots
-     * default-constructed (see parallelMapJournaled). @p progress sees
-     * only the points simulated here; its `total` counts the points not
-     * yet journaled when the run starts.
+     * any thread count. @p progress sees only the points simulated
+     * here; its `total` counts the points not yet journaled when the
+     * run starts.
      */
     std::vector<SimResult> run(const SweepSpec &spec,
                                CampaignScope scope = {},

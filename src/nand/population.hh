@@ -69,6 +69,25 @@ class ChipPopulation
         }
     }
 
+    /**
+     * The sampled walk of one chip with every block first conditioned
+     * to @p pec P/E cycles by Baseline erases (the paper's conditioning
+     * procedure); a block already past @p pec is visited as is.
+     */
+    template <typename Fn>
+    void
+    forEachConditionedBlockOfChip(int chip_index, int blocks_per_chip,
+                                  double pec, Fn &&fn)
+    {
+        forEachSampledBlockOfChip(
+            chip_index, blocks_per_chip, [&](NandChip &c, BlockId id) {
+                const double aged = c.block(id).pec();
+                if (aged < pec)
+                    c.ageBaseline(id, static_cast<int>(pec - aged));
+                fn(c, id);
+            });
+    }
+
   private:
     PopulationConfig cfg;
     ChipParams chipParams;

@@ -2,20 +2,13 @@
 #
 #   cmake -DBENCH=<bench-binary> -DDIFF=<aero_diff-binary>
 #         -DWORK=<scratch dir> -DTHREADS=<n> [-DMAX_KILLS=<n>]
-#         [-DWORKERS=<n>] [-DEXTRA_ARGS=<extra bench flags>]
+#         [-DEXTRA_ARGS=<extra bench flags>]
 #         -P run_crash_resume.cmake
 #
 # -DEXTRA_ARGS passes extra flags (space-separated) to every bench
 # invocation — clean run, kill loop, and final resume alike — so a
 # non-default configuration (e.g. `--slo noisy`) gets the same
 # crash/resume treatment as the default campaign.
-#
-# Every checkpointed attempt runs `--workers <n>` (default 1, a
-# single-process run) against the journal directory ck.dir. With n > 1
-# the kill loop exercises the multi-process path: SIGKILLing the driver
-# tears down its forked workers mid-claim (PDEATHSIG), and each restart
-# must merge the per-worker journal files — torn tails, stale claims
-# and all.
 #
 # Procedure (the checkpoint contract, end to end on the real binary):
 #   1. Run `<bench> --small` uninterrupted -> clean.json / clean.csv.
@@ -24,7 +17,7 @@
 #      successive attempts die at different stages of the campaign and
 #      each restart must resume from the journal the previous victim
 #      left behind — torn tails included. Each attempt also runs under a
-#      *random* AERO_SWEEP_THREADS (1-4), so resumes cross worker
+#      *random* AERO_SWEEP_THREADS (1-4), so resumes cross thread
 #      counts: the journal is axis-keyed, not position-keyed, and this
 #      is where that claim is exercised. The loop ends when an attempt
 #      survives to completion (a final untimed run guarantees that).
@@ -44,15 +37,11 @@ endforeach()
 if(NOT DEFINED MAX_KILLS)
     set(MAX_KILLS 20)
 endif()
-if(NOT DEFINED WORKERS)
-    set(WORKERS 1)
-endif()
 set(extra_args)
 if(DEFINED EXTRA_ARGS)
     separate_arguments(extra_args UNIX_COMMAND "${EXTRA_ARGS}")
 endif()
 set(ck_path "${WORK}/ck.dir")
-set(worker_flags --workers "${WORKERS}")
 
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
@@ -96,7 +85,7 @@ foreach(attempt RANGE 1 ${MAX_KILLS})
     endif()
     set(budget "${timeout_s}.${timeout_frac}")
 
-    # Resume under a different worker count than the journal was
+    # Resume under a different thread count than the journal was
     # written with (restored to ${THREADS} after the loop).
     string(RANDOM LENGTH 1 ALPHABET "1234" attempt_threads)
     set(ENV{AERO_SWEEP_THREADS} "${attempt_threads}")
@@ -105,14 +94,13 @@ foreach(attempt RANGE 1 ${MAX_KILLS})
         execute_process(
             COMMAND "${TIMEOUT_TOOL}" --signal=KILL "${budget}"
                 "${BENCH}" --small ${extra_args} --checkpoint "${ck_path}"
-                ${worker_flags}
                 --json "${WORK}/resumed.json" --csv "${WORK}/resumed.csv"
             RESULT_VARIABLE rc
             OUTPUT_QUIET ERROR_QUIET)
     else()
         execute_process(
             COMMAND "${BENCH}" --small ${extra_args}
-                --checkpoint "${ck_path}" ${worker_flags}
+                --checkpoint "${ck_path}"
                 --json "${WORK}/resumed.json" --csv "${WORK}/resumed.csv"
             TIMEOUT "${budget}"
             RESULT_VARIABLE rc
@@ -131,7 +119,7 @@ if(NOT completed)
     # Pathologically slow machine: let the final resume run to the end.
     execute_process(
         COMMAND "${BENCH}" --small ${extra_args}
-            --checkpoint "${ck_path}" ${worker_flags}
+            --checkpoint "${ck_path}"
             --json "${WORK}/resumed.json" --csv "${WORK}/resumed.csv"
         RESULT_VARIABLE rc
         OUTPUT_QUIET)

@@ -132,8 +132,7 @@ TEST(Fig9, ShallowErasureBenefitsMostBlocks)
 
 TEST(Fig10, ReliabilityMarginAndSafetyConditions)
 {
-    const auto data = runFig10Experiment(
-        smallFarm(9), {500, 1500, 2500, 3500, 4500});
+    const auto data = runFig10Experiment(smallFarm(9));
     // (a) Complete erasure: max RBER grows with N_ISPE and there is a
     // positive margin at N=1 (paper: up to 47 bits).
     double prev = 0.0;
