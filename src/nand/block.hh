@@ -50,7 +50,14 @@ class Block
     void setPec(double p) { pecCount = p; }
     void setLeftover(double l) { leftover = l; }
     void resetPages() { nextPage = 0; }
-    int claimNextPage() { return nextPage++; }
+    /** Claim the next `n` pages; returns the first. */
+    int
+    claimPages(int n)
+    {
+        const int first = nextPage;
+        nextPage += n;
+        return first;
+    }
     /** @} */
 
   private:

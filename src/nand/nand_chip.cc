@@ -152,13 +152,20 @@ NandChip::readPage(BlockId id, int page)
 Tick
 NandChip::programPage(BlockId id, Tick tprog_override)
 {
+    programPages(id, 1);
+    return tprog_override != 0 ? tprog_override : chip.tProg;
+}
+
+void
+NandChip::programPages(BlockId id, int count)
+{
     Block &blk = block(id);
     AERO_CHECK(!blk.op().active, "program during in-flight erase");
-    AERO_CHECK(blk.programmedPages() < geo.pagesPerBlock,
+    AERO_CHECK(count > 0, "programming ", count, " pages");
+    AERO_CHECK(count <= geo.pagesPerBlock - blk.programmedPages(),
                "program past end of block ", id,
                " (erase-before-write violated)");
-    blk.claimNextPage();
-    return tprog_override != 0 ? tprog_override : chip.tProg;
+    blk.claimPages(count);
 }
 
 double

@@ -19,9 +19,9 @@
  *
  * The WearModel is a pure function of the chip type, and building one
  * integrates the whole Baseline damage curve. A chip therefore holds it
- * through a shared pointer to const, so one drive (Ftl) or one
- * characterization farm (ChipPopulation) builds a single model and hands
- * it to every chip. Sharing is read-only and thread-safe.
+ * through a shared pointer to const: drives (Ftl) and characterization
+ * farms (ChipPopulation) take the process-wide WearModel::forType model
+ * and hand it to every chip. Sharing is read-only and thread-safe.
  */
 
 #ifndef AERO_NAND_NAND_CHIP_HH
@@ -132,6 +132,8 @@ class NandChip
     Tick readPage(BlockId id, int page);
     /** Programs the next free page in the block; returns latency. */
     Tick programPage(BlockId id, Tick tprog_override = 0);
+    /** Programs the next `count` free pages of the block (no timing). */
+    void programPages(BlockId id, int count);
     /** @} */
 
     /** Max RBER of the block under 1-yr retention (paper's metric). */

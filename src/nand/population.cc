@@ -1,7 +1,5 @@
 #include "nand/population.hh"
 
-#include <memory>
-
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -12,7 +10,7 @@ ChipPopulation::ChipPopulation(const PopulationConfig &cfg_)
     : cfg(cfg_), chipParams(ChipParams::forType(cfg_.type))
 {
     AERO_CHECK(cfg.numChips > 0, "population needs at least one chip");
-    const auto wear = std::make_shared<const WearModel>(chipParams);
+    const auto wear = WearModel::forType(cfg.type);
     Rng pop_rng(cfg.seed);
     chips.reserve(cfg.numChips);
     for (int i = 0; i < cfg.numChips; ++i) {

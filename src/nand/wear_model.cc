@@ -3,6 +3,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/mathutil.hh"
 #include "nand/erase_model.hh"
 
@@ -35,6 +36,31 @@ WearModel::WearModel(const ChipParams &params) : chip(params)
         knots.emplace_back(p + kGridStep, acc);
     }
     cum = PiecewiseLinear(std::move(knots));
+}
+
+std::shared_ptr<const WearModel>
+WearModel::forType(ChipType type)
+{
+    // Function-local statics: each is built once, on first use, even when
+    // threads race here. The table is immutable after that.
+    const auto build = [](ChipType t) {
+        return std::make_shared<const WearModel>(ChipParams::forType(t));
+    };
+    switch (type) {
+      case ChipType::Tlc3d48L: {
+        static const auto model = build(type);
+        return model;
+      }
+      case ChipType::Tlc2d: {
+        static const auto model = build(type);
+        return model;
+      }
+      case ChipType::Mlc3d48L: {
+        static const auto model = build(type);
+        return model;
+      }
+    }
+    AERO_PANIC("unknown chip type ", static_cast<int>(type));
 }
 
 double

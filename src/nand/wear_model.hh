@@ -14,6 +14,8 @@
 #ifndef AERO_NAND_WEAR_MODEL_HH
 #define AERO_NAND_WEAR_MODEL_HH
 
+#include <memory>
+
 #include "common/interp.hh"
 #include "nand/chip_params.hh"
 
@@ -24,6 +26,13 @@ class WearModel
 {
   public:
     explicit WearModel(const ChipParams &params);
+
+    /**
+     * The process-wide model of a stock chip type (ChipParams::forType),
+     * built on first use and shared by every drive and population of
+     * that type. Safe to call from concurrent threads.
+     */
+    static std::shared_ptr<const WearModel> forType(ChipType type);
 
     /** Mean damage of one full Baseline erase at the given PEC. */
     double baselineDamagePerErase(double pec) const;

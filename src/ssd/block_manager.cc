@@ -68,10 +68,11 @@ BlockManager::takeFreeBlock(int chip, Plane &ps)
     return block;
 }
 
-bool
-BlockManager::allocate(int chip, int plane, BlockId &block, int &page,
-                       bool for_gc)
+int
+BlockManager::allocateRun(int chip, int plane, int want, BlockId &block,
+                          int &page, bool for_gc)
 {
+    AERO_CHECK(want > 0, "allocating a run of ", want, " pages");
     auto &ps = planesState[planeIndex(chip, plane)];
     // GC relocations use their own write point so that a victim's live
     // pages always fit the block GC opened for them; user writes keep a
@@ -82,7 +83,7 @@ BlockManager::allocate(int chip, int plane, BlockId &block, int &page,
         const auto reserve =
             for_gc ? 0u : static_cast<std::size_t>(kGcReservedBlocks);
         if (ps.freeList.size() <= reserve)
-            return false;
+            return 0;
         open = takeFreeBlock(chip, ps);
         cursor = 0;
         BlockState &st = blockStates[blockIndex(chip, open)];
@@ -93,7 +94,9 @@ BlockManager::allocate(int chip, int plane, BlockId &block, int &page,
             lines->onBlockOpened(chip, open);
     }
     block = open;
-    page = cursor++;
+    page = cursor;
+    const int run = std::min(want, pagesPerBlock - cursor);
+    cursor += run;
     if (cursor == pagesPerBlock) {
         BlockState &st = blockStates[blockIndex(chip, open)];
         AERO_CHECK(st == BlockState::Open, "filled block ", open,
@@ -102,7 +105,7 @@ BlockManager::allocate(int chip, int plane, BlockId &block, int &page,
         open = kInvalidBlock;
         cursor = 0;
     }
-    return true;
+    return run;
 }
 
 int

@@ -57,8 +57,23 @@ class BlockManager
      * @return true and fills block/page, or false if the plane is out of
      *         space (caller must wait for GC).
      */
-    bool allocate(int chip, int plane, BlockId &block, int &page,
-                  bool for_gc = false);
+    bool
+    allocate(int chip, int plane, BlockId &block, int &page,
+             bool for_gc = false)
+    {
+        return allocateRun(chip, plane, 1, block, page, for_gc) == 1;
+    }
+
+    /**
+     * Allocate up to `want` consecutive pages of one block, as `want`
+     * calls to allocate() would hand them out until the open block
+     * fills: a block opens exactly where allocate() would open it.
+     * @return the pages granted (at most the open block's remainder,
+     *         0 when the plane is out of space); block/page name the
+     *         first of them.
+     */
+    int allocateRun(int chip, int plane, int want, BlockId &block,
+                    int &page, bool for_gc = false);
 
     /** Free blocks a user allocation may still open. */
     static constexpr int kGcReservedBlocks = 1;

@@ -145,11 +145,13 @@ struct SsdConfig
     /** @name Conditioning */
     /** @{ */
     double initialPec = 0.0;   //!< pre-age all blocks to this PEC
-    double prefillFraction = 1.0;  //!< logical space written before run
+    /** Logical space written before the run, in [0, 1]. */
+    double prefillFraction = 1.0;
     /**
-     * Random overwrites (fraction of logical pages) applied functionally
-     * after prefill, with inline GC, so timed runs start from a
-     * steady-state dirty drive whose planes sit at the GC watermark.
+     * Random overwrites (fraction of logical pages; finite, >= 0) applied
+     * functionally after prefill, with inline GC, so timed runs start
+     * from a steady-state dirty drive whose planes sit at the GC
+     * watermark.
      */
     double warmupOverwriteFraction = 0.3;
     std::uint64_t seed = 2024;

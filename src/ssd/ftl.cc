@@ -1,5 +1,10 @@
 #include "ssd/ftl.hh"
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <span>
+
 #include "common/logging.hh"
 #include "core/aero_scheme.hh"
 #include "ssd/geometry.hh"
@@ -18,6 +23,13 @@ Ftl::validated(SsdConfig cfg)
         geo.validateQueued();
     else
         geo.validate();
+    if (!(cfg.prefillFraction >= 0.0 && cfg.prefillFraction <= 1.0))
+        AERO_FATAL("conditioning: prefillFraction must be in [0, 1], got ",
+                   cfg.prefillFraction);
+    if (!(std::isfinite(cfg.warmupOverwriteFraction) &&
+          cfg.warmupOverwriteFraction >= 0.0))
+        AERO_FATAL("conditioning: warmupOverwriteFraction must be finite "
+                   "and non-negative, got ", cfg.warmupOverwriteFraction);
     if (sloPolicyWeights(cfg.sloPolicy) &&
         cfg.arbitration != Arbitration::Queued)
         AERO_FATAL("SLO policy '", sloPolicyName(cfg.sloPolicy),
@@ -33,9 +45,9 @@ Ftl::Ftl(const SsdConfig &cfg_, EventQueue &eq_)
               cfg.blocksPerChip(), cfg.geometry.pagesPerBlock),
       blocks(cfg)
 {
-    const auto params = ChipParams::forType(cfg.chipType);
-    // Every chip of the drive shares one wear model (see NandChip).
-    const auto wear = std::make_shared<const WearModel>(params);
+    // Every chip of every drive of this type shares one wear model.
+    const auto wear = WearModel::forType(cfg.chipType);
+    const ChipParams &params = wear->params();
     Rng seeder(cfg.seed);
     chips.reserve(cfg.totalChips());
     for (int i = 0; i < cfg.totalChips(); ++i) {
@@ -76,6 +88,7 @@ Ftl::Ftl(const SsdConfig &cfg_, EventQueue &eq_)
     blocks.setWearPolicy(wlPolicy.get());
     burstTouched.assign(cfg.totalChips(), 0);
     burstChips.reserve(cfg.totalChips());
+    gcLive.resize(static_cast<std::size_t>(cfg.geometry.pagesPerBlock));
 }
 
 Ftl::~Ftl() = default;
@@ -115,32 +128,62 @@ Ftl::preAge(double pec)
 void
 Ftl::prefill()
 {
-    const auto total = static_cast<Lpn>(
-        static_cast<double>(cfg.logicalPages()) * cfg.prefillFraction);
-    for (Lpn lpn = 0; lpn < total; ++lpn) {
-        const int tries = cfg.totalChips() * cfg.geometry.planes;
-        bool placed = false;
-        for (int t = 0; t < tries && !placed; ++t) {
-            const int key = (writePointer + t) % tries;
-            const int chip = key / cfg.geometry.planes;
-            const int plane = key % cfg.geometry.planes;
-            // Keep the GC headroom: never prefill below the high mark.
-            if (blocks.freeBlocks(chip, plane) <= cfg.gcHighWatermark)
-                continue;
-            BlockId blk;
-            int page;
-            if (!blocks.allocate(chip, plane, blk, page))
-                continue;
-            mapping.update(lpn, mapping.encode(chip, blk, page));
-            chips[chip].programPage(blk);
-            placed = true;
-            writePointer = (key + 1) % tries;
-        }
-        if (!placed) {
-            AERO_WARN("prefill stopped early at LPN ", lpn, " of ", total);
+    // One pass that leaves the state the per-LPN round-robin cursor left:
+    // LPN i goes to page i / N of plane key i % N (N = chips x planes),
+    // because on a fresh drive every plane accepts the same number of
+    // pages before prefill has to skip it.
+    const int keys = cfg.totalChips() * cfg.geometry.planes;
+    AERO_CHECK(mapping.mappedCount() == 0 && writePointer == 0,
+               "prefill needs a fresh drive");
+    for (int key = 0; key < keys; ++key) {
+        AERO_CHECK(blocks.freeBlocks(key / cfg.geometry.planes,
+                                     key % cfg.geometry.planes) ==
+                       cfg.geometry.blocksPerPlane,
+                   "prefill needs a fresh drive");
+    }
+    const auto ppb = static_cast<std::uint64_t>(cfg.geometry.pagesPerBlock);
+    // Keep the GC headroom: a plane opens a block only while it is above
+    // the high mark (and the GC reserve), and every later page re-checks
+    // the mark, so the block that brings the plane to it holds one page.
+    std::uint64_t cap = 0;
+    for (int free = cfg.geometry.blocksPerPlane;
+         free > cfg.gcHighWatermark &&
+         free > BlockManager::kGcReservedBlocks;
+         --free) {
+        if (free - 1 <= cfg.gcHighWatermark) {
+            cap += 1;
             break;
         }
+        cap += ppb;
     }
+    const auto total = static_cast<Lpn>(
+        static_cast<double>(cfg.logicalPages()) * cfg.prefillFraction);
+    const Lpn placed = std::min<Lpn>(total, cap * keys);
+    const Lpn rounds = placed / keys;
+    const Lpn extra = placed % keys;  //!< keys with one more page
+    // Blocks open in the order the cursor reached them: block by block
+    // across the planes, in key order.
+    for (Lpn first = 0; first < rounds + (extra != 0); first += ppb) {
+        for (int key = 0; key < keys; ++key) {
+            const Lpn pages = rounds + (static_cast<Lpn>(key) < extra);
+            if (pages <= first)
+                break;  // later keys hold no more pages than this one
+            const int chip = key / cfg.geometry.planes;
+            const int plane = key % cfg.geometry.planes;
+            const auto want = static_cast<int>(std::min(ppb, pages - first));
+            BlockId blk;
+            int page;
+            const int run = blocks.allocateRun(chip, plane, want, blk, page);
+            AERO_CHECK(run == want && page == 0, "prefill placed ", run,
+                       " of ", want, " pages in block ", blk);
+            mapping.mapFreshRun(first * keys + key, keys, run,
+                                mapping.encode(chip, blk, 0));
+            chips[chip].programPages(blk, run);
+        }
+    }
+    writePointer = static_cast<int>(extra);
+    if (placed < total)
+        AERO_WARN("prefill stopped early at LPN ", placed, " of ", total);
 }
 
 void
@@ -151,9 +194,28 @@ Ftl::warmup(std::uint64_t overwrites)
         static_cast<double>(cfg.logicalPages()) * cfg.prefillFraction);
     if (span == 0)
         return;
+    // The LPNs come from a private RNG, so they can be drawn ahead of use
+    // without changing the sequence. A ring of the next kAhead LPNs lets
+    // each overwrite prefetch its l2p entry kAhead writes early, and the
+    // p2l entry and valid count of its old page kNear writes early. A
+    // prefetch made stale by a write in between is only a wasted hint.
+    constexpr std::uint64_t kAhead = 16;
+    constexpr std::uint64_t kNear = 4;
+    std::array<Lpn, kAhead> ring{};
+    for (std::uint64_t i = 0; i < std::min(overwrites, kAhead); ++i) {
+        ring[i] = rng.below(span);
+        mapping.prefetchLookup(ring[i]);
+    }
     const int tries = cfg.totalChips() * cfg.geometry.planes;
     for (std::uint64_t i = 0; i < overwrites; ++i) {
-        const Lpn lpn = rng.below(span);
+        Lpn &slot = ring[i % kAhead];
+        const Lpn lpn = slot;
+        if (i + kAhead < overwrites) {
+            slot = rng.below(span);
+            mapping.prefetchLookup(slot);
+        }
+        if (i + kNear < overwrites)
+            mapping.prefetchOldLocation(ring[(i + kNear) % kAhead]);
         bool placed = false;
         for (int t = 0; t < tries && !placed; ++t) {
             const int key = (writePointer + t) % tries;
@@ -177,7 +239,9 @@ Ftl::warmup(std::uint64_t overwrites)
 void
 Ftl::functionalGc(int chip, int plane)
 {
-    // Inline, timing-free GC used only during warmup.
+    // Inline, timing-free GC used only during warmup. A victim's live
+    // pages move as runs: one allocation, mapping update and program
+    // call per destination block they land in.
     while (blocks.freeBlocks(chip, plane) <= cfg.gcLowWatermark) {
         const BlockId victim = lines->pickVictim(chip, plane);
         if (victim == kInvalidBlock)
@@ -186,20 +250,20 @@ Ftl::functionalGc(int chip, int plane)
             cfg.geometry.pagesPerBlock) {
             return;  // nothing reclaimable yet: all pages still live
         }
-        for (int p = 0; p < cfg.geometry.pagesPerBlock; ++p) {
-            const Ppn ppn = mapping.encode(chip, victim, p);
-            const Lpn lpn = mapping.reverseLookup(ppn);
-            if (lpn == kInvalidLpn)
-                continue;
+        const int live = mapping.livePages(chip, victim, gcLive);
+        for (int k = 0; k < live;) {
             // Relocate within the plane (other blocks have room: the
             // victim frees at least as many pages as it consumes).
             BlockId dst;
             int dpage;
-            bool ok = blocks.allocate(chip, plane, dst, dpage, true);
-            AERO_CHECK(ok && dst != victim,
+            const int run = blocks.allocateRun(chip, plane, live - k, dst,
+                                               dpage, true);
+            AERO_CHECK(run > 0 && dst != victim,
                        "warmup GC ran out of destination space");
-            mapping.update(lpn, mapping.encode(chip, dst, dpage));
-            chips[chip].programPage(dst);
+            mapping.relocate(std::span(gcLive).subspan(k, run),
+                             mapping.encode(chip, dst, dpage));
+            chips[chip].programPages(dst, run);
+            k += run;
         }
         eraseNow(*schemes[chip], victim);
         mapping.onBlockErased(chip, victim);

@@ -34,7 +34,10 @@ class Ftl : public FtlCallbacks
     /** Age every block to the configured initial PEC (conditioning). */
     void preAge(double pec);
 
-    /** Map and (functionally) program the logical space, without timing. */
+    /**
+     * Map and (functionally) program the logical space, without timing,
+     * in one pass over a fresh drive.
+     */
     void prefill();
 
     /**
@@ -130,6 +133,9 @@ class Ftl : public FtlCallbacks
     std::unordered_map<std::uint64_t, InflightRequest> inflight;
     std::uint64_t nextRequestId = 1;
     std::deque<StalledWrite> stalledWrites;
+
+    /** functionalGc's victim pages, one block's worth. */
+    std::vector<LivePage> gcLive;
 
     std::vector<std::unique_ptr<GcJob>> gcJobs;   //!< slot per plane
     int activeGcJobs = 0;

@@ -64,6 +64,78 @@ PageMapping::update(Lpn lpn, Ppn ppn)
 }
 
 void
+PageMapping::mapFreshRun(Lpn first, Lpn stride, int count, Ppn dst)
+{
+    AERO_CHECK(count > 0, "mapping a run of ", count, " pages");
+    const Lpn last = first + static_cast<Lpn>(count - 1) * stride;
+    AERO_CHECK(last < l2p.size(), "LPN out of range: ", last);
+    AERO_CHECK(dst % pagesPerBlock + count <= pagesPerBlock,
+               "run of ", count, " pages from PPN ", dst,
+               " crosses a block");
+    const auto d = static_cast<std::uint32_t>(dst);
+    for (int k = 0; k < count; ++k) {
+        const Lpn lpn = first + static_cast<Lpn>(k) * stride;
+        AERO_CHECK(l2p[lpn] == kNoEntry, "prefill remapping LPN ", lpn);
+        AERO_CHECK(p2l[d + k] == kNoEntry,
+                   "programming a PPN that is still mapped: ", d + k);
+        l2p[lpn] = d + k;
+        p2l[d + k] = static_cast<std::uint32_t>(lpn);
+    }
+    validCount[d / pagesPerBlock] += count;
+    mapped += static_cast<std::uint64_t>(count);
+}
+
+int
+PageMapping::livePages(int chip, BlockId block,
+                       std::span<LivePage> out) const
+{
+    AERO_CHECK(out.size() >= pagesPerBlock, "live-page buffer of ",
+               out.size(), " entries is smaller than a block");
+    const auto base = static_cast<std::uint32_t>(encode(chip, block, 0));
+    int n = 0;
+    for (std::uint32_t p = base; p < base + pagesPerBlock; ++p) {
+        if (p2l[p] != kNoEntry)
+            out[n++] = LivePage{p2l[p], p};
+    }
+    AERO_CHECK(n == validPages(chip, block), "block ", block, " of chip ",
+               chip, " maps ", n, " pages but counts ",
+               validPages(chip, block), " valid");
+    return n;
+}
+
+void
+PageMapping::relocate(std::span<const LivePage> pages, Ppn dst)
+{
+    AERO_CHECK(!pages.empty(), "relocating an empty run");
+    AERO_CHECK(dst % pagesPerBlock + pages.size() <= pagesPerBlock,
+               "run of ", pages.size(), " pages from PPN ", dst,
+               " crosses a block");
+    const auto d = static_cast<std::uint32_t>(dst);
+    std::int32_t &dst_valid = validCount[d / pagesPerBlock];
+    // Each page's l2p entry is a miss somewhere in the table; the run
+    // knows its LPNs up front, so fetch a few pages ahead.
+    constexpr std::size_t kAhead = 8;
+    for (std::size_t k = 0; k < pages.size(); ++k) {
+        if (k + kAhead < pages.size())
+            __builtin_prefetch(&l2p[pages[k + kAhead].lpn], 1);
+        const LivePage &pg = pages[k];
+        const auto to = static_cast<std::uint32_t>(d + k);
+        AERO_CHECK(pg.lpn < l2p.size(), "LPN out of range: ", pg.lpn);
+        AERO_CHECK(p2l[to] == kNoEntry,
+                   "programming a PPN that is still mapped: ", to);
+        AERO_CHECK(l2p[pg.lpn] == pg.ppn, "relocating LPN ", pg.lpn,
+                   " from PPN ", pg.ppn, " it no longer maps");
+        p2l[pg.ppn] = kNoEntry;
+        std::int32_t &valid = validCount[pg.ppn / pagesPerBlock];
+        valid -= 1;
+        AERO_CHECK(valid >= 0, "negative valid count");
+        l2p[pg.lpn] = to;
+        p2l[to] = pg.lpn;
+        dst_valid += 1;
+    }
+}
+
+void
 PageMapping::invalidateLpn(Lpn lpn)
 {
     AERO_CHECK(lpn < l2p.size(), "LPN out of range: ", lpn);

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/types.hh"
@@ -36,6 +37,13 @@ struct PpnParts
     int chip;
     BlockId block;  //!< chip-local block id
     int page;
+};
+
+/** A mapped physical page and its logical owner, in table width. */
+struct LivePage
+{
+    std::uint32_t lpn;
+    std::uint32_t ppn;
 };
 
 class PageMapping
@@ -63,6 +71,52 @@ class PageMapping
      * @return the invalidated old PPN, or kInvalidPpn.
      */
     Ppn update(Lpn lpn, Ppn ppn);
+
+    /** @name Bulk conditioning (prefill and warmup GC) */
+    /** @{ */
+
+    /**
+     * Map LPNs first, first + stride, ... (`count` of them) to the
+     * consecutive PPNs from `dst`, which lie in one block. Every LPN and
+     * PPN must be unmapped: this is prefill on a fresh drive.
+     */
+    void mapFreshRun(Lpn first, Lpn stride, int count, Ppn dst);
+
+    /**
+     * Collect a block's mapped pages into `out` in page order.
+     * @return how many there are (the block's valid count).
+     */
+    int livePages(int chip, BlockId block, std::span<LivePage> out) const;
+
+    /**
+     * Move `pages` to the consecutive PPNs from `dst`, which lie in one
+     * block, as update() would one by one, with its checks: each
+     * destination is unmapped, each page's LPN still maps to it, and no
+     * valid count goes negative.
+     */
+    void relocate(std::span<const LivePage> pages, Ppn dst);
+
+    /** Hint: `lpn`'s l2p entry is about to be read. */
+    void
+    prefetchLookup(Lpn lpn) const
+    {
+        __builtin_prefetch(&l2p[lpn]);
+    }
+
+    /**
+     * Hint: `lpn` is about to be overwritten. Reads its l2p entry and
+     * prefetches the p2l entry and valid count of the page it maps to.
+     */
+    void
+    prefetchOldLocation(Lpn lpn) const
+    {
+        const std::uint32_t old = l2p[lpn];
+        if (old == kNoEntry)
+            return;
+        __builtin_prefetch(&p2l[old], 1);
+        __builtin_prefetch(&validCount[old / pagesPerBlock], 1);
+    }
+    /** @} */
 
     /** Drop the mapping of a logical page (TRIM). */
     void invalidateLpn(Lpn lpn);

@@ -4,7 +4,8 @@
  * test: condition it exactly as perfbench's paper-drive workload does
  * (AERO, PEC 2500, seed 7 ^ 0x51, legacy arbitration), then replay a
  * short prxy trace. Pins the warmup erase count that perfbench's traced
- * paper-drive run reports, requires the replay to drain, and puts a
+ * paper-drive run reports and the digest of the whole conditioned
+ * drive state, requires the replay to drain, and puts a
  * ceiling on the process's peak resident set (VmHWM). Registered as the
  * CTest `perf.paper_drive_conditioning` (label `perf`), which the
  * sanitizer presets skip.
@@ -17,6 +18,7 @@
 #include <fstream>
 #include <string>
 
+#include "conditioning_digest.hh"
 #include "ssd/ssd.hh"
 #include "workload/presets.hh"
 #include "workload/synthetic.hh"
@@ -28,6 +30,12 @@ namespace
 
 /** Warmup erases of perfbench's paper-drive point at seed 7. */
 constexpr std::uint64_t kWarmupErases = 6232;
+
+/**
+ * test::conditionedStateDigest of the conditioned drive, captured from
+ * the per-page prefill and GC relocation loops the bulk path replaced.
+ */
+constexpr std::uint64_t kStateDigest = 0xc66f4245f851b9b1ULL;
 
 /**
  * Peak RSS ceiling, in MiB. The two 32-bit page-map tables alone take
@@ -58,6 +66,10 @@ TEST(PaperDrive, ConditionsLikePerfbenchAndReplaysWithinTheRssCeiling)
     cfg.seed = seed ^ 0x51ULL;
     Ssd ssd(cfg);
     EXPECT_EQ(ssd.ftl().warmupErases(), kWarmupErases);
+    const std::uint64_t digest = test::conditionedStateDigest(ssd);
+    std::printf("paper drive: state digest 0x%016llxULL\n",
+                static_cast<unsigned long long>(digest));
+    EXPECT_EQ(digest, kStateDigest);
 
     SyntheticConfig wc;
     wc.spec = workloadByName("prxy");

@@ -97,6 +97,20 @@ TEST(NandChip, EraseBeforeWriteEnforced)
     EXPECT_EQ(chip.programPage(1), chip.params().tProg);
 }
 
+TEST(NandChip, ProgramRunKeepsEraseBeforeWrite)
+{
+    auto chip = makeChip();
+    const int pages = chip.geometry().pagesPerBlock;
+    chip.programPages(1, pages - 3);
+    EXPECT_EQ(chip.block(1).programmedPages(), pages - 3);
+    EXPECT_DEATH(chip.programPages(1, 4), "erase-before-write");
+    chip.programPages(1, 3);
+    EXPECT_EQ(chip.block(1).programmedPages(), pages);
+    EXPECT_DEATH(chip.programPages(2, 0), "programming 0 pages");
+    chip.beginErase(2);
+    EXPECT_DEATH(chip.programPages(2, 1), "during in-flight");
+}
+
 TEST(NandChip, ProgramLatencyOverride)
 {
     auto chip = makeChip();

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -343,6 +344,90 @@ TEST(Mapping, EraseRequiresNoValidPages)
     EXPECT_EQ(m.validPages(0, 2), 0);
 }
 
+TEST(Mapping, RelocateMatchesPerPageUpdates)
+{
+    // Two mappings, one moved page by page through update() and one
+    // through livePages() + relocate(), end in the same state.
+    PageMapping bulk(64, 2, 4, 8), ref(64, 2, 4, 8);
+    for (Lpn lpn = 0; lpn < 8; ++lpn) {
+        bulk.update(lpn, bulk.encode(0, 1, static_cast<int>(lpn)));
+        ref.update(lpn, ref.encode(0, 1, static_cast<int>(lpn)));
+    }
+    for (const Lpn lpn : {1u, 4u, 6u}) {  // overwrite: pages go stale
+        bulk.update(lpn, bulk.encode(1, 0, static_cast<int>(lpn)));
+        ref.update(lpn, ref.encode(1, 0, static_cast<int>(lpn)));
+    }
+    std::vector<LivePage> live(8);
+    const int n = bulk.livePages(0, 1, live);
+    ASSERT_EQ(n, 5);
+    EXPECT_EQ(live[0].lpn, 0u);
+    EXPECT_EQ(live[4].lpn, 7u);
+    bulk.relocate(std::span(live).first(3), bulk.encode(0, 2, 5));
+    bulk.relocate(std::span(live).subspan(3, 2), bulk.encode(0, 3, 0));
+    int dpage = 5;
+    BlockId dst = 2;
+    for (int p = 0; p < 8; ++p) {
+        const Ppn ppn = ref.encode(0, 1, p);
+        const Lpn lpn = ref.reverseLookup(ppn);
+        if (lpn == kInvalidLpn)
+            continue;
+        if (dpage == 8) {
+            dst = 3;
+            dpage = 0;
+        }
+        ref.update(lpn, ref.encode(0, dst, dpage++));
+    }
+    for (Lpn lpn = 0; lpn < 64; ++lpn)
+        EXPECT_EQ(bulk.lookup(lpn), ref.lookup(lpn)) << "LPN " << lpn;
+    for (BlockId b = 0; b < 4; ++b) {
+        EXPECT_EQ(bulk.validPages(0, b), ref.validPages(0, b));
+        EXPECT_EQ(bulk.validPages(1, b), ref.validPages(1, b));
+    }
+    EXPECT_EQ(bulk.validPages(0, 1), 0);
+    EXPECT_EQ(bulk.mappedCount(), ref.mappedCount());
+}
+
+TEST(Mapping, RelocateKeepsUpdatesChecks)
+{
+    PageMapping m(64, 2, 4, 8);
+    m.update(3, m.encode(0, 1, 0));
+    m.update(4, m.encode(0, 1, 1));
+    m.update(5, m.encode(0, 2, 0));
+    std::vector<LivePage> live(8);
+    ASSERT_EQ(m.livePages(0, 1, live), 2);
+    // The destination is still mapped.
+    EXPECT_DEATH(m.relocate(std::span(live).first(2), m.encode(0, 2, 0)),
+                 "still mapped");
+    // A run may not cross into the next block.
+    EXPECT_DEATH(m.relocate(std::span(live).first(2), m.encode(0, 3, 7)),
+                 "crosses a block");
+    // The source was overwritten after the pages were collected.
+    m.update(4, m.encode(1, 0, 0));
+    EXPECT_DEATH(m.relocate(std::span(live).first(2), m.encode(0, 3, 0)),
+                 "no longer maps");
+    // A buffer smaller than a block is refused.
+    std::vector<LivePage> small(7);
+    EXPECT_DEATH(m.livePages(0, 1, small), "smaller than a block");
+}
+
+TEST(Mapping, MapFreshRunStridesLpnsOverOneBlock)
+{
+    PageMapping m(64, 2, 4, 8);
+    m.mapFreshRun(3, 4, 5, m.encode(1, 2, 2));
+    for (int k = 0; k < 5; ++k) {
+        EXPECT_EQ(m.lookup(3 + 4 * static_cast<Lpn>(k)),
+                  m.encode(1, 2, 2 + k));
+    }
+    EXPECT_EQ(m.validPages(1, 2), 5);
+    EXPECT_EQ(m.mappedCount(), 5u);
+    EXPECT_DEATH(m.mapFreshRun(7, 1, 1, m.encode(0, 0, 0)),
+                 "prefill remapping LPN 7");
+    EXPECT_DEATH(m.mapFreshRun(40, 1, 1, m.encode(1, 2, 3)),
+                 "still mapped");
+    EXPECT_DEATH(m.mapFreshRun(40, 1, 2, m.encode(0, 0, 7)),
+                 "crosses a block");
+}
+
 TEST(Mapping, EncodeDecodeExhaustive)
 {
     PageMapping m(64, 3, 5, 7);
@@ -521,6 +606,47 @@ TEST(BlockManager, PlaneExhaustionAndEraseRecovery)
     EXPECT_EQ(bm.state(0, filled.front()), BlockState::Free);
     EXPECT_FALSE(bm.allocate(0, 0, blk, page));  // reserve again
     ASSERT_TRUE(bm.allocate(0, 0, blk, page, true));
+}
+
+TEST(BlockManager, AllocateRunHandsOutWhatAllocateWould)
+{
+    // Runs of arbitrary length, on both write points, grant the pages
+    // per-page allocate() would, open the same blocks in the same order
+    // and run out of space at the same point.
+    const auto cfg = tinyCfg();
+    const int ppb = cfg.geometry.pagesPerBlock;
+    for (const bool for_gc : {false, true}) {
+        BlockManager bulk(cfg), ref(cfg);
+        std::mt19937 rng(for_gc ? 3 : 4);
+        for (;;) {
+            const int want = 1 + static_cast<int>(rng() % (2 * ppb));
+            BlockId blk;
+            int page;
+            const int run = bulk.allocateRun(0, 1, want, blk, page, for_gc);
+            ASSERT_LE(run, want);
+            ASSERT_LE(page + run, ppb) << "run crosses a block";
+            int granted = 0;
+            BlockId rblk;
+            int rpage;
+            while (granted < run && ref.allocate(0, 1, rblk, rpage, for_gc)) {
+                ASSERT_EQ(rblk, blk);
+                ASSERT_EQ(rpage, page + granted);
+                ++granted;
+            }
+            ASSERT_EQ(granted, run);
+            ASSERT_EQ(bulk.freeBlocks(0, 1), ref.freeBlocks(0, 1));
+            ASSERT_EQ(bulk.state(0, blk), ref.state(0, blk));
+            if (run == 0) {
+                EXPECT_FALSE(ref.allocate(0, 1, rblk, rpage, for_gc));
+                break;
+            }
+            if (run < want) {
+                EXPECT_EQ(bulk.state(0, blk), BlockState::Full);
+            }
+        }
+        EXPECT_EQ(bulk.freeBlocks(0, 1),
+                  for_gc ? 0 : BlockManager::kGcReservedBlocks);
+    }
 }
 
 TEST(BlockManager, GcWritePointIsSeparate)

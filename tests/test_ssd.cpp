@@ -8,8 +8,11 @@
 
 #include <bit>
 #include <cstdint>
+#include <thread>
+#include <vector>
 
 #include "devchar/simstudy.hh"
+#include "nand/population.hh"
 #include "ssd/ssd.hh"
 #include "workload/synthetic.hh"
 
@@ -188,14 +191,56 @@ TEST(Ssd, ConfigSummaryMentionsScheme)
 
 TEST(Ftl, ChipsShareOneWearModel)
 {
+    // SweepRunner's threads build drives concurrently. Run first in the
+    // process (CTest runs each test alone), these threads race to build
+    // the model, and every one must get the same model.
+    constexpr int kThreads = 8;
+    std::vector<const WearModel *> seen(kThreads, nullptr);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&seen, t] {
+            Ssd ssd(SsdConfig::tiny());
+            seen[t] = &ssd.ftl().chipAt(0).wearModel();
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    const ChipType type = SsdConfig::tiny().chipType;
+    const WearModel *model = WearModel::forType(type).get();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(seen[t], model) << "thread " << t;
+
+    // Every chip of a drive, another drive of the type and a
+    // characterization population of the type hold that model.
     SsdConfig cfg = tinyCfg();
     cfg.channels = 4;
     cfg.chipsPerChannel = 2;
+    ASSERT_EQ(cfg.chipType, type);
     EventQueue eq;
     Ftl ftl(cfg, eq);
-    for (int i = 1; i < cfg.totalChips(); ++i)
-        EXPECT_EQ(&ftl.chipAt(0).wearModel(), &ftl.chipAt(i).wearModel())
-            << "chip " << i;
+    for (int i = 0; i < cfg.totalChips(); ++i)
+        EXPECT_EQ(&ftl.chipAt(i).wearModel(), model) << "chip " << i;
+    SsdConfig other = tinyCfg(SchemeKind::Aero);
+    other.seed = 5;
+    EventQueue eq2;
+    Ftl second(other, eq2);
+    EXPECT_EQ(&second.chipAt(0).wearModel(), model);
+    PopulationConfig pc;
+    pc.type = type;
+    pc.numChips = 2;
+    ChipPopulation pop(pc);
+    EXPECT_EQ(&pop.chip(0).wearModel(), model);
+    EXPECT_EQ(&pop.chip(1).wearModel(), model);
+
+    // Another chip type gets its own model, of its own parameters.
+    SsdConfig mlc = tinyCfg();
+    mlc.chipType = ChipType::Mlc3d48L;
+    EventQueue eq3;
+    Ftl third(mlc, eq3);
+    EXPECT_NE(&third.chipAt(0).wearModel(), model);
+    EXPECT_EQ(third.chipAt(0).wearModel().params().type, ChipType::Mlc3d48L);
+    EXPECT_EQ(&third.chipAt(0).wearModel(),
+              WearModel::forType(ChipType::Mlc3d48L).get());
 }
 
 TEST(Ftl, PreAgedBlocksMatchStandaloneChips)

@@ -236,6 +236,74 @@ TEST(TopologyDeathTest, NonPowerOfTwoPagesRejectedOnlyWhenQueued)
                  "queued arbitration, got 2112");
 }
 
+// Conditioning fractions are checked where the geometry is: before any
+// table is sized, with the field and the value in the message.
+
+SsdConfig
+tinyWithFractions(double prefill, double warmup)
+{
+    SsdConfig cfg = SsdConfig::tiny();
+    cfg.prefillFraction = prefill;
+    cfg.warmupOverwriteFraction = warmup;
+    return cfg;
+}
+
+TEST(ConditioningDeathTest, PrefillFractionAboveOneDies)
+{
+    EXPECT_DEATH(Ssd(tinyWithFractions(1.5, 0.3)),
+                 "conditioning: prefillFraction must be in \\[0, 1\\], "
+                 "got 1.5");
+}
+
+TEST(ConditioningDeathTest, NegativePrefillFractionDies)
+{
+    EXPECT_DEATH(Ssd(tinyWithFractions(-0.2, 0.3)),
+                 "conditioning: prefillFraction must be in \\[0, 1\\], "
+                 "got -0.2");
+}
+
+TEST(ConditioningDeathTest, NanPrefillFractionDies)
+{
+    EXPECT_DEATH(
+        Ssd(tinyWithFractions(std::numeric_limits<double>::quiet_NaN(),
+                              0.3)),
+        "conditioning: prefillFraction must be in \\[0, 1\\], got nan");
+}
+
+TEST(ConditioningDeathTest, NegativeWarmupOverwriteFractionDies)
+{
+    EXPECT_DEATH(Ssd(tinyWithFractions(1.0, -0.5)),
+                 "conditioning: warmupOverwriteFraction must be finite "
+                 "and non-negative, got -0.5");
+}
+
+TEST(ConditioningDeathTest, NanWarmupOverwriteFractionDies)
+{
+    EXPECT_DEATH(
+        Ssd(tinyWithFractions(1.0,
+                              std::numeric_limits<double>::quiet_NaN())),
+        "conditioning: warmupOverwriteFraction must be finite and "
+        "non-negative, got nan");
+}
+
+TEST(ConditioningDeathTest, InfiniteWarmupOverwriteFractionDies)
+{
+    EXPECT_DEATH(
+        Ssd(tinyWithFractions(1.0,
+                              std::numeric_limits<double>::infinity())),
+        "conditioning: warmupOverwriteFraction must be finite and "
+        "non-negative, got inf");
+}
+
+TEST(Conditioning, FractionsAtTheirBoundsAreAccepted)
+{
+    Ssd empty(tinyWithFractions(0.0, 0.0));
+    EXPECT_EQ(empty.ftl().pageMapping().mappedCount(), 0u);
+    Ssd full(tinyWithFractions(1.0, 0.0));
+    EXPECT_EQ(full.ftl().pageMapping().mappedCount(),
+              full.config().logicalPages());
+}
+
 // ---------------------------------------------------------------------------
 // Queued-arbitration conservation: an end-to-end run under the
 // event-driven channel model completes every request, does real GC, and
