@@ -8,11 +8,12 @@
  * the actual multiple so it cannot silently grow.
  *
  * Emits an `aero-contention-bench/1` artifact (BENCH_contention.json in
- * CI). The gate (tests/perf/run_contention_gate.cmake) compares the
- * deterministic event counts and final ticks exactly — under *both*
- * arbitration models, so a behaviour change in either trips it — and
- * gates the relative simulation cost through a machine-normalized
- * threshold boolean, while machine-absolute rates are ignored.
+ * CI). The perf.bench_contention gate (tests/golden/run_gate.cmake)
+ * compares the deterministic event counts and final ticks exactly —
+ * under *both* arbitration models, so a behaviour change in either
+ * trips it — and gates the relative simulation cost through a
+ * machine-normalized threshold boolean, while machine-absolute rates
+ * are ignored.
  */
 
 #include <algorithm>

@@ -8,10 +8,10 @@
  * trace pump — which is why the sweep leads with small sets.
  *
  * Emits an `aero-kernel-bench/1` JSON artifact (BENCH_kernel.json in CI).
- * The perf gate (tests/perf/run_perf_gate.cmake) diffs it against the
- * checked-in baseline: deterministic counts compare exactly and the
- * machine-absolute rates are ignored (end-to-end speed is compared
- * change against parent by perfbench/, not here).
+ * The perf.bench_kernel gate (tests/golden/run_gate.cmake) diffs it
+ * against the checked-in baseline: deterministic counts compare exactly
+ * and the machine-absolute rates are ignored (end-to-end speed is
+ * compared change against parent by perfbench/, not here).
  */
 
 #include <algorithm>

@@ -1,29 +1,17 @@
 /**
  * @file
- * aero_diff: compare two experiment report files (`aero-sweep/1` /
- * `aero-devchar/1` JSON artifacts, or two CSV artifacts) — or two
- * *directories* of such files — and fail when any metric drifts beyond
+ * aero_diff: compare two JSON report files (`aero-sweep/1`,
+ * `aero-devchar/1`, ...) and fail when any metric drifts beyond
  * tolerance: the CLI face of the regression gate.
  *
  *   aero_diff golden.json regenerated.json \
  *       [--rel-tol X] [--abs-tol X] [--ignore KEY]... [--max-rows N]
- *   aero_diff golden.csv regenerated.csv --rel-tol X
- *   aero_diff tests/golden regenerated-dir --rel-tol X
- *
- * A file ending in `.csv` is parsed as a CSV artifact and lifted into
- * report shape (integers exact, numbers toleranced, rows axis-keyed
- * when the sweep axis columns are present); both files must then be
- * CSV for the schemas to agree.
- *
- * When both arguments are directories, every `*.json` / `*.csv` file
- * (recursively) is paired with the same-named file on the other side
- * and diffed; unpaired files are reported and count as a difference.
- * One invocation thus gates a whole tree of baselines.
  *
  * Exit codes: 0 reports match, 1 reports differ (a per-metric delta
- * table is printed per file), 2 usage / I/O / JSON or CSV parse error.
+ * table is printed), 2 usage / I/O / JSON parse error.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,27 +35,23 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s <a.json|a.csv|dirA> <b.json|b.csv|dirB> [options]\n"
+        "usage: %s <a.json> <b.json> [options]\n"
         "  --rel-tol X    relative tolerance for floating-point metrics\n"
         "  --abs-tol X    absolute tolerance for floating-point metrics\n"
         "  --ignore KEY   skip this key everywhere (repeatable)\n"
         "  --max-rows N   print at most N delta rows (default 50, 0=all)\n"
-        "two directories diff every *.json/*.csv file pair by name\n"
         "exit status: 0 match, 1 differ, 2 error\n",
         argv0);
-}
-
-bool
-isCsvPath(const char *path)
-{
-    const std::string p = path;
-    return p.size() >= 4 && p.compare(p.size() - 4, 4, ".csv") == 0;
 }
 
 /** Read + parse one report, exiting with kExitError on any failure. */
 aero::Json
 loadReport(const char *path)
 {
+    if (std::filesystem::is_directory(path)) {
+        std::fprintf(stderr, "aero_diff: '%s' is a directory\n", path);
+        std::exit(kExitError);
+    }
     std::ifstream in(path, std::ios::binary);
     if (!in) {
         std::fprintf(stderr, "aero_diff: cannot open '%s'\n", path);
@@ -78,16 +62,6 @@ loadReport(const char *path)
     if (in.bad()) {
         std::fprintf(stderr, "aero_diff: failed reading '%s'\n", path);
         std::exit(kExitError);
-    }
-    if (isCsvPath(path)) {
-        aero::Json doc;
-        std::string error;
-        if (!aero::csvToReport(content.str(), &doc, &error)) {
-            std::fprintf(stderr, "aero_diff: %s: %s\n", path,
-                         error.c_str());
-            std::exit(kExitError);
-        }
-        return doc;
     }
     aero::Json doc;
     aero::Json::ParseError err;
@@ -104,10 +78,10 @@ parseDouble(const char *flag, const char *value, const char *argv0)
 {
     char *end = nullptr;
     const double v = std::strtod(value, &end);
-    if (end == value || *end != '\0' || v < 0.0) {
+    if (end == value || *end != '\0' || !std::isfinite(v) || v < 0.0) {
         std::fprintf(stderr,
-                     "aero_diff: %s needs a non-negative number, "
-                     "got '%s'\n", flag, value);
+                     "aero_diff: %s needs a finite non-negative "
+                     "number, got '%s'\n", flag, value);
         usage(argv0);
         std::exit(kExitError);
     }
@@ -174,61 +148,6 @@ main(int argc, char **argv)
     if (!pathA || !pathB) {
         usage(argv[0]);
         return kExitError;
-    }
-
-    const bool dirA = std::filesystem::is_directory(pathA);
-    const bool dirB = std::filesystem::is_directory(pathB);
-    if (dirA != dirB) {
-        std::fprintf(stderr,
-                     "aero_diff: cannot compare a directory with a "
-                     "file ('%s' vs '%s')\n", pathA, pathB);
-        return kExitError;
-    }
-    if (dirA) {
-        aero::DirDiffResult result;
-        try {
-            result = aero::diffReportDirs(pathA, pathB, opts);
-        } catch (const std::filesystem::filesystem_error &e) {
-            // An unreadable subdirectory mid-walk must be exit 2 with
-            // a message, not an uncaught-exception abort.
-            std::fprintf(stderr, "aero_diff: %s\n", e.what());
-            return kExitError;
-        }
-        for (const auto &file : result.compared) {
-            if (!file.loaded) {
-                std::printf("aero_diff: %s: error: %s\n",
-                            file.name.c_str(), file.error.c_str());
-            } else if (file.diff.match) {
-                std::printf("aero_diff: %s: match (%zu rows, %zu "
-                            "metrics)\n", file.name.c_str(),
-                            file.diff.rowsCompared,
-                            file.diff.metricsCompared);
-            } else {
-                std::printf("aero_diff: %s: %zu delta(s) over %zu/%zu "
-                            "rows\n", file.name.c_str(),
-                            file.diff.deltas.size(), file.diff.rowsA,
-                            file.diff.rowsB);
-                std::fputs(file.diff.table(maxRows).c_str(), stdout);
-            }
-        }
-        for (const auto &name : result.onlyA)
-            std::printf("aero_diff: only in %s: %s\n", pathA,
-                        name.c_str());
-        for (const auto &name : result.onlyB)
-            std::printf("aero_diff: only in %s: %s\n", pathB,
-                        name.c_str());
-        const std::size_t unpaired =
-            result.onlyA.size() + result.onlyB.size();
-        std::size_t errors = 0;
-        for (const auto &file : result.compared)
-            errors += file.loaded ? 0 : 1;
-        std::printf("aero_diff: %zu file pair(s) compared, %zu "
-                    "matched, %zu differing, %zu unpaired, %zu "
-                    "error(s) (rel-tol %g, abs-tol %g)\n",
-                    result.compared.size(), result.matched,
-                    result.compared.size() - result.matched - errors,
-                    unpaired, errors, opts.relTol, opts.absTol);
-        return result.exitCode();
     }
 
     const aero::Json a = loadReport(pathA);

@@ -1,19 +1,12 @@
 #include "exp/diff.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <map>
-#include <sstream>
 
 #include "common/logging.hh"
-#include "common/parse.hh"
 #include "exp/sweep.hh"
 
 namespace aero
@@ -157,6 +150,28 @@ class Differ
         const Json *sb = b.find("schema");
         if (!sa || !sb || !(*sa == *sb))
             addDelta("", "schema", sa, sb, "schema");
+        // The axes declaration decides how rows pair up, so dropping,
+        // adding or changing it is a schema change, entry for entry.
+        const Json *xa = a.find("axes");
+        const Json *xb = b.find("axes");
+        if ((xa || xb) &&
+            (!xa || !xb || !(declaredAxes(*xa) == declaredAxes(*xb))))
+            addDelta("", "axes", xa, xb, "schema");
+    }
+
+    /** An "axes" member without the entries --ignore names. */
+    Json
+    declaredAxes(const Json &axes) const
+    {
+        if (!axes.isArray())
+            return axes;
+        Json out = Json::array();
+        for (std::size_t i = 0; i < axes.size(); ++i) {
+            const Json &axis = axes.at(i);
+            if (!axis.isString() || !isIgnored(opts, axis.asString()))
+                out.push(axis);
+        }
+        return out;
     }
 
     std::string
@@ -192,14 +207,10 @@ class Differ
 
         // --ignore applies to axis keys too: drop them from the row
         // identity so rows differing only in an ignored axis pair up.
-        const auto keyAxes = [&](const Json &doc) {
-            std::vector<std::string> axes = reportAxes(doc);
-            std::erase_if(axes, [&](const std::string &axis) {
-                return isIgnored(opts, axis);
-            });
-            return axes;
-        };
-        const std::vector<std::string> axes = keyAxes(a);
+        std::vector<std::string> axes = reportAxes(a);
+        std::erase_if(axes, [&](const std::string &axis) {
+            return isIgnored(opts, axis);
+        });
         if (axes.empty()) {
             // No axis declaration: match rows by position.
             const std::size_t n = std::min(ra->size(), rb->size());
@@ -215,9 +226,6 @@ class Differ
                          &rb->at(i), "row");
             return;
         }
-        if (const auto axesB = keyAxes(b); !axesB.empty() && axesB != axes)
-            addDelta("", "axes", a.find("axes"), b.find("axes"), "schema");
-
         // Index side B by axis key; duplicate keys are themselves a
         // defect (the key no longer identifies a row).
         std::map<std::string, const Json *> byKeyB;
@@ -365,211 +373,18 @@ formatDelta(double v)
     return buf;
 }
 
-} // namespace
-
-namespace
-{
-
-/**
- * Split one CSV document into rows of cells, honouring RFC 4180
- * quoting: a quoted cell may contain commas, doubled quotes, and
- * newlines. CRLF and LF line ends are both accepted; a trailing
- * newline does not produce an empty final row. Returns false and
- * fills @p error on a malformed document.
- */
-bool
-parseCsv(const std::string &text,
-         std::vector<std::vector<std::string>> *outRows,
-         std::string *error)
-{
-    std::vector<std::vector<std::string>> rows;
-    std::vector<std::string> row;
-    std::string cell;
-    bool quoted = false;
-    bool cellStarted = false;
-    const auto endCell = [&] {
-        row.push_back(std::move(cell));
-        cell.clear();
-        cellStarted = false;
-    };
-    const auto endRow = [&] {
-        endCell();
-        rows.push_back(std::move(row));
-        row.clear();
-    };
-    for (std::size_t i = 0; i < text.size(); ++i) {
-        const char c = text[i];
-        if (quoted) {
-            if (c == '"') {
-                if (i + 1 < text.size() && text[i + 1] == '"') {
-                    cell += '"';
-                    ++i;
-                } else {
-                    quoted = false;
-                }
-            } else {
-                cell += c;
-            }
-            continue;
-        }
-        if (c == '"' && !cellStarted && cell.empty()) {
-            quoted = true;
-            cellStarted = true;
-        } else if (c == ',') {
-            endCell();
-            cellStarted = false;
-        } else if (c == '\n') {
-            if (!cell.empty() && cell.back() == '\r')
-                cell.pop_back();
-            endRow();
-        } else {
-            cell += c;
-            cellStarted = true;
-        }
-    }
-    if (quoted) {
-        *error = "CSV artifact ends inside a quoted cell";
-        return false;
-    }
-    if (cellStarted || !cell.empty() || !row.empty())
-        endRow();
-    *outRows = std::move(rows);
-    return true;
-}
-
-/**
- * Type a CSV cell the way the serializers wrote it: integers exactly
- * (so the diff's exact-integer rule applies), other numbers as double,
- * the empty cell as null, everything else as a string. False (with
- * @p error set) only for an integer cell that overflows 64 bits —
- * silently degrading it to a lossy double would let a corrupted count
- * "pass" the exact-integer comparison.
- */
-bool
-typedCell(const std::string &cell, Json *out, std::string *error)
-{
-    if (cell.empty()) {
-        *out = Json{};
-        return true;
-    }
-    // Only an optionally '-'-signed run of digits is an integer cell:
-    // " -1" must not wrap to 18446744073709551615 and pass exact
-    // integer comparison.
-    const bool negative = cell[0] == '-';
-    const std::string_view digits =
-        std::string_view(cell).substr(negative ? 1 : 0);
-    if (!digits.empty() &&
-        std::all_of(digits.begin(), digits.end(), [](char c) {
-            return std::isdigit(static_cast<unsigned char>(c));
-        })) {
-        const auto magnitude = parseDecimal<std::uint64_t>(digits);
-        if (!magnitude || (negative && *magnitude > (1ULL << 63))) {
-            *error = negative
-                ? "integer cell overflows a signed 64-bit value"
-                : "integer cell overflows an unsigned 64-bit value";
-            return false;
-        }
-        *out = negative ? Json{static_cast<std::int64_t>(0 - *magnitude)}
-                        : Json{*magnitude};
-        return true;
-    }
-    char *end = nullptr;
-    errno = 0;
-    const double d = std::strtod(cell.c_str(), &end);
-    if (end && *end == '\0' && errno != ERANGE) {
-        *out = Json{d};
-        return true;
-    }
-    *out = Json{cell};
-    return true;
-}
-
-/**
- * A sweep row's key columns in report order; with @p requiredOnly, just
- * those every row carries (the optional axes are absent at default).
- */
+/** A sweep row's key columns, in report order. */
 std::vector<std::string>
-sweepKeyColumns(bool requiredOnly = false)
+sweepKeyColumns()
 {
     std::vector<std::string> out;
-    forEachColumn(SimPoint{},
-                  [&](const std::string &column, Json, bool omitted) {
-                      if (!requiredOnly || !omitted)
-                          out.push_back(column);
-                  });
+    forEachColumn(SimPoint{}, [&](const std::string &column, Json, bool) {
+        out.push_back(column);
+    });
     return out;
 }
 
 } // namespace
-
-bool
-csvToReport(const std::string &text, Json *out, std::string *error)
-{
-    std::vector<std::vector<std::string>> rows;
-    if (!parseCsv(text, &rows, error))
-        return false;
-    if (rows.empty()) {
-        *error = "CSV artifact is empty (no header row)";
-        return false;
-    }
-    const auto &header = rows.front();
-
-    Json doc = Json::object();
-    doc["schema"] = "aero-csv/1";
-    // A header with every column a sweep row always carries is a sweep
-    // CSV: rows match by the sweep's key columns (reordering is not a
-    // difference). Otherwise rows match by position.
-    const std::vector<std::string> required = sweepKeyColumns(true);
-    const bool sweepShaped = std::all_of(
-        required.begin(), required.end(), [&](const std::string &column) {
-            return std::find(header.begin(), header.end(), column) !=
-                   header.end();
-        });
-    if (sweepShaped) {
-        Json axes = Json::array();
-        for (const auto &column : sweepKeyColumns())
-            axes.push(column);
-        doc["axes"] = std::move(axes);
-    }
-
-    Json results = Json::array();
-    for (std::size_t r = 1; r < rows.size(); ++r) {
-        if (rows[r].size() != header.size()) {
-            *error = detail::concat("CSV artifact row ", r + 1,
-                                    " has ", rows[r].size(),
-                                    " cells, header has ",
-                                    header.size());
-            return false;
-        }
-        Json row = Json::object();
-        for (std::size_t c = 0; c < header.size(); ++c) {
-            Json value;
-            std::string cellError;
-            if (!typedCell(rows[r][c], &value, &cellError)) {
-                *error = detail::concat(
-                    "CSV artifact row ", r + 1, ", column ", c + 1,
-                    " ('", header[c], "'): ", cellError, ": '",
-                    rows[r][c], "'");
-                return false;
-            }
-            row[header[c]] = std::move(value);
-        }
-        results.push(std::move(row));
-    }
-    doc["results"] = std::move(results);
-    *out = std::move(doc);
-    return true;
-}
-
-Json
-csvToReport(const std::string &text)
-{
-    Json doc;
-    std::string error;
-    if (!csvToReport(text, &doc, &error))
-        AERO_FATAL(error);
-    return doc;
-}
 
 std::vector<std::string>
 reportAxes(const Json &doc)
@@ -658,118 +473,6 @@ DiffResult::table(std::size_t maxEntries) const
         out += detail::concat("... and ", deltas.size() - n,
                               " more\n");
     return out;
-}
-
-namespace
-{
-
-/** Is @p name a report artifact (.json / .csv, case-sensitive)? */
-bool
-isReportFile(const std::filesystem::path &p)
-{
-    const std::string ext = p.extension().string();
-    return ext == ".json" || ext == ".csv";
-}
-
-/**
- * Directory-relative paths of every report artifact under @p dir,
- * sorted (generic '/' separators so A and B pair on any platform).
- */
-std::vector<std::string>
-collectReportFiles(const std::filesystem::path &dir)
-{
-    std::vector<std::string> names;
-    for (const auto &entry :
-         std::filesystem::recursive_directory_iterator(dir)) {
-        if (!entry.is_regular_file() || !isReportFile(entry.path()))
-            continue;
-        names.push_back(
-            entry.path().lexically_relative(dir).generic_string());
-    }
-    std::sort(names.begin(), names.end());
-    return names;
-}
-
-/** Read + parse one artifact; false (with @p error) on any failure. */
-bool
-loadReportFile(const std::filesystem::path &path, Json *out,
-               std::string *error)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        *error = detail::concat("cannot open '", path.string(), "'");
-        return false;
-    }
-    std::ostringstream content;
-    content << in.rdbuf();
-    if (in.bad()) {
-        *error = detail::concat("failed reading '", path.string(), "'");
-        return false;
-    }
-    if (path.extension() == ".csv") {
-        std::string csvError;
-        if (!csvToReport(content.str(), out, &csvError)) {
-            *error = detail::concat(path.string(), ": ", csvError);
-            return false;
-        }
-        return true;
-    }
-    Json::ParseError err;
-    if (!Json::parse(content.str(), out, &err)) {
-        *error =
-            detail::concat(path.string(), ": ", err.toString());
-        return false;
-    }
-    return true;
-}
-
-} // namespace
-
-DirDiffResult
-diffReportDirs(const std::string &dirA, const std::string &dirB,
-               const DiffOptions &opts)
-{
-    const std::filesystem::path a(dirA), b(dirB);
-    for (const auto &dir : {a, b}) {
-        if (!std::filesystem::is_directory(dir))
-            AERO_FATAL("'", dir.string(), "' is not a directory");
-    }
-    const auto filesA = collectReportFiles(a);
-    const auto filesB = collectReportFiles(b);
-
-    DirDiffResult result;
-    // Both lists are sorted: a single merge walk pairs files by name
-    // and classifies the one-sided leftovers.
-    std::size_t ia = 0, ib = 0;
-    while (ia < filesA.size() || ib < filesB.size()) {
-        if (ib >= filesB.size() ||
-            (ia < filesA.size() && filesA[ia] < filesB[ib])) {
-            result.onlyA.push_back(filesA[ia++]);
-            continue;
-        }
-        if (ia >= filesA.size() || filesB[ib] < filesA[ia]) {
-            result.onlyB.push_back(filesB[ib++]);
-            continue;
-        }
-        DirDiffFile file;
-        file.name = filesA[ia];
-        Json docA, docB;
-        std::string error;
-        if (!loadReportFile(a / filesA[ia], &docA, &error) ||
-            !loadReportFile(b / filesB[ib], &docB, &error)) {
-            file.error = error;
-            result.anyError = true;
-        } else {
-            file.loaded = true;
-            file.diff = diffReports(docA, docB, opts);
-            if (file.diff.match)
-                result.matched += 1;
-        }
-        result.compared.push_back(std::move(file));
-        ia += 1;
-        ib += 1;
-    }
-    return result;
 }
 
 } // namespace aero

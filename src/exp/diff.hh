@@ -2,14 +2,16 @@
  * @file
  * Report diffing: the engine behind the `aero_diff` regression gate.
  *
- * Compares two experiment artifacts (`aero-sweep/1`, `aero-devchar/1`,
+ * Compares two JSON report files (`aero-sweep/1`, `aero-devchar/1`,
  * or any document following the same shape) row by row. Rows in the
  * top-level "results" array are matched by their *axis key* — the tuple
  * of values under the keys listed in the document's "axes" array (an
  * `aero-sweep/1` report, which predates the "axes" field, is keyed by
  * the sweep's key columns from the axis table in exp/sweep.hh) — so
  * reordering rows is not a difference, while a row present on only one
- * side is.
+ * side is. The "axes" declaration is part of the schema: a report that
+ * drops, adds or changes it (after `ignoreKeys` entries are dropped)
+ * differs.
  *
  * Metric comparison rules:
  *  - exact 64-bit integers compare exactly, regardless of tolerances;
@@ -88,85 +90,6 @@ std::vector<std::string> reportAxes(const Json &doc);
 /** Compare two report documents (see file comment for the rules). */
 DiffResult diffReports(const Json &a, const Json &b,
                        const DiffOptions &opts = {});
-
-/**
- * Parse a CSV artifact (the `toCsv` / `devcharCsv` projections) into a
- * report-shaped document — {"schema": "aero-csv/1", "axes": [..],
- * "results": [..]} — so two CSV files diff through the same axis-keyed
- * matcher as the JSON artifacts. The first line is the header; cells
- * that parse fully as integers become exact integers, as numbers become
- * doubles, empty cells become null, everything else stays a string.
- * RFC 4180 quoting (doubled quotes, embedded commas/newlines) and CRLF
- * line ends are understood. "axes" is every sweep key column when the
- * header has each column a sweep row always carries, else absent (rows
- * match by position).
- * Fatal on a row whose cell count disagrees with the header.
- */
-Json csvToReport(const std::string &text);
-
-/**
- * Non-fatal csvToReport: returns false and fills @p error on a
- * malformed artifact (for CLI callers that must map parse failures to
- * their own exit code rather than die).
- */
-bool csvToReport(const std::string &text, Json *out, std::string *error);
-
-/**
- * @name Directory mode
- * Diff two directories of report artifacts in one invocation: every
- * `*.json` / `*.csv` file (recursively, by directory-relative path) is
- * paired with its same-named counterpart and diffed with the usual
- * rules; files present on only one side are reported as unpaired.
- */
-/** @{ */
-
-/** Outcome of one paired file. */
-struct DirDiffFile
-{
-    std::string name;    //!< directory-relative path (both sides)
-    bool loaded = false; //!< both sides read + parsed
-    std::string error;   //!< load/parse failure (when !loaded)
-    DiffResult diff;     //!< valid when loaded
-};
-
-struct DirDiffResult
-{
-    std::vector<DirDiffFile> compared;  //!< paired files, sorted by name
-    std::vector<std::string> onlyA;     //!< report files missing in B
-    std::vector<std::string> onlyB;     //!< report files missing in A
-    std::size_t matched = 0;            //!< paired files with no deltas
-    bool anyError = false;  //!< unreadable/unparseable file somewhere
-
-    /** Every pair matched and nothing was unpaired or unreadable. */
-    bool
-    match() const
-    {
-        return !anyError && onlyA.empty() && onlyB.empty() &&
-               matched == compared.size();
-    }
-
-    /** The CLI contract: 0 match, 1 differ/unpaired, 2 error. */
-    int
-    exitCode() const
-    {
-        return anyError ? 2 : (match() ? 0 : 1);
-    }
-};
-
-/**
- * Compare the report artifacts under @p dirA and @p dirB (see above).
- * Fatal when either path is not a directory; per-file read/parse
- * failures are reported in the result instead (anyError), so one bad
- * artifact does not hide the rest of the tree's deltas. Tree-walk
- * failures (an unreadable subdirectory) propagate as
- * std::filesystem::filesystem_error — CLI callers map them to their
- * error exit code.
- */
-DirDiffResult diffReportDirs(const std::string &dirA,
-                             const std::string &dirB,
-                             const DiffOptions &opts = {});
-
-/** @} */
 
 } // namespace aero
 

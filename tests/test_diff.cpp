@@ -4,7 +4,9 @@
  * matching (reorders are not differences, missing rows are), exact
  * integer metrics vs toleranced floating-point metrics (including
  * exactly-at-tolerance), NaN/infinity handling, ignored keys at every
- * level, and the `aero-sweep/1` key columns from the sweep-axis table.
+ * level, the `aero-sweep/1` key columns from the sweep-axis table, the
+ * axes declaration as part of the schema, and the CLI's 0/1/2 exit
+ * contract.
  */
 
 #include <gtest/gtest.h>
@@ -326,16 +328,6 @@ TEST(DiffReports, SweepRowsAreKeyedByTheOptionalAxesToo)
     EXPECT_EQ(result.rowsCompared, results.size());
 }
 
-TEST(CsvReports, SweepRowsAreKeyedByTheOptionalAxesToo)
-{
-    SweepSpec spec;
-    const auto results = optionalAxesSweep(&spec);
-    const Json report = csvToReport(toCsv(results));
-    const DiffResult result = diffReports(report, report);
-    EXPECT_TRUE(result.match) << result.table();
-    EXPECT_EQ(result.rowsCompared, results.size());
-}
-
 TEST(DiffReports, PositionalFallbackWithoutAxes)
 {
     const Json a = doc(R"({"schema": "unknown/1",
@@ -368,188 +360,6 @@ TEST(DiffReports, NonArrayResultsIsADelta)
     EXPECT_TRUE(diffReports(c, c).match);
 }
 
-// --------------------------------------------------------------------------
-// CSV artifacts through the same matcher
-// --------------------------------------------------------------------------
-
-/** A two-row sweep-shaped CSV, as toCsv() writes it. */
-std::string
-sweepCsv()
-{
-    return "workload,scheme,pec,suspension,misprediction_rate,"
-           "rber_requirement,requests,seed,iops,erases\n"
-           "prxy,Baseline,500,mid-segment,0,63,1000,7,5000.25,11\n"
-           "prxy,AERO,500,mid-segment,0,63,1000,7,6000.5,9\n";
-}
-
-TEST(CsvReports, CellsAreTypedLikeTheSerializers)
-{
-    const Json report = csvToReport(sweepCsv());
-    EXPECT_EQ(report.find("schema")->asString(), "aero-csv/1");
-    EXPECT_EQ(reportAxes(report).size(), sweepColumnCount());
-    const Json &row = report.find("results")->at(0);
-    EXPECT_TRUE(row.find("workload")->isString());
-    EXPECT_TRUE(row.find("pec")->isIntegral());      // "500"
-    EXPECT_TRUE(row.find("erases")->isIntegral());   // exact compare
-    EXPECT_FALSE(row.find("iops")->isIntegral());    // "5000.25"
-    EXPECT_TRUE(row.find("iops")->isNumeric());
-    EXPECT_EQ(row.find("seed")->asUint64(), 7u);
-}
-
-TEST(CsvReports, IdenticalAndReorderedCsvsMatch)
-{
-    const Json a = csvToReport(sweepCsv());
-    EXPECT_TRUE(diffReports(a, a).match);
-    // Sweep-shaped CSVs are axis-keyed: a row reorder is not a diff.
-    const std::string reordered =
-        "workload,scheme,pec,suspension,misprediction_rate,"
-        "rber_requirement,requests,seed,iops,erases\n"
-        "prxy,AERO,500,mid-segment,0,63,1000,7,6000.5,9\n"
-        "prxy,Baseline,500,mid-segment,0,63,1000,7,5000.25,11\n";
-    EXPECT_TRUE(diffReports(a, csvToReport(reordered)).match);
-}
-
-TEST(CsvReports, FloatToleranceEdgesApply)
-{
-    const Json a = csvToReport(sweepCsv());
-    std::string driftedText = sweepCsv();
-    // iops 6000.5 -> 7500.625 (x1.25): abs delta 1500.125, rel delta
-    // exactly 0.2 — both ends exactly representable.
-    driftedText.replace(driftedText.find("6000.5"), 6, "7500.625");
-    const Json b = csvToReport(driftedText);
-    DiffOptions opts;
-    EXPECT_FALSE(diffReports(a, b, opts).match);
-    // Exactly at the absolute tolerance: passes; a hair under: fails.
-    opts.absTol = 1500.125;
-    EXPECT_TRUE(diffReports(a, b, opts).match);
-    opts.absTol = 1500.0;
-    EXPECT_FALSE(diffReports(a, b, opts).match);
-    // Exactly at the relative tolerance: passes; under: fails.
-    opts.absTol = 0.0;
-    opts.relTol = 0.2;
-    EXPECT_TRUE(diffReports(a, b, opts).match);
-    opts.relTol = 0.1999;
-    const auto result = diffReports(a, b, opts);
-    EXPECT_FALSE(result.match);
-    ASSERT_EQ(result.deltas.size(), 1u);
-    EXPECT_EQ(result.deltas[0].metric, "iops");
-    EXPECT_DOUBLE_EQ(result.deltas[0].absDelta, 1500.125);
-    EXPECT_DOUBLE_EQ(result.deltas[0].relDelta, 0.2);
-}
-
-TEST(CsvReports, IntegerCellsCompareExactlyDespiteTolerances)
-{
-    const Json a = csvToReport(sweepCsv());
-    std::string driftedText = sweepCsv();
-    driftedText.replace(driftedText.find(",11\n"), 4, ",12\n");
-    const Json b = csvToReport(driftedText);
-    DiffOptions loose;
-    loose.absTol = 100.0;
-    loose.relTol = 0.5;
-    const auto result = diffReports(a, b, loose);
-    EXPECT_FALSE(result.match);
-    ASSERT_EQ(result.deltas.size(), 1u);
-    EXPECT_EQ(result.deltas[0].metric, "erases");
-}
-
-TEST(CsvReports, QuotedCellsAndCrlfParse)
-{
-    const std::string quoted =
-        "name,note,x\r\n"
-        "\"a,b\",\"says \"\"hi\"\"\",1.5\r\n"
-        "plain,,2\r\n";
-    const Json report = csvToReport(quoted);
-    const Json &rows = *report.find("results");
-    ASSERT_EQ(rows.size(), 2u);
-    EXPECT_EQ(rows.at(0).find("name")->asString(), "a,b");
-    EXPECT_EQ(rows.at(0).find("note")->asString(), "says \"hi\"");
-    EXPECT_TRUE(rows.at(1).find("note")->isNull());
-    // No sweep axis columns: rows match by position.
-    EXPECT_TRUE(reportAxes(report).empty());
-    EXPECT_TRUE(diffReports(report, report).match);
-}
-
-TEST(CsvReports, MalformedCsvDies)
-{
-    EXPECT_DEATH(csvToReport(""), "no header");
-    EXPECT_DEATH(csvToReport("a,b\n1\n"), "has 1 cells");
-    EXPECT_DEATH(csvToReport("a,b\n\"unterminated,1\n"),
-                 "quoted cell");
-}
-
-TEST(CsvReports, NonFatalParserReportsErrors)
-{
-    // The variant aero_diff uses to map parse failures to exit code 2
-    // (distinct from exit 1, "reports differ").
-    Json doc;
-    std::string error;
-    EXPECT_FALSE(csvToReport("a,b\n1\n", &doc, &error));
-    EXPECT_NE(error.find("has 1 cells"), std::string::npos);
-    EXPECT_FALSE(csvToReport("", &doc, &error));
-    EXPECT_NE(error.find("no header"), std::string::npos);
-    error.clear();
-    EXPECT_TRUE(csvToReport("a,b\n1,2\n", &doc, &error));
-    EXPECT_TRUE(error.empty());
-    EXPECT_EQ(doc.find("results")->size(), 1u);
-}
-
-TEST(CsvReports, NegativeAndWhitespaceIntegerCellsNeverWrap)
-{
-    // Regression: strtoull accepts a (possibly whitespace-prefixed)
-    // '-' sign by wrapping modulo 2^64, so a " -1" cell became
-    // 18446744073709551615 and "passed" exact integer comparison.
-    const Json report = csvToReport("x,y,z\n-42, -1,-0\n");
-    const Json &row = report.find("results")->at(0);
-    ASSERT_TRUE(row.find("x")->isIntegral());
-    EXPECT_EQ(row.find("x")->asInt64(), -42);
-    // A whitespace-prefixed numeral is not how any serializer writes
-    // integers; it types as a double (and must never wrap).
-    ASSERT_FALSE(row.find("y")->isIntegral());
-    ASSERT_TRUE(row.find("y")->isNumeric());
-    EXPECT_EQ(row.find("y")->asDouble(), -1.0);
-    ASSERT_TRUE(row.find("z")->isIntegral());
-    EXPECT_EQ(row.find("z")->asInt64(), 0);
-}
-
-TEST(CsvReports, IntegerOverflowIsAPositionedErrorNotADouble)
-{
-    // Regression: an out-of-range integer cell used to degrade
-    // silently to a lossy double, letting a corrupted count pass the
-    // exact-integer comparison. It must fail naming row and column.
-    Json doc;
-    std::string error;
-    EXPECT_FALSE(csvToReport("erases,ok\n18446744073709551616,1\n",
-                             &doc, &error));
-    EXPECT_NE(error.find("row 2, column 1 ('erases')"),
-              std::string::npos)
-        << error;
-    EXPECT_NE(error.find("overflows an unsigned 64-bit value"),
-              std::string::npos)
-        << error;
-
-    error.clear();
-    EXPECT_FALSE(csvToReport(
-        "a,delta\n1,-9223372036854775809\n", &doc, &error));
-    EXPECT_NE(error.find("row 2, column 2 ('delta')"),
-              std::string::npos)
-        << error;
-    EXPECT_NE(error.find("overflows a signed 64-bit value"),
-              std::string::npos)
-        << error;
-
-    // The fatal wrapper dies with the same positioned message.
-    EXPECT_DEATH(csvToReport("erases\n18446744073709551616\n"),
-                 "row 2, column 1 \\('erases'\\)");
-
-    // The extremes themselves still parse exactly.
-    const Json edge = csvToReport(
-        "hi,lo\n18446744073709551615,-9223372036854775808\n");
-    const Json &row = edge.find("results")->at(0);
-    EXPECT_EQ(row.find("hi")->asUint64(), 18446744073709551615ull);
-    EXPECT_EQ(row.find("lo")->asInt64(),
-              std::numeric_limits<std::int64_t>::min());
-}
-
 TEST(DiffReports, IgnoredAxisKeyDropsOutOfRowIdentity)
 {
     const Json a = doc(R"({"schema": "s", "axes": ["i", "seed"],
@@ -578,6 +388,36 @@ TEST(DiffReports, MalformedShapesAreDeltasNotCrashes)
     for (const auto &d : result.deltas) {
         EXPECT_EQ(d.what, "row");
     }
+}
+
+TEST(DiffReports, AxesDeclarationIsPartOfTheSchema)
+{
+    // The axes declaration decides how rows pair up; dropping, adding
+    // or changing it is a schema delta, in both directions.
+    const auto report = [](const char *axes) {
+        return doc(detail::concat(R"({"schema": "aero-devchar/1", )",
+                                  axes,
+                                  R"( "results": [{"pec": 500, "x": 1.0}]})"));
+    };
+    const Json keyed = report(R"("axes": ["pec"],)");
+    const Json unkeyed = report("");
+    const Json mixed = report(R"("axes": [1, "pec"],)");
+    for (const Json *other : {&unkeyed, &mixed}) {
+        for (const auto &result :
+             {diffReports(keyed, *other), diffReports(*other, keyed)}) {
+            EXPECT_FALSE(result.match);
+            ASSERT_EQ(result.deltas.size(), 1u) << result.table();
+            EXPECT_EQ(result.deltas[0].metric, "axes");
+            EXPECT_EQ(result.deltas[0].what, "schema");
+        }
+    }
+
+    // Entries named by --ignore drop out of the declaration first.
+    const Json seeded = report(R"("axes": ["pec", "seed"],)");
+    EXPECT_FALSE(diffReports(keyed, seeded).match);
+    DiffOptions opts;
+    opts.ignoreKeys = {"seed"};
+    EXPECT_TRUE(diffReports(keyed, seeded, opts).match);
 }
 
 TEST(DiffReports, TableClipsOversizedCellsToWholeLines)
@@ -630,154 +470,6 @@ TEST(DiffReports, TableListsEveryColumnAndTruncates)
 }
 
 // --------------------------------------------------------------------------
-// Directory mode: pair *.json/*.csv files by relative path, diff each
-// pair, report unpaired files, and honor the 0/1/2 exit-code contract.
-// --------------------------------------------------------------------------
-
-/** A scratch A/B directory pair, deleted and recreated per test. */
-struct DirPair
-{
-    std::filesystem::path a, b;
-
-    explicit DirPair(const std::string &name)
-    {
-        const auto root =
-            std::filesystem::path(::testing::TempDir()) / name;
-        std::filesystem::remove_all(root);
-        a = root / "a";
-        b = root / "b";
-        std::filesystem::create_directories(a);
-        std::filesystem::create_directories(b);
-    }
-
-    void
-    write(const std::filesystem::path &rel, const std::string &content,
-          bool sideA, bool sideB) const
-    {
-        for (const auto &side : {sideA ? &a : nullptr,
-                                 sideB ? &b : nullptr}) {
-            if (!side)
-                continue;
-            const auto path = *side / rel;
-            std::filesystem::create_directories(path.parent_path());
-            std::ofstream out(path, std::ios::binary);
-            out << content;
-        }
-    }
-};
-
-std::string
-tinyReport(double iops)
-{
-    return detail::concat(
-        R"({"schema": "aero-devchar/1", "bench": "t", "axes": ["i"],)",
-        R"( "results": [{"i": 1, "iops": )", iops, "}]}");
-}
-
-TEST(DirDiff, MatchingTreesMatchIncludingNestedSubdirectories)
-{
-    const DirPair dirs("dirdiff_match");
-    dirs.write("r1.json", tinyReport(10.0), true, true);
-    dirs.write("nested/deep/r2.json", tinyReport(20.0), true, true);
-    dirs.write("rows.csv", "i,iops\n1,10\n", true, true);
-    dirs.write("README.txt", "not a report", true, false);  // ignored
-
-    const auto result =
-        diffReportDirs(dirs.a.string(), dirs.b.string());
-    EXPECT_TRUE(result.match());
-    EXPECT_EQ(result.exitCode(), 0);
-    ASSERT_EQ(result.compared.size(), 3u);
-    EXPECT_EQ(result.matched, 3u);
-    EXPECT_EQ(result.compared[0].name, "nested/deep/r2.json");
-    EXPECT_EQ(result.compared[1].name, "r1.json");
-    EXPECT_EQ(result.compared[2].name, "rows.csv");
-    EXPECT_TRUE(result.onlyA.empty());
-    EXPECT_TRUE(result.onlyB.empty());
-}
-
-TEST(DirDiff, OneSidedFilesAreUnpairedAndFailTheGate)
-{
-    const DirPair dirs("dirdiff_unpaired");
-    dirs.write("shared.json", tinyReport(1.0), true, true);
-    dirs.write("gone.json", tinyReport(2.0), true, false);
-    dirs.write("new.csv", "i,iops\n1,3\n", false, true);
-
-    const auto result =
-        diffReportDirs(dirs.a.string(), dirs.b.string());
-    EXPECT_FALSE(result.match());
-    EXPECT_EQ(result.exitCode(), 1);
-    EXPECT_EQ(result.compared.size(), 1u);
-    EXPECT_EQ(result.matched, 1u);
-    ASSERT_EQ(result.onlyA.size(), 1u);
-    EXPECT_EQ(result.onlyA[0], "gone.json");
-    ASSERT_EQ(result.onlyB.size(), 1u);
-    EXPECT_EQ(result.onlyB[0], "new.csv");
-}
-
-TEST(DirDiff, MixedJsonAndCsvPairsDiffThroughTheirOwnParsers)
-{
-    const DirPair dirs("dirdiff_mixed");
-    dirs.write("doc.json", tinyReport(10.0), true, true);
-    dirs.write("rows.csv", "i,iops\n1,10\n", true, false);
-    dirs.write("rows.csv", "i,iops\n1,11\n", false, true);
-
-    const auto result =
-        diffReportDirs(dirs.a.string(), dirs.b.string());
-    EXPECT_EQ(result.exitCode(), 1);
-    ASSERT_EQ(result.compared.size(), 2u);
-    EXPECT_TRUE(result.compared[0].diff.match) << "doc.json";
-    EXPECT_FALSE(result.compared[1].diff.match) << "rows.csv";
-    // The CSV delta rides the integer-exact comparison rules.
-    ASSERT_EQ(result.compared[1].diff.deltas.size(), 1u);
-    EXPECT_EQ(result.compared[1].diff.deltas[0].metric, "iops");
-}
-
-TEST(DirDiff, TolerancesApplyToEveryPairedFile)
-{
-    const DirPair dirs("dirdiff_tol");
-    const char *base = R"({"schema": "s", "axes": ["i"],
-        "results": [{"i": 1, "iops": 100.0}]})";
-    const char *drifted = R"({"schema": "s", "axes": ["i"],
-        "results": [{"i": 1, "iops": 100.00000001}]})";
-    dirs.write("r.json", base, true, false);
-    dirs.write("r.json", drifted, false, true);
-
-    EXPECT_EQ(diffReportDirs(dirs.a.string(), dirs.b.string())
-                  .exitCode(), 1);
-    DiffOptions tol;
-    tol.relTol = 1e-6;
-    const auto result =
-        diffReportDirs(dirs.a.string(), dirs.b.string(), tol);
-    EXPECT_EQ(result.exitCode(), 0);
-}
-
-TEST(DirDiff, UnparseableFileIsAnErrorButOthersStillCompare)
-{
-    const DirPair dirs("dirdiff_error");
-    dirs.write("ok.json", tinyReport(1.0), true, true);
-    dirs.write("bad.json", tinyReport(2.0), true, false);
-    dirs.write("bad.json", "{not json", false, true);
-
-    const auto result =
-        diffReportDirs(dirs.a.string(), dirs.b.string());
-    EXPECT_TRUE(result.anyError);
-    EXPECT_EQ(result.exitCode(), 2);
-    ASSERT_EQ(result.compared.size(), 2u);
-    EXPECT_FALSE(result.compared[0].loaded);
-    EXPECT_NE(result.compared[0].error.find("bad.json"),
-              std::string::npos);
-    EXPECT_TRUE(result.compared[1].loaded);
-    EXPECT_TRUE(result.compared[1].diff.match);
-}
-
-TEST(DirDiffDeath, NonDirectoryIsFatal)
-{
-    const DirPair dirs("dirdiff_nodir");
-    EXPECT_DEATH(diffReportDirs(dirs.a.string(), "/no/such/dir"),
-                 "not a directory");
-}
-
-// --------------------------------------------------------------------------
 // The exit-code contract via the installed CLI. AERO_DIFF_BIN is
 // injected by CMake when the aero_diff example target is built.
 // --------------------------------------------------------------------------
@@ -793,36 +485,40 @@ runAeroDiff(const std::string &args)
     return WEXITSTATUS(status);
 }
 
-TEST(DirDiffCli, ExitCodeContract)
+TEST(DiffCli, ExitCodeContract)
 {
-    const DirPair dirs("dirdiff_cli");
-    dirs.write("r.json", tinyReport(5.0), true, true);
-    dirs.write("sub/s.csv", "i,iops\n1,5\n", true, true);
+    const auto dir = std::filesystem::path(::testing::TempDir()) /
+                     "diff_cli";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const auto write = [&](const char *name, const std::string &text) {
+        std::ofstream(dir / name, std::ios::binary) << text;
+        return (dir / name).string();
+    };
+    const auto report = [](double m) {
+        return detail::concat(
+            R"({"schema": "aero-devchar/1", "axes": ["i"],)",
+            R"( "results": [{"i": 1, "m": )", m, "}]}");
+    };
+    const std::string a = write("a.json", report(1.0));
+    const std::string same = write("same.json", report(1.0));
+    const std::string drifted = write("drifted.json", report(1.5));
+    const std::string broken = write("broken.json", "{broken");
 
-    // 0: matching trees.
-    EXPECT_EQ(runAeroDiff(dirs.a.string() + " " + dirs.b.string()), 0);
+    EXPECT_EQ(runAeroDiff(a + " " + same), 0);
+    EXPECT_EQ(runAeroDiff(a + " " + drifted), 1);
+    EXPECT_EQ(runAeroDiff(a + " " + drifted + " --rel-tol 0.5"), 0);
 
-    // 1: a metric drifted.
-    dirs.write("r.json", tinyReport(6.0), false, true);
-    EXPECT_EQ(runAeroDiff(dirs.a.string() + " " + dirs.b.string()), 1);
+    // 2: unparseable file, missing operand, directory operand.
+    EXPECT_EQ(runAeroDiff(a + " " + broken), 2);
+    EXPECT_EQ(runAeroDiff(a), 2);
+    EXPECT_EQ(runAeroDiff(a + " " + dir.string()), 2);
 
-    // 1: unpaired file (content otherwise identical again).
-    dirs.write("r.json", tinyReport(5.0), false, true);
-    dirs.write("extra.json", tinyReport(1.0), false, true);
-    EXPECT_EQ(runAeroDiff(dirs.a.string() + " " + dirs.b.string()), 1);
-    std::filesystem::remove(dirs.b / "extra.json");
-    EXPECT_EQ(runAeroDiff(dirs.a.string() + " " + dirs.b.string()), 0);
-
-    // 2: unparseable artifact.
-    dirs.write("r.json", "{broken", false, true);
-    EXPECT_EQ(runAeroDiff(dirs.a.string() + " " + dirs.b.string()), 2);
-
-    // 2: directory vs file.
-    EXPECT_EQ(runAeroDiff(dirs.a.string() + " " +
-                          (dirs.b / "sub/s.csv").string()), 2);
-
-    // 2: missing operand.
-    EXPECT_EQ(runAeroDiff(dirs.a.string()), 2);
+    // 2: a non-finite tolerance would let every drift pass.
+    for (const char *tol : {"--rel-tol inf", "--abs-tol 1e999",
+                            "--rel-tol nan", "--abs-tol -1"}) {
+        EXPECT_EQ(runAeroDiff(a + " " + drifted + " " + tol), 2) << tol;
+    }
 }
 
 #endif // AERO_DIFF_BIN
