@@ -12,15 +12,13 @@
  * plus the multi-plane composition of section 6: how much of AERO's
  * latency benefit survives when 4 blocks erase in lock-step and the worst
  * block gates the operation. The per-(variant, PEC) cells are independent
- * and fan out over parallelMap; comparison schemes are built through the
- * string-keyed EraseSchemeRegistry; `--json` drops all the ratios and
- * `--csv` the single-plane cells.
+ * and fan out over parallelMap; `--json` drops all the ratios and `--csv`
+ * the single-plane cells.
  */
 
 #include "bench_util.hh"
 #include "core/aero_scheme.hh"
 #include "erase/multi_plane.hh"
-#include "erase/scheme_registry.hh"
 #include "exp/sweep.hh"
 #include "nand/population.hh"
 
@@ -59,8 +57,8 @@ runSingleCell(const Variant &v, double pec)
         base_chip.ageBaseline(b, static_cast<int>(pec));
         aero_chip.ageBaseline(b, static_cast<int>(pec));
     }
-    const auto base = EraseSchemeRegistry::instance().make(
-        "Baseline", base_chip, SchemeOptions{});
+    const auto base =
+        makeEraseScheme(SchemeKind::Baseline, base_chip, SchemeOptions{});
     SchemeOptions opts;
     opts.shallowErasure = v.shallow;
     AeroScheme aero(aero_chip, opts, v.margin,
@@ -88,15 +86,14 @@ struct MultiRow
 };
 
 MultiRow
-runMultiPlaneRow(const std::string &scheme_name)
+runMultiPlaneRow(SchemeKind kind)
 {
     NandChip chip(ChipParams::tlc3d(), ChipGeometry{4, 16, 8}, 7);
     for (int b = 0; b < chip.numBlocks(); ++b)
         chip.ageBaseline(b, 2500);
-    const auto scheme =
-        makeEraseScheme(scheme_name, chip, SchemeOptions{});
+    const auto scheme = makeEraseScheme(kind, chip, SchemeOptions{});
     MultiRow row;
-    row.scheme = scheme_name;
+    row.scheme = schemeKindName(kind);
     int ops = 0;
     for (int round = 0; round < 8; ++round) {
         for (int group = 0; group < 16; ++group) {
@@ -155,8 +152,9 @@ main(int argc, char **argv)
     }
     bench::rule();
 
-    // Multi-plane composition: schemes by registry name, in parallel.
-    const std::vector<std::string> multi_schemes = {"Baseline", "AERO"};
+    // Multi-plane composition: one row per scheme, in parallel.
+    const std::vector<SchemeKind> multi_schemes = {SchemeKind::Baseline,
+                                                   SchemeKind::Aero};
     const auto multi = parallelMap(multi_schemes, runMultiPlaneRow);
 
     std::printf("\nmulti-plane composition (4 blocks in lock-step, "

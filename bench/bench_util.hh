@@ -14,9 +14,11 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/names.hh"
 #include "exp/campaign.hh"
 #include "exp/report.hh"
 
@@ -118,8 +120,12 @@ inline Json
 jsonArray(const std::vector<T> &values)
 {
     Json arr = Json::array();
-    for (const T &v : values)
-        arr.push(v);
+    for (const T &v : values) {
+        if constexpr (std::is_enum_v<T>)
+            arr.push(enumName(v));
+        else
+            arr.push(v);
+    }
     return arr;
 }
 

@@ -16,10 +16,7 @@
 
 #include "bench_util.hh"
 #include "devchar/simstudy.hh"
-#include "erase/scheme_registry.hh"
 #include "exp/sweep.hh"
-#include "ssd/gc.hh"
-#include "ssd/wear_level.hh"
 #include "workload/synthetic.hh"
 
 using namespace aero;
@@ -30,8 +27,8 @@ namespace
 struct Cell
 {
     SchemeKind scheme = SchemeKind::Baseline;
-    std::string gcPolicy = "greedy";
-    std::string wearLevel = "none";
+    GcPolicy gcPolicy = GcPolicy::Greedy;
+    WearLevel wearLevel = WearLevel::None;
 };
 
 struct CellResult
@@ -144,16 +141,16 @@ main(int argc, char **argv)
             ? std::vector<SchemeKind>{SchemeKind::Baseline}
             : std::vector<SchemeKind>{SchemeKind::Baseline,
                                       SchemeKind::Aero};
-    const std::vector<std::string> gc_policies = {"greedy", "cost-benefit",
-                                                  "fifo-log"};
-    const std::vector<std::string> wear_levels = {"none", "dynamic",
-                                                  "static"};
+    const std::vector<GcPolicy> gc_policies = {
+        GcPolicy::Greedy, GcPolicy::CostBenefit, GcPolicy::FifoLog};
+    const std::vector<WearLevel> wear_levels = {
+        WearLevel::None, WearLevel::Dynamic, WearLevel::Static};
     const std::uint64_t requests = artifacts.small ? 4000 : 40000;
 
     std::vector<Cell> cells;
     for (const SchemeKind scheme : schemes)
-        for (const auto &gc : gc_policies)
-            for (const auto &wl : wear_levels)
+        for (const GcPolicy gc : gc_policies)
+            for (const WearLevel wl : wear_levels)
                 cells.push_back({scheme, gc, wl});
 
     std::printf("%zu cells (scheme x GC policy x wear leveling), %llu "
@@ -162,10 +159,7 @@ main(int argc, char **argv)
                 SweepRunner().threads());
 
     Json journal_cfg = Json::object();
-    Json scheme_names = Json::array();
-    for (const SchemeKind k : schemes)
-        scheme_names.push(schemeKindName(k));
-    journal_cfg["schemes"] = std::move(scheme_names);
+    journal_cfg["schemes"] = bench::jsonArray(schemes);
     journal_cfg["gc_policies"] = bench::jsonArray(gc_policies);
     journal_cfg["wear_levels"] = bench::jsonArray(wear_levels);
     journal_cfg["requests"] = requests;
@@ -179,8 +173,8 @@ main(int argc, char **argv)
                 [&](std::size_t, const Cell &c) {
                     Json key =
                         scope.key("scheme", schemeKindName(c.scheme));
-                    key["gc_policy"] = c.gcPolicy;
-                    key["wear_level"] = c.wearLevel;
+                    key["gc_policy"] = enumName(c.gcPolicy);
+                    key["wear_level"] = enumName(c.wearLevel);
                     return key;
                 },
                 [&](const Cell &c) { return runCell(c, requests); },
@@ -203,8 +197,8 @@ main(int argc, char **argv)
                 const CellResult &r = results[idx];
                 std::printf("%-13s %-8s %6.3f %6.3f %8llu %9llu %5.1f%% "
                             "%8.1f %8.1f\n",
-                            gc_policies[gi].c_str(),
-                            wear_levels[wi].c_str(),
+                            enumName(gc_policies[gi]),
+                            enumName(wear_levels[wi]),
                             r.writeAmplification,
                             r.gcWriteAmplification,
                             static_cast<unsigned long long>(
@@ -229,8 +223,8 @@ main(int argc, char **argv)
     for (std::size_t ci = 0; ci < cells.size(); ++ci) {
         Json row = Json::object();
         row["scheme"] = schemeKindName(cells[ci].scheme);
-        row["gc_policy"] = cells[ci].gcPolicy;
-        row["wear_level"] = cells[ci].wearLevel;
+        row["gc_policy"] = enumName(cells[ci].gcPolicy);
+        row["wear_level"] = enumName(cells[ci].wearLevel);
         const Json metrics = toJson(results[ci]);
         for (std::size_t m = 0; m < metrics.size(); ++m) {
             const auto &[name, value] = metrics.member(m);

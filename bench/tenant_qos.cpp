@@ -33,10 +33,7 @@
 
 #include "bench_util.hh"
 #include "devchar/simstudy.hh"
-#include "erase/scheme_registry.hh"
 #include "exp/sweep.hh"
-#include "ssd/gc.hh"
-#include "ssd/wear_level.hh"
 #include "workload/trace_io/tenant.hh"
 
 using namespace aero;
@@ -135,8 +132,8 @@ cellFromJson(const Json &rows)
 struct CampaignSetup
 {
     std::vector<TenantSource> sources;
-    std::string gcPolicy = "greedy";
-    std::string wearLevel = "none";
+    GcPolicy gcPolicy = GcPolicy::Greedy;
+    WearLevel wearLevel = WearLevel::None;
     bool slo = false;            //!< SLO mode: queued arbitration + spec
     TenantSloSpec sloSpec;       //!< budgets/weights/targets (SLO mode)
 };
@@ -253,8 +250,8 @@ main(int argc, char **argv)
     // --tenants / --gc-policy / --wear-level / --slo are ours; strip
     // them before the (strict) artifact parser.
     std::string tenant_spec;
-    std::string gc_policy = "greedy";
-    std::string wear_level = "none";
+    GcPolicy gc_policy = GcPolicy::Greedy;
+    WearLevel wear_level = WearLevel::None;
     std::string slo_arg;
     std::vector<char *> rest;
     rest.push_back(argv[0]);
@@ -269,17 +266,15 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--gc-policy") == 0) {
             if (i + 1 >= argc)
                 AERO_FATAL("--gc-policy needs a name (valid: ",
-                           gcPolicyNames(), ")");
-            gc_policy = argv[++i];
-            (void)makeGcPolicy(gc_policy);  // fail fast on a typo
+                           canonicalNames<GcPolicy>(), ")");
+            gc_policy = enumFromName<GcPolicy>(argv[++i]);
             continue;
         }
         if (std::strcmp(argv[i], "--wear-level") == 0) {
             if (i + 1 >= argc)
                 AERO_FATAL("--wear-level needs a name (valid: ",
-                           wearLevelPolicyNames(), ")");
-            wear_level = argv[++i];
-            (void)makeWearLevelPolicy(wear_level);
+                           canonicalNames<WearLevel>(), ")");
+            wear_level = enumFromName<WearLevel>(argv[++i]);
             continue;
         }
         if (std::strcmp(argv[i], "--slo") == 0) {
@@ -362,26 +357,20 @@ main(int argc, char **argv)
 
     Json journal_cfg = Json::object();
     journal_cfg["tenants"] = tenant_spec;
-    Json scheme_names = Json::array();
-    for (const SchemeKind k : schemes)
-        scheme_names.push(schemeKindName(k));
-    journal_cfg["schemes"] = std::move(scheme_names);
+    journal_cfg["schemes"] = bench::jsonArray(schemes);
     journal_cfg["pecs"] = bench::jsonArray(pecs);
     journal_cfg["small"] = artifacts.small;
     // Reclamation axes only appear when swept off their defaults so the
     // golden artifact and old journals stay byte-identical.
-    if (gc_policy != "greedy")
-        journal_cfg["gc_policy"] = gc_policy;
-    if (wear_level != "none")
-        journal_cfg["wear_level"] = wear_level;
+    if (gc_policy != GcPolicy::Greedy)
+        journal_cfg["gc_policy"] = enumName(gc_policy);
+    if (wear_level != WearLevel::None)
+        journal_cfg["wear_level"] = enumName(wear_level);
     // Same for the SLO study: the campaign fingerprint gains the spec
     // and policy axis only in SLO mode.
     if (setup.slo) {
         journal_cfg["slo_spec"] = renderTenantSloSpec(setup.sloSpec);
-        Json policy_names = Json::array();
-        for (const SloPolicy p : policies)
-            policy_names.push(sloPolicyName(p));
-        journal_cfg["slo_policies"] = std::move(policy_names);
+        journal_cfg["slo_policies"] = bench::jsonArray(policies);
     }
     const auto results = runCampaign(
         artifacts.campaign, "tenant_qos", std::move(journal_cfg),
@@ -393,7 +382,7 @@ main(int argc, char **argv)
                         scope.key("scheme", schemeKindName(c.scheme));
                     key["pec"] = c.pec;
                     if (setup.slo)
-                        key["slo"] = sloPolicyName(c.policy);
+                        key["slo"] = enumName(c.policy);
                     return key;
                 },
                 [&](const Cell &c) { return runCell(c, setup); },
@@ -409,7 +398,7 @@ main(int argc, char **argv)
             bench::rule();
             std::printf("%-3s %-16s", "t", "source");
             for (const SloPolicy p : policies)
-                std::printf(" | %12s p99/p999", sloPolicyName(p));
+                std::printf(" | %12s p99/p999", enumName(p));
             std::printf("\n");
             bench::rule();
             for (std::size_t t = 0; t < setup.sources.size(); ++t) {
@@ -442,17 +431,17 @@ main(int argc, char **argv)
     bench::DevcharReport report("tenant_qos", axes, "aero-tenant/1");
     report.spec["tenants"] = tenant_spec;
     report.spec["small"] = artifacts.small;
-    if (gc_policy != "greedy")
-        report.spec["gc_policy"] = gc_policy;
-    if (wear_level != "none")
-        report.spec["wear_level"] = wear_level;
+    if (gc_policy != GcPolicy::Greedy)
+        report.spec["gc_policy"] = enumName(gc_policy);
+    if (wear_level != WearLevel::None)
+        report.spec["wear_level"] = enumName(wear_level);
     if (setup.slo)
         report.spec["slo_spec"] = renderTenantSloSpec(setup.sloSpec);
     for (std::size_t ci = 0; ci < cells.size(); ++ci) {
         for (const auto &t : results[ci].rows) {
             Json row = Json::object();
             if (setup.slo)
-                row["slo_policy"] = sloPolicyName(cells[ci].policy);
+                row["slo_policy"] = enumName(cells[ci].policy);
             row["scheme"] = schemeKindName(cells[ci].scheme);
             row["pec"] = cells[ci].pec;
             row["tenant"] = static_cast<std::uint64_t>(t.tenant);

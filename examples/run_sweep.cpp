@@ -30,7 +30,6 @@
 
 #include "common/logging.hh"
 #include "common/parse.hh"
-#include "erase/scheme_registry.hh"
 #include "exp/campaign.hh"
 #include "exp/report.hh"
 #include "exp/sweep.hh"
@@ -160,7 +159,7 @@ main(int argc, char **argv)
         std::printf("%-7s %-10s %7.0f %12s %9.1f %9.0f %10.0f\n",
                     r.point.workload.c_str(),
                     schemeKindName(r.point.scheme), r.point.pec,
-                    suspensionModeName(r.point.suspension), r.avgReadUs,
+                    enumName(r.point.suspension), r.avgReadUs,
                     r.p9999Us, r.p999999Us);
     }
     return 0;

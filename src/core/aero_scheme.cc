@@ -3,35 +3,13 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "erase/scheme_registry.hh"
+#include "erase/baseline_ispe.hh"
+#include "erase/dpes.hh"
+#include "erase/i_ispe.hh"
 #include "nand/erase_model.hh"
 
 namespace aero
 {
-
-namespace detail
-{
-void linkAeroSchemes() {}
-} // namespace detail
-
-namespace
-{
-
-const SchemeRegistrar kRegisterAeroCons{
-    "AERO-CONS", SchemeKind::AeroCons,
-    [](NandChip &chip, const SchemeOptions &opts) {
-        return std::make_unique<AeroScheme>(chip, opts, false,
-                                            Ept::canonical(chip.params()));
-    }};
-
-const SchemeRegistrar kRegisterAero{
-    "AERO", SchemeKind::Aero,
-    [](NandChip &chip, const SchemeOptions &opts) {
-        return std::make_unique<AeroScheme>(chip, opts, true,
-                                            Ept::canonical(chip.params()));
-    }};
-
-} // namespace
 
 /**
  * One in-flight AERO erase operation. Each nextSegment() call performs one
@@ -271,7 +249,20 @@ AeroScheme::begin(BlockId id)
 std::unique_ptr<EraseScheme>
 makeEraseScheme(SchemeKind kind, NandChip &chip, const SchemeOptions &opts)
 {
-    return EraseSchemeRegistry::instance().make(kind, chip, opts);
+    switch (kind) {
+      case SchemeKind::Baseline:
+        return std::make_unique<BaselineIspe>(chip, opts);
+      case SchemeKind::IIspe:
+        return std::make_unique<IntelligentIspe>(chip, opts);
+      case SchemeKind::Dpes:
+        return std::make_unique<Dpes>(chip, opts);
+      case SchemeKind::AeroCons:
+      case SchemeKind::Aero:
+        return std::make_unique<AeroScheme>(chip, opts,
+                                            kind == SchemeKind::Aero,
+                                            Ept::canonical(chip.params()));
+    }
+    AERO_PANIC("unknown scheme kind ", static_cast<int>(kind));
 }
 
 } // namespace aero

@@ -74,10 +74,7 @@ class AeroScheme : public EraseScheme
     AeroStats counters;
 };
 
-/**
- * Construct any of the five compared schemes (SchemeKind compat shim;
- * delegates to the string-keyed EraseSchemeRegistry).
- */
+/** Construct any of the five compared schemes. */
 std::unique_ptr<EraseScheme> makeEraseScheme(SchemeKind kind, NandChip &chip,
                                              const SchemeOptions &opts);
 

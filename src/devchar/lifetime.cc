@@ -3,7 +3,6 @@
 #include <numeric>
 
 #include "core/aero_scheme.hh"
-#include "erase/scheme_registry.hh"
 #include "exp/sweep_impl.hh"
 
 namespace aero
@@ -144,7 +143,7 @@ LifetimeResult
 lifetimeResultFromJson(const Json &row)
 {
     LifetimeResult r;
-    r.scheme = schemeKindFromName(row.get("scheme").asString());
+    r.scheme = enumFromName<SchemeKind>(row.get("scheme").asString());
     const Json &curve = row.get("curve");
     for (std::size_t i = 0; i < curve.size(); ++i) {
         const Json &pt = curve.at(i);

@@ -58,7 +58,7 @@ runSimPoint(const SimPoint &point, const SsdConfig &base)
     cfg.wearLevel = point.wearLevel;
     // The per-tenant SLO spec itself rides on the base config; the axis
     // only selects which enforcement mechanisms are active.
-    cfg.sloPolicy = sloPolicyFromName(point.sloPolicy);
+    cfg.sloPolicy = point.sloPolicy;
     cfg.seed = point.seed ^ 0x51ULL;
 
     Ssd ssd(cfg);

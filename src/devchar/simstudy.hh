@@ -27,9 +27,9 @@ struct SimPoint
     SuspensionMode suspension = SuspensionMode::MidSegment;
     double mispredictionRate = 0.0;
     int rberRequirement = 63;
-    std::string gcPolicy = "greedy";
-    std::string wearLevel = "none";
-    std::string sloPolicy = "none";  //!< tenant SLO enforcement
+    GcPolicy gcPolicy = GcPolicy::Greedy;
+    WearLevel wearLevel = WearLevel::None;
+    SloPolicy sloPolicy = SloPolicy::None;  //!< tenant SLO enforcement
     std::uint64_t requests = 120000;
     std::uint64_t seed = 7;
 };

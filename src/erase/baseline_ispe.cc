@@ -1,26 +1,9 @@
 #include "erase/baseline_ispe.hh"
 
 #include "common/logging.hh"
-#include "erase/scheme_registry.hh"
 
 namespace aero
 {
-
-namespace detail
-{
-void linkBaselineScheme() {}
-} // namespace detail
-
-namespace
-{
-
-const SchemeRegistrar kRegisterBaseline{
-    "Baseline", SchemeKind::Baseline,
-    [](NandChip &chip, const SchemeOptions &opts) {
-        return std::make_unique<BaselineIspe>(chip, opts);
-    }};
-
-} // namespace
 
 namespace
 {

@@ -5,19 +5,6 @@
 namespace aero
 {
 
-const char *
-schemeKindName(SchemeKind k)
-{
-    switch (k) {
-      case SchemeKind::Baseline: return "Baseline";
-      case SchemeKind::IIspe: return "i-ISPE";
-      case SchemeKind::Dpes: return "DPES";
-      case SchemeKind::AeroCons: return "AERO-CONS";
-      case SchemeKind::Aero: return "AERO";
-    }
-    return "unknown";
-}
-
 EraseOutcome
 runEraseToCompletion(EraseSession &session)
 {

@@ -2,26 +2,8 @@
 
 #include <cmath>
 
-#include "erase/scheme_registry.hh"
-
 namespace aero
 {
-
-namespace detail
-{
-void linkDpesScheme() {}
-} // namespace detail
-
-namespace
-{
-
-const SchemeRegistrar kRegisterDpes{
-    "DPES", SchemeKind::Dpes,
-    [](NandChip &chip, const SchemeOptions &opts) {
-        return std::make_unique<Dpes>(chip, opts);
-    }};
-
-} // namespace
 
 namespace
 {

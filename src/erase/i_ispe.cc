@@ -3,27 +3,10 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "erase/scheme_registry.hh"
 #include "nand/erase_model.hh"
 
 namespace aero
 {
-
-namespace detail
-{
-void linkIIspeScheme() {}
-} // namespace detail
-
-namespace
-{
-
-const SchemeRegistrar kRegisterIIspe{
-    "i-ISPE", SchemeKind::IIspe,
-    [](NandChip &chip, const SchemeOptions &opts) {
-        return std::make_unique<IntelligentIspe>(chip, opts);
-    }};
-
-} // namespace
 
 class IIspeSession : public EraseSession
 {

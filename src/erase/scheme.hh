@@ -19,13 +19,17 @@
 
 #include <memory>
 
+#include "common/names.hh"
 #include "common/types.hh"
 #include "nand/nand_chip.hh"
 
 namespace aero
 {
 
-/** The five erase schemes the paper compares (section 7.1). */
+/**
+ * The five erase schemes the paper compares (section 7.1), in its
+ * comparison order. makeEraseScheme() (core/aero_scheme.hh) builds one.
+ */
 enum class SchemeKind
 {
     Baseline,   //!< conventional ISPE, fixed tEP
@@ -35,7 +39,25 @@ enum class SchemeKind
     Aero,       //!< full AERO
 };
 
-const char *schemeKindName(SchemeKind k);
+inline NameTable<SchemeKind>
+nameTable(SchemeKind)
+{
+    static constexpr NamedValue<SchemeKind> rows[] = {
+        {"Baseline", SchemeKind::Baseline},
+        {"i-ISPE", SchemeKind::IIspe},
+        {"DPES", SchemeKind::Dpes},
+        {"AERO-CONS", SchemeKind::AeroCons},
+        {"AERO", SchemeKind::Aero},
+    };
+    return {"erase scheme", rows};
+}
+
+/** enumName() of a scheme. */
+inline const char *
+schemeKindName(SchemeKind k)
+{
+    return enumName(k);
+}
 
 /** Tunables shared by all schemes (most only matter to AERO). */
 struct SchemeOptions

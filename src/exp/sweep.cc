@@ -13,10 +13,7 @@
 
 #include "common/logging.hh"
 #include "common/parse.hh"
-#include "erase/scheme_registry.hh"
 #include "exp/report.hh"
-#include "ssd/gc.hh"
-#include "ssd/wear_level.hh"
 #include "workload/presets.hh"
 
 namespace aero
@@ -55,15 +52,13 @@ sweepThreads()
 namespace
 {
 
-/** An axis value as its report column: enums by name. */
+/** An axis value as its report column: enums by canonical name. */
 template <typename T>
 Json
 toColumn(const T &value)
 {
-    if constexpr (std::is_same_v<T, SchemeKind>)
-        return Json{schemeKindName(value)};
-    else if constexpr (std::is_same_v<T, SuspensionMode>)
-        return Json{suspensionModeName(value)};
+    if constexpr (std::is_enum_v<T>)
+        return Json{enumName(value)};
     else
         return Json{value};
 }
@@ -76,10 +71,8 @@ template <typename T>
 T
 fromText(const std::string &what, const std::string &text)
 {
-    if constexpr (std::is_same_v<T, SchemeKind>) {
-        return schemeKindFromName(text);
-    } else if constexpr (std::is_same_v<T, SuspensionMode>) {
-        return suspensionModeFromName(text);
+    if constexpr (std::is_enum_v<T>) {
+        return enumFromName<T>(text);
     } else if constexpr (std::is_integral_v<T>) {
         return parseDecimalOrDie<T>(what, text);
     } else if constexpr (std::is_floating_point_v<T>) {
@@ -95,22 +88,16 @@ fromText(const std::string &what, const std::string &text)
     }
 }
 
-/**
- * The table entry over SweepSpec::*values and SimPoint::*field. A string
- * axis passes its registry lookup as @p check (fatal on unknown names),
- * which validate() runs; the report decoder must not, so it can reload
- * any row it wrote.
- */
+/** The table entry over SweepSpec::*values and SimPoint::*field. */
 template <typename T>
 SweepAxis
 makeAxis(Axis id, const char *specKey, const char *column, bool optional,
          const char *help, std::vector<T> SweepSpec::*values,
          T SimPoint::*field,
-         std::vector<std::pair<std::string, std::vector<T>>> presets = {},
-         std::type_identity_t<void (*)(const T &)> check = nullptr)
+         std::vector<std::pair<std::string, std::vector<T>>> presets = {})
 {
     SweepAxis axis{id, specKey, column, optional, help, {}, {}, {}, {}, {},
-                   {}, {}};
+                   {}};
     for (const auto &preset : presets)
         axis.presets.push_back(preset.first);
     axis.size = [values](const SweepSpec &spec) {
@@ -125,12 +112,6 @@ makeAxis(Axis id, const char *specKey, const char *column, bool optional,
     };
     axis.set = [field, column](const Json &value, SimPoint &point) {
         point.*field = fromText<T>(column, columnText(value));
-    };
-    axis.check = [values, check](const SweepSpec &spec) {
-        for (const T &value : spec.*values) {
-            if (check)
-                check(value);
-        }
     };
     axis.parse = [values, presets, flag = axis.flag()](
                      const std::string &list, SweepSpec &spec) {
@@ -168,8 +149,7 @@ sweepAxes()
     using P = SimPoint;
     static const std::vector<SweepAxis> table = {
         makeAxis(Axis::Workload, "workloads", "workload", false,
-                 "Table-3 workload names", &S::workloads, &P::workload, {},
-                 [](const std::string &n) { (void)workloadByName(n); }),
+                 "Table-3 workload names", &S::workloads, &P::workload),
         makeAxis(Axis::Scheme, "schemes", "scheme", false,
                  "erase scheme names", &S::schemes, &P::scheme,
                  {{"all", allSchemes()}}),
@@ -188,16 +168,12 @@ sweepAxes()
                  "rber_requirement", false, "RBER requirements [bits/1KiB]",
                  &S::rberRequirements, &P::rberRequirement),
         makeAxis(Axis::GcPolicy, "gc_policies", "gc_policy", true,
-                 "GC victim policies", &S::gcPolicies, &P::gcPolicy, {},
-                 [](const std::string &n) { (void)makeGcPolicy(n); }),
+                 "GC victim policies", &S::gcPolicies, &P::gcPolicy),
         makeAxis(Axis::WearLevel, "wear_levels", "wear_level", true,
-                 "wear-leveling policies", &S::wearLevels, &P::wearLevel,
-                 {},
-                 [](const std::string &n) { (void)makeWearLevelPolicy(n); }),
+                 "wear-leveling policies", &S::wearLevels, &P::wearLevel),
         makeAxis(Axis::SloPolicy, "slo_policies", "slo_policy", true,
                  "tenant SLO enforcement policies", &S::sloPolicies,
-                 &P::sloPolicy, {},
-                 [](const std::string &n) { (void)sloPolicyFromName(n); }),
+                 &P::sloPolicy),
         makeAxis(Axis::Seed, "seeds", "seed", false, "per-point trace seeds",
                  &S::seeds, &P::seed),
     };
@@ -296,10 +272,22 @@ void
 SweepSpec::validate() const
 {
     for (const SweepAxis &axis : sweepAxes()) {
-        if (axis.size(*this) == 0)
+        const std::size_t n = axis.size(*this);
+        if (n == 0)
             AERO_FATAL("sweep has no ", axis.specKey);
-        axis.check(*this);
+        std::vector<Json> seen;
+        SimPoint pt;
+        for (std::size_t i = 0; i < n; ++i) {
+            axis.assign(*this, i, pt);
+            Json value = axis.get(pt);
+            if (std::find(seen.begin(), seen.end(), value) != seen.end())
+                AERO_FATAL(axis.flag(), " repeats ", columnText(value),
+                           ": each point needs its own report row");
+            seen.push_back(std::move(value));
+        }
     }
+    for (const std::string &workload : workloads)
+        (void)workloadByName(workload);
     if (requests == 0)
         AERO_FATAL("sweep has zero requests per point");
 }

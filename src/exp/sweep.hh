@@ -82,9 +82,9 @@ struct SweepSpec
     std::vector<SuspensionMode> suspensions = {SuspensionMode::MidSegment};
     std::vector<double> mispredictionRates = {0.0};
     std::vector<int> rberRequirements = {63};
-    std::vector<std::string> gcPolicies = {"greedy"};
-    std::vector<std::string> wearLevels = {"none"};
-    std::vector<std::string> sloPolicies = {"none"};
+    std::vector<GcPolicy> gcPolicies = {GcPolicy::Greedy};
+    std::vector<WearLevel> wearLevels = {WearLevel::None};
+    std::vector<SloPolicy> sloPolicies = {SloPolicy::None};
     std::vector<std::uint64_t> seeds = {7};
     /** @} */
 
@@ -111,9 +111,12 @@ struct SweepSpec
     index(std::initializer_list<std::pair<Axis, std::size_t>> at) const;
 
     /**
-     * Fatal unless every axis is non-empty, every name resolves in its
-     * registry and requests > 0. SweepRunner::run and configOf() call it,
-     * so an ill-formed grid fails before hours of simulation.
+     * Fatal unless every axis is non-empty and repeats no value, every
+     * workload is a Table-3 name and requests > 0. Values compare as
+     * report columns, so aliases ("fifo", "fifo-log") repeat too: a
+     * repeat would be a second row under one journal key. SweepRunner::run
+     * and configOf() call it, so an ill-formed grid fails before hours of
+     * simulation.
      */
     void validate() const;
 };
@@ -122,7 +125,9 @@ struct SweepSpec
  * One axis of the table. Its typed values live in a SweepSpec vector and
  * a SimPoint field; the accessors erase that type, so serializers, CLI
  * and diff treat every axis alike. A value crosses the erasure as its
- * report column, a Json.
+ * report column, a Json: an enum as its canonical name
+ * (common/names.hh), a number as itself. Only the workload axis holds
+ * free-form strings.
  */
 struct SweepAxis
 {
@@ -141,12 +146,11 @@ struct SweepAxis
     std::function<Json(const SimPoint &)> get;
     /** Inverse of get(). */
     std::function<void(const Json &, SimPoint &)> set;
-    /** Fatal on a spec value the axis's registry does not know. */
-    std::function<void(const SweepSpec &)> check;
     /**
      * Set the spec's values from a comma list or a preset name, as the
-     * run_sweep flag does; fatal, naming flag(), on a malformed number
-     * or an unknown enum name (validate() checks the other names).
+     * run_sweep flag does; fatal on a malformed number (naming flag())
+     * or an unknown enum name (listing the valid ones). validate()
+     * checks workload names and repeats.
      */
     std::function<void(const std::string &list, SweepSpec &)> parse;
 

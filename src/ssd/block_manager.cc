@@ -4,7 +4,6 @@
 
 #include "common/logging.hh"
 #include "ssd/line_manager.hh"
-#include "ssd/wear_level.hh"
 
 namespace aero
 {
@@ -17,7 +16,7 @@ BlockManager::BlockManager(const SsdConfig &cfg)
       blockStates(static_cast<std::size_t>(numChips) * planesPerChip *
                       blocksPerPlane,
                   BlockState::Free),
-      eraseCounts(blockStates.size(), 0)
+      eraseCounts(blockStates.size(), 0), wearLevel(cfg.wearLevel)
 {
     for (int c = 0; c < numChips; ++c) {
         for (int p = 0; p < planesPerChip; ++p) {
@@ -57,11 +56,21 @@ BlockManager::state(int chip, BlockId block) const
 BlockId
 BlockManager::takeFreeBlock(int chip, Plane &ps)
 {
+    // LIFO: the most recently freed block.
     std::size_t slot = ps.freeList.size() - 1;
-    if (wearPolicy)
-        slot = wearPolicy->chooseFreeSlot(ps.freeList, chip, *this);
-    AERO_CHECK(slot < ps.freeList.size(), "wear policy chose slot ", slot,
-               " outside the free list");
+    if (wearLevel == WearLevel::Dynamic) {
+        // The least-erased free block, ties to the lowest block id.
+        slot = 0;
+        std::uint64_t best_ec = eraseCount(chip, ps.freeList[0]);
+        for (std::size_t i = 1; i < ps.freeList.size(); ++i) {
+            const BlockId b = ps.freeList[i];
+            const std::uint64_t ec = eraseCount(chip, b);
+            if (ec < best_ec || (ec == best_ec && b < ps.freeList[slot])) {
+                slot = i;
+                best_ec = ec;
+            }
+        }
+    }
     const BlockId block = ps.freeList[slot];
     ps.freeList.erase(ps.freeList.begin() +
                       static_cast<std::ptrdiff_t>(slot));

@@ -7,9 +7,8 @@
  * mount) and tells an optional LineManager observer when a block opens,
  * so GC policies can order blocks by fill generation. Its block states
  * define the GC victim candidates: LineManager scans a plane for Full
- * blocks when GC needs a victim. Which free block a plane opens next is
- * delegated to an optional WearLevelPolicy; without one, reuse is LIFO
- * exactly as before.
+ * blocks when GC needs a victim. A plane reuses its free blocks LIFO,
+ * or least-erased first under dynamic wear leveling.
  */
 
 #ifndef AERO_SSD_BLOCK_MANAGER_HH
@@ -23,7 +22,6 @@ namespace aero
 {
 
 class LineManager;
-class WearLevelPolicy;
 
 enum class BlockState : std::uint8_t { Free, Open, Full };
 
@@ -34,9 +32,6 @@ class BlockManager
 
     /** Wire the fill-stamp observer (FTL does this once at mount). */
     void setLineManager(LineManager *lines_) { lines = lines_; }
-
-    /** Wire the free-block selection policy (null = LIFO reuse). */
-    void setWearPolicy(const WearLevelPolicy *policy) { wearPolicy = policy; }
 
     int planeOf(BlockId block) const
     {
@@ -108,7 +103,7 @@ class BlockManager
         int cursorGc = 0;
     };
 
-    /** Detach one free block per the wear policy (default: the back). */
+    /** Detach the free block the plane opens next (see file comment). */
     BlockId takeFreeBlock(int chip, Plane &ps);
 
     std::size_t planeIndex(int chip, int plane) const;
@@ -122,8 +117,8 @@ class BlockManager
     std::vector<BlockState> blockStates;
     std::vector<std::uint64_t> eraseCounts;  //!< per (chip, block)
     std::uint64_t totalEraseCount = 0;
+    WearLevel wearLevel;
     LineManager *lines = nullptr;
-    const WearLevelPolicy *wearPolicy = nullptr;
 };
 
 } // namespace aero

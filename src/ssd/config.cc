@@ -7,75 +7,6 @@
 namespace aero
 {
 
-const char *
-suspensionModeName(SuspensionMode mode)
-{
-    switch (mode) {
-      case SuspensionMode::None: return "none";
-      case SuspensionMode::MidSegment: return "mid-segment";
-    }
-    return "unknown";
-}
-
-SuspensionMode
-suspensionModeFromName(const std::string &name)
-{
-    if (name == "none" || name == "off")
-        return SuspensionMode::None;
-    if (name == "mid-segment" || name == "on")
-        return SuspensionMode::MidSegment;
-    AERO_FATAL("unknown suspension mode: '", name,
-               "' (valid names: none, mid-segment)");
-}
-
-const char *
-arbitrationName(Arbitration mode)
-{
-    switch (mode) {
-      case Arbitration::Legacy: return "legacy";
-      case Arbitration::Queued: return "queued";
-    }
-    return "unknown";
-}
-
-Arbitration
-arbitrationFromName(const std::string &name)
-{
-    if (name == "legacy")
-        return Arbitration::Legacy;
-    if (name == "queued")
-        return Arbitration::Queued;
-    AERO_FATAL("unknown arbitration mode: '", name,
-               "' (valid names: legacy, queued)");
-}
-
-const char *
-sloPolicyName(SloPolicy policy)
-{
-    switch (policy) {
-      case SloPolicy::None: return "none";
-      case SloPolicy::Throttle: return "throttle";
-      case SloPolicy::Wfq: return "wfq";
-      case SloPolicy::ThrottleWfq: return "throttle+wfq";
-    }
-    return "unknown";
-}
-
-SloPolicy
-sloPolicyFromName(const std::string &name)
-{
-    if (name == "none")
-        return SloPolicy::None;
-    if (name == "throttle")
-        return SloPolicy::Throttle;
-    if (name == "wfq")
-        return SloPolicy::Wfq;
-    if (name == "throttle+wfq")
-        return SloPolicy::ThrottleWfq;
-    AERO_FATAL("unknown SLO policy: '", name,
-               "' (valid names: none, throttle, wfq, throttle+wfq)");
-}
-
 SsdConfig
 SsdConfig::paper()
 {
@@ -126,11 +57,11 @@ SsdConfig::summary() const
                                                     : "disabled")
        << "\n"
        << "  arbitration:     " << arbitrationName(arbitration) << "\n"
-       << "  GC policy:       " << gcPolicy << "\n"
-       << "  wear leveling:   " << wearLevel << "\n"
+       << "  GC policy:       " << enumName(gcPolicy) << "\n"
+       << "  wear leveling:   " << enumName(wearLevel) << "\n"
        << "  initial PEC:     " << initialPec << "\n";
     if (sloPolicy != SloPolicy::None)
-        os << "  SLO policy:      " << sloPolicyName(sloPolicy) << " ("
+        os << "  SLO policy:      " << enumName(sloPolicy) << " ("
            << renderTenantSloSpec(slo) << ")\n";
     return os.str();
 }

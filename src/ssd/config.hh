@@ -13,6 +13,8 @@
 
 #include "erase/scheme.hh"
 #include "nand/nand_chip.hh"
+#include "ssd/gc.hh"
+#include "ssd/wear_level.hh"
 #include "workload/trace_io/tenant.hh"
 
 namespace aero
@@ -25,11 +27,17 @@ enum class SuspensionMode
     MidSegment,   //!< practical erase suspension: preempt within a loop
 };
 
-/** Stable name for reports and CLIs ("none" / "mid-segment"). */
-const char *suspensionModeName(SuspensionMode mode);
-
-/** Inverse of suspensionModeName(); fatal listing the valid names. */
-SuspensionMode suspensionModeFromName(const std::string &name);
+inline NameTable<SuspensionMode>
+nameTable(SuspensionMode)
+{
+    static constexpr NamedValue<SuspensionMode> rows[] = {
+        {"none", SuspensionMode::None},
+        {"mid-segment", SuspensionMode::MidSegment},
+        {"off", SuspensionMode::None},
+        {"on", SuspensionMode::MidSegment},
+    };
+    return {"suspension mode", rows};
+}
 
 /**
  * Channel/die arbitration model (PR 8).
@@ -50,11 +58,22 @@ enum class Arbitration
     Queued,   //!< event-driven per-channel grant queues
 };
 
-/** Stable name for reports and CLIs ("legacy" / "queued"). */
-const char *arbitrationName(Arbitration mode);
+inline NameTable<Arbitration>
+nameTable(Arbitration)
+{
+    static constexpr NamedValue<Arbitration> rows[] = {
+        {"legacy", Arbitration::Legacy},
+        {"queued", Arbitration::Queued},
+    };
+    return {"arbitration mode", rows};
+}
 
-/** Inverse of arbitrationName(); fatal listing the valid names. */
-Arbitration arbitrationFromName(const std::string &name);
+/** enumName() of an arbitration mode. */
+inline const char *
+arbitrationName(Arbitration mode)
+{
+    return enumName(mode);
+}
 
 /**
  * Per-tenant SLO enforcement policy (PR 10). `Throttle` gates trace
@@ -75,11 +94,17 @@ enum class SloPolicy
     ThrottleWfq,  //!< both
 };
 
-/** Stable name ("none" / "throttle" / "wfq" / "throttle+wfq"). */
-const char *sloPolicyName(SloPolicy policy);
-
-/** Inverse of sloPolicyName(); fatal listing the valid names. */
-SloPolicy sloPolicyFromName(const std::string &name);
+inline NameTable<SloPolicy>
+nameTable(SloPolicy)
+{
+    static constexpr NamedValue<SloPolicy> rows[] = {
+        {"none", SloPolicy::None},
+        {"throttle", SloPolicy::Throttle},
+        {"wfq", SloPolicy::Wfq},
+        {"throttle+wfq", SloPolicy::ThrottleWfq},
+    };
+    return {"SLO policy", rows};
+}
 
 /** Does the policy include token-bucket admission throttling? */
 constexpr bool
@@ -131,8 +156,8 @@ struct SsdConfig
     Tick suspendResumeOverhead = 100 * kUs;
     int gcLowWatermark = 3;    //!< free blocks/plane that trigger GC
     int gcHighWatermark = 5;   //!< free blocks/plane where GC stops
-    std::string gcPolicy = "greedy";  //!< victim selection (ssd/gc.hh)
-    std::string wearLevel = "none";   //!< WL policy (ssd/wear_level.hh)
+    GcPolicy gcPolicy = GcPolicy::Greedy;  //!< victim selection
+    WearLevel wearLevel = WearLevel::None;  //!< ssd/wear_level.hh
     /** Static WL: erase-count spread that triggers cold migration. */
     int wlEraseDelta = 8;
     SloPolicy sloPolicy = SloPolicy::None;  //!< tenant SLO enforcement

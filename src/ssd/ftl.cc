@@ -32,7 +32,7 @@ Ftl::validated(SsdConfig cfg)
                    "and non-negative, got ", cfg.warmupOverwriteFraction);
     if (sloPolicyWeights(cfg.sloPolicy) &&
         cfg.arbitration != Arbitration::Queued)
-        AERO_FATAL("SLO policy '", sloPolicyName(cfg.sloPolicy),
+        AERO_FATAL("SLO policy '", enumName(cfg.sloPolicy),
                    "' needs queued channel arbitration: weighted-fair "
                    "sharing arbitrates the per-channel grant queues, "
                    "which the legacy closed-form model does not have");
@@ -43,7 +43,7 @@ Ftl::Ftl(const SsdConfig &cfg_, EventQueue &eq_)
     : cfg(validated(cfg_)), eq(eq_),
       mapping(cfg.logicalPages(), cfg.totalChips(),
               cfg.blocksPerChip(), cfg.geometry.pagesPerBlock),
-      blocks(cfg)
+      blocks(cfg), lines(cfg, blocks, mapping)
 {
     // Every chip of every drive of this type shares one wear model.
     const auto wear = WearModel::forType(cfg.chipType);
@@ -81,11 +81,7 @@ Ftl::Ftl(const SsdConfig &cfg_, EventQueue &eq_)
     }
     gcJobs.resize(static_cast<std::size_t>(cfg.totalChips()) *
                   cfg.geometry.planes);
-    gcPolicy = makeGcPolicy(cfg.gcPolicy);
-    wlPolicy = makeWearLevelPolicy(cfg.wearLevel);
-    lines = std::make_unique<LineManager>(cfg, *gcPolicy, blocks, mapping);
-    blocks.setLineManager(lines.get());
-    blocks.setWearPolicy(wlPolicy.get());
+    blocks.setLineManager(&lines);
     burstTouched.assign(cfg.totalChips(), 0);
     burstChips.reserve(cfg.totalChips());
     gcLive.resize(static_cast<std::size_t>(cfg.geometry.pagesPerBlock));
@@ -243,7 +239,7 @@ Ftl::functionalGc(int chip, int plane)
     // pages move as runs: one allocation, mapping update and program
     // call per destination block they land in.
     while (blocks.freeBlocks(chip, plane) <= cfg.gcLowWatermark) {
-        const BlockId victim = lines->pickVictim(chip, plane);
+        const BlockId victim = lines.pickVictim(chip, plane);
         if (victim == kInvalidBlock)
             return;
         if (mapping.validPages(chip, victim) >=
@@ -478,7 +474,7 @@ Ftl::maybeStartGc(int chip, int plane)
     auto &slot = gcJobs[planeKey(chip, plane)];
     if (slot)
         return;  // a job is already running on this plane
-    const BlockId victim = lines->pickVictim(chip, plane);
+    const BlockId victim = lines.pickVictim(chip, plane);
     if (victim == kInvalidBlock)
         return;
     slot = std::make_unique<GcJob>();
@@ -493,11 +489,13 @@ Ftl::maybeStartGc(int chip, int plane)
 void
 Ftl::maybeStartWearLevel(int chip, int plane)
 {
+    if (cfg.wearLevel != WearLevel::Static)
+        return;
     auto &slot = gcJobs[planeKey(chip, plane)];
     if (slot)
         return;  // the plane is busy (GC restarted first)
     const BlockId victim =
-        wlPolicy->pickColdVictim(chip, plane, blocks, cfg.wlEraseDelta);
+        pickColdVictim(chip, plane, blocks, cfg.wlEraseDelta);
     if (victim == kInvalidBlock)
         return;
     slot = std::make_unique<GcJob>();

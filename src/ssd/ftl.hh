@@ -62,7 +62,7 @@ class Ftl : public FtlCallbacks
     ChipAgent &agentAt(int i);
     const PageMapping &pageMapping() const { return mapping; }
     const BlockManager &blockManager() const { return blocks; }
-    const LineManager &lineManager() const { return *lines; }
+    const LineManager &lineManager() const { return lines; }
 
     /** @name FtlCallbacks */
     /** @{ */
@@ -120,9 +120,7 @@ class Ftl : public FtlCallbacks
     PageMapping mapping;
     BlockManager blocks;
     SsdMetrics stats;
-    std::unique_ptr<GcPolicy> gcPolicy;
-    std::unique_ptr<WearLevelPolicy> wlPolicy;
-    std::unique_ptr<LineManager> lines;
+    LineManager lines;
 
     /** @name Read-burst admission scratch (see flushReadBurst) */
     /** @{ */

@@ -1,16 +1,16 @@
 /**
  * @file
- * Garbage-collection victim selection behind a scoring-policy interface.
+ * Garbage-collection victim selection: the GC policy names a victim
+ * order, and gcKey() computes it.
  *
  * A policy does not scan the plane itself: when GC needs a victim, the
  * LineManager (ssd/line_manager.hh) scans the plane's Full blocks and
- * keeps the lowest key. Policies therefore only define an ordering:
- * score() (lower is better) plus a tieBreak() key, with the block id as
- * the final tie-breaker so the order is total and selection is
- * deterministic. Scores read only the GcLineInfo fields (valid pages,
+ * keeps the lowest (score, tie, block) key, with the block id as the
+ * final tie-breaker so the order is total and selection is
+ * deterministic. gcKey() reads only the GcLineInfo fields (valid pages,
  * fill stamp, erase count, block id), never the simulated clock.
  *
- * Registered policies:
+ * Policies:
  *  - greedy:       fewest valid pages (the paper's Table 2 policy [77]);
  *                  ties fall to the lowest block id.
  *  - cost-benefit: migration cost over reclaimed space, weighted by the
@@ -21,23 +21,43 @@
  *                  opened first, independent of valid-page count. The
  *                  old "fifo" policy used the numeric block id, which
  *                  breaks down as soon as an erased block is refilled;
- *                  the allocation stamp survives reuse cycles.
+ *                  the allocation stamp survives reuse cycles. "fifo"
+ *                  stays accepted as an alias of fifo-log.
  *
  * The migration/erase orchestration lives in the FTL; this module holds
- * the policies and job bookkeeping.
+ * the victim order and job bookkeeping.
  */
 
 #ifndef AERO_SSD_GC_HH
 #define AERO_SSD_GC_HH
 
 #include <cstdint>
-#include <memory>
-#include <string>
 
+#include "common/names.hh"
 #include "common/types.hh"
 
 namespace aero
 {
+
+/** GC victim-selection policy (see the file comment). */
+enum class GcPolicy
+{
+    Greedy,
+    CostBenefit,
+    FifoLog,
+};
+
+inline NameTable<GcPolicy>
+nameTable(GcPolicy)
+{
+    static constexpr NamedValue<GcPolicy> rows[] = {
+        {"greedy", GcPolicy::Greedy},
+        {"cost-benefit", GcPolicy::CostBenefit},
+        {"fifo-log", GcPolicy::FifoLog},
+        {"fifo", GcPolicy::FifoLog},
+    };
+    return {"GC policy", rows};
+}
 
 /** One in-flight GC (or wear-leveling) operation on a plane. */
 struct GcJob
@@ -61,55 +81,21 @@ struct GcLineInfo
     std::uint64_t eraseCount = 0;  //!< completed erases of this block
 };
 
-/**
- * Victim-selection policy: a deterministic ordering over Full blocks.
- * Lower (score, tieBreak, block) wins.
- */
-class GcPolicy
+/** A block's place in the victim order; lower (score, tie) wins. */
+struct GcKey
 {
-  public:
-    virtual ~GcPolicy() = default;
-
-    /** Victim badness; lower is better. Must be a pure function. */
-    virtual double score(const GcLineInfo &line) const = 0;
-
-    /** Secondary key when scores tie exactly. */
-    virtual std::uint64_t
-    tieBreak(const GcLineInfo &line) const
-    {
-        return line.openSeq;
-    }
-
-    /** Stable registry name ("greedy", "cost-benefit", "fifo-log"). */
-    virtual const char *name() const = 0;
+    double score = 0.0;      //!< victim badness
+    std::uint64_t tie = 0;   //!< secondary key when scores tie exactly
 };
 
-/** Fewest valid pages; ties fall to the lowest block id. */
-class GreedyGcPolicy : public GcPolicy
+/** The victim key of @p line under @p policy (a pure function). */
+inline GcKey
+gcKey(GcPolicy policy, const GcLineInfo &line)
 {
-  public:
-    double
-    score(const GcLineInfo &line) const override
-    {
-        return static_cast<double>(line.validPages);
-    }
-
-    std::uint64_t
-    tieBreak(const GcLineInfo &line) const override
-    {
-        return line.block;
-    }
-
-    const char *name() const override { return "greedy"; }
-};
-
-/** Wear-weighted cost/benefit; ties prefer the oldest fill. */
-class CostBenefitGcPolicy : public GcPolicy
-{
-  public:
-    double
-    score(const GcLineInfo &line) const override
-    {
+    switch (policy) {
+      case GcPolicy::Greedy:
+        return {static_cast<double>(line.validPages), line.block};
+      case GcPolicy::CostBenefit: {
         // cost (pages to migrate) over benefit (pages reclaimed, +1 so a
         // fully-valid block stays finite), scaled up with wear so heavily
         // cycled blocks become unattractive victims.
@@ -117,39 +103,13 @@ class CostBenefitGcPolicy : public GcPolicy
         const double benefit =
             static_cast<double>(line.pagesPerBlock - line.validPages + 1);
         const double wear = 1.0 + static_cast<double>(line.eraseCount);
-        return cost / benefit * wear;
+        return {cost / benefit * wear, line.openSeq};
+      }
+      case GcPolicy::FifoLog:
+        return {static_cast<double>(line.openSeq), line.block};
     }
-
-    const char *name() const override { return "cost-benefit"; }
-};
-
-/** Oldest fill first (true log order, robust to block reuse). */
-class FifoLogGcPolicy : public GcPolicy
-{
-  public:
-    double
-    score(const GcLineInfo &line) const override
-    {
-        return static_cast<double>(line.openSeq);
-    }
-
-    std::uint64_t
-    tieBreak(const GcLineInfo &line) const override
-    {
-        return line.block;
-    }
-
-    const char *name() const override { return "fifo-log"; }
-};
-
-/**
- * Instantiate a policy by registry name; fatal listing valid names.
- * "fifo" is accepted as an alias for "fifo-log".
- */
-std::unique_ptr<GcPolicy> makeGcPolicy(const std::string &name);
-
-/** Comma-separated list of registered policy names. */
-const char *gcPolicyNames();
+    return {};
+}
 
 } // namespace aero
 

@@ -7,27 +7,16 @@
 namespace aero
 {
 
-LineManager::LineManager(const SsdConfig &cfg, const GcPolicy &policy_,
-                         const BlockManager &blocks_,
+LineManager::LineManager(const SsdConfig &cfg, const BlockManager &blocks_,
                          const PageMapping &mapping_)
     : numChips(cfg.totalChips()), planesPerChip(cfg.geometry.planes),
       blocksPerPlane(cfg.geometry.blocksPerPlane),
-      pagesPerBlock(cfg.geometry.pagesPerBlock), policy(policy_),
+      pagesPerBlock(cfg.geometry.pagesPerBlock), policy(cfg.gcPolicy),
       blocks(blocks_), mapping(mapping_),
       openSeqs(static_cast<std::size_t>(numChips) * planesPerChip *
                    blocksPerPlane,
                0)
 {
-}
-
-bool
-LineManager::less(const Key &a, const Key &b)
-{
-    if (a.score != b.score)
-        return a.score < b.score;
-    if (a.tie != b.tie)
-        return a.tie < b.tie;
-    return a.block < b.block;
 }
 
 std::size_t
@@ -52,13 +41,6 @@ LineManager::lineInfo(int chip, BlockId block) const
     return info;
 }
 
-LineManager::Key
-LineManager::keyFor(int chip, BlockId block) const
-{
-    const GcLineInfo info = lineInfo(chip, block);
-    return Key{policy.score(info), policy.tieBreak(info), block};
-}
-
 void
 LineManager::onBlockOpened(int chip, BlockId block)
 {
@@ -73,15 +55,21 @@ LineManager::pickVictim(int chip, int plane) const
     const auto hi = lo + static_cast<BlockId>(blocksPerPlane);
     // Filters states in place rather than through BlockManager::fullBlocks
     // (a vector per pick measured +1.4% peak RSS on fig14-grid).
-    Key best;
+    // Blocks are scanned in id order, so a strict improvement in
+    // (score, tie) leaves ties with the lowest block id.
+    BlockId best = kInvalidBlock;
+    GcKey best_key;
     for (BlockId b = lo; b < hi; ++b) {
         if (blocks.state(chip, b) != BlockState::Full)
             continue;
-        const Key key = keyFor(chip, b);
-        if (best.block == kInvalidBlock || less(key, best))
-            best = key;
+        const GcKey key = gcKey(policy, lineInfo(chip, b));
+        if (best == kInvalidBlock || key.score < best_key.score ||
+            (key.score == best_key.score && key.tie < best_key.tie)) {
+            best = b;
+            best_key = key;
+        }
     }
-    return best.block;
+    return best;
 }
 
 } // namespace aero

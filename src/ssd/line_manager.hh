@@ -3,8 +3,9 @@
  * Line manager: stamps every block's fill generation and picks GC
  * victims by scanning the plane at the moment a victim is needed. The
  * candidates are the plane's blocks whose BlockManager state is Full;
- * the winner is the lowest (score, tieBreak, block) under the GC
- * policy, a total order, so the pick is exact and deterministic. A scan
+ * the winner is the lowest (score, tie, block) under the configured GC
+ * policy's gcKey(), a total order, so the pick is exact and
+ * deterministic. A scan
  * costs O(blocks per plane) once per GC run instead of heap upkeep on
  * every page write: warmup invalidates thousands of pages per erase.
  *
@@ -31,8 +32,8 @@ class PageMapping;
 class LineManager
 {
   public:
-    LineManager(const SsdConfig &cfg, const GcPolicy &policy,
-                const BlockManager &blocks, const PageMapping &mapping);
+    LineManager(const SsdConfig &cfg, const BlockManager &blocks,
+                const PageMapping &mapping);
 
     /** Stamp a fresh fill generation (BlockManager observer). */
     void onBlockOpened(int chip, BlockId block);
@@ -44,24 +45,13 @@ class LineManager
     GcLineInfo lineInfo(int chip, BlockId block) const;
 
   private:
-    /** Victim order; lexicographic (score, tie, block), lower wins. */
-    struct Key
-    {
-        double score = 0.0;
-        std::uint64_t tie = 0;
-        BlockId block = kInvalidBlock;
-    };
-
-    static bool less(const Key &a, const Key &b);
-
     std::size_t blockIndex(int chip, BlockId block) const;
-    Key keyFor(int chip, BlockId block) const;
 
     int numChips;
     int planesPerChip;
     int blocksPerPlane;
     int pagesPerBlock;
-    const GcPolicy &policy;
+    GcPolicy policy;
     const BlockManager &blocks;
     const PageMapping &mapping;
     std::vector<std::uint64_t> openSeqs;  //!< per (chip, chip-local block)

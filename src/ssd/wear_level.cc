@@ -1,57 +1,13 @@
 #include "ssd/wear_level.hh"
 
-#include "common/logging.hh"
 #include "ssd/block_manager.hh"
 
 namespace aero
 {
 
-std::size_t
-WearLevelPolicy::chooseFreeSlot(const std::vector<BlockId> &freeList,
-                                int chip, const BlockManager &blocks) const
-{
-    (void)chip;
-    (void)blocks;
-    AERO_CHECK(!freeList.empty(), "chooseFreeSlot on empty free list");
-    return freeList.size() - 1;  // LIFO: the most recently freed block
-}
-
 BlockId
-WearLevelPolicy::pickColdVictim(int chip, int plane,
-                                const BlockManager &blocks,
-                                int eraseDelta) const
-{
-    (void)chip;
-    (void)plane;
-    (void)blocks;
-    (void)eraseDelta;
-    return kInvalidBlock;
-}
-
-std::size_t
-DynamicWearLevelPolicy::chooseFreeSlot(const std::vector<BlockId> &freeList,
-                                       int chip,
-                                       const BlockManager &blocks) const
-{
-    AERO_CHECK(!freeList.empty(), "chooseFreeSlot on empty free list");
-    std::size_t best = 0;
-    std::uint64_t best_ec = blocks.eraseCount(chip, freeList[0]);
-    BlockId best_block = freeList[0];
-    for (std::size_t i = 1; i < freeList.size(); ++i) {
-        const std::uint64_t ec = blocks.eraseCount(chip, freeList[i]);
-        if (ec < best_ec || (ec == best_ec && freeList[i] < best_block)) {
-            best = i;
-            best_ec = ec;
-            best_block = freeList[i];
-        }
-    }
-    return best;
-}
-
-BlockId
-StaticWearLevelPolicy::pickColdVictim(int chip, int plane,
-                                      const BlockManager &blocks,
-                                      int eraseDelta) const
+pickColdVictim(int chip, int plane, const BlockManager &blocks,
+               int eraseDelta)
 {
     // Spread = most-worn block anywhere in the plane vs. the least-worn
     // *Full* block: cold data parks on young blocks and keeps them out of
@@ -72,25 +28,6 @@ StaticWearLevelPolicy::pickColdVictim(int chip, int plane,
     if (max_ec < coldest_ec + static_cast<std::uint64_t>(eraseDelta))
         return kInvalidBlock;
     return coldest;
-}
-
-std::unique_ptr<WearLevelPolicy>
-makeWearLevelPolicy(const std::string &name)
-{
-    if (name == "none")
-        return std::make_unique<NoneWearLevelPolicy>();
-    if (name == "static")
-        return std::make_unique<StaticWearLevelPolicy>();
-    if (name == "dynamic")
-        return std::make_unique<DynamicWearLevelPolicy>();
-    AERO_FATAL("unknown wear-level policy '", name,
-               "' (valid: ", wearLevelPolicyNames(), ")");
-}
-
-const char *
-wearLevelPolicyNames()
-{
-    return "none, static, dynamic";
 }
 
 } // namespace aero

@@ -1,30 +1,26 @@
 /**
  * @file
- * Wear-leveling policies behind the same string registry pattern as the
- * GC policies and erase schemes, so "wear level" is a sweep-grid axis.
+ * Wear-leveling policies, a sweep-grid axis like the GC policy and the
+ * erase scheme:
  *
- *  - none:    the pre-PR-8 behaviour, bit for bit. Free blocks are
+ *  - none:    the original behaviour, bit for bit. Free blocks are
  *             reused LIFO and no data ever moves for wear reasons.
  *  - dynamic: wear-aware allocation — every time a plane opens a fresh
  *             block it takes the least-erased free block instead of the
  *             most recently freed one, spreading writes without any
- *             extra copies.
+ *             extra copies (a branch in BlockManager).
  *  - static:  cold-data migration — after a GC erase, if the plane's
- *             erase-count spread exceeds SsdConfig::wlEraseDelta, the
+ *             erase-count spread reaches SsdConfig::wlEraseDelta, the
  *             least-worn Full block (cold data pinning a young block) is
  *             relocated and erased so it rejoins the rotation. Costs
  *             copies (tracked as wlMigratedPages) but levels even
- *             never-overwritten data.
+ *             never-overwritten data. The FTL asks pickColdVictim().
  */
 
 #ifndef AERO_SSD_WEAR_LEVEL_HH
 #define AERO_SSD_WEAR_LEVEL_HH
 
-#include <cstddef>
-#include <memory>
-#include <string>
-#include <vector>
-
+#include "common/names.hh"
 #include "common/types.hh"
 
 namespace aero
@@ -32,66 +28,32 @@ namespace aero
 
 class BlockManager;
 
-class WearLevelPolicy
+/** Wear-leveling policy (see the file comment). */
+enum class WearLevel
 {
-  public:
-    virtual ~WearLevelPolicy() = default;
-
-    /** Stable registry name ("none", "static", "dynamic"). */
-    virtual const char *name() const = 0;
-
-    /**
-     * Index into `freeList` of the block to open next. The default (the
-     * last slot) reproduces the LIFO reuse the BlockManager always had.
-     */
-    virtual std::size_t
-    chooseFreeSlot(const std::vector<BlockId> &freeList, int chip,
-                   const BlockManager &blocks) const;
-
-    /**
-     * After a GC erase on (chip, plane): the cold Full block to relocate
-     * for wear reasons, or kInvalidBlock to do nothing.
-     */
-    virtual BlockId
-    pickColdVictim(int chip, int plane, const BlockManager &blocks,
-                   int eraseDelta) const;
+    None,
+    Static,
+    Dynamic,
 };
 
-/** No wear awareness at all (legacy behaviour). */
-class NoneWearLevelPolicy : public WearLevelPolicy
+inline NameTable<WearLevel>
+nameTable(WearLevel)
 {
-  public:
-    const char *name() const override { return "none"; }
-};
+    static constexpr NamedValue<WearLevel> rows[] = {
+        {"none", WearLevel::None},
+        {"static", WearLevel::Static},
+        {"dynamic", WearLevel::Dynamic},
+    };
+    return {"wear-level policy", rows};
+}
 
-/** Least-erased free block first. */
-class DynamicWearLevelPolicy : public WearLevelPolicy
-{
-  public:
-    const char *name() const override { return "dynamic"; }
-
-    std::size_t
-    chooseFreeSlot(const std::vector<BlockId> &freeList, int chip,
-                   const BlockManager &blocks) const override;
-};
-
-/** Cold-data migration off lightly-worn blocks. */
-class StaticWearLevelPolicy : public WearLevelPolicy
-{
-  public:
-    const char *name() const override { return "static"; }
-
-    BlockId
-    pickColdVictim(int chip, int plane, const BlockManager &blocks,
-                   int eraseDelta) const override;
-};
-
-/** Instantiate a policy by registry name; fatal listing valid names. */
-std::unique_ptr<WearLevelPolicy>
-makeWearLevelPolicy(const std::string &name);
-
-/** Comma-separated list of registered policy names. */
-const char *wearLevelPolicyNames();
+/**
+ * Static WL: the cold Full block of (chip, plane) to relocate, or
+ * kInvalidBlock while the plane's erase-count spread is below
+ * @p eraseDelta.
+ */
+BlockId pickColdVictim(int chip, int plane, const BlockManager &blocks,
+                       int eraseDelta);
 
 } // namespace aero
 

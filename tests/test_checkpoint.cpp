@@ -193,7 +193,7 @@ TEST(CheckpointResume, SloAxisPointsAreJournaledApart)
     // journaled grid reopened with half its points and resumed with the
     // wrong rows. The key is now the point's own report columns.
     SweepSpec spec;
-    spec.sloPolicies = {"none", "throttle"};
+    spec.sloPolicies = {SloPolicy::None, SloPolicy::Throttle};
     spec.pecs = {2500.0};
     spec.requests = 1500;
     spec.base = SsdConfig::tiny();
@@ -374,12 +374,13 @@ TEST(SweepSpecIndex, AgreesWithExpandOverRandomizedGrids)
     const std::vector<SchemeKind> schemePool = allSchemes();
     const std::vector<SuspensionMode> suspPool = {
         SuspensionMode::None, SuspensionMode::MidSegment};
-    const std::vector<std::string> gcPool = {"greedy", "cost-benefit",
-                                             "fifo-log"};
-    const std::vector<std::string> wearPool = {"none", "static",
-                                               "dynamic"};
-    const std::vector<std::string> sloPool = {"none", "throttle", "wfq",
-                                              "throttle+wfq"};
+    const std::vector<GcPolicy> gcPool = {
+        GcPolicy::Greedy, GcPolicy::CostBenefit, GcPolicy::FifoLog};
+    const std::vector<WearLevel> wearPool = {
+        WearLevel::None, WearLevel::Static, WearLevel::Dynamic};
+    const std::vector<SloPolicy> sloPool = {
+        SloPolicy::None, SloPolicy::Throttle, SloPolicy::Wfq,
+        SloPolicy::ThrottleWfq};
 
     for (int trial = 0; trial < 25; ++trial) {
         // A distinct prefix of each axis pool, randomized lengths.

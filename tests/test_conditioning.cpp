@@ -37,8 +37,8 @@ make(SsdConfig cfg, SchemeKind scheme, const char *gc, const char *wl,
      double pec, std::uint64_t seed)
 {
     cfg.scheme = scheme;
-    cfg.gcPolicy = gc;
-    cfg.wearLevel = wl;
+    cfg.gcPolicy = enumFromName<GcPolicy>(gc);
+    cfg.wearLevel = enumFromName<WearLevel>(wl);
     cfg.initialPec = pec;
     cfg.seed = seed;
     return cfg;

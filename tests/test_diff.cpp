@@ -302,9 +302,9 @@ TEST(DiffReports, SweepSchemaFallsBackToFixedAxes)
 std::vector<SimResult>
 optionalAxesSweep(SweepSpec *spec)
 {
-    spec->gcPolicies = {"greedy", "fifo-log"};
-    spec->wearLevels = {"none", "dynamic"};
-    spec->sloPolicies = {"none", "throttle"};
+    spec->gcPolicies = {GcPolicy::Greedy, GcPolicy::FifoLog};
+    spec->wearLevels = {WearLevel::None, WearLevel::Dynamic};
+    spec->sloPolicies = {SloPolicy::None, SloPolicy::Throttle};
     std::vector<SimResult> results;
     for (const SimPoint &pt : spec->expand()) {
         SimResult r;
@@ -519,6 +519,36 @@ TEST(DiffCli, ExitCodeContract)
                             "--rel-tol nan", "--abs-tol -1"}) {
         EXPECT_EQ(runAeroDiff(a + " " + drifted + " " + tol), 2) << tol;
     }
+}
+
+TEST(DiffCli, AnAliasedPolicyReportMatchesItsCanonicalTwin)
+{
+    // Regression: `run_sweep --gc-policies fifo` and `fifo-log` run the
+    // same simulation, but the alias's rows once carried "fifo", so
+    // aero_diff found every row absent on the other side (exit 1).
+    const auto dir = std::filesystem::path(::testing::TempDir()) /
+                     "diff_cli_alias";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const auto reportFor = [&](const char *gc_list) {
+        SweepSpec spec;
+        for (const SweepAxis &axis : sweepAxes()) {
+            if (axis.id == Axis::GcPolicy)
+                axis.parse(gc_list, spec);
+        }
+        std::vector<SimResult> results;
+        for (const SimPoint &pt : spec.expand()) {
+            SimResult r;
+            r.point = pt;
+            r.iops = 1000.0;
+            results.push_back(r);
+        }
+        const auto path = dir / (std::string(gc_list) + ".json");
+        writeJsonFile(path.string(), sweepReport(spec, results));
+        return path.string();
+    };
+    EXPECT_EQ(runAeroDiff(reportFor("fifo") + " " + reportFor("fifo-log")),
+              0);
 }
 
 #endif // AERO_DIFF_BIN

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the experiment API: the string-keyed EraseSchemeRegistry,
- * the sweep-axis table (expansion, named index(), validation, and every
+ * Tests for the experiment API: the name tables of the closed policy
+ * enums (common/names.hh), the sweep-axis table (expansion, named index(), validation, and every
  * axis through reports, journal keys and its run_sweep flag), SweepRunner
  * thread-count determinism, the JSON/CSV report serializers, and the
  * strict env and flag parsing.
@@ -10,15 +10,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdlib>
+#include <functional>
 #include <iterator>
 #include <limits>
+#include <ostream>
 
 #include "core/aero_scheme.hh"
 #include "core/ept_builder.hh"
 #include "devchar/experiments.hh"
 #include "devchar/lifetime.hh"
-#include "erase/scheme_registry.hh"
 #include "common/parse.hh"
 #include "exp/diff.hh"
 #include "exp/report.hh"
@@ -32,61 +34,126 @@ namespace
 {
 
 // --------------------------------------------------------------------------
-// EraseSchemeRegistry
+// Name tables: every closed policy enum, one test battery
 // --------------------------------------------------------------------------
 
-TEST(SchemeRegistry, RoundTripsAllFiveSchemes)
+/**
+ * One enum's expected table: its canonical names in enumerator order and
+ * some other spellings (case, separators, aliases) with the canonical
+ * name each must resolve to. The enum itself is reached through the
+ * shared lookup, type-erased to enumerator indices.
+ */
+struct NamedEnum
 {
-    auto &reg = EraseSchemeRegistry::instance();
-    ASSERT_EQ(reg.names().size(), 5u);
-    for (const auto kind : allSchemes()) {
-        const std::string name = schemeKindName(kind);
-        EXPECT_TRUE(reg.contains(name)) << name;
-        EXPECT_EQ(reg.kindOf(name), kind);
-        EXPECT_EQ(reg.nameOf(kind), name);
-        EXPECT_EQ(schemeKindFromName(name), kind);
+    std::string id;
+    std::vector<std::string> canonical;
+    std::vector<std::pair<std::string, std::string>> spellings;
+    std::string what;
+    std::function<std::string(int)> name;           //!< enumName()
+    std::function<int(const std::string &)> parse;  //!< enumFromName()
+    std::function<std::string()> listed;            //!< canonicalNames()
+};
 
-        NandChip chip(ChipParams::tlc3d(), ChipGeometry{1, 4, 8}, 1);
-        const auto scheme = reg.make(name, chip, SchemeOptions{});
-        ASSERT_NE(scheme, nullptr);
-        EXPECT_EQ(scheme->kind(), kind);
-        const auto by_kind = reg.make(kind, chip, SchemeOptions{});
-        EXPECT_EQ(by_kind->kind(), kind);
+template <typename E>
+NamedEnum
+namedEnum(const char *id, std::vector<std::string> canonical,
+          std::vector<std::pair<std::string, std::string>> spellings)
+{
+    return {id,
+            std::move(canonical),
+            std::move(spellings),
+            nameTable(E{}).what,
+            [](int i) { return enumName(static_cast<E>(i)); },
+            [](const std::string &text) {
+                return static_cast<int>(enumFromName<E>(text));
+            },
+            [] { return canonicalNames<E>(); }};
+}
+
+void
+PrintTo(const NamedEnum &e, std::ostream *os)
+{
+    *os << e.id;
+}
+
+class NameTables : public ::testing::TestWithParam<NamedEnum>
+{
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Enums, NameTables,
+    ::testing::Values(
+        namedEnum<SchemeKind>(
+            "SchemeKind", {"Baseline", "i-ISPE", "DPES", "AERO-CONS", "AERO"},
+            {{"iispe", "i-ISPE"}, {"aero_cons", "AERO-CONS"},
+             {"AeroCons", "AERO-CONS"}}),
+        namedEnum<SuspensionMode>(
+            "SuspensionMode", {"none", "mid-segment"},
+            {{"off", "none"}, {"on", "mid-segment"},
+             {"MidSegment", "mid-segment"}}),
+        namedEnum<Arbitration>("Arbitration", {"legacy", "queued"},
+                               {{"Queued", "queued"}}),
+        namedEnum<SloPolicy>("SloPolicy",
+                             {"none", "throttle", "wfq", "throttle+wfq"},
+                             {{"Throttle+WFQ", "throttle+wfq"}}),
+        namedEnum<GcPolicy>(
+            "GcPolicy", {"greedy", "cost-benefit", "fifo-log"},
+            {{"fifo", "fifo-log"}, {"cost_benefit", "cost-benefit"},
+             {"FifoLog", "fifo-log"}}),
+        namedEnum<WearLevel>("WearLevel", {"none", "static", "dynamic"},
+                             {{"Dynamic", "dynamic"}})),
+    [](const ::testing::TestParamInfo<NamedEnum> &info) {
+        return info.param.id;
+    });
+
+TEST_P(NameTables, EveryEnumeratorRoundTripsItsCanonicalName)
+{
+    const NamedEnum &e = GetParam();
+    std::string joined;
+    for (std::size_t i = 0; i < e.canonical.size(); ++i) {
+        const int value = static_cast<int>(i);
+        EXPECT_EQ(e.name(value), e.canonical[i]);
+        EXPECT_EQ(e.parse(e.canonical[i]), value);
+        joined += (i ? ", " : "") + e.canonical[i];
     }
+    // The table names no value past the last enumerator.
+    EXPECT_EQ(e.name(static_cast<int>(e.canonical.size())), "unknown");
+    EXPECT_EQ(e.listed(), joined);
 }
 
-TEST(SchemeRegistry, NamesInPaperComparisonOrder)
+TEST_P(NameTables, LookupFoldsCaseAndSeparatorsAndTakesAliases)
 {
-    const auto names = EraseSchemeRegistry::instance().names();
-    const std::vector<std::string> expected = {
-        "Baseline", "i-ISPE", "DPES", "AERO-CONS", "AERO"};
-    EXPECT_EQ(names, expected);
+    const NamedEnum &e = GetParam();
+    for (std::size_t i = 0; i < e.canonical.size(); ++i) {
+        std::string shouted;
+        for (const char c : e.canonical[i]) {
+            shouted.push_back(c == '-' ? '_'
+                                       : static_cast<char>(std::toupper(
+                                             static_cast<unsigned char>(c))));
+        }
+        EXPECT_EQ(e.parse(shouted), static_cast<int>(i)) << shouted;
+    }
+    // Every other spelling resolves to the canonical name reports write.
+    for (const auto &[spelling, canonical] : e.spellings)
+        EXPECT_EQ(e.name(e.parse(spelling)), canonical) << spelling;
 }
 
-TEST(SchemeRegistry, LookupTolleratesCaseAndSeparators)
+TEST_P(NameTables, UnknownOrEmptyNameDiesListingEveryCanonicalName)
 {
-    EXPECT_EQ(schemeKindFromName("baseline"), SchemeKind::Baseline);
-    EXPECT_EQ(schemeKindFromName("aero"), SchemeKind::Aero);
-    EXPECT_EQ(schemeKindFromName("AERO_CONS"), SchemeKind::AeroCons);
-    EXPECT_EQ(schemeKindFromName("aero-cons"), SchemeKind::AeroCons);
-    EXPECT_EQ(schemeKindFromName("iispe"), SchemeKind::IIspe);
-    EXPECT_EQ(schemeKindFromName("dpes"), SchemeKind::Dpes);
-}
-
-TEST(SchemeRegistry, UnknownNameListsValidSchemes)
-{
-    EXPECT_DEATH(schemeKindFromName("sandisk-turbo"), "AERO-CONS");
-    EXPECT_DEATH(schemeKindFromName(""), "Baseline");
-}
-
-TEST(SchemeRegistry, CompatFactoryStillWorks)
-{
-    NandChip chip(ChipParams::tlc3d(), ChipGeometry{1, 4, 8}, 1);
-    const auto scheme =
-        makeEraseScheme(SchemeKind::AeroCons, chip, SchemeOptions{});
-    EXPECT_EQ(scheme->kind(), SchemeKind::AeroCons);
-    const auto by_name = makeEraseScheme("AERO", chip, SchemeOptions{});
-    EXPECT_EQ(by_name->kind(), SchemeKind::Aero);
+    const NamedEnum &e = GetParam();
+    std::string listed;
+    for (const auto &name : e.canonical) {
+        listed += listed.empty() ? "" : ", ";
+        for (const char c : name) {
+            if (c == '+')
+                listed += '\\';
+            listed += c;
+        }
+    }
+    EXPECT_DEATH(e.parse("bogus"), "unknown " + e.what +
+                                       ": 'bogus' \\(valid names: " +
+                                       listed + "\\)");
+    EXPECT_DEATH(e.parse(""), "'' \\(valid names: " + listed + "\\)");
 }
 
 TEST(Workloads, UnknownNameListsValidWorkloads)
@@ -251,6 +318,18 @@ TEST(SweepSpec, IndexRejectsOutOfRangeAndRepeatedAxes)
                  "named twice");
 }
 
+/** The table entry for @p id. */
+const SweepAxis &
+axisOf(Axis id)
+{
+    for (const SweepAxis &axis : sweepAxes()) {
+        if (axis.id == id)
+            return axis;
+    }
+    ADD_FAILURE() << "axis missing from the table";
+    return sweepAxes().front();
+}
+
 TEST(SweepSpec, ValidateRejectsIllFormedGrids)
 {
     const auto validated = [](auto edit) {
@@ -269,12 +348,24 @@ TEST(SweepSpec, ValidateRejectsIllFormedGrids)
     EXPECT_DEATH(
         validated([](SweepSpec &s) { s.workloads = {"bogus"}; }),
         "unknown");
+    // A repeated value would be two rows under one journal key. Values
+    // compare as report columns, so aliases and spellings collide too.
+    EXPECT_DEATH(validated([](SweepSpec &s) { s.pecs = {500.0, 500.0}; }),
+                 "--pecs repeats 500");
     EXPECT_DEATH(
-        validated([](SweepSpec &s) { s.gcPolicies = {"bogus"}; }),
-        "greedy");
-    EXPECT_DEATH(
-        validated([](SweepSpec &s) { s.sloPolicies = {"bogus"}; }),
-        "throttle");
+        validated([](SweepSpec &s) { s.workloads = {"prxy", "usr", "prxy"}; }),
+        "--workloads repeats prxy");
+    const auto parsed = [](Axis id, const char *list) {
+        return [id, list](SweepSpec &s) { axisOf(id).parse(list, s); };
+    };
+    EXPECT_DEATH(validated(parsed(Axis::Scheme, "aero,AERO")),
+                 "--schemes repeats AERO");
+    EXPECT_DEATH(validated(parsed(Axis::GcPolicy, "fifo,fifo-log")),
+                 "--gc-policies repeats fifo-log");
+    EXPECT_DEATH(validated(parsed(Axis::Suspension, "on,mid-segment")),
+                 "--suspensions repeats mid-segment");
+    EXPECT_DEATH(validated(parsed(Axis::Pec, "500,500.0")),
+                 "--pecs repeats 500");
 }
 
 TEST(SweepSpec, ConfigOfAndRunValidateBeforeSimulating)
@@ -282,9 +373,9 @@ TEST(SweepSpec, ConfigOfAndRunValidateBeforeSimulating)
     // fig16 declares its sweeps before a long lifetime stage: the
     // journal config (configOf) must already reject a bad grid.
     SweepSpec spec;
-    spec.wearLevels = {"bogus"};
-    EXPECT_DEATH(configOf(spec), "bogus");
-    EXPECT_DEATH(SweepRunner(1).run(spec), "bogus");
+    spec.wearLevels = {WearLevel::Dynamic, WearLevel::Dynamic};
+    EXPECT_DEATH(configOf(spec), "--wear-levels repeats dynamic");
+    EXPECT_DEATH(SweepRunner(1).run(spec), "--wear-levels repeats dynamic");
 }
 
 TEST(SweepSpec, AllTable3AllSchemesPaperGridSize)
@@ -296,18 +387,6 @@ TEST(SweepSpec, AllTable3AllSchemesPaperGridSize)
     spec.schemes = allSchemes();
     spec.pecs = paperPecPoints();
     EXPECT_EQ(spec.size(), 11u * 5u * 3u);
-}
-
-/** The table entry for @p id. */
-const SweepAxis &
-axisOf(Axis id)
-{
-    for (const SweepAxis &axis : sweepAxes()) {
-        if (axis.id == id)
-            return axis;
-    }
-    ADD_FAILURE() << "axis missing from the table";
-    return sweepAxes().front();
 }
 
 TEST(SweepAxis, TableCoversEveryAxisOnceInReportOrder)
@@ -412,6 +491,24 @@ TEST(SweepAxis, SchemeNamesResolveThroughRegistry)
                  "AERO-CONS");
     axisOf(Axis::Workload).parse("prxy,nope", spec);
     EXPECT_DEATH(spec.validate(), "unknown workload: 'nope'");
+}
+
+TEST(SweepAxis, AnAliasKeysAndFingerprintsAsItsCanonicalName)
+{
+    // Regression: --gc-policies fifo once wrote "fifo" into report rows,
+    // journal keys and fingerprints, so neither its report nor its
+    // journal matched the same simulation run as fifo-log.
+    SweepSpec alias;
+    SweepSpec canonical;
+    axisOf(Axis::GcPolicy).parse("fifo", alias);
+    axisOf(Axis::GcPolicy).parse("fifo-log", canonical);
+    EXPECT_EQ(alias.gcPolicies, canonical.gcPolicies);
+    const SimPoint a = alias.expand().at(0);
+    const SimPoint c = canonical.expand().at(0);
+    EXPECT_EQ(a.gcPolicy, GcPolicy::FifoLog);
+    EXPECT_EQ(toJson(a).dump(), toJson(c).dump());
+    EXPECT_EQ(toJson(a).get("gc_policy").asString(), "fifo-log");
+    EXPECT_EQ(configOf(alias).dump(), configOf(canonical).dump());
 }
 
 TEST(SweepAxis, IntegerFlagsAreStrict)
@@ -661,9 +758,9 @@ TEST(Report, PointKeyBytesArePinned)
     pt.suspension = SuspensionMode::None;
     pt.mispredictionRate = 0.05;
     pt.rberRequirement = 31;
-    pt.gcPolicy = "fifo-log";
-    pt.wearLevel = "dynamic";
-    pt.sloPolicy = "throttle+wfq";
+    pt.gcPolicy = GcPolicy::FifoLog;
+    pt.wearLevel = WearLevel::Dynamic;
+    pt.sloPolicy = SloPolicy::ThrottleWfq;
     pt.requests = 1500;
     pt.seed = 1007;
     EXPECT_EQ(toJson(pt).dump(),
@@ -683,9 +780,9 @@ TEST(Report, SpecConfigBytesArePinned)
     spec.suspensions = {SuspensionMode::None, SuspensionMode::MidSegment};
     spec.mispredictionRates = {0.0, 0.05};
     spec.rberRequirements = {63, 31};
-    spec.gcPolicies = {"greedy", "fifo-log"};
-    spec.wearLevels = {"none", "dynamic"};
-    spec.sloPolicies = {"none", "throttle"};
+    spec.gcPolicies = {GcPolicy::Greedy, GcPolicy::FifoLog};
+    spec.wearLevels = {WearLevel::None, WearLevel::Dynamic};
+    spec.sloPolicies = {SloPolicy::None, SloPolicy::Throttle};
     spec.seeds = {7, 1007};
     spec.requests = 1500;
     spec.base = SsdConfig::tiny();
@@ -713,7 +810,7 @@ TEST(Report, CsvShowsEachOptionalAxisOnItsOwn)
     // One optional axis off its default adds only its own column, and
     // the rows at the default spell the default out.
     std::vector<SimResult> results(2);
-    results[1].point.wearLevel = "dynamic";
+    results[1].point.wearLevel = WearLevel::Dynamic;
     const std::string csv = toCsv(results);
     EXPECT_EQ(csv.substr(0, csv.find(",avg_read_us")),
               "workload,scheme,pec,suspension,misprediction_rate,"
@@ -731,12 +828,12 @@ TEST(Report, CsvShowsEachOptionalAxisOnItsOwn)
 
 TEST(Report, SuspensionModeNamesRoundTrip)
 {
-    EXPECT_STREQ(suspensionModeName(SuspensionMode::None), "none");
-    EXPECT_STREQ(suspensionModeName(SuspensionMode::MidSegment),
-                 "mid-segment");
-    EXPECT_EQ(suspensionModeFromName("none"), SuspensionMode::None);
-    EXPECT_EQ(suspensionModeFromName("on"), SuspensionMode::MidSegment);
-    EXPECT_DEATH(suspensionModeFromName("sometimes"), "mid-segment");
+    EXPECT_STREQ(enumName(SuspensionMode::None), "none");
+    EXPECT_STREQ(enumName(SuspensionMode::MidSegment), "mid-segment");
+    EXPECT_EQ(enumFromName<SuspensionMode>("none"), SuspensionMode::None);
+    EXPECT_EQ(enumFromName<SuspensionMode>("on"),
+              SuspensionMode::MidSegment);
+    EXPECT_DEATH(enumFromName<SuspensionMode>("sometimes"), "mid-segment");
 }
 
 } // namespace

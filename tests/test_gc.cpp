@@ -1,10 +1,10 @@
 /**
  * @file
- * GC victim-selection battery (ssd/gc.hh + ssd/line_manager.hh): policy
- * scoring units, the name registry, the fifo-log reuse-cycle regression,
- * a randomized differential check of the line manager's plane scan
- * against a test-local oracle that recounts valid pages from the P2L
- * table and stamps fills itself (10k sequences per registered policy,
+ * GC victim-selection battery (ssd/gc.hh + ssd/line_manager.hh): victim
+ * key units, the fifo-log reuse-cycle regression, a randomized
+ * differential check of the line manager's plane scan against a
+ * test-local oracle that recounts valid pages from the P2L table and
+ * stamps fills itself (10k sequences per policy,
  * plus one run on the bench drive), and a 50k-op mixed host/GC/WL fuzz
  * asserting mapping bijectivity, free-page accounting and wear-count
  * conservation after every reclamation cycle.
@@ -46,59 +46,60 @@ line(BlockId block, int valid, int ppb, std::uint64_t open_seq,
     return info;
 }
 
+double
+score(GcPolicy policy, const GcLineInfo &info)
+{
+    return gcKey(policy, info).score;
+}
+
 TEST(GcPolicyScore, GreedyOrdersByValidPagesAndBreaksTiesByBlockId)
 {
-    GreedyGcPolicy greedy;
-    EXPECT_LT(greedy.score(line(0, 2, 32, 9, 0)),
-              greedy.score(line(1, 5, 32, 1, 0)));
+    const GcPolicy greedy = GcPolicy::Greedy;
+    EXPECT_LT(score(greedy, line(0, 2, 32, 9, 0)),
+              score(greedy, line(1, 5, 32, 1, 0)));
     // Equal valid counts: the lower block id must win the tie-break.
-    EXPECT_EQ(greedy.score(line(3, 4, 32, 1, 0)),
-              greedy.score(line(7, 4, 32, 2, 0)));
-    EXPECT_LT(greedy.tieBreak(line(3, 4, 32, 9, 0)),
-              greedy.tieBreak(line(7, 4, 32, 1, 0)));
+    EXPECT_EQ(score(greedy, line(3, 4, 32, 1, 0)),
+              score(greedy, line(7, 4, 32, 2, 0)));
+    EXPECT_LT(gcKey(greedy, line(3, 4, 32, 9, 0)).tie,
+              gcKey(greedy, line(7, 4, 32, 1, 0)).tie);
 }
 
 TEST(GcPolicyScore, CostBenefitPrefersEmptierAndYoungerBlocks)
 {
-    CostBenefitGcPolicy cb;
+    const GcPolicy cb = GcPolicy::CostBenefit;
     // Fewer valid pages -> cheaper migration and more reclaimed space.
-    EXPECT_LT(cb.score(line(0, 2, 32, 1, 0)), cb.score(line(1, 20, 32, 1, 0)));
+    EXPECT_LT(score(cb, line(0, 2, 32, 1, 0)),
+              score(cb, line(1, 20, 32, 1, 0)));
     // Same occupancy but more wear -> worse victim.
-    EXPECT_LT(cb.score(line(0, 8, 32, 1, 1)), cb.score(line(1, 8, 32, 1, 5)));
+    EXPECT_LT(score(cb, line(0, 8, 32, 1, 1)),
+              score(cb, line(1, 8, 32, 1, 5)));
     // An empty block scores zero regardless of wear.
-    EXPECT_EQ(cb.score(line(0, 0, 32, 1, 100)), 0.0);
+    EXPECT_EQ(score(cb, line(0, 0, 32, 1, 100)), 0.0);
+    // Equal scores: the oldest fill wins the tie-break.
+    EXPECT_LT(gcKey(cb, line(9, 8, 32, 1, 0)).tie,
+              gcKey(cb, line(0, 8, 32, 2, 0)).tie);
 }
 
 TEST(GcPolicyScore, FifoLogOrdersByFillGeneration)
 {
-    FifoLogGcPolicy fifo;
-    EXPECT_LT(fifo.score(line(9, 30, 32, 1, 0)),
-              fifo.score(line(0, 0, 32, 2, 0)));
+    const GcPolicy fifo = GcPolicy::FifoLog;
+    EXPECT_LT(score(fifo, line(9, 30, 32, 1, 0)),
+              score(fifo, line(0, 0, 32, 2, 0)));
 }
 
-TEST(GcPolicy, RegistryRoundTripsNames)
+/** @p cfg (tiny by default) under GC policy @p policy. */
+SsdConfig
+drive(GcPolicy policy, SsdConfig cfg = SsdConfig::tiny())
 {
-    EXPECT_STREQ(makeGcPolicy("greedy")->name(), "greedy");
-    EXPECT_STREQ(makeGcPolicy("cost-benefit")->name(), "cost-benefit");
-    EXPECT_STREQ(makeGcPolicy("fifo-log")->name(), "fifo-log");
-    // The old "fifo" spelling stays accepted as an alias.
-    EXPECT_STREQ(makeGcPolicy("fifo")->name(), "fifo-log");
-    const std::string names = gcPolicyNames();
-    EXPECT_NE(names.find("greedy"), std::string::npos);
-    EXPECT_NE(names.find("cost-benefit"), std::string::npos);
-    EXPECT_NE(names.find("fifo-log"), std::string::npos);
-}
-
-TEST(GcPolicy, UnknownNameIsFatalAndListsChoices)
-{
-    EXPECT_DEATH((void)makeGcPolicy("lru"),
-                 "greedy, cost-benefit, fifo-log");
+    cfg.gcPolicy = policy;
+    return cfg;
 }
 
 /**
- * A drive's worth of BlockManager + PageMapping + LineManager and the
- * config's wear-level policy, wired together the way the FTL wires them
- * (tiny geometry unless given), with functional write/trim/GC helpers
+ * A drive's worth of BlockManager + PageMapping + LineManager under the
+ * config's GC policy and wear leveling, wired together the way the FTL
+ * wires them (tiny geometry unless given), with functional write/trim/GC
+ * helpers
  * mirroring the FTL's prefill/warmup paths and functionalGc(). The
  * fixture also keeps its own record of every block's fill order and
  * erase count for the victim oracle.
@@ -106,8 +107,6 @@ TEST(GcPolicy, UnknownNameIsFatalAndListsChoices)
 struct LineFixture
 {
     SsdConfig cfg;
-    std::unique_ptr<GcPolicy> policy;
-    std::unique_ptr<WearLevelPolicy> wear;
     BlockManager blocks;
     PageMapping mapping;
     LineManager lines;
@@ -116,20 +115,17 @@ struct LineFixture
     std::vector<std::uint64_t> erases;      //!< per (chip, block)
     std::uint64_t fills = 0;
 
-    explicit LineFixture(const std::string &policy_name = "greedy",
-                         const SsdConfig &config = SsdConfig::tiny())
-        : cfg(config), policy(makeGcPolicy(policy_name)),
-          wear(makeWearLevelPolicy(cfg.wearLevel)), blocks(cfg),
+    explicit LineFixture(const SsdConfig &config = SsdConfig::tiny())
+        : cfg(config), blocks(cfg),
           mapping(cfg.logicalPages(), cfg.totalChips(), cfg.blocksPerChip(),
                   cfg.geometry.pagesPerBlock),
-          lines(cfg, *policy, blocks, mapping),
+          lines(cfg, blocks, mapping),
           fillStamps(static_cast<std::size_t>(cfg.totalChips()) *
                          cfg.blocksPerChip(),
                      0),
           erases(fillStamps.size(), 0)
     {
         blocks.setLineManager(&lines);
-        blocks.setWearPolicy(wear.get());
     }
 
     int pagesPerBlock() const { return cfg.geometry.pagesPerBlock; }
@@ -219,7 +215,7 @@ recountValid(const LineFixture &fx, int chip, BlockId block)
  * Victim oracle independent of LineManager: the candidates are the
  * plane's blocks in state Full, scored by the policy over inputs the
  * fixture derives itself (P2L recount, its own fill stamps and erase
- * counts), ordered by (score, tieBreak, block).
+ * counts), ordered by (score, tie, block).
  */
 BlockId
 oracleVictim(const LineFixture &fx, int chip, int plane)
@@ -237,8 +233,8 @@ oracleVictim(const LineFixture &fx, int chip, int plane)
         info.pagesPerBlock = fx.pagesPerBlock();
         info.openSeq = fx.fillStamps[fx.slot(chip, b)];
         info.eraseCount = fx.erases[fx.slot(chip, b)];
-        const auto key = std::make_tuple(fx.policy->score(info),
-                                         fx.policy->tieBreak(info), b);
+        const GcKey gc = gcKey(fx.cfg.gcPolicy, info);
+        const auto key = std::make_tuple(gc.score, gc.tie, b);
         if (best == kInvalidBlock || key < best_key) {
             best = b;
             best_key = key;
@@ -308,7 +304,7 @@ TEST(LineManager, ErasedVictimIsNoLongerACandidate)
  */
 TEST(LineManager, FifoLogSurvivesBlockReuse)
 {
-    LineFixture fx("fifo-log");
+    LineFixture fx(drive(GcPolicy::FifoLog));
     const BlockId a = fx.fillBlock(0, 0);
     const BlockId b = fx.fillBlock(0, 0);
     ASSERT_LT(a, b);
@@ -347,11 +343,11 @@ TEST(LineManager, TracksValidCountsAgainstTheMapping)
  * trim may land on any plane).
  */
 void
-differentialChurn(const std::string &policy_name, std::uint64_t seed,
-                  int steps, const SsdConfig &cfg = SsdConfig::tiny(),
+differentialChurn(GcPolicy policy, std::uint64_t seed, int steps,
+                  const SsdConfig &cfg = SsdConfig::tiny(),
                   int all_planes_every = 1)
 {
-    LineFixture fx(policy_name, cfg);
+    LineFixture fx(drive(policy, cfg));
     std::mt19937_64 rng(seed);
     // Start from a mostly-written drive so Full blocks exist early.
     const Lpn span = fx.cfg.logicalPages();
@@ -386,7 +382,7 @@ differentialChurn(const std::string &policy_name, std::uint64_t seed,
                 if (!all_planes && (c != chip || p != plane))
                     continue;
                 ASSERT_EQ(fx.lines.pickVictim(c, p), oracleVictim(fx, c, p))
-                    << policy_name << " diverged at step " << step
+                    << enumName(policy) << " diverged at step " << step
                     << " chip " << c << " plane " << p;
             }
         }
@@ -395,17 +391,17 @@ differentialChurn(const std::string &policy_name, std::uint64_t seed,
 
 TEST(LineManagerDifferential, GreedyMatchesBruteForceOver10kSequences)
 {
-    differentialChurn("greedy", 0xAE01, 10000);
+    differentialChurn(GcPolicy::Greedy, 0xAE01, 10000);
 }
 
 TEST(LineManagerDifferential, CostBenefitMatchesBruteForceOver10kSequences)
 {
-    differentialChurn("cost-benefit", 0xAE02, 10000);
+    differentialChurn(GcPolicy::CostBenefit, 0xAE02, 10000);
 }
 
 TEST(LineManagerDifferential, FifoLogMatchesBruteForceOver10kSequences)
 {
-    differentialChurn("fifo-log", 0xAE03, 10000);
+    differentialChurn(GcPolicy::FifoLog, 0xAE03, 10000);
 }
 
 /**
@@ -417,8 +413,8 @@ TEST(LineManagerDifferential, FifoLogMatchesBruteForceOver10kSequences)
 TEST(LineManagerDifferential, CostBenefitMatchesBruteForceOnTheBenchDrive)
 {
     SsdConfig cfg = SsdConfig::bench();
-    cfg.wearLevel = "dynamic";
-    differentialChurn("cost-benefit", 0xAE04, 20000, cfg, 100);
+    cfg.wearLevel = WearLevel::Dynamic;
+    differentialChurn(GcPolicy::CostBenefit, 0xAE04, 20000, cfg, 100);
 }
 
 /** Ring buffer of the ops leading up to a fuzz failure. */
@@ -529,17 +525,16 @@ checkFuzzInvariants(LineFixture &fx,
 }
 
 /**
- * 50k randomized ops of mixed host, GC and wear-leveling traffic. The
- * wear policy is wired for real (dynamic allocation choice) and static-
- * style cold migrations are injected; the invariants above are checked
- * after every reclamation cycle.
+ * 50k randomized ops of mixed host, GC and wear-leveling traffic. Dynamic
+ * wear leveling is on for real (allocation choice) and static-style cold
+ * migrations are injected; the invariants above are checked after every
+ * reclamation cycle.
  */
 TEST(GcFuzz, MixedTrafficPreservesInvariantsOver50kOps)
 {
-    LineFixture fx("greedy");
-    const auto wear = makeWearLevelPolicy("dynamic");
-    fx.blocks.setWearPolicy(wear.get());
-    StaticWearLevelPolicy cold_picker;
+    SsdConfig cfg = SsdConfig::tiny();
+    cfg.wearLevel = WearLevel::Dynamic;
+    LineFixture fx(cfg);
     std::mt19937_64 rng(0xA3205024);
     OpLog log;
     std::vector<std::uint64_t> last_erase_counts(
@@ -578,8 +573,7 @@ TEST(GcFuzz, MixedTrafficPreservesInvariantsOver50kOps)
         } else {
             // Wear-leveling traffic: relocate the cold block the static
             // policy would pick at an aggressive spread threshold.
-            const BlockId cold =
-                cold_picker.pickColdVictim(chip, plane, fx.blocks, 1);
+            const BlockId cold = pickColdVictim(chip, plane, fx.blocks, 1);
             if (cold != kInvalidBlock &&
                 fx.blocks.freeBlocks(chip, plane) >
                     fx.cfg.gcLowWatermark) {

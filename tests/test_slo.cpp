@@ -123,7 +123,7 @@ TEST(TenantSloSpec, SweepReportEmitsSpecKeysOnlyWhenSwept)
     EXPECT_EQ(plain_json.find("slo_spec"), nullptr);
 
     SweepSpec swept;
-    swept.sloPolicies = {"none", "throttle+wfq"};
+    swept.sloPolicies = {SloPolicy::None, SloPolicy::ThrottleWfq};
     swept.base.slo = parseTenantSloSpec("0:weight=8:iops=2000");
     const Json swept_json = toJson(swept);
     ASSERT_NE(swept_json.find("slo_policies"), nullptr);
@@ -133,9 +133,9 @@ TEST(TenantSloSpec, SweepReportEmitsSpecKeysOnlyWhenSwept)
 
     // Row key rides through the SimResult round trip.
     SimResult r;
-    r.point.sloPolicy = "throttle+wfq";
+    r.point.sloPolicy = SloPolicy::ThrottleWfq;
     const SimResult back = simResultFromJson(toJson(r));
-    EXPECT_EQ(back.point.sloPolicy, "throttle+wfq");
+    EXPECT_EQ(back.point.sloPolicy, SloPolicy::ThrottleWfq);
 }
 
 // ---------------------------------------------------------------------------
@@ -434,7 +434,8 @@ TEST(SloScheduler, BucketRefillIsDeterministicAcrossWorkerCounts)
     SweepSpec spec;
     spec.schemes = {SchemeKind::Baseline, SchemeKind::Aero};
     spec.pecs = {2500.0};
-    spec.sloPolicies = {"none", "throttle", "wfq", "throttle+wfq"};
+    spec.sloPolicies = {SloPolicy::None, SloPolicy::Throttle, SloPolicy::Wfq,
+                        SloPolicy::ThrottleWfq};
     spec.requests = 2500;
     spec.base = SsdConfig::tiny();
     spec.base.arbitration = Arbitration::Queued;
@@ -458,10 +459,10 @@ TEST(SloScheduler, BucketRefillIsDeterministicAcrossWorkerCounts)
     // budget must bite somewhere or this test proves nothing.
     bool throttle_differs = false;
     for (std::size_t i = 0; i < serial.size(); ++i) {
-        if (serial[i].point.sloPolicy != "throttle")
+        if (serial[i].point.sloPolicy != SloPolicy::Throttle)
             continue;
         for (std::size_t j = 0; j < serial.size(); ++j) {
-            if (parallel[j].point.sloPolicy == "none" &&
+            if (parallel[j].point.sloPolicy == SloPolicy::None &&
                 serial[i].point.scheme == parallel[j].point.scheme &&
                 serial[i].avgReadUs != parallel[j].avgReadUs)
                 throttle_differs = true;

@@ -394,8 +394,8 @@ TEST(TopologyQueued, LegacyAndQueuedConserveTheSameWork)
 TEST(TopologySweep, ReclamationAxesAreThreadCountInvariant)
 {
     SweepSpec spec;
-    spec.gcPolicies = {"greedy", "fifo-log"};
-    spec.wearLevels = {"none", "dynamic"};
+    spec.gcPolicies = {GcPolicy::Greedy, GcPolicy::FifoLog};
+    spec.wearLevels = {WearLevel::None, WearLevel::Dynamic};
     spec.requests = 800;
     ASSERT_EQ(spec.size(), 4u);
 
@@ -407,8 +407,8 @@ TEST(TopologySweep, ReclamationAxesAreThreadCountInvariant)
     // The swept axes must land on the points in expand() order...
     bool saw_fifo = false, saw_dynamic = false;
     for (const auto &r : one) {
-        saw_fifo |= r.point.gcPolicy == "fifo-log";
-        saw_dynamic |= r.point.wearLevel == "dynamic";
+        saw_fifo |= r.point.gcPolicy == GcPolicy::FifoLog;
+        saw_dynamic |= r.point.wearLevel == WearLevel::Dynamic;
     }
     EXPECT_TRUE(saw_fifo);
     EXPECT_TRUE(saw_dynamic);

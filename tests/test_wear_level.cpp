@@ -1,7 +1,7 @@
 /**
  * @file
- * Wear-leveling policy battery: registry round-trips and exact death
- * diagnostics, the `none` policy's bit-exact LIFO reuse, `dynamic`'s
+ * Wear-leveling policy battery: the `none` policy's bit-exact LIFO
+ * reuse, `dynamic`'s
  * least-erased free-block choice, `static`'s cold-victim threshold, and
  * an end-to-end check that leveling actually narrows the erase-count
  * spread on a churned drive.
@@ -21,28 +21,25 @@ namespace aero
 namespace
 {
 
-TEST(WearLevelRegistry, RoundTripsEveryPolicy)
+/** @p wear on the tiny drive. */
+SsdConfig
+tinyWith(WearLevel wear)
 {
-    EXPECT_EQ(makeWearLevelPolicy("none")->name(), std::string("none"));
-    EXPECT_EQ(makeWearLevelPolicy("static")->name(),
-              std::string("static"));
-    EXPECT_EQ(makeWearLevelPolicy("dynamic")->name(),
-              std::string("dynamic"));
-    EXPECT_STREQ(wearLevelPolicyNames(), "none, static, dynamic");
-}
-
-TEST(WearLevelRegistryDeathTest, UnknownNameDiesWithValidList)
-{
-    EXPECT_DEATH((void)makeWearLevelPolicy("hot-cold"),
-                 "unknown wear-level policy 'hot-cold' \\(valid: none, "
-                 "static, dynamic\\)");
+    SsdConfig cfg = SsdConfig::tiny();
+    cfg.wearLevel = wear;
+    return cfg;
 }
 
 // A tiny drive whose per-(chip, plane) pools the tests can steer.
 struct WearFixture
 {
-    SsdConfig cfg = SsdConfig::tiny();
-    BlockManager blocks{cfg};
+    explicit WearFixture(WearLevel wear = WearLevel::None)
+        : cfg(tinyWith(wear)), blocks(cfg)
+    {
+    }
+
+    SsdConfig cfg;
+    BlockManager blocks;
 
     // Fill every page of the open block of (chip, plane) so it goes
     // Full, then erase it, leaving its erase count bumped.
@@ -60,9 +57,7 @@ struct WearFixture
 
 TEST(WearLevelNone, ReusesTheLastFreedBlockFirst)
 {
-    WearFixture fx;
-    const NoneWearLevelPolicy none;
-    fx.blocks.setWearPolicy(&none);
+    WearFixture fx(WearLevel::None);
     // LIFO: the block just erased must be the next one opened.
     const BlockId churned = fx.churnOneBlock(0, 0);
     BlockId block = kInvalidBlock;
@@ -74,9 +69,7 @@ TEST(WearLevelNone, ReusesTheLastFreedBlockFirst)
 
 TEST(WearLevelDynamic, OpensTheLeastErasedFreeBlock)
 {
-    WearFixture fx;
-    const DynamicWearLevelPolicy dynamic;
-    fx.blocks.setWearPolicy(&dynamic);
+    WearFixture fx(WearLevel::Dynamic);
     // Churn one block so it carries the only nonzero erase count; the
     // dynamic policy must *not* reuse it while colder blocks remain.
     const BlockId churned = fx.churnOneBlock(0, 0);
@@ -89,21 +82,28 @@ TEST(WearLevelDynamic, OpensTheLeastErasedFreeBlock)
 
 TEST(WearLevelDynamic, BreaksEraseCountTiesByLowestBlockId)
 {
-    WearFixture fx;
-    const DynamicWearLevelPolicy dynamic;
-    // All-equal erase counts: the policy must pick deterministically.
-    std::vector<BlockId> free_list = {7, 3, 11};
-    const std::size_t slot =
-        dynamic.chooseFreeSlot(free_list, /*chip=*/0, fx.blocks);
-    EXPECT_EQ(free_list[slot], 3);
+    WearFixture fx(WearLevel::Dynamic);
+    // Fill every block of plane 0 (the GC write point takes the block
+    // user writes keep in reserve), then free 7, 3 and 11 in that order:
+    // equal erase counts, and LIFO reuse would open 11.
+    const int per_plane = fx.cfg.geometry.blocksPerPlane;
+    BlockId block = kInvalidBlock;
+    int page = 0;
+    for (int i = 0; i < per_plane * fx.cfg.geometry.pagesPerBlock; ++i)
+        ASSERT_TRUE(fx.blocks.allocate(0, 0, block, page, /*for_gc=*/true));
+    ASSERT_EQ(fx.blocks.freeBlocks(0, 0), 0);
+    for (const BlockId b : {7u, 3u, 11u})
+        fx.blocks.onBlockErased(0, b);
+    // The policy must pick deterministically: the lowest block id.
+    ASSERT_TRUE(fx.blocks.allocate(0, 0, block, page));
+    EXPECT_EQ(block, 3u);
 }
 
 TEST(WearLevelStatic, ColdVictimRequiresTheFullSpread)
 {
     WearFixture fx;
-    const StaticWearLevelPolicy static_wl;
     // No Full block anywhere: nothing to migrate.
-    EXPECT_EQ(static_wl.pickColdVictim(0, 0, fx.blocks, 1), kInvalidBlock);
+    EXPECT_EQ(pickColdVictim(0, 0, fx.blocks, 1), kInvalidBlock);
 
     // Fill one block (leave it Full) and churn another plane-0 block
     // until the spread reaches the threshold.
@@ -115,12 +115,12 @@ TEST(WearLevelStatic, ColdVictimRequiresTheFullSpread)
 
     // Spread 1 < delta 2: below threshold, no victim yet.
     fx.churnOneBlock(0, 0);
-    EXPECT_EQ(static_wl.pickColdVictim(0, 0, fx.blocks, 2), kInvalidBlock);
+    EXPECT_EQ(pickColdVictim(0, 0, fx.blocks, 2), kInvalidBlock);
     // Second churn reuses the same LIFO block: spread reaches 2.
     fx.churnOneBlock(0, 0);
-    EXPECT_EQ(static_wl.pickColdVictim(0, 0, fx.blocks, 2), cold);
+    EXPECT_EQ(pickColdVictim(0, 0, fx.blocks, 2), cold);
     // A stricter threshold still declines.
-    EXPECT_EQ(static_wl.pickColdVictim(0, 0, fx.blocks, 3), kInvalidBlock);
+    EXPECT_EQ(pickColdVictim(0, 0, fx.blocks, 3), kInvalidBlock);
 }
 
 // ---------------------------------------------------------------------------
@@ -142,10 +142,9 @@ maxEraseSpread(const BlockManager &blocks)
 }
 
 std::uint64_t
-runSpread(const char *wear_level)
+runSpread(WearLevel wear_level)
 {
-    SsdConfig cfg = SsdConfig::tiny();
-    cfg.wearLevel = wear_level;
+    SsdConfig cfg = tinyWith(wear_level);
     cfg.wlEraseDelta = 2;
     cfg.seed = 99;
     Ssd ssd(cfg);
@@ -162,9 +161,9 @@ runSpread(const char *wear_level)
 
 TEST(WearLevelSystem, LevelingNarrowsTheEraseSpread)
 {
-    const std::uint64_t none = runSpread("none");
-    const std::uint64_t dynamic = runSpread("dynamic");
-    const std::uint64_t static_wl = runSpread("static");
+    const std::uint64_t none = runSpread(WearLevel::None);
+    const std::uint64_t dynamic = runSpread(WearLevel::Dynamic);
+    const std::uint64_t static_wl = runSpread(WearLevel::Static);
     EXPECT_GT(none, 0u);
     EXPECT_LT(dynamic, none);
     EXPECT_LE(static_wl, none);
