@@ -45,8 +45,7 @@ double
 replayOnce(Arbitration arb, const Trace &trace, ReplayResult &out)
 {
     SsdConfig cfg = SsdConfig::tiny();
-    // Queued arbitration requires a power-of-two page count; tiny's 32
-    // already is, so both models run the identical drive.
+    // Both models run the identical drive; only arbitration differs.
     cfg.arbitration = arb;
     cfg.seed = 99;
 

@@ -187,8 +187,6 @@ class ZipfGenerator
     /** Draw one value in [0, n). */
     std::uint64_t draw(Rng &rng) const;
 
-    std::uint64_t itemCount() const { return n; }
-
   private:
     static double zetaStatic(std::uint64_t n, double theta);
 

@@ -202,12 +202,7 @@ class AeroSession : public EraseSession
     bool
     finishOp(EraseSegment &seg)
     {
-        const auto commit = nand.finishErase(blk);
-        result.complete = commit.complete;
-        result.leftoverSlots = commit.leftoverSlots;
-        result.damage = commit.damage;
-        result.slotsApplied = commit.slotsApplied;
-        result.maxLevel = commit.maxLevel;
+        commitErase(nand, blk);
         scheme.counters.erases += 1;
         seg.last = true;
         phase = Phase::Done;

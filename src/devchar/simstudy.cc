@@ -45,8 +45,8 @@ runSimPoint(const SimPoint &point)
     return runSimPoint(point, SsdConfig::bench());
 }
 
-SimResult
-runSimPoint(const SimPoint &point, const SsdConfig &base)
+SsdConfig
+pointConfig(const SimPoint &point, const SsdConfig &base)
 {
     SsdConfig cfg = base;
     cfg.scheme = point.scheme;
@@ -60,8 +60,13 @@ runSimPoint(const SimPoint &point, const SsdConfig &base)
     // only selects which enforcement mechanisms are active.
     cfg.sloPolicy = point.sloPolicy;
     cfg.seed = point.seed ^ 0x51ULL;
+    return cfg;
+}
 
-    Ssd ssd(cfg);
+SimResult
+runSimPoint(const SimPoint &point, const SsdConfig &base)
+{
+    Ssd ssd(pointConfig(point, base));
 
     SyntheticConfig wc;
     wc.spec = workloadByName(point.workload);

@@ -49,13 +49,18 @@ struct SimResult
     double writeAmplification = 0.0;
 };
 
+/**
+ * The drive a grid point runs on: @p base with the point's axes (scheme,
+ * PEC, suspension, scheme options, GC, WL, SLO policy, seed) written over
+ * it. runSimPoint() simulates this drive and SweepSpec::validate()
+ * checks it, so a sweep and its run cannot disagree about a point.
+ */
+SsdConfig pointConfig(const SimPoint &point, const SsdConfig &base);
+
 /** Run one grid point on the bench-scale SSD. */
 SimResult runSimPoint(const SimPoint &point);
 
-/**
- * Run one grid point on a caller-chosen base drive (the point's axes
- * overwrite the scheme/PEC/suspension/option fields of @p base).
- */
+/** Run one grid point on pointConfig(point, base). */
 SimResult runSimPoint(const SimPoint &point, const SsdConfig &base);
 
 /** Default request count, overridable via the AERO_SIM_REQUESTS env. */

@@ -8,10 +8,13 @@ namespace aero
 namespace
 {
 
-class BaselineSession : public EraseSession
+class IspeSession : public EraseSession
 {
   public:
-    BaselineSession(NandChip &chip, BlockId id) : nand(chip), blk(id) {}
+    IspeSession(NandChip &chip, BlockId id, double stress_scale)
+        : nand(chip), blk(id), stressScale(stress_scale)
+    {
+    }
 
     bool
     nextSegment(EraseSegment &seg) override
@@ -21,8 +24,8 @@ class BaselineSession : public EraseSession
         if (loop == 0)
             nand.beginErase(blk);
         ++loop;
-        const auto pulse =
-            nand.erasePulse(blk, loop, nand.params().slotsPerLoop);
+        const auto pulse = nand.erasePulse(
+            blk, loop, nand.params().slotsPerLoop, stressScale);
         const auto verify = nand.verifyRead(blk);
         seg.duration = pulse.duration + verify.duration;
         seg.last = false;
@@ -31,12 +34,7 @@ class BaselineSession : public EraseSession
         if (!verify.pass)
             result.eraseFailures += 1;
         if (verify.pass || loop >= nand.params().maxLoops) {
-            const auto commit = nand.finishErase(blk);
-            result.complete = commit.complete;
-            result.leftoverSlots = commit.leftoverSlots;
-            result.damage = commit.damage;
-            result.slotsApplied = commit.slotsApplied;
-            result.maxLevel = commit.maxLevel;
+            commitErase(nand, blk);
             seg.last = true;
             done = true;
         }
@@ -46,6 +44,7 @@ class BaselineSession : public EraseSession
   private:
     NandChip &nand;
     BlockId blk;
+    double stressScale;
     int loop = 0;
     bool done = false;
 };
@@ -53,9 +52,15 @@ class BaselineSession : public EraseSession
 } // namespace
 
 std::unique_ptr<EraseSession>
+beginIspeErase(NandChip &chip, BlockId id, double stress_scale)
+{
+    return std::make_unique<IspeSession>(chip, id, stress_scale);
+}
+
+std::unique_ptr<EraseSession>
 BaselineIspe::begin(BlockId id)
 {
-    return std::make_unique<BaselineSession>(nand, id);
+    return beginIspeErase(nand, id);
 }
 
 } // namespace aero

@@ -13,6 +13,14 @@
 namespace aero
 {
 
+/**
+ * One ISPE erase session on @p chip: loop k pulses level k for the full
+ * tEP until the verify-read passes or maxLoops is reached. DPES runs the
+ * same loop with its damage-only @p stress_scale.
+ */
+std::unique_ptr<EraseSession> beginIspeErase(NandChip &chip, BlockId id,
+                                             double stress_scale = 1.0);
+
 class BaselineIspe : public EraseScheme
 {
   public:

@@ -5,6 +5,17 @@
 namespace aero
 {
 
+void
+EraseSession::commitErase(NandChip &nand, BlockId blk)
+{
+    const EraseCommit commit = nand.finishErase(blk);
+    result.complete = commit.complete;
+    result.leftoverSlots = commit.leftoverSlots;
+    result.damage = commit.damage;
+    result.slotsApplied = commit.slotsApplied;
+    result.maxLevel = commit.maxLevel;
+}
+
 EraseOutcome
 runEraseToCompletion(EraseSession &session)
 {

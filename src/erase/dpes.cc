@@ -2,59 +2,10 @@
 
 #include <cmath>
 
+#include "erase/baseline_ispe.hh"
+
 namespace aero
 {
-
-namespace
-{
-
-class DpesSession : public EraseSession
-{
-  public:
-    DpesSession(NandChip &chip, BlockId id, double stress_scale)
-        : nand(chip), blk(id), stressScale(stress_scale)
-    {
-    }
-
-    bool
-    nextSegment(EraseSegment &seg) override
-    {
-        if (done)
-            return false;
-        if (loop == 0)
-            nand.beginErase(blk);
-        ++loop;
-        const auto pulse = nand.erasePulse(
-            blk, loop, nand.params().slotsPerLoop, stressScale);
-        const auto verify = nand.verifyRead(blk);
-        seg.duration = pulse.duration + verify.duration;
-        seg.last = false;
-        result.latency += seg.duration;
-        result.loops += 1;
-        if (!verify.pass)
-            result.eraseFailures += 1;
-        if (verify.pass || loop >= nand.params().maxLoops) {
-            const auto commit = nand.finishErase(blk);
-            result.complete = commit.complete;
-            result.leftoverSlots = commit.leftoverSlots;
-            result.damage = commit.damage;
-            result.slotsApplied = commit.slotsApplied;
-            result.maxLevel = commit.maxLevel;
-            seg.last = true;
-            done = true;
-        }
-        return true;
-    }
-
-  private:
-    NandChip &nand;
-    BlockId blk;
-    double stressScale;
-    int loop = 0;
-    bool done = false;
-};
-
-} // namespace
 
 bool
 Dpes::active(BlockId id) const
@@ -67,7 +18,7 @@ Dpes::begin(BlockId id)
 {
     const double scale =
         active(id) ? nand.params().dpesStressFactor : 1.0;
-    return std::make_unique<DpesSession>(nand, id, scale);
+    return beginIspeErase(nand, id, scale);
 }
 
 Tick

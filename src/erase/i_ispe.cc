@@ -50,12 +50,7 @@ class IIspeSession : public EraseSession
         if (!verify.pass)
             result.eraseFailures += 1;
         if (verify.pass || result.loops >= nand.params().maxLoops) {
-            const auto commit = nand.finishErase(blk);
-            result.complete = commit.complete;
-            result.leftoverSlots = commit.leftoverSlots;
-            result.damage = commit.damage;
-            result.slotsApplied = commit.slotsApplied;
-            result.maxLevel = commit.maxLevel;
+            commitErase(nand, blk);
             updateMemory();
             seg.last = true;
             done = true;

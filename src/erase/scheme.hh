@@ -112,6 +112,9 @@ class EraseSession
     const EraseOutcome &outcome() const { return result; }
 
   protected:
+    /** Commit the erase on the chip and copy what it did into result. */
+    void commitErase(NandChip &nand, BlockId blk);
+
     EraseOutcome result;
 };
 

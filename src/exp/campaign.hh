@@ -107,7 +107,6 @@ class CampaignJournal
     CampaignJournal &operator=(const CampaignJournal &) = delete;
 
     const std::string &path() const { return journalPath; }
-    const std::string &campaignName() const { return campaign; }
 
     /** Number of distinct keys already journaled. */
     std::size_t cachedCount() const;

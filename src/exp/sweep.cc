@@ -290,6 +290,8 @@ SweepSpec::validate() const
         (void)workloadByName(workload);
     if (requests == 0)
         AERO_FATAL("sweep has zero requests per point");
+    for (const SimPoint &pt : expand())
+        pointConfig(pt, base).validate();
 }
 
 SweepRunner::SweepRunner(int threads)

@@ -112,11 +112,12 @@ struct SweepSpec
 
     /**
      * Fatal unless every axis is non-empty and repeats no value, every
-     * workload is a Table-3 name and requests > 0. Values compare as
-     * report columns, so aliases ("fifo", "fifo-log") repeat too: a
-     * repeat would be a second row under one journal key. SweepRunner::run
-     * and configOf() call it, so an ill-formed grid fails before hours of
-     * simulation.
+     * workload is a Table-3 name, requests > 0 and every point's drive,
+     * pointConfig(point, base), passes SsdConfig::validate(). Values
+     * compare as report columns, so aliases ("fifo", "fifo-log") repeat
+     * too: a repeat would be a second row under one journal key.
+     * SweepRunner::run and configOf() call it, so an ill-formed grid
+     * fails before hours of simulation and before a journal is opened.
      */
     void validate() const;
 };

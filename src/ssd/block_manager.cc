@@ -38,15 +38,6 @@ BlockManager::freeBlocks(int chip, int plane) const
         planesState[planeIndex(chip, plane)].freeList.size());
 }
 
-int
-BlockManager::minFreeBlocks(int chip) const
-{
-    int min_free = blocksPerPlane;
-    for (int p = 0; p < planesPerChip; ++p)
-        min_free = std::min(min_free, freeBlocks(chip, p));
-    return min_free;
-}
-
 BlockState
 BlockManager::state(int chip, BlockId block) const
 {
@@ -115,14 +106,6 @@ BlockManager::allocateRun(int chip, int plane, int want, BlockId &block,
         cursor = 0;
     }
     return run;
-}
-
-int
-BlockManager::openPageCursor(int chip, int plane) const
-{
-    const auto &ps = planesState[planeIndex(chip, plane)];
-    AERO_CHECK(ps.open != kInvalidBlock, "no open block");
-    return ps.cursor;
 }
 
 void

@@ -39,7 +39,6 @@ class BlockManager
     }
 
     int freeBlocks(int chip, int plane) const;
-    int minFreeBlocks(int chip) const;
 
     BlockState state(int chip, BlockId block) const;
 
@@ -72,9 +71,6 @@ class BlockManager
 
     /** Free blocks a user allocation may still open. */
     static constexpr int kGcReservedBlocks = 1;
-
-    /** Pages already allocated in the open block (block must be Open). */
-    int openPageCursor(int chip, int plane) const;
 
     /** Return an erased block to the free pool (bumps its erase count). */
     void onBlockErased(int chip, BlockId block);

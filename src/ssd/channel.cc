@@ -16,18 +16,6 @@ Channel::init(int index, EventQueue *eq_, SsdMetrics *metrics_)
     metrics = metrics_;
 }
 
-bool
-Channel::quiet() const
-{
-    if (owned)
-        return false;
-    for (const auto &q : waiters) {
-        if (!q.empty())
-            return false;
-    }
-    return true;
-}
-
 void
 Channel::enableWfq(std::vector<std::uint32_t> weights_)
 {

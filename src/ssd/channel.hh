@@ -83,11 +83,6 @@ class Channel
      */
     void enableWfq(std::vector<std::uint32_t> weights);
 
-    bool wfqEnabled() const { return wfq; }
-
-    /** Nothing owned, nothing waiting? */
-    bool quiet() const;
-
   private:
     friend class EventQueue;  //!< tagged-event dispatch entry point
 

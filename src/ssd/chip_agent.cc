@@ -23,12 +23,6 @@ ChipAgent::idle() const
            eraseQ.empty() && !erase.has_value();
 }
 
-std::size_t
-ChipAgent::queuedOps() const
-{
-    return readQ.size() + writeQ.size() + gcQ.size() + eraseQ.size();
-}
-
 void
 ChipAgent::push(const PageOp &op)
 {

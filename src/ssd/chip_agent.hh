@@ -70,7 +70,6 @@ class ChipAgent
     void enqueueErase(BlockId block, GcJob *job);
 
     bool idle() const;
-    std::size_t queuedOps() const;
 
     /** Suspensions allowed per erase operation (practical limit). */
     static constexpr int kMaxSuspensionsPerOp = 2;

@@ -182,6 +182,9 @@ struct SsdConfig
     std::uint64_t seed = 2024;
     /** @} */
 
+    /** Planes one die may have (real dies have 2 to 6). */
+    static constexpr int kMaxPlanesPerDie = 8;
+
     /** @name Derived quantities */
     /** @{ */
     int totalChips() const { return channels * chipsPerChannel; }
@@ -211,6 +214,19 @@ struct SsdConfig
     static SsdConfig bench();
     /** Tiny drive for unit tests. */
     static SsdConfig tiny();
+
+    /**
+     * The one drive-config check. Fatal on a non-positive geometry
+     * count, more than kMaxPlanesPerDie planes, a drive of
+     * PageMapping::kNoEntry (2^32 - 1) or more physical pages (counted
+     * saturating, so no int product can wrap under the limit), a
+     * conditioning fraction out of range, or SLO weighting without
+     * queued arbitration. Ftl runs it before sizing any table, and
+     * SweepSpec::validate() runs it on every point's drive before a
+     * sweep simulates anything.
+     * @return *this, so a mem-initializer can validate as it copies.
+     */
+    const SsdConfig &validate() const;
 
     /** Human-readable Table 2 style summary. */
     std::string summary() const;

@@ -2,45 +2,19 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <span>
 
 #include "common/logging.hh"
 #include "core/aero_scheme.hh"
-#include "ssd/geometry.hh"
 
 namespace aero
 {
 
-SsdConfig
-Ftl::validated(SsdConfig cfg)
-{
-    // Runs before the mem-initializer list sizes any member off the
-    // geometry, so a misconfigured drive dies with a clear message
-    // instead of a huge allocation.
-    const DriveGeometry geo = DriveGeometry::of(cfg);
-    if (cfg.arbitration == Arbitration::Queued)
-        geo.validateQueued();
-    else
-        geo.validate();
-    if (!(cfg.prefillFraction >= 0.0 && cfg.prefillFraction <= 1.0))
-        AERO_FATAL("conditioning: prefillFraction must be in [0, 1], got ",
-                   cfg.prefillFraction);
-    if (!(std::isfinite(cfg.warmupOverwriteFraction) &&
-          cfg.warmupOverwriteFraction >= 0.0))
-        AERO_FATAL("conditioning: warmupOverwriteFraction must be finite "
-                   "and non-negative, got ", cfg.warmupOverwriteFraction);
-    if (sloPolicyWeights(cfg.sloPolicy) &&
-        cfg.arbitration != Arbitration::Queued)
-        AERO_FATAL("SLO policy '", enumName(cfg.sloPolicy),
-                   "' needs queued channel arbitration: weighted-fair "
-                   "sharing arbitrates the per-channel grant queues, "
-                   "which the legacy closed-form model does not have");
-    return cfg;
-}
-
+// cfg_.validate() runs before the mem-initializer list sizes any member
+// off the geometry, so a misconfigured drive dies with a clear message
+// instead of a huge allocation.
 Ftl::Ftl(const SsdConfig &cfg_, EventQueue &eq_)
-    : cfg(validated(cfg_)), eq(eq_),
+    : cfg(cfg_.validate()), eq(eq_),
       mapping(cfg.logicalPages(), cfg.totalChips(),
               cfg.blocksPerChip(), cfg.geometry.pagesPerBlock),
       blocks(cfg), lines(cfg, blocks, mapping)
@@ -95,18 +69,6 @@ Ftl::chipAt(int i)
     AERO_CHECK(i >= 0 && i < static_cast<int>(chips.size()),
                "chip index out of range");
     return chips[i];
-}
-
-EraseScheme &
-Ftl::schemeAt(int i)
-{
-    return *schemes.at(i);
-}
-
-ChipAgent &
-Ftl::agentAt(int i)
-{
-    return *agents.at(i);
 }
 
 void
@@ -283,7 +245,7 @@ Ftl::submit(const TraceRecord &rec)
         // would leave them.
         for (std::uint32_t i = 0; i < rec.pages; ++i) {
             const Lpn lpn = (rec.startPage + i) % mapping.logicalPages();
-            submitReadPage(lpn, id, rec.tenant, true);
+            submitReadPage(lpn, id, rec.tenant);
         }
         flushReadBurst();
         return;
@@ -296,8 +258,7 @@ Ftl::submit(const TraceRecord &rec)
 }
 
 void
-Ftl::submitReadPage(Lpn lpn, std::uint64_t request_id, TenantId tenant,
-                    bool burst)
+Ftl::submitReadPage(Lpn lpn, std::uint64_t request_id, TenantId tenant)
 {
     const Ppn ppn = mapping.lookup(lpn);
     if (ppn == kInvalidPpn) {
@@ -315,10 +276,6 @@ Ftl::submitReadPage(Lpn lpn, std::uint64_t request_id, TenantId tenant,
     op.ppn = ppn;
     op.requestId = request_id;
     op.tenant = tenant;
-    if (!burst) {
-        agents[parts.chip]->enqueue(op);
-        return;
-    }
     if (!burstTouched[parts.chip]) {
         burstTouched[parts.chip] = 1;
         burstChips.push_back(parts.chip);

@@ -58,8 +58,6 @@ class Ftl : public FtlCallbacks
     SsdMetrics &metrics() { return stats; }
     const SsdConfig &config() const { return cfg; }
     NandChip &chipAt(int i);
-    EraseScheme &schemeAt(int i);
-    ChipAgent &agentAt(int i);
     const PageMapping &pageMapping() const { return mapping; }
     const BlockManager &blockManager() const { return blocks; }
     const LineManager &lineManager() const { return lines; }
@@ -90,11 +88,8 @@ class Ftl : public FtlCallbacks
         TenantId tenant;
     };
 
-    /** Validate the drive geometry before any member sizes off it. */
-    static SsdConfig validated(SsdConfig cfg);
-
-    void submitReadPage(Lpn lpn, std::uint64_t request_id, TenantId tenant,
-                        bool burst = false);
+    /** Queue one page read into the current read burst. */
+    void submitReadPage(Lpn lpn, std::uint64_t request_id, TenantId tenant);
     /** Dispatch every agent the current read burst touched, in order. */
     void flushReadBurst();
     /** @return false if no plane had space (write stalled). */

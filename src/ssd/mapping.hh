@@ -13,7 +13,7 @@
  * sentinel, kNoEntry (UINT32_MAX), means "unmapped" in either table. A
  * drive must have fewer than kNoEntry physical pages, so every page
  * number and the page count itself stay below the sentinel (the
- * constructor checks; DriveGeometry::validate() rejects larger drives
+ * constructor checks; SsdConfig::validate() rejects larger drives
  * before any table is allocated).
  * The interface keeps 64-bit Lpn/Ppn and translates the sentinel to
  * kInvalidPpn / kInvalidLpn.

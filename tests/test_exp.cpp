@@ -21,6 +21,7 @@
 #include "core/ept_builder.hh"
 #include "devchar/experiments.hh"
 #include "devchar/lifetime.hh"
+#include "common/logging.hh"
 #include "common/parse.hh"
 #include "exp/diff.hh"
 #include "exp/report.hh"
@@ -366,6 +367,12 @@ TEST(SweepSpec, ValidateRejectsIllFormedGrids)
                  "--suspensions repeats mid-segment");
     EXPECT_DEATH(validated(parsed(Axis::Pec, "500,500.0")),
                  "--pecs repeats 500");
+    // Every point's drive passes SsdConfig::validate(): the base drive
+    // keeps legacy arbitration, so the wfq point cannot run.
+    EXPECT_DEATH(validated([](SweepSpec &s) {
+                     s.sloPolicies = {SloPolicy::None, SloPolicy::Wfq};
+                 }),
+                 "SLO policy 'wfq' needs queued channel arbitration");
 }
 
 TEST(SweepSpec, ConfigOfAndRunValidateBeforeSimulating)
@@ -376,6 +383,21 @@ TEST(SweepSpec, ConfigOfAndRunValidateBeforeSimulating)
     spec.wearLevels = {WearLevel::Dynamic, WearLevel::Dynamic};
     EXPECT_DEATH(configOf(spec), "--wear-levels repeats dynamic");
     EXPECT_DEATH(SweepRunner(1).run(spec), "--wear-levels repeats dynamic");
+
+    // A drive no point can run on dies before the first point is
+    // simulated: the progress callback would die with its own message.
+    SweepSpec slo;
+    slo.sloPolicies = {SloPolicy::None, SloPolicy::Wfq};
+    slo.requests = 500;
+    ASSERT_EQ(slo.base.arbitration, Arbitration::Legacy);
+    const char *needs_queued = "'wfq' needs queued channel arbitration";
+    EXPECT_DEATH(configOf(slo), needs_queued);
+    EXPECT_DEATH(SweepRunner(1).run(slo, {},
+                                    [](std::size_t, std::size_t,
+                                       const SimResult &) {
+                                        AERO_FATAL("simulated a point");
+                                    }),
+                 needs_queued);
 }
 
 TEST(SweepSpec, AllTable3AllSchemesPaperGridSize)

@@ -1,11 +1,10 @@
 /**
  * @file
- * Drive-topology battery: the DriveGeometry page-index encoding is a
- * bijection that agrees with PageMapping's PPN layout, misconfigured
- * geometries die with exact diagnostics, queued channel arbitration
- * conserves every request and keeps its grant accounting consistent,
- * and a sweep over the reclamation axes is bit-identical at 1 and N
- * worker threads.
+ * Drive-topology battery: misconfigured drives die in
+ * SsdConfig::validate() with exact diagnostics, queued channel
+ * arbitration conserves every request and keeps its grant accounting
+ * consistent on power-of-two and other geometries, and a sweep over the
+ * reclamation axes is bit-identical at 1 and N worker threads.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 
 #include "exp/report.hh"
 #include "exp/sweep.hh"
-#include "ssd/geometry.hh"
 #include "ssd/mapping.hh"
 #include "ssd/ssd.hh"
 #include "workload/synthetic.hh"
@@ -25,215 +23,89 @@ namespace aero
 namespace
 {
 
-DriveGeometry
-geomOf(const SsdConfig &cfg)
-{
-    return DriveGeometry::of(cfg);
-}
-
-TEST(Topology, TinyGeometryDerivesFromConfig)
-{
-    const SsdConfig cfg = SsdConfig::tiny();
-    const DriveGeometry g = geomOf(cfg);
-    EXPECT_EQ(g.channels, cfg.channels);
-    EXPECT_EQ(g.diesPerChannel, cfg.chipsPerChannel);
-    EXPECT_EQ(g.planesPerDie, cfg.geometry.planes);
-    EXPECT_EQ(g.blocksPerPlane, cfg.geometry.blocksPerPlane);
-    EXPECT_EQ(g.pagesPerBlock, cfg.geometry.pagesPerBlock);
-    EXPECT_EQ(g.totalDies(), cfg.channels * cfg.chipsPerChannel);
-    EXPECT_EQ(g.totalPages(),
-              static_cast<std::uint64_t>(g.totalDies()) *
-                  g.planesPerDie * g.blocksPerPlane * g.pagesPerBlock);
-}
-
-// pgidx -> Ppa -> pgidx is the identity over the whole drive, and every
-// decomposed field stays inside its level's bounds.
-void
-expectBijective(const DriveGeometry &g)
-{
-    for (std::uint64_t idx = 0; idx < g.totalPages(); ++idx) {
-        const Ppa ppa = g.ppaOf(idx);
-        ASSERT_GE(ppa.channel, 0);
-        ASSERT_LT(ppa.channel, g.channels);
-        ASSERT_GE(ppa.die, 0);
-        ASSERT_LT(ppa.die, g.diesPerChannel);
-        ASSERT_GE(ppa.plane, 0);
-        ASSERT_LT(ppa.plane, g.planesPerDie);
-        ASSERT_GE(ppa.block, 0);
-        ASSERT_LT(ppa.block, g.blocksPerPlane);
-        ASSERT_GE(ppa.page, 0);
-        ASSERT_LT(ppa.page, g.pagesPerBlock);
-        ASSERT_EQ(g.pageIndex(ppa), idx);
-    }
-}
-
-TEST(Topology, PageIndexIsABijectionOnTiny)
-{
-    expectBijective(geomOf(SsdConfig::tiny()));
-}
-
-TEST(Topology, PageIndexIsABijectionOnBench)
-{
-    expectBijective(geomOf(SsdConfig::bench()));
-}
-
-TEST(Topology, PageIndexIsDenseInNestedOrder)
-{
-    const DriveGeometry g = geomOf(SsdConfig::tiny());
-    std::uint64_t expect = 0;
-    for (int ch = 0; ch < g.channels; ++ch)
-        for (int die = 0; die < g.diesPerChannel; ++die)
-            for (int pl = 0; pl < g.planesPerDie; ++pl)
-                for (int b = 0; b < g.blocksPerPlane; ++b)
-                    for (int pg = 0; pg < g.pagesPerBlock; ++pg)
-                        ASSERT_EQ(g.pageIndex({ch, die, pl, b, pg}),
-                                  expect++);
-    EXPECT_EQ(expect, g.totalPages());
-}
-
-TEST(Topology, ChipIndexingRoundTrips)
-{
-    const DriveGeometry g = geomOf(SsdConfig::bench());
-    for (int ch = 0; ch < g.channels; ++ch) {
-        for (int die = 0; die < g.diesPerChannel; ++die) {
-            const Ppa ppa{ch, die, 0, 0, 0};
-            const int chip = g.chipOf(ppa);
-            EXPECT_EQ(g.channelOfChip(chip), ch);
-            EXPECT_EQ(chip % g.diesPerChannel, die);
-        }
-    }
-}
-
-// The flat page index must agree with PageMapping's (chip, chip-block,
-// page) PPN encode — the FTL's mapping and the geometry's addressing are
-// the same coordinate system.
-TEST(Topology, PageIndexAgreesWithMappingEncode)
-{
-    const SsdConfig cfg = SsdConfig::tiny();
-    const DriveGeometry g = geomOf(cfg);
-    PageMapping mapping(cfg.logicalPages(), g.totalDies(),
-                        g.blocksPerDie(), g.pagesPerBlock);
-    for (std::uint64_t idx = 0; idx < g.totalPages(); ++idx) {
-        const Ppa ppa = g.ppaOf(idx);
-        const Ppn ppn = mapping.encode(g.chipOf(ppa), g.chipBlockOf(ppa),
-                                       ppa.page);
-        ASSERT_EQ(static_cast<std::uint64_t>(ppn), idx)
-            << "ppn/pgidx disagree at channel " << ppa.channel << " die "
-            << ppa.die << " plane " << ppa.plane << " block " << ppa.block
-            << " page " << ppa.page;
-    }
-}
-
-TEST(Topology, ChipBlockIsPlaneMajor)
-{
-    const DriveGeometry g = geomOf(SsdConfig::bench());
-    EXPECT_EQ(g.chipBlockOf({0, 0, 0, 5, 0}), 5);
-    EXPECT_EQ(g.chipBlockOf({0, 0, 1, 0, 0}), g.blocksPerPlane);
-    EXPECT_EQ(g.chipBlockOf({0, 0, 3, 7, 0}), 3 * g.blocksPerPlane + 7);
-}
-
 // ---------------------------------------------------------------------------
 // Misconfiguration death tests: exact diagnostics, not just "it died".
 // ---------------------------------------------------------------------------
 
-DriveGeometry
-validGeom()
-{
-    return geomOf(SsdConfig::tiny());
-}
-
 TEST(TopologyDeathTest, ZeroChannelsDies)
 {
-    DriveGeometry g = validGeom();
-    g.channels = 0;
-    EXPECT_DEATH(g.validate(),
+    SsdConfig cfg = SsdConfig::tiny();
+    cfg.channels = 0;
+    EXPECT_DEATH(cfg.validate(),
                  "geometry: channel count must be positive, got 0");
 }
 
 TEST(TopologyDeathTest, ZeroDiesPerChannelDies)
 {
-    DriveGeometry g = validGeom();
-    g.diesPerChannel = 0;
-    EXPECT_DEATH(g.validate(),
+    SsdConfig cfg = SsdConfig::tiny();
+    cfg.chipsPerChannel = 0;
+    EXPECT_DEATH(cfg.validate(),
                  "geometry: dies per channel must be positive, got 0");
 }
 
 TEST(TopologyDeathTest, NegativePlaneCountDies)
 {
-    DriveGeometry g = validGeom();
-    g.planesPerDie = -1;
-    EXPECT_DEATH(g.validate(),
+    SsdConfig cfg = SsdConfig::tiny();
+    cfg.geometry.planes = -1;
+    EXPECT_DEATH(cfg.validate(),
                  "geometry: plane count must be positive, got -1");
 }
 
 TEST(TopologyDeathTest, PlaneCountBeyondDieLimitDies)
 {
-    DriveGeometry g = validGeom();
-    g.planesPerDie = 9;
-    EXPECT_DEATH(g.validate(),
+    SsdConfig cfg = SsdConfig::tiny();
+    cfg.geometry.planes = 9;
+    EXPECT_DEATH(cfg.validate(),
                  "geometry: plane count 9 exceeds the per-die limit of 8");
 }
 
 TEST(TopologyDeathTest, ZeroBlocksPerPlaneDies)
 {
-    DriveGeometry g = validGeom();
-    g.blocksPerPlane = 0;
-    EXPECT_DEATH(g.validate(),
+    SsdConfig cfg = SsdConfig::tiny();
+    cfg.geometry.blocksPerPlane = 0;
+    EXPECT_DEATH(cfg.validate(),
                  "geometry: blocks per plane must be positive, got 0");
 }
 
 TEST(TopologyDeathTest, ZeroPagesPerBlockDies)
 {
-    DriveGeometry g = validGeom();
-    g.pagesPerBlock = 0;
-    EXPECT_DEATH(g.validate(),
+    SsdConfig cfg = SsdConfig::tiny();
+    cfg.geometry.pagesPerBlock = 0;
+    EXPECT_DEATH(cfg.validate(),
                  "geometry: pages per block must be positive, got 0");
+}
+
+SsdConfig
+drive(int channels, int dies, int planes, int blocks, int pages)
+{
+    SsdConfig cfg = SsdConfig::tiny();
+    cfg.channels = channels;
+    cfg.chipsPerChannel = dies;
+    cfg.geometry = ChipGeometry{planes, blocks, pages};
+    return cfg;
 }
 
 TEST(TopologyDeathTest, PageCountMustFit32BitPageNumbers)
 {
     // validate() only multiplies: no table is allocated at any size.
     // The largest legal drive has 2^32 - 2 = 2 x (2^31 - 1) pages.
-    DriveGeometry largest;
-    largest.channels = 1;
-    largest.diesPerChannel = 1;
-    largest.planesPerDie = 2;
-    largest.blocksPerPlane = 1;
-    largest.pagesPerBlock = 2147483647;
-    ASSERT_EQ(largest.totalPages(), PageMapping::kNoEntry - 1ULL);
+    const SsdConfig largest = drive(1, 1, 2, 1, 2147483647);
+    ASSERT_EQ(largest.physicalPages(), PageMapping::kNoEntry - 1ULL);
     largest.validate();  // must not die
 
     // One page more: 2^32 - 1 = 3 x 5 x (17 x 257) x 65537, a page count
     // equal to the 32-bit sentinel.
-    DriveGeometry over;
-    over.channels = 3;
-    over.diesPerChannel = 5;
-    over.planesPerDie = 1;
-    over.blocksPerPlane = 17 * 257;
-    over.pagesPerBlock = 65537;
-    ASSERT_EQ(over.totalPages(), largest.totalPages() + 1);
+    const SsdConfig over = drive(3, 5, 1, 17 * 257, 65537);
+    ASSERT_EQ(over.physicalPages(), largest.physicalPages() + 1);
     EXPECT_DEATH(over.validate(),
                  "geometry: 4294967295 physical pages do not fit 32-bit "
                  "page numbers; a drive must have fewer than 4294967295");
 
     // A product past 2^64 saturates rather than wrapping under the limit.
-    DriveGeometry huge = over;
-    huge.channels = huge.diesPerChannel = huge.blocksPerPlane =
-        huge.pagesPerBlock = 2147483647;
-    huge.planesPerDie = 8;
-    ASSERT_EQ(huge.totalPages(), std::numeric_limits<std::uint64_t>::max());
-    EXPECT_DEATH(huge.validate(), "physical pages do not fit 32-bit");
-}
-
-TEST(TopologyDeathTest, NonPowerOfTwoPagesRejectedOnlyWhenQueued)
-{
-    // The paper's Table 2 drive (2112 pages/block) is legal under legacy
-    // arbitration and rejected only by the queued fast path.
-    const DriveGeometry g = geomOf(SsdConfig::paper());
-    g.validate();  // must not die
-    EXPECT_DEATH(g.validateQueued(),
-                 "geometry: pages per block must be a power of two for "
-                 "queued arbitration, got 2112");
+    const int big = std::numeric_limits<int>::max();
+    EXPECT_DEATH(drive(big, big, 8, big, big).validate(),
+                 "geometry: 18446744073709551615 physical pages do not "
+                 "fit 32-bit");
 }
 
 // Conditioning fractions are checked where the geometry is: before any
@@ -312,48 +184,54 @@ TEST(Conditioning, FractionsAtTheirBoundsAreAccepted)
 
 TEST(TopologyQueued, ConservesRequestsAndAccounting)
 {
-    SsdConfig cfg = SsdConfig::tiny();
-    cfg.arbitration = Arbitration::Queued;
-    cfg.seed = 99;
-    Ssd ssd(cfg);
+    // Queued arbitration runs any page count: tiny's 32 pages per block
+    // and 33, which is not a power of two.
+    for (const int pages : {32, 33}) {
+        SCOPED_TRACE(testing::Message() << pages << " pages per block");
+        SsdConfig cfg = SsdConfig::tiny();
+        cfg.geometry.pagesPerBlock = pages;
+        cfg.arbitration = Arbitration::Queued;
+        cfg.seed = 99;
+        Ssd ssd(cfg);
 
-    SyntheticConfig wc;
-    wc.spec = workloadByName("ali.A");  // write-heavy: forces GC
-    wc.footprintPages = ssd.config().logicalPages();
-    wc.numRequests = 6000;
-    wc.seed = 31;
-    const Trace trace = generateTrace(wc);
+        SyntheticConfig wc;
+        wc.spec = workloadByName("ali.A");  // write-heavy: forces GC
+        wc.footprintPages = ssd.config().logicalPages();
+        wc.numRequests = 6000;
+        wc.seed = 31;
+        const Trace trace = generateTrace(wc);
 
-    std::uint64_t reads = 0, writes = 0;
-    for (const auto &r : trace)
-        (r.op == IoOp::Read ? reads : writes) += 1;
-    ssd.run(trace);
+        std::uint64_t reads = 0, writes = 0;
+        for (const auto &r : trace)
+            (r.op == IoOp::Read ? reads : writes) += 1;
+        ssd.run(trace);
 
-    const SsdMetrics &m = ssd.metrics();
-    EXPECT_EQ(m.reads, reads);
-    EXPECT_EQ(m.writes, writes);
-    EXPECT_GT(m.erases, 0u);
-    EXPECT_GT(m.gcInvocations, 0u);
-    EXPECT_GE(m.writeAmplification(), 1.0);
+        const SsdMetrics &m = ssd.metrics();
+        EXPECT_EQ(m.reads, reads);
+        EXPECT_EQ(m.writes, writes);
+        EXPECT_GT(m.erases, 0u);
+        EXPECT_GT(m.gcInvocations, 0u);
+        EXPECT_GE(m.writeAmplification(), 1.0);
 
-    // Queued mode accounts every transfer through a grant; the host
-    // side must have granted at least one bus slice per completed op.
-    EXPECT_GT(m.hostChannelGrants, 0u);
-    EXPECT_GT(m.gcChannelGrants, 0u);
-    EXPECT_GT(m.eraseChannelGrants, 0u);
+        // Queued mode accounts every transfer through a grant; the host
+        // side must have granted at least one bus slice per completed op.
+        EXPECT_GT(m.hostChannelGrants, 0u);
+        EXPECT_GT(m.gcChannelGrants, 0u);
+        EXPECT_GT(m.eraseChannelGrants, 0u);
 
-    // No channel can be busy longer than the run lasted, and at least
-    // one channel did real work.
-    ASSERT_EQ(m.channelBusyTicks.size(),
-              static_cast<std::size_t>(cfg.channels));
-    for (int ch = 0; ch < cfg.channels; ++ch) {
-        EXPECT_LE(m.channelBusyTicks[ch], m.simulatedTime);
-        EXPECT_GE(m.channelUtilization(ch), 0.0);
-        EXPECT_LE(m.channelUtilization(ch), 1.0);
+        // No channel can be busy longer than the run lasted, and at least
+        // one channel did real work.
+        ASSERT_EQ(m.channelBusyTicks.size(),
+                  static_cast<std::size_t>(cfg.channels));
+        for (int ch = 0; ch < cfg.channels; ++ch) {
+            EXPECT_LE(m.channelBusyTicks[ch], m.simulatedTime);
+            EXPECT_GE(m.channelUtilization(ch), 0.0);
+            EXPECT_LE(m.channelUtilization(ch), 1.0);
+        }
+        EXPECT_GT(m.maxChannelUtilization(), 0.0);
+        EXPECT_GE(m.avgHostChannelWaitUs(), 0.0);
+        EXPECT_GE(m.avgGcChannelWaitUs(), 0.0);
     }
-    EXPECT_GT(m.maxChannelUtilization(), 0.0);
-    EXPECT_GE(m.avgHostChannelWaitUs(), 0.0);
-    EXPECT_GE(m.avgGcChannelWaitUs(), 0.0);
 }
 
 TEST(TopologyQueued, LegacyAndQueuedConserveTheSameWork)
