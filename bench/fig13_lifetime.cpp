@@ -83,7 +83,8 @@ main(int argc, char **argv)
         spec["blocks_per_chip"] = cfg.farm.blocksPerChip;
         spec["small"] = artifacts.small;
         doc["spec"] = std::move(spec);
-        doc["rber_requirement"] = cfg.rberRequirement;
+        doc["rber_requirement"] =
+            static_cast<double>(cfg.schemeOptions.rberRequirement);
         Json rows = Json::array();
         for (const auto &r : results) {
             Json row = Json::object();

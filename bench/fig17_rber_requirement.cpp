@@ -74,7 +74,6 @@ main(int argc, char **argv)
                     LifetimeConfig cfg;
                     cfg.farm.numChips = farm_chips;
                     cfg.farm.blocksPerChip = farm_blocks;
-                    cfg.rberRequirement = req;
                     cfg.schemeOptions.rberRequirement = req;
                     LifetimeTester tester(cfg);
                     return LifetimeRow{tester.run(SchemeKind::Baseline),

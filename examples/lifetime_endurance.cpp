@@ -55,7 +55,7 @@ main(int argc, char **argv)
 
     std::printf("cycling %d blocks to the %d-bit RBER requirement...\n\n",
                 cfg.farm.numChips * cfg.farm.blocksPerChip,
-                static_cast<int>(cfg.rberRequirement));
+                cfg.schemeOptions.rberRequirement);
     const auto ra = tester.run(a);
     const auto rb = tester.run(b);
 

@@ -66,8 +66,6 @@ usage(const char *prog)
         "directory and resume from it\n"
         "  --campaign name       journal campaign name (default "
         "run_sweep)\n"
-        "  --fsync               fsync every journal record (power-loss "
-        "durability)\n"
         "  --status path         print a journal's campaign and record "
         "counts, then exit\n"
         "  --progress            per-point progress on stderr\n");
@@ -94,10 +92,6 @@ main(int argc, char **argv)
         }
         if (arg == "--progress") {
             progress = true;
-            continue;
-        }
-        if (arg == "--fsync") {
-            campaign_args.fsyncRecords = true;
             continue;
         }
         if (i + 1 >= argc)

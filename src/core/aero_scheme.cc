@@ -225,7 +225,7 @@ class AeroSession : public EraseSession
 
 AeroScheme::AeroScheme(NandChip &chip, const SchemeOptions &opts,
                        bool use_ecc_margin, const Ept &ept)
-    : EraseScheme(chip, opts), useEccMargin(use_ecc_margin), table(ept),
+    : EraseScheme(chip, opts), useEccMargin(use_ecc_margin),
       predictor(chip.params(), chip.wearModel(), ept,
                 FelpConfig{use_ecc_margin, opts.marginPad,
                            opts.rberRequirement}),

@@ -67,7 +67,6 @@ class AeroScheme : public EraseScheme
     friend class AeroSession;
 
     bool useEccMargin;
-    Ept table;
     Felp predictor;
     SefBitmap sefMap;
     Rng schemeRng;

@@ -89,7 +89,7 @@ LifetimeTester::run(SchemeKind scheme) const
         res.curve.emplace_back(point, avg);
         if (res.curve.size() == 1)
             res.freshMrber = avg;
-        if (avg >= cfg.rberRequirement) {
+        if (avg >= cfg.schemeOptions.rberRequirement) {
             res.crossed = true;
             res.lifetimePec = point;
         }

@@ -24,7 +24,7 @@ struct LifetimeConfig
     FarmConfig farm;
     int maxPec = 10000;
     int checkpointEvery = 250;
-    double rberRequirement = 63.0;
+    /** The schemes' options; rberRequirement is also the lifetime limit. */
     SchemeOptions schemeOptions;
     /**
      * Thread-pool size for the per-chip shards of one run() (0 =

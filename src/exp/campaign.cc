@@ -217,20 +217,16 @@ CampaignJournal::fingerprint(const std::string &campaign,
 }
 
 CampaignJournal::CampaignJournal(std::string path, std::string name,
-                                 Json config, bool fsync)
+                                 Json config)
     : journalPath(std::move(path)), campaign(std::move(name)),
-      fp(fingerprint(campaign, config)), configJson(std::move(config)),
-      fsyncRecords(fsync)
+      fp(fingerprint(campaign, config)), configJson(std::move(config))
 {
     namespace fs = std::filesystem;
     if (const char *env = std::getenv("AERO_JOURNAL_FSYNC")) {
-        if (std::strcmp(env, "1") == 0)
-            fsyncRecords = true;
-        else if (std::strcmp(env, "0") == 0)
-            fsyncRecords = false;
-        else
+        if (std::strcmp(env, "1") != 0 && std::strcmp(env, "0") != 0)
             AERO_FATAL("AERO_JOURNAL_FSYNC must be 0 or 1, got '", env,
                        "'");
+        syncEachRecord = env[0] == '1';
     }
     // A bad journal path must fail naming the path, not surface later
     // as a raw stream failure once the first record is flushed.
@@ -456,7 +452,7 @@ CampaignJournal::append(const Json &row)
         std::fflush(out) != 0) {
         AERO_FATAL("failed writing checkpoint '", filePath, "'");
     }
-    if (fsyncRecords) {
+    if (syncEachRecord) {
 #ifndef _WIN32
         if (::fsync(::fileno(out)) != 0) {
             AERO_FATAL("fsync failed on checkpoint '", filePath,
@@ -511,8 +507,7 @@ detail::runCampaign(const CampaignArgs &args, const std::string &name,
         body(CampaignScope{});
         return;
     }
-    CampaignJournal journal(args.checkpointPath, name, std::move(config),
-                            args.fsyncRecords);
+    CampaignJournal journal(args.checkpointPath, name, std::move(config));
     if (journal.cachedCount() > 0) {
         std::printf("checkpoint: resuming %zu journaled task(s) from %s\n",
                     journal.cachedCount(), args.checkpointPath.c_str());

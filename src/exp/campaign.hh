@@ -43,8 +43,7 @@
  *     record survives process death of any kind (SIGKILL included)
  *     because the kernel owns the dirty page. It does NOT survive
  *     power loss or a host crash before the kernel writes the page
- *     back. The fsyncRecords constructor argument (or
- *     AERO_JOURNAL_FSYNC=1) additionally fsync()s every record,
+ *     back. AERO_JOURNAL_FSYNC=1 additionally fsync()s every record,
  *     extending "resumes from its last flushed task" to power loss at
  *     the cost of one device sync per task.
  *   - The journal file is held under an exclusive advisory flock() for
@@ -85,13 +84,12 @@ class CampaignJournal
      * fingerprint) and loaded; a journal written for a different
      * campaign or configuration is fatal with a message naming the
      * mismatch, as is a file left by the removed multi-process mode or
-     * another live process holding the journal. @p fsyncRecords
-     * fsync()s every record after flushing it (see the durability
-     * contract in the file comment); the AERO_JOURNAL_FSYNC environment
-     * variable ("1" or "0") overrides it either way.
+     * another live process holding the journal. The AERO_JOURNAL_FSYNC
+     * environment variable ("1" or "0", default 0) selects whether every
+     * record is fsync()ed after it is flushed (see the durability
+     * contract in the file comment).
      */
-    CampaignJournal(std::string path, std::string campaign, Json config,
-                    bool fsyncRecords = false);
+    CampaignJournal(std::string path, std::string campaign, Json config);
 
     /**
      * Open the journal directory at @p path read-only, adopting the
@@ -156,7 +154,7 @@ class CampaignJournal
     std::string campaign;
     std::string fp;        //!< fingerprint of (campaign, config)
     Json configJson;       //!< canonical config (header payload)
-    bool fsyncRecords = false;
+    bool syncEachRecord = false;  //!< AERO_JOURNAL_FSYNC=1
     std::string filePath;  //!< the journal file inside journalPath
     /** (key, payload) in journal order; deque keeps entries stable. */
     std::deque<std::pair<Json, Json>> entries;
@@ -268,16 +266,11 @@ parallelMapJournaled(CampaignJournal *journal,
         threads);
 }
 
-/**
- * The campaign flags every driver shares: `--checkpoint <dir>` and
- * `run_sweep --fsync`.
- */
+/** The campaign flag every driver shares: `--checkpoint <dir>`. */
 struct CampaignArgs
 {
     /** Journal directory; empty runs the campaign unjournaled. */
     std::string checkpointPath;
-    /** fsync() every journal record (CampaignJournal's fsyncRecords). */
-    bool fsyncRecords = false;
 };
 
 namespace detail

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "ssd/line_manager.hh"
+#include "ssd/mapping.hh"
 
 namespace aero
 {
@@ -13,10 +13,9 @@ BlockManager::BlockManager(const SsdConfig &cfg)
       blocksPerPlane(cfg.geometry.blocksPerPlane),
       pagesPerBlock(cfg.geometry.pagesPerBlock),
       planesState(static_cast<std::size_t>(numChips) * planesPerChip),
-      blockStates(static_cast<std::size_t>(numChips) * planesPerChip *
-                      blocksPerPlane,
-                  BlockState::Free),
-      eraseCounts(blockStates.size(), 0), wearLevel(cfg.wearLevel)
+      blockStates(planesState.size() * blocksPerPlane, BlockState::Free),
+      eraseCounts(blockStates.size(), 0), fillStamps(blockStates.size(), 0),
+      wearLevel(cfg.wearLevel), gcPolicy(cfg.gcPolicy)
 {
     for (int c = 0; c < numChips; ++c) {
         for (int p = 0; p < planesPerChip; ++p) {
@@ -86,12 +85,11 @@ BlockManager::allocateRun(int chip, int plane, int want, BlockId &block,
             return 0;
         open = takeFreeBlock(chip, ps);
         cursor = 0;
-        BlockState &st = blockStates[blockIndex(chip, open)];
-        AERO_CHECK(st == BlockState::Free, "opened block ", open,
-                   " was not Free");
-        st = BlockState::Open;
-        if (lines)
-            lines->onBlockOpened(chip, open);
+        const auto bi = blockIndex(chip, open);
+        AERO_CHECK(blockStates[bi] == BlockState::Free, "opened block ",
+                   open, " was not Free");
+        blockStates[bi] = BlockState::Open;
+        fillStamps[bi] = nextFillStamp++;
     }
     block = open;
     page = cursor;
@@ -111,54 +109,82 @@ BlockManager::allocateRun(int chip, int plane, int want, BlockId &block,
 void
 BlockManager::onBlockErased(int chip, BlockId block)
 {
-    auto &st = blockStates[blockIndex(chip, block)];
-    AERO_CHECK(st == BlockState::Full,
+    const auto bi = blockIndex(chip, block);
+    AERO_CHECK(blockStates[bi] == BlockState::Full,
                "erased block was not in Full state");
-    st = BlockState::Free;
-    eraseCounts[blockIndex(chip, block)] += 1;
+    blockStates[bi] = BlockState::Free;
+    eraseCounts[bi] += 1;
     totalEraseCount += 1;
     const int plane = planeOf(block);
     planesState[planeIndex(chip, plane)].freeList.push_back(block);
 }
 
-std::vector<BlockId>
-BlockManager::fullBlocks(int chip, int plane) const
+BlockId
+BlockManager::pickVictim(int chip, int plane,
+                         const PageMapping &mapping) const
 {
-    std::vector<BlockId> out;
-    for (int b = 0; b < blocksPerPlane; ++b) {
-        const auto id = static_cast<BlockId>(plane * blocksPerPlane + b);
-        if (state(chip, id) == BlockState::Full)
-            out.push_back(id);
+    // Blocks are scanned in id order, so a strict improvement in
+    // (score, tie) leaves ties with the lowest block id.
+    const auto first = static_cast<BlockId>(plane * blocksPerPlane);
+    const auto base = planeBase(chip, plane);
+    BlockId best = kInvalidBlock;
+    GcKey best_key;
+    for (int i = 0; i < blocksPerPlane; ++i) {
+        if (blockStates[base + i] != BlockState::Full)
+            continue;
+        GcLineInfo line;
+        line.block = first + static_cast<BlockId>(i);
+        line.validPages = mapping.validPages(chip, line.block);
+        line.pagesPerBlock = pagesPerBlock;
+        line.openSeq = fillStamps[base + i];
+        line.eraseCount = eraseCounts[base + i];
+        const GcKey key = gcKey(gcPolicy, line);
+        if (best == kInvalidBlock || key.score < best_key.score ||
+            (key.score == best_key.score && key.tie < best_key.tie)) {
+            best = line.block;
+            best_key = key;
+        }
     }
-    return out;
+    return best;
+}
+
+BlockId
+BlockManager::pickColdVictim(int chip, int plane, int eraseDelta) const
+{
+    // Spread = most-worn block anywhere in the plane vs. the least-worn
+    // *Full* block: cold data parks on young blocks and keeps them out of
+    // the erase rotation, which is exactly what static WL breaks up.
+    // Scanning in id order leaves ties with the lowest block id.
+    const auto first = static_cast<BlockId>(plane * blocksPerPlane);
+    const auto base = planeBase(chip, plane);
+    BlockId coldest = kInvalidBlock;
+    std::uint64_t coldest_ec = 0;
+    std::uint64_t max_ec = 0;
+    for (int i = 0; i < blocksPerPlane; ++i) {
+        const std::uint64_t ec = eraseCounts[base + i];
+        max_ec = std::max(max_ec, ec);
+        if (blockStates[base + i] == BlockState::Full &&
+            (coldest == kInvalidBlock || ec < coldest_ec)) {
+            coldest = first + static_cast<BlockId>(i);
+            coldest_ec = ec;
+        }
+    }
+    if (coldest == kInvalidBlock ||
+        max_ec < coldest_ec + static_cast<std::uint64_t>(eraseDelta))
+        return kInvalidBlock;
+    return coldest;
+}
+
+std::uint64_t
+BlockManager::fillStamp(int chip, BlockId block) const
+{
+    return fillStamps[blockIndex(chip, block)];
 }
 
 std::uint64_t
 BlockManager::eraseCount(int chip, BlockId block) const
 {
     return eraseCounts[blockIndex(chip, block)];
-}
-
-std::uint64_t
-BlockManager::maxEraseCount(int chip, int plane) const
-{
-    std::uint64_t max_ec = 0;
-    for (int b = 0; b < blocksPerPlane; ++b) {
-        const auto id = static_cast<BlockId>(plane * blocksPerPlane + b);
-        max_ec = std::max(max_ec, eraseCount(chip, id));
-    }
-    return max_ec;
-}
-
-std::uint64_t
-BlockManager::minEraseCount(int chip, int plane) const
-{
-    std::uint64_t min_ec = ~0ULL;
-    for (int b = 0; b < blocksPerPlane; ++b) {
-        const auto id = static_cast<BlockId>(plane * blocksPerPlane + b);
-        min_ec = std::min(min_ec, eraseCount(chip, id));
-    }
-    return min_ec;
 }
 
 std::size_t
@@ -172,6 +198,7 @@ BlockManager::planeIndex(int chip, int plane) const
 std::size_t
 BlockManager::blockIndex(int chip, BlockId block) const
 {
+    AERO_CHECK(chip >= 0 && chip < numChips, "chip out of range");
     AERO_CHECK(block < static_cast<BlockId>(planesPerChip * blocksPerPlane),
                "block out of range");
     return static_cast<std::size_t>(chip) * planesPerChip * blocksPerPlane +

@@ -1,14 +1,18 @@
 /**
  * @file
- * Physical block allocation: per-(chip, plane) free pools and open write
- * points. Blocks move Free -> Open -> Full -> (GC erase) -> Free.
+ * Physical block allocation and per-block FTL metadata: per-(chip, plane)
+ * free pools and open write points, and one table holding every block's
+ * state, erase count and fill stamp. Blocks move Free -> Open -> Full ->
+ * (GC erase) -> Free. A plane reuses its free blocks LIFO, or
+ * least-erased first under dynamic wear leveling.
  *
- * The manager also owns wear accounting (per-block erase counts since
- * mount) and tells an optional LineManager observer when a block opens,
- * so GC policies can order blocks by fill generation. Its block states
- * define the GC victim candidates: LineManager scans a plane for Full
- * blocks when GC needs a victim. A plane reuses its free blocks LIFO,
- * or least-erased first under dynamic wear leveling.
+ * Each block that opens takes a fresh drive-wide fill stamp, kept across
+ * its erase until it opens again, so GC policies can order blocks by
+ * fill generation. The manager also picks both kinds of victim, the GC
+ * victim (pickVictim) and the static wear-leveling victim
+ * (pickColdVictim), each by one in-place scan of the plane when a victim
+ * is needed: O(blocks per plane) once per job instead of upkeep on every
+ * page write, since warmup invalidates thousands of pages per erase.
  */
 
 #ifndef AERO_SSD_BLOCK_MANAGER_HH
@@ -21,7 +25,7 @@
 namespace aero
 {
 
-class LineManager;
+class PageMapping;
 
 enum class BlockState : std::uint8_t { Free, Open, Full };
 
@@ -29,9 +33,6 @@ class BlockManager
 {
   public:
     explicit BlockManager(const SsdConfig &cfg);
-
-    /** Wire the fill-stamp observer (FTL does this once at mount). */
-    void setLineManager(LineManager *lines_) { lines = lines_; }
 
     int planeOf(BlockId block) const
     {
@@ -61,7 +62,8 @@ class BlockManager
     /**
      * Allocate up to `want` consecutive pages of one block, as `want`
      * calls to allocate() would hand them out until the open block
-     * fills: a block opens exactly where allocate() would open it.
+     * fills: a block opens exactly where allocate() would open it, and
+     * takes its fill stamp there.
      * @return the pages granted (at most the open block's remainder,
      *         0 when the plane is out of space); block/page name the
      *         first of them.
@@ -75,14 +77,29 @@ class BlockManager
     /** Return an erased block to the free pool (bumps its erase count). */
     void onBlockErased(int chip, BlockId block);
 
-    /** Full blocks of a plane (GC victim candidates). */
-    std::vector<BlockId> fullBlocks(int chip, int plane) const;
+    /**
+     * GC victim of (chip, plane): the Full block with the lowest
+     * (score, tie, block) under the configured GC policy's gcKey(), its
+     * valid counts read from @p mapping; kInvalidBlock when no block is
+     * Full.
+     */
+    BlockId pickVictim(int chip, int plane,
+                       const PageMapping &mapping) const;
+
+    /**
+     * Static wear-leveling victim of (chip, plane): the least-erased
+     * Full block (lowest id on ties), or kInvalidBlock unless the
+     * plane's most-erased block, in any state, is at least
+     * @p eraseDelta erases ahead of it.
+     */
+    BlockId pickColdVictim(int chip, int plane, int eraseDelta) const;
+
+    /** Drive-wide stamp of the block's latest fill, 0 if never opened. */
+    std::uint64_t fillStamp(int chip, BlockId block) const;
 
     /** @name Wear accounting (erase cycles since mount) */
     /** @{ */
     std::uint64_t eraseCount(int chip, BlockId block) const;
-    std::uint64_t maxEraseCount(int chip, int plane) const;
-    std::uint64_t minEraseCount(int chip, int plane) const;
     std::uint64_t totalErases() const { return totalEraseCount; }
     /** @} */
 
@@ -104,17 +121,27 @@ class BlockManager
 
     std::size_t planeIndex(int chip, int plane) const;
     std::size_t blockIndex(int chip, BlockId block) const;
+    /** blockIndex() of the plane's first block. */
+    std::size_t planeBase(int chip, int plane) const
+    {
+        return planeIndex(chip, plane) * blocksPerPlane;
+    }
 
     int numChips;
     int planesPerChip;
     int blocksPerPlane;
     int pagesPerBlock;
     std::vector<Plane> planesState;
+    /** @name The block table, one entry per (chip, chip-local block) */
+    /** @{ */
     std::vector<BlockState> blockStates;
-    std::vector<std::uint64_t> eraseCounts;  //!< per (chip, block)
+    std::vector<std::uint64_t> eraseCounts;
+    std::vector<std::uint64_t> fillStamps;  //!< 0 means "never opened"
+    /** @} */
     std::uint64_t totalEraseCount = 0;
+    std::uint64_t nextFillStamp = 1;
     WearLevel wearLevel;
-    LineManager *lines = nullptr;
+    GcPolicy gcPolicy;
 };
 
 } // namespace aero

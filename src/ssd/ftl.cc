@@ -17,7 +17,7 @@ Ftl::Ftl(const SsdConfig &cfg_, EventQueue &eq_)
     : cfg(cfg_.validate()), eq(eq_),
       mapping(cfg.logicalPages(), cfg.totalChips(),
               cfg.blocksPerChip(), cfg.geometry.pagesPerBlock),
-      blocks(cfg), lines(cfg, blocks, mapping)
+      blocks(cfg)
 {
     // Every chip of every drive of this type shares one wear model.
     const auto wear = WearModel::forType(cfg.chipType);
@@ -55,7 +55,6 @@ Ftl::Ftl(const SsdConfig &cfg_, EventQueue &eq_)
     }
     gcJobs.resize(static_cast<std::size_t>(cfg.totalChips()) *
                   cfg.geometry.planes);
-    blocks.setLineManager(&lines);
     burstTouched.assign(cfg.totalChips(), 0);
     burstChips.reserve(cfg.totalChips());
     gcLive.resize(static_cast<std::size_t>(cfg.geometry.pagesPerBlock));
@@ -201,7 +200,7 @@ Ftl::functionalGc(int chip, int plane)
     // pages move as runs: one allocation, mapping update and program
     // call per destination block they land in.
     while (blocks.freeBlocks(chip, plane) <= cfg.gcLowWatermark) {
-        const BlockId victim = lines.pickVictim(chip, plane);
+        const BlockId victim = blocks.pickVictim(chip, plane, mapping);
         if (victim == kInvalidBlock)
             return;
         if (mapping.validPages(chip, victim) >=
@@ -428,19 +427,9 @@ Ftl::maybeStartGc(int chip, int plane)
 {
     if (blocks.freeBlocks(chip, plane) > cfg.gcLowWatermark)
         return;
-    auto &slot = gcJobs[planeKey(chip, plane)];
-    if (slot)
+    if (gcJobs[planeKey(chip, plane)])
         return;  // a job is already running on this plane
-    const BlockId victim = lines.pickVictim(chip, plane);
-    if (victim == kInvalidBlock)
-        return;
-    slot = std::make_unique<GcJob>();
-    slot->chip = chip;
-    slot->plane = plane;
-    slot->victim = victim;
-    activeGcJobs += 1;
-    stats.gcInvocations += 1;
-    gcStep(slot.get());
+    launchJob(chip, plane, blocks.pickVictim(chip, plane, mapping), false);
 }
 
 void
@@ -448,20 +437,28 @@ Ftl::maybeStartWearLevel(int chip, int plane)
 {
     if (cfg.wearLevel != WearLevel::Static)
         return;
-    auto &slot = gcJobs[planeKey(chip, plane)];
-    if (slot)
+    if (gcJobs[planeKey(chip, plane)])
         return;  // the plane is busy (GC restarted first)
-    const BlockId victim =
-        pickColdVictim(chip, plane, blocks, cfg.wlEraseDelta);
+    launchJob(chip, plane,
+              blocks.pickColdVictim(chip, plane, cfg.wlEraseDelta), true);
+}
+
+void
+Ftl::launchJob(int chip, int plane, BlockId victim, bool wear_level)
+{
     if (victim == kInvalidBlock)
         return;
+    auto &slot = gcJobs[planeKey(chip, plane)];
     slot = std::make_unique<GcJob>();
     slot->chip = chip;
     slot->plane = plane;
     slot->victim = victim;
-    slot->wearLevel = true;
+    slot->wearLevel = wear_level;
     activeGcJobs += 1;
-    stats.wlInvocations += 1;
+    if (wear_level)
+        stats.wlInvocations += 1;
+    else
+        stats.gcInvocations += 1;
     gcStep(slot.get());
 }
 

@@ -17,9 +17,7 @@
 
 #include "ssd/block_manager.hh"
 #include "ssd/chip_agent.hh"
-#include "ssd/line_manager.hh"
 #include "ssd/mapping.hh"
-#include "ssd/wear_level.hh"
 #include "workload/trace.hh"
 
 namespace aero
@@ -60,7 +58,6 @@ class Ftl : public FtlCallbacks
     NandChip &chipAt(int i);
     const PageMapping &pageMapping() const { return mapping; }
     const BlockManager &blockManager() const { return blocks; }
-    const LineManager &lineManager() const { return lines; }
 
     /** @name FtlCallbacks */
     /** @{ */
@@ -101,6 +98,8 @@ class Ftl : public FtlCallbacks
     void onHostPageDone(std::uint64_t request_id);
     void maybeStartGc(int chip, int plane);
     void maybeStartWearLevel(int chip, int plane);
+    /** Run a GC (or wear-leveling) job on @p victim, if there is one. */
+    void launchJob(int chip, int plane, BlockId victim, bool wear_level);
     void gcStep(GcJob *job);
     void retryStalledWrites();
     bool anyGcActive() const { return activeGcJobs > 0; }
@@ -115,7 +114,6 @@ class Ftl : public FtlCallbacks
     PageMapping mapping;
     BlockManager blocks;
     SsdMetrics stats;
-    LineManager lines;
 
     /** @name Read-burst admission scratch (see flushReadBurst) */
     /** @{ */

@@ -3,10 +3,10 @@
  * Garbage-collection victim selection: the GC policy names a victim
  * order, and gcKey() computes it.
  *
- * A policy does not scan the plane itself: when GC needs a victim, the
- * LineManager (ssd/line_manager.hh) scans the plane's Full blocks and
- * keeps the lowest (score, tie, block) key, with the block id as the
- * final tie-breaker so the order is total and selection is
+ * A policy does not scan the plane itself: when GC needs a victim,
+ * BlockManager::pickVictim (ssd/block_manager.hh) scans the plane's Full
+ * blocks and keeps the lowest (score, tie, block) key, with the block id
+ * as the final tie-breaker so the order is total and selection is
  * deterministic. gcKey() reads only the GcLineInfo fields (valid pages,
  * fill stamp, erase count, block id), never the simulated clock.
  *

@@ -14,19 +14,17 @@
  *             least-worn Full block (cold data pinning a young block) is
  *             relocated and erased so it rejoins the rotation. Costs
  *             copies (tracked as wlMigratedPages) but levels even
- *             never-overwritten data. The FTL asks pickColdVictim().
+ *             never-overwritten data. The FTL asks
+ *             BlockManager::pickColdVictim().
  */
 
 #ifndef AERO_SSD_WEAR_LEVEL_HH
 #define AERO_SSD_WEAR_LEVEL_HH
 
 #include "common/names.hh"
-#include "common/types.hh"
 
 namespace aero
 {
-
-class BlockManager;
 
 /** Wear-leveling policy (see the file comment). */
 enum class WearLevel
@@ -46,14 +44,6 @@ nameTable(WearLevel)
     };
     return {"wear-level policy", rows};
 }
-
-/**
- * Static WL: the cold Full block of (chip, plane) to relocate, or
- * kInvalidBlock while the plane's erase-count spread is below
- * @p eraseDelta.
- */
-BlockId pickColdVictim(int chip, int plane, const BlockManager &blocks,
-                       int eraseDelta);
 
 } // namespace aero
 

@@ -49,7 +49,6 @@ conditionedStateDigest(Ssd &ssd)
     const SsdConfig &cfg = ftl.config();
     const PageMapping &map = ftl.pageMapping();
     const BlockManager &blocks = ftl.blockManager();
-    const LineManager &lines = ftl.lineManager();
     Fnv1a h;
     for (Lpn lpn = 0; lpn < map.logicalPages(); ++lpn)
         h.add(map.lookup(lpn));
@@ -62,7 +61,7 @@ conditionedStateDigest(Ssd &ssd)
             h.add(static_cast<std::uint64_t>(map.validPages(c, id)));
             h.add(static_cast<std::uint64_t>(blocks.state(c, id)));
             h.add(blocks.eraseCount(c, id));
-            h.add(lines.lineInfo(c, id).openSeq);
+            h.add(blocks.fillStamp(c, id));
             const Block &blk = chip.block(id);
             h.add(blk.pec());
             h.add(blk.wear());

@@ -171,14 +171,15 @@ TEST(JournalFormat, HeaderAndRecordBytesArePinned)
 }
 
 // --------------------------------------------------------------------------
-// Durability: the per-record fsync knob and its env override.
+// Durability: the per-record fsync switch, AERO_JOURNAL_FSYNC.
 // --------------------------------------------------------------------------
 
 TEST(Durability, FsyncRecordsCountsEveryAppend)
 {
+    setenv("AERO_JOURNAL_FSYNC", "1", 1);
     const std::string path = tempPath("fsync.dir");
-    CampaignJournal journal(path, "unit-test", unitConfig(),
-                            /*fsyncRecords=*/true);
+    CampaignJournal journal(path, "unit-test", unitConfig());
+    unsetenv("AERO_JOURNAL_FSYNC");
     EXPECT_EQ(journal.recordSyncCount(), 1u);  // the header
     journal.record(taskKey(0), Json(0));
     journal.record(taskKey(1), Json(1));
@@ -202,9 +203,8 @@ TEST(Durability, DefaultIsFlushOnlyAndEnvOverridesBothWays)
     }
     setenv("AERO_JOURNAL_FSYNC", "0", 1);
     {
-        // The env wins in both directions.
         CampaignJournal journal(tempPath("envoff.dir"), "unit-test",
-                                unitConfig(), /*fsyncRecords=*/true);
+                                unitConfig());
         journal.record(taskKey(0), Json(0));
         EXPECT_EQ(journal.recordSyncCount(), 0u);
     }

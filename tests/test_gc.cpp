@@ -1,13 +1,14 @@
 /**
  * @file
- * GC victim-selection battery (ssd/gc.hh + ssd/line_manager.hh): victim
+ * Victim-selection battery (ssd/gc.hh + ssd/block_manager.hh): victim
  * key units, the fifo-log reuse-cycle regression, a randomized
- * differential check of the line manager's plane scan against a
- * test-local oracle that recounts valid pages from the P2L table and
- * stamps fills itself (10k sequences per policy,
- * plus one run on the bench drive), and a 50k-op mixed host/GC/WL fuzz
- * asserting mapping bijectivity, free-page accounting and wear-count
- * conservation after every reclamation cycle.
+ * differential check of BlockManager's plane scans (GC and static
+ * wear-leveling victims) against test-local oracles that recount valid
+ * pages from the P2L table and keep their own fill stamps and erase
+ * counts (10k sequences per policy, plus one run on the bench drive),
+ * and a 50k-op mixed host/GC/WL fuzz asserting mapping bijectivity,
+ * free-page accounting and wear-count conservation after every
+ * reclamation cycle.
  */
 
 #include <gtest/gtest.h>
@@ -18,13 +19,13 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
 #include "ssd/block_manager.hh"
 #include "ssd/config.hh"
 #include "ssd/gc.hh"
-#include "ssd/line_manager.hh"
 #include "ssd/mapping.hh"
 #include "ssd/wear_level.hh"
 
@@ -96,36 +97,37 @@ drive(GcPolicy policy, SsdConfig cfg = SsdConfig::tiny())
 }
 
 /**
- * A drive's worth of BlockManager + PageMapping + LineManager under the
- * config's GC policy and wear leveling, wired together the way the FTL
- * wires them (tiny geometry unless given), with functional write/trim/GC
- * helpers
- * mirroring the FTL's prefill/warmup paths and functionalGc(). The
- * fixture also keeps its own record of every block's fill order and
- * erase count for the victim oracle.
+ * A drive's worth of BlockManager + PageMapping under the config's GC
+ * policy and wear leveling (tiny geometry unless given), with functional
+ * write/trim/GC helpers mirroring the FTL's prefill/warmup paths and
+ * functionalGc(). The fixture also keeps its own record of every
+ * block's fill order and erase count for the victim oracles.
  */
-struct LineFixture
+struct BlockFixture
 {
     SsdConfig cfg;
     BlockManager blocks;
     PageMapping mapping;
-    LineManager lines;
     Lpn nextLpn = 0;
     std::vector<std::uint64_t> fillStamps;  //!< per (chip, block), 0 = none
     std::vector<std::uint64_t> erases;      //!< per (chip, block)
     std::uint64_t fills = 0;
 
-    explicit LineFixture(const SsdConfig &config = SsdConfig::tiny())
+    explicit BlockFixture(const SsdConfig &config = SsdConfig::tiny())
         : cfg(config), blocks(cfg),
           mapping(cfg.logicalPages(), cfg.totalChips(), cfg.blocksPerChip(),
                   cfg.geometry.pagesPerBlock),
-          lines(cfg, blocks, mapping),
           fillStamps(static_cast<std::size_t>(cfg.totalChips()) *
                          cfg.blocksPerChip(),
                      0),
           erases(fillStamps.size(), 0)
     {
-        blocks.setLineManager(&lines);
+    }
+
+    BlockId
+    victim(int chip, int plane) const
+    {
+        return blocks.pickVictim(chip, plane, mapping);
     }
 
     int pagesPerBlock() const { return cfg.geometry.pagesPerBlock; }
@@ -200,7 +202,7 @@ struct LineFixture
 
 /** Valid pages of a block, recounted from the P2L table. */
 int
-recountValid(const LineFixture &fx, int chip, BlockId block)
+recountValid(const BlockFixture &fx, int chip, BlockId block)
 {
     int valid = 0;
     for (int page = 0; page < fx.pagesPerBlock(); ++page) {
@@ -212,13 +214,13 @@ recountValid(const LineFixture &fx, int chip, BlockId block)
 }
 
 /**
- * Victim oracle independent of LineManager: the candidates are the
+ * Victim oracle independent of BlockManager's scan: the candidates are the
  * plane's blocks in state Full, scored by the policy over inputs the
  * fixture derives itself (P2L recount, its own fill stamps and erase
  * counts), ordered by (score, tie, block).
  */
 BlockId
-oracleVictim(const LineFixture &fx, int chip, int plane)
+oracleVictim(const BlockFixture &fx, int chip, int plane)
 {
     const int per_plane = fx.cfg.geometry.blocksPerPlane;
     BlockId best = kInvalidBlock;
@@ -243,9 +245,38 @@ oracleVictim(const LineFixture &fx, int chip, int plane)
     return best;
 }
 
-TEST(LineManager, GreedyPicksFewestValidPages)
+/**
+ * Static wear-leveling oracle independent of BlockManager's scan: the
+ * least-erased Full block (lowest id on ties), taken only when some
+ * block of the plane, Full or not, has at least @p erase_delta more
+ * erases. Erase counts are the fixture's own.
+ */
+BlockId
+oracleColdVictim(const BlockFixture &fx, int chip, int plane,
+                 int erase_delta)
 {
-    LineFixture fx;
+    const int per_plane = fx.cfg.geometry.blocksPerPlane;
+    std::vector<std::pair<std::uint64_t, BlockId>> full;
+    std::vector<std::uint64_t> all;
+    for (int i = 0; i < per_plane; ++i) {
+        const auto b = static_cast<BlockId>(plane * per_plane + i);
+        const std::uint64_t ec = fx.erases[fx.slot(chip, b)];
+        all.push_back(ec);
+        if (fx.blocks.state(chip, b) == BlockState::Full)
+            full.emplace_back(ec, b);
+    }
+    if (full.empty())
+        return kInvalidBlock;
+    const auto coldest = *std::min_element(full.begin(), full.end());
+    const std::uint64_t hottest = *std::max_element(all.begin(), all.end());
+    if (hottest - coldest.first < static_cast<std::uint64_t>(erase_delta))
+        return kInvalidBlock;
+    return coldest.second;
+}
+
+TEST(BlockManager, GreedyPicksFewestValidPages)
+{
+    BlockFixture fx;
     const std::vector<int> keep = {5, 2, 9};
     std::vector<BlockId> full;
     for (const int k : keep) {
@@ -253,48 +284,47 @@ TEST(LineManager, GreedyPicksFewestValidPages)
         for (int i = 0; i < fx.pagesPerBlock() - k; ++i)
             fx.trim(fx.nextLpn - 1 - static_cast<Lpn>(i));
     }
-    EXPECT_EQ(fx.lines.pickVictim(0, 0), full[1]);
+    EXPECT_EQ(fx.victim(0, 0), full[1]);
     EXPECT_EQ(oracleVictim(fx, 0, 0), full[1]);
 }
 
-TEST(LineManager, GreedyBreaksTiesTowardLowestBlockId)
+TEST(BlockManager, GreedyBreaksTiesTowardLowestBlockId)
 {
-    LineFixture fx;
+    BlockFixture fx;
     std::vector<BlockId> full;
     for (int b = 0; b < 3; ++b) {
         full.push_back(fx.fillBlock(0, 0));
         for (int i = 0; i < fx.pagesPerBlock() - 4; ++i)
             fx.trim(fx.nextLpn - 1 - static_cast<Lpn>(i));
     }
-    EXPECT_EQ(fx.lines.pickVictim(0, 0),
+    EXPECT_EQ(fx.victim(0, 0),
               *std::min_element(full.begin(), full.end()));
 }
 
-TEST(LineManager, NoFullBlocksMeansNoVictim)
+TEST(BlockManager, NoFullBlocksMeansNoVictim)
 {
-    LineFixture fx;
-    EXPECT_EQ(fx.lines.pickVictim(0, 0), kInvalidBlock);
-    EXPECT_TRUE(fx.blocks.fullBlocks(0, 0).empty());
+    BlockFixture fx;
+    EXPECT_EQ(fx.victim(0, 0), kInvalidBlock);
     // An Open (not yet Full) block is not a candidate either.
     BlockId blk = kInvalidBlock;
     int page = 0;
     ASSERT_TRUE(fx.blocks.allocate(0, 0, blk, page));
-    EXPECT_EQ(fx.lines.pickVictim(0, 0), kInvalidBlock);
+    EXPECT_EQ(fx.victim(0, 0), kInvalidBlock);
 }
 
-TEST(LineManager, ErasedVictimIsNoLongerACandidate)
+TEST(BlockManager, ErasedVictimIsNoLongerACandidate)
 {
-    LineFixture fx;
+    BlockFixture fx;
     const BlockId a = fx.fillBlock(0, 0);
     const BlockId b = fx.fillBlock(0, 0);
     // Empty block a entirely so collecting it migrates nothing.
     for (Lpn lpn = 0; lpn < static_cast<Lpn>(fx.pagesPerBlock()); ++lpn)
         fx.trim(lpn);
-    ASSERT_EQ(fx.lines.pickVictim(0, 0), a);
+    ASSERT_EQ(fx.victim(0, 0), a);
     fx.collect(0, a);
-    EXPECT_EQ(fx.lines.pickVictim(0, 0), b);
-    const auto remaining = fx.blocks.fullBlocks(0, 0);
-    EXPECT_EQ(remaining, std::vector<BlockId>{b});
+    EXPECT_EQ(fx.victim(0, 0), b);
+    EXPECT_EQ(fx.blocks.state(0, a), BlockState::Free);
+    EXPECT_EQ(fx.blocks.state(0, b), BlockState::Full);
 }
 
 /**
@@ -302,9 +332,9 @@ TEST(LineManager, ErasedVictimIsNoLongerACandidate)
  * block id, which replays an erased-and-refilled low-id block ahead of
  * data written long before it. fifo-log must pick the oldest *fill*.
  */
-TEST(LineManager, FifoLogSurvivesBlockReuse)
+TEST(BlockManager, FifoLogSurvivesBlockReuse)
 {
-    LineFixture fx(drive(GcPolicy::FifoLog));
+    BlockFixture fx(drive(GcPolicy::FifoLog));
     const BlockId a = fx.fillBlock(0, 0);
     const BlockId b = fx.fillBlock(0, 0);
     ASSERT_LT(a, b);
@@ -317,26 +347,28 @@ TEST(LineManager, FifoLogSurvivesBlockReuse)
     const BlockId c = fx.fillBlock(0, 0);
     ASSERT_NE(c, a);
     // Block-id order would pick a; log order must pick b.
-    EXPECT_EQ(fx.lines.pickVictim(0, 0), b);
-    EXPECT_LT(fx.lines.lineInfo(0, b).openSeq,
-              fx.lines.lineInfo(0, a).openSeq);
+    EXPECT_EQ(fx.victim(0, 0), b);
+    EXPECT_LT(fx.blocks.fillStamp(0, b), fx.blocks.fillStamp(0, a));
 }
 
-TEST(LineManager, TracksValidCountsAgainstTheMapping)
+TEST(BlockManager, TracksValidCountsAgainstTheMapping)
 {
-    LineFixture fx;
+    BlockFixture fx;
     for (int b = 0; b < 4; ++b)
         fx.fillBlock(0, 0);
     std::mt19937_64 rng(17);
     for (int i = 0; i < 64; ++i)
         fx.trim(rng() % fx.nextLpn);
-    for (const BlockId blk : fx.blocks.fullBlocks(0, 0))
+    for (int b = 0; b < fx.cfg.geometry.blocksPerPlane; ++b) {
+        const auto blk = static_cast<BlockId>(b);
         EXPECT_EQ(fx.mapping.validPages(0, blk), recountValid(fx, 0, blk));
+    }
 }
 
 /**
  * Differential engine: one randomized churn step (overwrite / trim /
- * GC), then require LineManager::pickVictim and the oracle to agree.
+ * GC), then require BlockManager's GC and static wear-leveling victims
+ * to agree with the oracles.
  * Each step is one randomized invalidation sequence against a drive
  * state no other step has seen. The step's own plane is compared after
  * every step and every plane after every `all_planes_every` steps (a
@@ -347,7 +379,7 @@ differentialChurn(GcPolicy policy, std::uint64_t seed, int steps,
                   const SsdConfig &cfg = SsdConfig::tiny(),
                   int all_planes_every = 1)
 {
-    LineFixture fx(drive(policy, cfg));
+    BlockFixture fx(drive(policy, cfg));
     std::mt19937_64 rng(seed);
     // Start from a mostly-written drive so Full blocks exist early.
     const Lpn span = fx.cfg.logicalPages();
@@ -362,7 +394,7 @@ differentialChurn(GcPolicy policy, std::uint64_t seed, int steps,
         // Reclaim ahead of the writes so allocation never wedges.
         if (fx.blocks.freeBlocks(chip, plane) <=
             fx.cfg.gcLowWatermark) {
-            const BlockId victim = fx.lines.pickVictim(chip, plane);
+            const BlockId victim = fx.victim(chip, plane);
             if (victim != kInvalidBlock)
                 fx.collect(chip, victim);
         }
@@ -372,7 +404,7 @@ differentialChurn(GcPolicy policy, std::uint64_t seed, int steps,
         } else if (dice < 9) {
             fx.trim(rng() % span);
         } else {
-            const BlockId victim = fx.lines.pickVictim(chip, plane);
+            const BlockId victim = fx.victim(chip, plane);
             if (victim != kInvalidBlock)
                 fx.collect(chip, victim);
         }
@@ -381,25 +413,29 @@ differentialChurn(GcPolicy policy, std::uint64_t seed, int steps,
             for (int p = 0; p < fx.cfg.geometry.planes; ++p) {
                 if (!all_planes && (c != chip || p != plane))
                     continue;
-                ASSERT_EQ(fx.lines.pickVictim(c, p), oracleVictim(fx, c, p))
+                ASSERT_EQ(fx.victim(c, p), oracleVictim(fx, c, p))
                     << enumName(policy) << " diverged at step " << step
                     << " chip " << c << " plane " << p;
+                ASSERT_EQ(fx.blocks.pickColdVictim(c, p, 1),
+                          oracleColdVictim(fx, c, p, 1))
+                    << "cold victim diverged at step " << step << " chip "
+                    << c << " plane " << p;
             }
         }
     }
 }
 
-TEST(LineManagerDifferential, GreedyMatchesBruteForceOver10kSequences)
+TEST(BlockManagerDifferential, GreedyMatchesBruteForceOver10kSequences)
 {
     differentialChurn(GcPolicy::Greedy, 0xAE01, 10000);
 }
 
-TEST(LineManagerDifferential, CostBenefitMatchesBruteForceOver10kSequences)
+TEST(BlockManagerDifferential, CostBenefitMatchesBruteForceOver10kSequences)
 {
     differentialChurn(GcPolicy::CostBenefit, 0xAE02, 10000);
 }
 
-TEST(LineManagerDifferential, FifoLogMatchesBruteForceOver10kSequences)
+TEST(BlockManagerDifferential, FifoLogMatchesBruteForceOver10kSequences)
 {
     differentialChurn(GcPolicy::FifoLog, 0xAE03, 10000);
 }
@@ -410,7 +446,7 @@ TEST(LineManagerDifferential, FifoLogMatchesBruteForceOver10kSequences)
  * plane takes turns as a candidate; LIFO reuse leaves the top few ids
  * of each plane free for the whole run.
  */
-TEST(LineManagerDifferential, CostBenefitMatchesBruteForceOnTheBenchDrive)
+TEST(BlockManagerDifferential, CostBenefitMatchesBruteForceOnTheBenchDrive)
 {
     SsdConfig cfg = SsdConfig::bench();
     cfg.wearLevel = WearLevel::Dynamic;
@@ -455,7 +491,7 @@ struct OpLog
  *    the drive-wide total.
  */
 void
-checkFuzzInvariants(LineFixture &fx,
+checkFuzzInvariants(BlockFixture &fx,
                     std::vector<std::uint64_t> &last_erase_counts,
                     const OpLog &log)
 {
@@ -534,7 +570,7 @@ TEST(GcFuzz, MixedTrafficPreservesInvariantsOver50kOps)
 {
     SsdConfig cfg = SsdConfig::tiny();
     cfg.wearLevel = WearLevel::Dynamic;
-    LineFixture fx(cfg);
+    BlockFixture fx(cfg);
     std::mt19937_64 rng(0xA3205024);
     OpLog log;
     std::vector<std::uint64_t> last_erase_counts(
@@ -553,7 +589,7 @@ TEST(GcFuzz, MixedTrafficPreservesInvariantsOver50kOps)
         const int chip = static_cast<int>(rng() % fx.cfg.totalChips());
         const int plane = static_cast<int>(rng() % fx.cfg.geometry.planes);
         if (fx.blocks.freeBlocks(chip, plane) <= fx.cfg.gcLowWatermark) {
-            const BlockId victim = fx.lines.pickVictim(chip, plane);
+            const BlockId victim = fx.victim(chip, plane);
             if (victim != kInvalidBlock) {
                 note("gc", chip, plane, victim);
                 fx.collect(chip, victim);
@@ -573,7 +609,10 @@ TEST(GcFuzz, MixedTrafficPreservesInvariantsOver50kOps)
         } else {
             // Wear-leveling traffic: relocate the cold block the static
             // policy would pick at an aggressive spread threshold.
-            const BlockId cold = pickColdVictim(chip, plane, fx.blocks, 1);
+            const BlockId cold = fx.blocks.pickColdVictim(chip, plane, 1);
+            ASSERT_EQ(cold, oracleColdVictim(fx, chip, plane, 1))
+                << "cold victim diverged on chip " << chip << " plane "
+                << plane << "\n" << log.dump();
             if (cold != kInvalidBlock &&
                 fx.blocks.freeBlocks(chip, plane) >
                     fx.cfg.gcLowWatermark) {

@@ -245,7 +245,6 @@ TEST(Fig17, WeakerEccShrinksButKeepsAeroBenefit)
     cfg.farm = smallFarm(15);
     cfg.farm.numChips = 4;
     cfg.farm.blocksPerChip = 10;
-    cfg.rberRequirement = 40.0;
     cfg.schemeOptions.rberRequirement = 40;
     LifetimeTester tester(cfg);
     const auto cons = tester.run(SchemeKind::AeroCons);

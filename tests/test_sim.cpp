@@ -672,20 +672,6 @@ TEST(BlockManager, PlanesAreIndependent)
     EXPECT_EQ(bm.planeOf(b), 1);
 }
 
-TEST(BlockManager, FullBlocksListsOnlyFull)
-{
-    const auto cfg = tinyCfg();
-    BlockManager bm(cfg);
-    BlockId blk;
-    int page;
-    for (int i = 0; i < cfg.geometry.pagesPerBlock; ++i)
-        ASSERT_TRUE(bm.allocate(1, 0, blk, page));
-    const auto full = bm.fullBlocks(1, 0);
-    ASSERT_EQ(full.size(), 1u);
-    EXPECT_EQ(full[0], blk);
-    EXPECT_TRUE(bm.fullBlocks(1, 1).empty());
-}
-
 TEST(BlockManager, EraseOfNonFullBlockPanics)
 {
     BlockManager bm(tinyCfg());

@@ -103,7 +103,7 @@ TEST(WearLevelStatic, ColdVictimRequiresTheFullSpread)
 {
     WearFixture fx;
     // No Full block anywhere: nothing to migrate.
-    EXPECT_EQ(pickColdVictim(0, 0, fx.blocks, 1), kInvalidBlock);
+    EXPECT_EQ(fx.blocks.pickColdVictim(0, 0, 1), kInvalidBlock);
 
     // Fill one block (leave it Full) and churn another plane-0 block
     // until the spread reaches the threshold.
@@ -115,12 +115,12 @@ TEST(WearLevelStatic, ColdVictimRequiresTheFullSpread)
 
     // Spread 1 < delta 2: below threshold, no victim yet.
     fx.churnOneBlock(0, 0);
-    EXPECT_EQ(pickColdVictim(0, 0, fx.blocks, 2), kInvalidBlock);
+    EXPECT_EQ(fx.blocks.pickColdVictim(0, 0, 2), kInvalidBlock);
     // Second churn reuses the same LIFO block: spread reaches 2.
     fx.churnOneBlock(0, 0);
-    EXPECT_EQ(pickColdVictim(0, 0, fx.blocks, 2), cold);
+    EXPECT_EQ(fx.blocks.pickColdVictim(0, 0, 2), cold);
     // A stricter threshold still declines.
-    EXPECT_EQ(pickColdVictim(0, 0, fx.blocks, 3), kInvalidBlock);
+    EXPECT_EQ(fx.blocks.pickColdVictim(0, 0, 3), kInvalidBlock);
 }
 
 // ---------------------------------------------------------------------------
@@ -131,13 +131,23 @@ TEST(WearLevelStatic, ColdVictimRequiresTheFullSpread)
 
 // Peak (max - min) erase count over every (chip, plane).
 std::uint64_t
-maxEraseSpread(const BlockManager &blocks)
+maxEraseSpread(const BlockManager &blocks, const SsdConfig &cfg)
 {
+    const int per_plane = cfg.geometry.blocksPerPlane;
     std::uint64_t spread = 0;
-    for (int c = 0; c < blocks.chips(); ++c)
-        for (int p = 0; p < blocks.planes(); ++p)
-            spread = std::max(spread, blocks.maxEraseCount(c, p) -
-                                          blocks.minEraseCount(c, p));
+    for (int c = 0; c < blocks.chips(); ++c) {
+        for (int p = 0; p < blocks.planes(); ++p) {
+            std::uint64_t lo = ~0ULL;
+            std::uint64_t hi = 0;
+            for (int i = 0; i < per_plane; ++i) {
+                const std::uint64_t ec = blocks.eraseCount(
+                    c, static_cast<BlockId>(p * per_plane + i));
+                lo = std::min(lo, ec);
+                hi = std::max(hi, ec);
+            }
+            spread = std::max(spread, hi - lo);
+        }
+    }
     return spread;
 }
 
@@ -156,7 +166,7 @@ runSpread(WearLevel wear_level)
     wc.seed = 31;
     ssd.run(generateTrace(wc));
     EXPECT_GT(ssd.metrics().erases, 0u);
-    return maxEraseSpread(ssd.ftl().blockManager());
+    return maxEraseSpread(ssd.ftl().blockManager(), ssd.config());
 }
 
 TEST(WearLevelSystem, LevelingNarrowsTheEraseSpread)
