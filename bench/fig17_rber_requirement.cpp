@@ -3,13 +3,17 @@
  * Reproduces Fig. 17: sensitivity to the RBER requirement {40, 50, 63}
  * bits per 1 KiB (weaker ECC shrinks the margin AERO can spend).
  * The three requirements run as independent thread-pool tasks (each
- * lifetime run is itself chip-sharded), as do the latency grid points;
- * `--json`/`--csv` drop an `aero-devchar/1` artifact, `--small` runs
- * the regression-gate config.
+ * lifetime run is itself chip-sharded); the latency side is two
+ * SweepSpecs, one Baseline reference per PEC (Baseline ignores the
+ * requirement) plus AERO over PEC x requirement. `--json`/`--csv` drop
+ * an `aero-devchar/1` artifact, `--small` runs the regression-gate
+ * config.
  *
  * Paper reference: AERO still beats AERO-CONS by ~14% in lifetime at the
  * 40-bit requirement, with the largest benefit around 2.5K PEC.
  */
+
+#include <tuple>
 
 #include "bench_util.hh"
 #include "devchar/lifetime.hh"
@@ -33,33 +37,26 @@ main(int argc, char **argv)
     report.spec["blocks_per_chip"] = farm_blocks;
     report.spec["small"] = artifacts.small;
 
-    const auto requests = artifacts.small
-        ? std::uint64_t{10000}
-        : defaultSimRequests();
+    // Latency side, prxy at 0.5K/2.5K: declared up front so the
+    // journal's config fingerprints both sweeps.
+    SweepSpec base_spec;
+    base_spec.pecs = {500.0, 2500.0};
+    base_spec.requests =
+        artifacts.small ? std::uint64_t{10000} : defaultSimRequests();
+    SweepSpec spec = base_spec;
+    spec.schemes = {SchemeKind::Aero};
+    spec.rberRequirements = requirements;
     Json journal_cfg = bench::farmJournalConfig(
         farm_chips, farm_blocks, FarmConfig{}.seed, artifacts.small);
     journal_cfg["rber_requirements"] = bench::jsonArray(requirements);
-    journal_cfg["requests"] = requests;
+    journal_cfg["latency_baseline_spec"] = configOf(base_spec);
+    journal_cfg["latency_aero_spec"] = configOf(spec);
 
     struct LifetimeRow
     {
         LifetimeResult base, cons, aero;
     };
-    struct LatencyPoint
-    {
-        int req;
-        double pec;
-    };
-    std::vector<LatencyPoint> points;
-    for (const int req : requirements) {
-        for (const double pec : {500.0, 2500.0})
-            points.push_back({req, pec});
-    }
-    struct LatencyRow
-    {
-        SimResult base, aero;
-    };
-    const auto [lifetimes, latencies] = runCampaign(
+    const auto [lifetimes, base_results, results] = runCampaign(
         artifacts.campaign, "fig17_rber_requirement",
         std::move(journal_cfg), [&](const CampaignScope &scope) {
             auto lifetimes = parallelMapJournaled(
@@ -93,37 +90,12 @@ main(int argc, char **argv)
                         lifetimeResultFromJson(j.get("aero_cons")),
                         lifetimeResultFromJson(j.get("aero"))};
                 });
-
-            auto latencies = parallelMapJournaled(
-                scope.journal, points,
-                [&](std::size_t, const LatencyPoint &pt) {
-                    Json key = scope.base();
-                    key["stage"] = "latency";
-                    key["rber_requirement"] = pt.req;
-                    key["pec"] = pt.pec;
-                    return key;
-                },
-                [&](const LatencyPoint &pt) {
-                    SimPoint bp;
-                    bp.workload = "prxy";
-                    bp.pec = pt.pec;
-                    bp.requests = requests;
-                    bp.rberRequirement = pt.req;
-                    SimPoint ap = bp;
-                    ap.scheme = SchemeKind::Aero;
-                    return LatencyRow{runSimPoint(bp), runSimPoint(ap)};
-                },
-                [](const LatencyRow &row) {
-                    Json j = Json::object();
-                    j["baseline"] = toJson(row.base);
-                    j["aero"] = toJson(row.aero);
-                    return j;
-                },
-                [](const Json &j) {
-                    return LatencyRow{simResultFromJson(j.get("baseline")),
-                                      simResultFromJson(j.get("aero"))};
-                });
-            return std::make_pair(std::move(lifetimes), std::move(latencies));
+            auto base = SweepRunner().run(
+                base_spec, scope.with("stage", "latency-baseline"));
+            auto aero = SweepRunner().run(
+                spec, scope.with("stage", "latency-aero"));
+            return std::make_tuple(std::move(lifetimes), std::move(base),
+                                   std::move(aero));
         });
 
     std::printf("lifetime under each requirement (PEC)\n");
@@ -151,27 +123,31 @@ main(int argc, char **argv)
     }
     bench::rule();
 
-    report.spec["requests"] = requests;
+    report.spec["requests"] = spec.requests;
 
     std::printf("\nAERO read-tail latency vs requirement (prxy, "
                 "normalized to Baseline at same requirement)\n");
     bench::rule();
     std::printf("%5s | %6s | %10s | %10s\n", "req", "PEC", "p99.99",
                 "p99.9999");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const auto &pt = points[i];
-        const auto &row = latencies[i];
-        std::printf("%5d | %6.0f | %10.2f | %10.2f\n", pt.req, pt.pec,
-                    row.aero.p9999Us / row.base.p9999Us,
-                    row.aero.p999999Us / row.base.p999999Us);
-        Json j = Json::object();
-        j["kind"] = "latency";
-        j["rber_requirement"] = pt.req;
-        j["pec"] = pt.pec;
-        j["p9999_vs_baseline"] = row.aero.p9999Us / row.base.p9999Us;
-        j["p999999_vs_baseline"] =
-            row.aero.p999999Us / row.base.p999999Us;
-        report.addRow(std::move(j));
+    for (std::size_t ri = 0; ri < requirements.size(); ++ri) {
+        for (std::size_t pi = 0; pi < spec.pecs.size(); ++pi) {
+            const auto &base =
+                base_results[base_spec.index({{Axis::Pec, pi}})];
+            const auto &aero = results[spec.index(
+                {{Axis::Pec, pi}, {Axis::RberRequirement, ri}})];
+            std::printf("%5d | %6.0f | %10.2f | %10.2f\n",
+                        requirements[ri], spec.pecs[pi],
+                        aero.p9999Us / base.p9999Us,
+                        aero.p999999Us / base.p999999Us);
+            Json j = Json::object();
+            j["kind"] = "latency";
+            j["rber_requirement"] = requirements[ri];
+            j["pec"] = spec.pecs[pi];
+            j["p9999_vs_baseline"] = aero.p9999Us / base.p9999Us;
+            j["p999999_vs_baseline"] = aero.p999999Us / base.p999999Us;
+            report.addRow(std::move(j));
+        }
     }
     bench::rule();
     bench::note("paper: weaker ECC shrinks but does not erase AERO's "

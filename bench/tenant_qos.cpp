@@ -132,8 +132,6 @@ cellFromJson(const Json &rows)
 struct CampaignSetup
 {
     std::vector<TenantSource> sources;
-    GcPolicy gcPolicy = GcPolicy::Greedy;
-    WearLevel wearLevel = WearLevel::None;
     bool slo = false;            //!< SLO mode: queued arbitration + spec
     TenantSloSpec sloSpec;       //!< budgets/weights/targets (SLO mode)
 };
@@ -144,8 +142,6 @@ runCell(const Cell &cell, const CampaignSetup &setup)
     SsdConfig cfg = SsdConfig::bench();
     cfg.scheme = cell.scheme;
     cfg.initialPec = cell.pec;
-    cfg.gcPolicy = setup.gcPolicy;
-    cfg.wearLevel = setup.wearLevel;
     if (setup.slo) {
         // Every SLO cell — including policy `none` — runs queued
         // arbitration, so the policy axis isolates enforcement, not the
@@ -247,11 +243,9 @@ noisySetup(bool small)
 int
 main(int argc, char **argv)
 {
-    // --tenants / --gc-policy / --wear-level / --slo are ours; strip
-    // them before the (strict) artifact parser.
+    // --tenants / --slo are ours; strip them before the (strict)
+    // artifact parser.
     std::string tenant_spec;
-    GcPolicy gc_policy = GcPolicy::Greedy;
-    WearLevel wear_level = WearLevel::None;
     std::string slo_arg;
     std::vector<char *> rest;
     rest.push_back(argv[0]);
@@ -261,20 +255,6 @@ main(int argc, char **argv)
                 AERO_FATAL("--tenants needs a mix spec (e.g. "
                            "'prxy:20000:7,hm:20000:1007,@trace.trc')");
             tenant_spec = argv[++i];
-            continue;
-        }
-        if (std::strcmp(argv[i], "--gc-policy") == 0) {
-            if (i + 1 >= argc)
-                AERO_FATAL("--gc-policy needs a name (valid: ",
-                           canonicalNames<GcPolicy>(), ")");
-            gc_policy = enumFromName<GcPolicy>(argv[++i]);
-            continue;
-        }
-        if (std::strcmp(argv[i], "--wear-level") == 0) {
-            if (i + 1 >= argc)
-                AERO_FATAL("--wear-level needs a name (valid: ",
-                           canonicalNames<WearLevel>(), ")");
-            wear_level = enumFromName<WearLevel>(argv[++i]);
             continue;
         }
         if (std::strcmp(argv[i], "--slo") == 0) {
@@ -299,12 +279,8 @@ main(int argc, char **argv)
                   "drive");
 
     CampaignSetup setup;
-    setup.gcPolicy = gc_policy;
-    setup.wearLevel = wear_level;
     if (noisy) {
         setup = noisySetup(artifacts.small);
-        setup.gcPolicy = gc_policy;
-        setup.wearLevel = wear_level;
         tenant_spec = "noisy";
     } else {
         // The gate mix is hermetic: fixed requests and per-tenant seeds.
@@ -360,14 +336,8 @@ main(int argc, char **argv)
     journal_cfg["schemes"] = bench::jsonArray(schemes);
     journal_cfg["pecs"] = bench::jsonArray(pecs);
     journal_cfg["small"] = artifacts.small;
-    // Reclamation axes only appear when swept off their defaults so the
-    // golden artifact and old journals stay byte-identical.
-    if (gc_policy != GcPolicy::Greedy)
-        journal_cfg["gc_policy"] = enumName(gc_policy);
-    if (wear_level != WearLevel::None)
-        journal_cfg["wear_level"] = enumName(wear_level);
-    // Same for the SLO study: the campaign fingerprint gains the spec
-    // and policy axis only in SLO mode.
+    // The campaign fingerprint gains the spec and policy axis only in
+    // SLO mode, so plain journals keep their bytes.
     if (setup.slo) {
         journal_cfg["slo_spec"] = renderTenantSloSpec(setup.sloSpec);
         journal_cfg["slo_policies"] = bench::jsonArray(policies);
@@ -431,33 +401,20 @@ main(int argc, char **argv)
     bench::DevcharReport report("tenant_qos", axes, "aero-tenant/1");
     report.spec["tenants"] = tenant_spec;
     report.spec["small"] = artifacts.small;
-    if (gc_policy != GcPolicy::Greedy)
-        report.spec["gc_policy"] = enumName(gc_policy);
-    if (wear_level != WearLevel::None)
-        report.spec["wear_level"] = enumName(wear_level);
     if (setup.slo)
         report.spec["slo_spec"] = renderTenantSloSpec(setup.sloSpec);
     for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-        for (const auto &t : results[ci].rows) {
+        const Json tenants = toJson(results[ci]);
+        for (std::size_t t = 0; t < tenants.size(); ++t) {
             Json row = Json::object();
             if (setup.slo)
                 row["slo_policy"] = enumName(cells[ci].policy);
             row["scheme"] = schemeKindName(cells[ci].scheme);
             row["pec"] = cells[ci].pec;
-            row["tenant"] = static_cast<std::uint64_t>(t.tenant);
-            row["source"] = t.source;
-            row["reads"] = t.reads;
-            row["writes"] = t.writes;
-            row["avg_read_us"] = t.avgReadUs;
-            row["p99_us"] = t.p99Us;
-            row["p999_us"] = t.p999Us;
-            if (t.slo) {
-                row["throttle_deferrals"] = t.throttleDeferrals;
-                row["throttle_deferred_ms"] = t.throttleDeferredMs;
-                if (t.p99TargetUs != 0) {
-                    row["p99_target_us"] = t.p99TargetUs;
-                    row["p99_attained"] = t.p99Attained;
-                }
+            const Json &metrics = tenants.at(t);
+            for (std::size_t m = 0; m < metrics.size(); ++m) {
+                const auto &[name, value] = metrics.member(m);
+                row[name] = value;
             }
             report.addRow(std::move(row));
         }

@@ -5,8 +5,8 @@
  * machine-readable artifacts. Every sweep axis has a flag named after its
  * spec key (exp/sweep.hh's axis table): --workloads, --schemes, --pecs,
  * --suspensions, --misprediction-rates, --rber-requirements,
- * --gc-policies, --wear-levels, --slo-policies and --seeds, each taking
- * a comma list; --help prints them with their presets and defaults.
+ * --gc-policies, --wear-levels and --seeds, each taking a comma list;
+ * --help prints them with their presets and defaults.
  *
  *   run_sweep --workloads prxy,usr --schemes Baseline,AERO \
  *             --pecs 500,2500 --requests 20000 --seeds 7,1007 \
@@ -19,8 +19,9 @@
  * journal directory DIR (see exp/campaign.hh for the format) and, on a
  * rerun, resumes from it instead of restarting the grid from zero; the
  * final artifacts are bit-identical to an uninterrupted run at any
- * thread count. `--status DIR` prints a journal's campaign, fingerprint
- * and record counts without touching it.
+ * thread count; the journal's campaign name is always `run_sweep`.
+ * `--status DIR` prints a journal's campaign, fingerprint and record
+ * counts without touching it.
  */
 
 #include <algorithm>
@@ -64,8 +65,6 @@ usage(const char *prog)
         "  --csv path            write the CSV rows\n"
         "  --checkpoint dir      journal completed points into this "
         "directory and resume from it\n"
-        "  --campaign name       journal campaign name (default "
-        "run_sweep)\n"
         "  --status path         print a journal's campaign and record "
         "counts, then exit\n"
         "  --progress            per-point progress on stderr\n");
@@ -82,7 +81,6 @@ main(int argc, char **argv)
     bool progress = false;
     CampaignArgs campaign_args;
     std::string json_path, csv_path, status_path;
-    std::string campaign = "run_sweep";
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -114,8 +112,6 @@ main(int argc, char **argv)
             csv_path = value;
         } else if (arg == "--checkpoint") {
             campaign_args.checkpointPath = value;
-        } else if (arg == "--campaign") {
-            campaign = value;
         } else if (arg == "--status") {
             status_path = value;
         } else {
@@ -133,11 +129,10 @@ main(int argc, char **argv)
                 runner.threads());
     const auto onPoint =
         progress ? stderrProgress() : SweepRunner::Progress{};
-    // Journal under this driver's bench-style name (--campaign, by
-    // default "run_sweep") so the journal cannot be spliced into another
-    // driver's campaign by accident.
+    // Journal under this driver's bench-style name so the journal
+    // cannot be spliced into another driver's campaign by accident.
     const auto results = runCampaign(
-        campaign_args, campaign, configOf(spec),
+        campaign_args, "run_sweep", configOf(spec),
         [&](const CampaignScope &scope) {
             return runner.run(spec, scope, onPoint);
         });

@@ -464,17 +464,6 @@ runFig10Experiment(const FarmConfig &farm_cfg, const CampaignScope &scope)
 }
 
 Fig11Data
-runFig11Experiment(ChipType type, std::uint64_t seed)
-{
-    FarmConfig fc;
-    fc.type = type;
-    fc.numChips = 16;
-    fc.blocksPerChip = 24;
-    fc.seed = seed;
-    return runFig11Experiment(fc);
-}
-
-Fig11Data
 runFig11Experiment(const FarmConfig &base, const CampaignScope &scope)
 {
     Fig11Data data;

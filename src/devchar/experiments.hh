@@ -140,9 +140,7 @@ struct Fig11Data
     Fig10Data reliability;
 };
 
-Fig11Data runFig11Experiment(ChipType type, std::uint64_t seed);
-
-/** As above with an explicit farm scale (type and seed from @p base). */
+/** Run Fig. 11 on @p base's chip type, farm scale and seed. */
 Fig11Data runFig11Experiment(const FarmConfig &base,
                              const CampaignScope &scope = {});
 

@@ -56,9 +56,6 @@ pointConfig(const SimPoint &point, const SsdConfig &base)
     cfg.schemeOptions.rberRequirement = point.rberRequirement;
     cfg.gcPolicy = point.gcPolicy;
     cfg.wearLevel = point.wearLevel;
-    // The per-tenant SLO spec itself rides on the base config; the axis
-    // only selects which enforcement mechanisms are active.
-    cfg.sloPolicy = point.sloPolicy;
     cfg.seed = point.seed ^ 0x51ULL;
     return cfg;
 }

@@ -29,7 +29,6 @@ struct SimPoint
     int rberRequirement = 63;
     GcPolicy gcPolicy = GcPolicy::Greedy;
     WearLevel wearLevel = WearLevel::None;
-    SloPolicy sloPolicy = SloPolicy::None;  //!< tenant SLO enforcement
     std::uint64_t requests = 120000;
     std::uint64_t seed = 7;
 };
@@ -51,8 +50,8 @@ struct SimResult
 
 /**
  * The drive a grid point runs on: @p base with the point's axes (scheme,
- * PEC, suspension, scheme options, GC, WL, SLO policy, seed) written over
- * it. runSimPoint() simulates this drive and SweepSpec::validate()
+ * PEC, suspension, scheme options, GC, WL, seed) written over it; the
+ * rest of @p base, SLO policy and budgets included, stays as given. runSimPoint() simulates this drive and SweepSpec::validate()
  * checks it, so a sweep and its run cannot disagree about a point.
  */
 SsdConfig pointConfig(const SimPoint &point, const SsdConfig &base);

@@ -87,10 +87,6 @@ toJson(const SweepSpec &spec)
         if (values.size() == 1 && axis.omitted(values.at(0)))
             continue;
         out[axis.specKey] = std::move(values);
-        // The SLO policies enforce the base drive's budgets, so a spec
-        // that sweeps them also records (and fingerprints) the budgets.
-        if (axis.id == Axis::SloPolicy)
-            out["slo_spec"] = renderTenantSloSpec(spec.base.slo);
     }
     out["requests"] = spec.requests;
     out["drive_capacity_gib"] =

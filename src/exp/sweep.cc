@@ -171,9 +171,6 @@ sweepAxes()
                  "GC victim policies", &S::gcPolicies, &P::gcPolicy),
         makeAxis(Axis::WearLevel, "wear_levels", "wear_level", true,
                  "wear-leveling policies", &S::wearLevels, &P::wearLevel),
-        makeAxis(Axis::SloPolicy, "slo_policies", "slo_policy", true,
-                 "tenant SLO enforcement policies", &S::sloPolicies,
-                 &P::sloPolicy),
         makeAxis(Axis::Seed, "seeds", "seed", false, "per-point trace seeds",
                  &S::seeds, &P::seed),
     };

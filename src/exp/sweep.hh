@@ -7,7 +7,7 @@
  * overrides). A SweepSpec declares such a grid as one value list per
  * axis, and expand() flattens it to an ordered vector of SimPoints.
  *
- * The ten axes live in one table, sweepAxes(). Everything that walks the
+ * The nine axes live in one table, sweepAxes(). Everything that walks the
  * axes reads it: size(), expand(), index() and validate(); a point's
  * report row, which is also its journal key (toJson(SimPoint)), and its
  * decoder; the spec block and the CSV columns (exp/report.hh);
@@ -19,16 +19,20 @@
  *   - Expansion nests as the Axis enum reads (outermost first), so the
  *     seed varies fastest:
  *       PEC > suspension > workload > scheme > misprediction > RBER
- *           > GC policy > wear leveling > SLO policy > seed
+ *           > GC policy > wear leveling > seed
  *   - Report rows and the spec block list the axes in table order
  *     (workload, scheme, pec, suspension, misprediction_rate,
- *     rber_requirement, gc_policy, wear_level, slo_policy, seed). A row
- *     carries the per-spec "requests" just before "seed"; the spec block
- *     carries it after "seeds".
- *   - The optional axes (GC policy, wear leveling, SLO policy) are left
- *     out of a row at their default and out of the spec block when they
- *     sweep exactly [default], so artifacts that never move them keep
- *     the bytes they had before those axes existed.
+ *     rber_requirement, gc_policy, wear_level, seed). A row carries the
+ *     per-spec "requests" just before "seed"; the spec block carries it
+ *     after "seeds".
+ *   - The optional axes (GC policy, wear leveling) are left out of a row
+ *     at their default and out of the spec block when they sweep exactly
+ *     [default], so artifacts that never move them keep the bytes they
+ *     had before those axes existed.
+ *
+ * SLO enforcement is not an axis: a sweep's base drive may carry a
+ * sloPolicy and its TenantSloSpec, which every point keeps and
+ * configOf() fingerprints through the drive summary.
  *
  * SweepRunner executes the points through parallelMapJournaled (each
  * point builds its own Ssd, so points are fully independent) and returns
@@ -65,7 +69,6 @@ enum class Axis
     RberRequirement,
     GcPolicy,
     WearLevel,
-    SloPolicy,
     Seed,
 };
 
@@ -84,7 +87,6 @@ struct SweepSpec
     std::vector<int> rberRequirements = {63};
     std::vector<GcPolicy> gcPolicies = {GcPolicy::Greedy};
     std::vector<WearLevel> wearLevels = {WearLevel::None};
-    std::vector<SloPolicy> sloPolicies = {SloPolicy::None};
     std::vector<std::uint64_t> seeds = {7};
     /** @} */
 

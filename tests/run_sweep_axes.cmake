@@ -21,7 +21,6 @@ execute_process(
         --rber-requirements 63
         --gc-policies greedy,fifo-log
         --wear-levels dynamic
-        --slo-policies throttle
         --seeds 7
         --requests 2000
         --json "${OUT}/axes.json"

@@ -186,37 +186,6 @@ TEST(CheckpointResume, ResumeAfterTruncationIsIdempotent)
     EXPECT_EQ(artifactOf(spec, results), reference);
 }
 
-TEST(CheckpointResume, SloAxisPointsAreJournaledApart)
-{
-    // Regression: the journal key once left out the SLO axis, so the
-    // "none" and "throttle" points shared one record — a fully
-    // journaled grid reopened with half its points and resumed with the
-    // wrong rows. The key is now the point's own report columns.
-    SweepSpec spec;
-    spec.sloPolicies = {SloPolicy::None, SloPolicy::Throttle};
-    spec.pecs = {2500.0};
-    spec.requests = 1500;
-    spec.base = SsdConfig::tiny();
-    // A budget below prxy's offered load, so "throttle" really defers.
-    spec.base.slo = parseTenantSloSpec("0:iops=150");
-    const std::string reference =
-        artifactOf(spec, SweepRunner(1).run(spec));
-
-    const std::string path = tempJournal("slo.dir");
-    {
-        CampaignJournal journal = sweepJournal(path, spec);
-        SweepRunner(1).run(spec, &journal);
-    }
-    for (const int resumeThreads : {1, 4}) {
-        CampaignJournal reopened = sweepJournal(path, spec);
-        EXPECT_EQ(reopened.cachedCount(), spec.size());
-        const auto results =
-            SweepRunner(resumeThreads).run(spec, &reopened);
-        EXPECT_EQ(artifactOf(spec, results), reference)
-            << "resume at " << resumeThreads << " threads";
-    }
-}
-
 // --------------------------------------------------------------------------
 // Thread-count cross-resume
 // --------------------------------------------------------------------------
@@ -378,9 +347,6 @@ TEST(SweepSpecIndex, AgreesWithExpandOverRandomizedGrids)
         GcPolicy::Greedy, GcPolicy::CostBenefit, GcPolicy::FifoLog};
     const std::vector<WearLevel> wearPool = {
         WearLevel::None, WearLevel::Static, WearLevel::Dynamic};
-    const std::vector<SloPolicy> sloPool = {
-        SloPolicy::None, SloPolicy::Throttle, SloPolicy::Wfq,
-        SloPolicy::ThrottleWfq};
 
     for (int trial = 0; trial < 25; ++trial) {
         // A distinct prefix of each axis pool, randomized lengths.
@@ -413,9 +379,6 @@ TEST(SweepSpecIndex, AgreesWithExpandOverRandomizedGrids)
         spec.wearLevels.assign(
             wearPool.begin(),
             wearPool.begin() + static_cast<long>(len(wearPool.size())));
-        spec.sloPolicies.assign(
-            sloPool.begin(),
-            sloPool.begin() + static_cast<long>(len(sloPool.size())));
         spec.seeds.clear();
         for (std::size_t i = 0; i < len(3); ++i)
             spec.seeds.push_back(7 + 1000 * i);
@@ -426,14 +389,13 @@ TEST(SweepSpecIndex, AgreesWithExpandOverRandomizedGrids)
         // independent mixed-radix walk in the documented nesting order
         // (PEC outermost, seed fastest), then require index() to invert
         // it and expand() to have put the matching axis values there.
-        enum { Pec, Susp, Wl, Scheme, Mis, Rber, Gc, Wear, Slo, Seed, N };
+        enum { Pec, Susp, Wl, Scheme, Mis, Rber, Gc, Wear, Seed, N };
         const std::size_t sizes[N] = {
             spec.pecs.size(),          spec.suspensions.size(),
             spec.workloads.size(),     spec.schemes.size(),
             spec.mispredictionRates.size(),
             spec.rberRequirements.size(), spec.gcPolicies.size(),
-            spec.wearLevels.size(),    spec.sloPolicies.size(),
-            spec.seeds.size()};
+            spec.wearLevels.size(),    spec.seeds.size()};
         for (std::size_t flat = 0; flat < points.size(); ++flat) {
             std::size_t ix[N];
             std::size_t rem = flat;
@@ -444,7 +406,6 @@ TEST(SweepSpecIndex, AgreesWithExpandOverRandomizedGrids)
             // Named in shuffled order: index() must not care.
             ASSERT_EQ(spec.index({{Axis::Seed, ix[Seed]},
                                   {Axis::Workload, ix[Wl]},
-                                  {Axis::SloPolicy, ix[Slo]},
                                   {Axis::Pec, ix[Pec]},
                                   {Axis::Scheme, ix[Scheme]},
                                   {Axis::WearLevel, ix[Wear]},
@@ -465,7 +426,6 @@ TEST(SweepSpecIndex, AgreesWithExpandOverRandomizedGrids)
                       spec.rberRequirements[ix[Rber]]);
             ASSERT_EQ(pt.gcPolicy, spec.gcPolicies[ix[Gc]]);
             ASSERT_EQ(pt.wearLevel, spec.wearLevels[ix[Wear]]);
-            ASSERT_EQ(pt.sloPolicy, spec.sloPolicies[ix[Slo]]);
             ASSERT_EQ(pt.seed, spec.seeds[ix[Seed]]);
         }
     }

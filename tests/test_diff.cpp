@@ -277,7 +277,7 @@ TEST(DiffReports, SweepSchemaFallsBackToFixedAxes)
         ]})";
     const Json a = doc(sweep);
     EXPECT_EQ(reportAxes(a).size(), sweepColumnCount());
-    EXPECT_EQ(sweepColumnCount(), 11u);
+    EXPECT_EQ(sweepColumnCount(), 10u);
     Json b = doc(sweep);
     Json swapped = Json::array();
     swapped.push(b.find("results")->at(1));
@@ -296,15 +296,14 @@ TEST(DiffReports, SweepSchemaFallsBackToFixedAxes)
 }
 
 /**
- * Unsimulated result rows of a sweep over the three optional axes (GC
- * policy, wear leveling, SLO policy): eight rows that differ only there.
+ * Unsimulated result rows of a sweep over the two optional axes (GC
+ * policy, wear leveling): four rows that differ only there.
  */
 std::vector<SimResult>
 optionalAxesSweep(SweepSpec *spec)
 {
     spec->gcPolicies = {GcPolicy::Greedy, GcPolicy::FifoLog};
     spec->wearLevels = {WearLevel::None, WearLevel::Dynamic};
-    spec->sloPolicies = {SloPolicy::None, SloPolicy::Throttle};
     std::vector<SimResult> results;
     for (const SimPoint &pt : spec->expand()) {
         SimResult r;
@@ -318,7 +317,7 @@ optionalAxesSweep(SweepSpec *spec)
 TEST(DiffReports, SweepRowsAreKeyedByTheOptionalAxesToo)
 {
     // Regression: aero-sweep/1 rows were keyed by eight columns that
-    // left out gc_policy, wear_level and slo_policy, so a self-diff of
+    // left out the optional gc_policy and wear_level, so a self-diff of
     // such a sweep reported duplicate-key row deltas.
     SweepSpec spec;
     const auto results = optionalAxesSweep(&spec);

@@ -27,7 +27,6 @@
 #include "exp/report.hh"
 #include "exp/sweep.hh"
 #include "workload/presets.hh"
-#include "workload/trace_io/tenant.hh"
 
 namespace aero
 {
@@ -368,9 +367,9 @@ TEST(SweepSpec, ValidateRejectsIllFormedGrids)
     EXPECT_DEATH(validated(parsed(Axis::Pec, "500,500.0")),
                  "--pecs repeats 500");
     // Every point's drive passes SsdConfig::validate(): the base drive
-    // keeps legacy arbitration, so the wfq point cannot run.
+    // keeps legacy arbitration, so its wfq policy cannot run.
     EXPECT_DEATH(validated([](SweepSpec &s) {
-                     s.sloPolicies = {SloPolicy::None, SloPolicy::Wfq};
+                     s.base.sloPolicy = SloPolicy::Wfq;
                  }),
                  "SLO policy 'wfq' needs queued channel arbitration");
 }
@@ -387,7 +386,7 @@ TEST(SweepSpec, ConfigOfAndRunValidateBeforeSimulating)
     // A drive no point can run on dies before the first point is
     // simulated: the progress callback would die with its own message.
     SweepSpec slo;
-    slo.sloPolicies = {SloPolicy::None, SloPolicy::Wfq};
+    slo.base.sloPolicy = SloPolicy::Wfq;
     slo.requests = 500;
     ASSERT_EQ(slo.base.arbitration, Arbitration::Legacy);
     const char *needs_queued = "'wfq' needs queued channel arbitration";
@@ -433,10 +432,9 @@ TEST(SweepAxis, TableCoversEveryAxisOnceInReportOrder)
               (std::vector<std::string>{
                   "workload", "scheme", "pec", "suspension",
                   "misprediction_rate", "rber_requirement", "gc_policy",
-                  "wear_level", "slo_policy", "seed"}));
+                  "wear_level", "seed"}));
     EXPECT_EQ(axisOf(Axis::MispredictionRate).flag(),
               "--misprediction-rates");
-    EXPECT_EQ(axisOf(Axis::SloPolicy).flag(), "--slo-policies");
 }
 
 TEST(SweepAxis, EveryAxisFlowsThroughKeysReportsAndItsFlag)
@@ -451,7 +449,6 @@ TEST(SweepAxis, EveryAxisFlowsThroughKeysReportsAndItsFlag)
         {Axis::RberRequirement, "63,31"},
         {Axis::GcPolicy, "greedy,fifo-log"},
         {Axis::WearLevel, "none,dynamic"},
-        {Axis::SloPolicy, "none,throttle"},
         {Axis::Seed, "7,18446744073709551615"},
     };
     ASSERT_EQ(std::size(lists), kAxisCount);
@@ -782,15 +779,13 @@ TEST(Report, PointKeyBytesArePinned)
     pt.rberRequirement = 31;
     pt.gcPolicy = GcPolicy::FifoLog;
     pt.wearLevel = WearLevel::Dynamic;
-    pt.sloPolicy = SloPolicy::ThrottleWfq;
     pt.requests = 1500;
     pt.seed = 1007;
     EXPECT_EQ(toJson(pt).dump(),
               "{\"workload\":\"usr\",\"scheme\":\"AERO\",\"pec\":2500.0,"
               "\"suspension\":\"none\",\"misprediction_rate\":0.05,"
               "\"rber_requirement\":31,\"gc_policy\":\"fifo-log\","
-              "\"wear_level\":\"dynamic\",\"slo_policy\":\"throttle+wfq\","
-              "\"requests\":1500,\"seed\":1007}");
+              "\"wear_level\":\"dynamic\",\"requests\":1500,\"seed\":1007}");
 }
 
 TEST(Report, SpecConfigBytesArePinned)
@@ -804,11 +799,9 @@ TEST(Report, SpecConfigBytesArePinned)
     spec.rberRequirements = {63, 31};
     spec.gcPolicies = {GcPolicy::Greedy, GcPolicy::FifoLog};
     spec.wearLevels = {WearLevel::None, WearLevel::Dynamic};
-    spec.sloPolicies = {SloPolicy::None, SloPolicy::Throttle};
     spec.seeds = {7, 1007};
     spec.requests = 1500;
     spec.base = SsdConfig::tiny();
-    spec.base.slo = parseTenantSloSpec("0:weight=4:iops=150");
     EXPECT_EQ(
         configOf(spec).dump(),
         "{\"workloads\":[\"prxy\",\"usr\"],\"schemes\":[\"Baseline\","
@@ -816,8 +809,7 @@ TEST(Report, SpecConfigBytesArePinned)
         "\"mid-segment\"],\"misprediction_rates\":[0.0,0.05],"
         "\"rber_requirements\":[63,31],\"gc_policies\":[\"greedy\","
         "\"fifo-log\"],\"wear_levels\":[\"none\",\"dynamic\"],"
-        "\"slo_policies\":[\"none\",\"throttle\"],"
-        "\"slo_spec\":\"0:weight=4:iops=150\",\"seeds\":[7,1007],"
+        "\"seeds\":[7,1007],"
         "\"requests\":1500,\"drive_capacity_gib\":0.017181396484375,"
         "\"drive\":\"SSD configuration:\\n  capacity:        0.0171814 "
         "GiB logical (45% OP)\\n  topology:        2 channels x 1 chips "

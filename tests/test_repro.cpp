@@ -170,7 +170,12 @@ TEST(Fig10, ReliabilityMarginAndSafetyConditions)
 TEST(Fig11, OtherChipTypesShowSameStructure)
 {
     for (const auto type : {ChipType::Tlc2d, ChipType::Mlc3d48L}) {
-        const auto data = runFig11Experiment(type, 0xbeef);
+        FarmConfig fc;
+        fc.type = type;
+        fc.numChips = 16;
+        fc.blocksPerChip = 24;
+        fc.seed = 0xbeef;
+        const auto data = runFig11Experiment(fc);
         const auto p = ChipParams::forType(type);
         EXPECT_NEAR(data.gammaEstimate, p.gamma, 0.3 * p.gamma)
             << chipTypeName(type);

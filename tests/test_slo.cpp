@@ -15,7 +15,6 @@
 #include <sstream>
 
 #include "core/aero_scheme.hh"
-#include "exp/report.hh"
 #include "exp/sweep.hh"
 #include "ssd/chip_agent.hh"
 #include "ssd/ssd.hh"
@@ -111,31 +110,6 @@ TEST(TenantSloSpecDeathTest, RejectsMalformedSpecs)
     EXPECT_DEATH(parseTenantSloSpec("0:weight"),
                  "is not <key>=<value>");
     EXPECT_DEATH(parseTenantSloSpec("x:weight=2"), "is not a number");
-}
-
-TEST(TenantSloSpec, SweepReportEmitsSpecKeysOnlyWhenSwept)
-{
-    // Default spec: no SLO keys anywhere (the 16 pre-SLO goldens depend
-    // on this staying true).
-    const SweepSpec plain{};
-    const Json plain_json = toJson(plain);
-    EXPECT_EQ(plain_json.find("slo_policies"), nullptr);
-    EXPECT_EQ(plain_json.find("slo_spec"), nullptr);
-
-    SweepSpec swept;
-    swept.sloPolicies = {SloPolicy::None, SloPolicy::ThrottleWfq};
-    swept.base.slo = parseTenantSloSpec("0:weight=8:iops=2000");
-    const Json swept_json = toJson(swept);
-    ASSERT_NE(swept_json.find("slo_policies"), nullptr);
-    ASSERT_NE(swept_json.find("slo_spec"), nullptr);
-    EXPECT_EQ(swept_json.get("slo_spec").asString(),
-              "0:weight=8:iops=2000");
-
-    // Row key rides through the SimResult round trip.
-    SimResult r;
-    r.point.sloPolicy = SloPolicy::ThrottleWfq;
-    const SimResult back = simResultFromJson(toJson(r));
-    EXPECT_EQ(back.point.sloPolicy, SloPolicy::ThrottleWfq);
 }
 
 // ---------------------------------------------------------------------------
@@ -427,47 +401,55 @@ TEST(SloScheduler, UnlistedTenantWeighsOneAndIsNeverStarved)
 
 TEST(SloScheduler, BucketRefillIsDeterministicAcrossWorkerCounts)
 {
-    // The same swept grid — SLO policy as an axis, budgets on the base
-    // config — must produce bit-identical results at 1 and 4 sweep
-    // threads: bucket state lives per-drive, so worker count can't leak
-    // into admission timing.
-    SweepSpec spec;
-    spec.schemes = {SchemeKind::Baseline, SchemeKind::Aero};
-    spec.pecs = {2500.0};
-    spec.sloPolicies = {SloPolicy::None, SloPolicy::Throttle, SloPolicy::Wfq,
-                        SloPolicy::ThrottleWfq};
-    spec.requests = 2500;
-    spec.base = SsdConfig::tiny();
-    spec.base.arbitration = Arbitration::Queued;
-    // prxy offers ~280 req/s; a 150/s budget makes every throttled
-    // point genuinely defer.
-    spec.base.slo = parseTenantSloSpec("0:weight=4:iops=150");
-
-    const auto serial = SweepRunner(1).run(spec);
-    const auto parallel = SweepRunner(4).run(spec);
-    ASSERT_EQ(serial.size(), parallel.size());
+    // The same eight drives — two schemes x four SLO policies, each
+    // policy and its budgets on the base config — must produce
+    // bit-identical results at 1 and 4 threads: bucket state lives
+    // per-drive, so worker count can't leak into admission timing.
+    const std::vector<SloPolicy> policies = {
+        SloPolicy::None, SloPolicy::Throttle, SloPolicy::Wfq,
+        SloPolicy::ThrottleWfq};
+    std::vector<SweepSpec> specs;
+    for (const SloPolicy policy : policies) {
+        for (const SchemeKind scheme :
+             {SchemeKind::Baseline, SchemeKind::Aero}) {
+            SweepSpec spec;
+            spec.schemes = {scheme};
+            spec.pecs = {2500.0};
+            spec.requests = 2500;
+            spec.base = SsdConfig::tiny();
+            spec.base.arbitration = Arbitration::Queued;
+            spec.base.sloPolicy = policy;
+            // prxy offers ~280 req/s; a 150/s budget makes every
+            // throttled drive genuinely defer.
+            spec.base.slo = parseTenantSloSpec("0:weight=4:iops=150");
+            specs.push_back(spec);
+        }
+    }
+    const auto runAll = [&](int threads) {
+        return parallelMap(
+            specs,
+            [](const SweepSpec &spec) {
+                return SweepRunner(1).run(spec).front();
+            },
+            threads);
+    };
+    const auto serial = runAll(1);
+    const auto parallel = runAll(4);
     ASSERT_EQ(serial.size(), 8u);
+    ASSERT_EQ(parallel.size(), 8u);
     for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].point.sloPolicy, parallel[i].point.sloPolicy);
         EXPECT_DOUBLE_EQ(serial[i].avgReadUs, parallel[i].avgReadUs);
         EXPECT_DOUBLE_EQ(serial[i].avgWriteUs, parallel[i].avgWriteUs);
         EXPECT_DOUBLE_EQ(serial[i].iops, parallel[i].iops);
         EXPECT_DOUBLE_EQ(serial[i].p999Us, parallel[i].p999Us);
         EXPECT_EQ(serial[i].erases, parallel[i].erases);
     }
-    // The throttled points actually throttled (the axis is live): the
-    // budget must bite somewhere or this test proves nothing.
+    // The throttled drives actually throttled (the base drive's policy
+    // is live): the budget must bite somewhere or this test proves
+    // nothing. specs[0..1] run `none`, specs[2..3] run `throttle`.
     bool throttle_differs = false;
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        if (serial[i].point.sloPolicy != SloPolicy::Throttle)
-            continue;
-        for (std::size_t j = 0; j < serial.size(); ++j) {
-            if (parallel[j].point.sloPolicy == SloPolicy::None &&
-                serial[i].point.scheme == parallel[j].point.scheme &&
-                serial[i].avgReadUs != parallel[j].avgReadUs)
-                throttle_differs = true;
-        }
-    }
+    for (std::size_t si = 0; si < 2; ++si)
+        throttle_differs |= serial[2 + si].avgReadUs != serial[si].avgReadUs;
     EXPECT_TRUE(throttle_differs);
 }
 
