@@ -13,7 +13,10 @@
  * under *both* arbitration models, so a behaviour change in either
  * trips it — and gates the relative simulation cost through a
  * machine-normalized threshold boolean, while machine-absolute rates
- * are ignored.
+ * are ignored. Each row also pins `peak_pending`, the kernel's
+ * high-water mark of live events: the drive's structure bounds it (one
+ * op event per chip agent, one grant per channel), so a change that
+ * lets the pending set grow with load shows up as a count change.
  */
 
 #include <algorithm>
@@ -39,6 +42,7 @@ struct ReplayResult
     std::uint64_t erases = 0;         //!< deterministic
     std::uint64_t hostGrants = 0;     //!< deterministic (queued only)
     std::uint64_t gcGrants = 0;       //!< deterministic (queued only)
+    std::uint64_t peakPending = 0;    //!< deterministic
 };
 
 double
@@ -61,6 +65,7 @@ replayOnce(Arbitration arb, const Trace &trace, ReplayResult &out)
     out.erases = ssd.metrics().erases;
     out.hostGrants = ssd.metrics().hostChannelGrants;
     out.gcGrants = ssd.metrics().gcChannelGrants;
+    out.peakPending = ssd.eventQueue().peakPending();
     return secs;
 }
 
@@ -78,6 +83,7 @@ replayRow(const char *arbitration, const ReplayResult &r,
     row["erases"] = r.erases;
     row["host_channel_grants"] = r.hostGrants;
     row["gc_channel_grants"] = r.gcGrants;
+    row["peak_pending"] = r.peakPending;
     row["events_per_request"] = static_cast<double>(r.eventsTotal) /
                                 static_cast<double>(requests);
     return row;

@@ -55,10 +55,11 @@ main(int argc, char **argv)
         spec.seeds = {7, 1007, 2007};  // tail noise reduction
         spec.requests = defaultSimRequests();
     }
-    std::printf("requests/run: %llu (env AERO_SIM_REQUESTS), "
+    std::printf("requests/run: %llu%s, "
                 "%zu points on %d threads (env AERO_SWEEP_THREADS)\n",
-                static_cast<unsigned long long>(spec.requests), spec.size(),
-                SweepRunner().threads());
+                static_cast<unsigned long long>(spec.requests),
+                artifacts.small ? "" : " (env AERO_SIM_REQUESTS)",
+                spec.size(), SweepRunner().threads());
     const auto results = runCampaign(
         artifacts.campaign, "fig14_tail_latency", configOf(spec),
         [&](const CampaignScope &scope) {

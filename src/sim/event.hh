@@ -77,14 +77,13 @@ struct EventId
 };
 
 /**
- * One arena slot: heap links, ordering key, tag, and a two-word payload
- * union — exactly one cache line, so heap reordering never touches a
- * second one. Events are stored in EventQueue's chunked arena and linked
- * into an intrusive pairing heap; `sibling` doubles as the freelist
- * link. The one fat payload (the PageOp a ChipOpComplete carries) lives
- * in a parallel per-slot arena in EventQueue, written at schedule time
- * and read back once at dispatch; keeping it out of the union is what
- * holds the node to 64 bytes.
+ * One arena slot: tag, generation and a two-word payload union. Slots
+ * live in EventQueue's arena and are recycled through its free list;
+ * the firing order is kept apart from them, in EventQueue's sorted
+ * pending array of (when, slot) entries. The one fat payload (the PageOp
+ * a ChipOpComplete carries) lives in a parallel per-slot arena in
+ * EventQueue, written at schedule time and read back once at dispatch,
+ * so every other kind copies only the two-word union.
  */
 struct Event
 {
@@ -134,19 +133,11 @@ struct Event
         ChannelPayload channel;     //!< ChannelGrant
     };
 
-    Tick when = 0;
-    std::uint64_t seq = 0;       //!< schedule order; breaks same-tick ties
-    Event *child = nullptr;      //!< pairing heap: first child
-    Event *sibling = nullptr;    //!< pairing heap: next sibling / freelist
-    std::uint32_t slot = 0;      //!< arena index (fixed for this slot)
     std::uint32_t gen = 0;       //!< validates EventIds against reuse
+    std::uint32_t nextFree = 0;  //!< free-list link while the slot is free
     EventKind kind = EventKind::Dead;
     Payload payload;
 };
-
-static_assert(sizeof(Event) <= 64,
-              "Event outgrew a cache line; move fat payloads to the "
-              "EventQueue side arena like PageOp");
 
 } // namespace aero
 

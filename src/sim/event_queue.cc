@@ -1,5 +1,7 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "ssd/channel.hh"
 #include "ssd/chip_agent.hh"
@@ -9,222 +11,165 @@
 namespace aero
 {
 
-Event *
-EventQueue::slotAt(std::uint32_t slot) const
-{
-    return &chunks[slot / kChunkSize][slot % kChunkSize];
-}
-
-PageOp &
-EventQueue::opAt(std::uint32_t slot) const
-{
-    return opChunks[slot / kChunkSize][slot % kChunkSize];
-}
-
-Event *
+std::uint32_t
 EventQueue::allocSlot()
 {
-    if (!freeHead) {
-        auto chunk = std::make_unique<Event[]>(kChunkSize);
-        const auto base = static_cast<std::uint32_t>(slotCount);
-        // Thread the fresh chunk onto the freelist in reverse so slots
+    if (freeHead == EventId::kNoSlot) {
+        const auto base = static_cast<std::uint32_t>(slots.size());
+        slots.resize(slots.size() + kChunkSize);
+        ops.resize(slots.size());
+        // Thread the fresh chunk onto the free list in reverse so slots
         // hand out in ascending index order.
-        for (std::size_t i = kChunkSize; i-- > 0;) {
-            chunk[i].slot = base + static_cast<std::uint32_t>(i);
-            chunk[i].sibling = freeHead;
-            freeHead = &chunk[i];
-        }
-        chunks.push_back(std::move(chunk));
-        opChunks.push_back(std::make_unique<PageOp[]>(kChunkSize));
-        slotCount += kChunkSize;
+        for (std::uint32_t i = kChunkSize; i-- > 0;)
+            freeSlot(base + i);
     }
-    Event *ev = freeHead;
-    freeHead = ev->sibling;
-    ev->child = nullptr;
-    ev->sibling = nullptr;
-    return ev;
+    const std::uint32_t slot = freeHead;
+    freeHead = slots[slot].nextFree;
+    return slot;
 }
 
 void
-EventQueue::freeSlot(Event *ev)
+EventQueue::freeSlot(std::uint32_t slot)
 {
-    ev->kind = EventKind::Dead;
-    ev->child = nullptr;
-    ev->sibling = freeHead;
-    freeHead = ev;
-}
-
-Event *
-EventQueue::merge(Event *a, Event *b)
-{
-    if (!a)
-        return b;
-    if (!b)
-        return a;
-    // Strict (when, seq) order: seq ties are impossible, so the merge —
-    // and therefore the firing order — is a deterministic function of
-    // the schedule/cancel call sequence.
-    if (b->when < a->when || (b->when == a->when && b->seq < a->seq))
-        std::swap(a, b);
-    b->sibling = a->child;
-    a->child = b;
-    return a;
-}
-
-Event *
-EventQueue::mergePairs(Event *list)
-{
-    if (!list)
-        return nullptr;
-    // Standard two-pass pairing: merge adjacent pairs left to right,
-    // then fold the pairs right to left.
-    Event *paired = nullptr;
-    while (list) {
-        Event *a = list;
-        Event *b = a->sibling;
-        list = b ? b->sibling : nullptr;
-        a->sibling = nullptr;
-        if (b)
-            b->sibling = nullptr;
-        Event *m = merge(a, b);
-        m->sibling = paired;
-        paired = m;
-    }
-    Event *result = paired;
-    paired = paired->sibling;
-    result->sibling = nullptr;
-    while (paired) {
-        Event *next = paired->sibling;
-        paired->sibling = nullptr;
-        result = merge(result, paired);
-        paired = next;
-    }
-    return result;
+    slots[slot].kind = EventKind::Dead;
+    slots[slot].nextFree = freeHead;
+    freeHead = slot;
 }
 
 void
-EventQueue::scrubRoot()
+EventQueue::scrubBack()
 {
-    while (root && root->kind == EventKind::Dead) {
-        Event *dead = root;
-        root = mergePairs(dead->child);
-        freeSlot(dead);
+    while (!order.empty() &&
+           slots[order.back().slot].kind == EventKind::Dead) {
+        freeSlot(order.back().slot);
+        order.pop_back();
     }
 }
 
-Event *
+EventId
 EventQueue::post(Tick when, EventKind kind)
 {
     AERO_CHECK(when >= currentTick, "scheduling into the past: ", when,
                " < ", currentTick);
-    Event *ev = allocSlot();
-    ev->when = when;
-    ev->seq = nextSeq++;
-    ev->kind = kind;
-    root = merge(root, ev);
+    const std::uint32_t slot = allocSlot();
+    slots[slot].kind = kind;
+    // The new event is the latest scheduled, so it fires after every
+    // pending event at `when` or earlier: walk in from the back past
+    // those, shifting each one place towards the back, and insert it
+    // in front of them. (when, schedule order) is a strict total order,
+    // so the firing order is a deterministic function of the
+    // schedule/cancel call sequence.
+    order.push_back(Pending{});
+    std::size_t i = order.size() - 1;
+    for (; i > 0 && order[i - 1].when <= when; --i)
+        order[i] = order[i - 1];
+    order[i] = Pending{when, slot};
     ++liveCount;
-    return ev;
+    peakLive = std::max(peakLive, liveCount);
+    return EventId{slot, slots[slot].gen};
 }
 
 EventId
 EventQueue::scheduleTimerAt(Tick when, TimerFn fn, void *ctx)
 {
-    Event *ev = post(when, EventKind::Timer);
-    ev->payload.timer = Event::TimerPayload{fn, ctx};
-    return EventId{ev->slot, ev->gen};
+    const EventId id = post(when, EventKind::Timer);
+    slots[id.slot].payload.timer = Event::TimerPayload{fn, ctx};
+    return id;
 }
 
 EventId
 EventQueue::scheduleChipOpAt(Tick when, ChipAgent &agent, const PageOp &op)
 {
-    Event *ev = post(when, EventKind::ChipOpComplete);
-    ev->payload.agent = Event::AgentPayload{&agent};
-    opAt(ev->slot) = op;
-    return EventId{ev->slot, ev->gen};
+    const EventId id = post(when, EventKind::ChipOpComplete);
+    slots[id.slot].payload.agent = Event::AgentPayload{&agent};
+    ops[id.slot] = op;
+    return id;
 }
 
 EventId
 EventQueue::scheduleEraseSegmentAt(Tick when, ChipAgent &agent)
 {
-    Event *ev = post(when, EventKind::EraseSegmentDone);
-    ev->payload.agent = Event::AgentPayload{&agent};
-    return EventId{ev->slot, ev->gen};
+    const EventId id = post(when, EventKind::EraseSegmentDone);
+    slots[id.slot].payload.agent = Event::AgentPayload{&agent};
+    return id;
 }
 
 EventId
 EventQueue::scheduleSuspendQuiesceAt(Tick when, ChipAgent &agent)
 {
-    Event *ev = post(when, EventKind::SuspendQuiesced);
-    ev->payload.agent = Event::AgentPayload{&agent};
-    return EventId{ev->slot, ev->gen};
+    const EventId id = post(when, EventKind::SuspendQuiesced);
+    slots[id.slot].payload.agent = Event::AgentPayload{&agent};
+    return id;
 }
 
 EventId
 EventQueue::scheduleHostPageAt(Tick when, Ftl &ftl,
                                std::uint64_t request_id)
 {
-    Event *ev = post(when, EventKind::HostPageDone);
-    ev->payload.hostPage = Event::HostPagePayload{&ftl, request_id};
-    return EventId{ev->slot, ev->gen};
+    const EventId id = post(when, EventKind::HostPageDone);
+    slots[id.slot].payload.hostPage = Event::HostPagePayload{&ftl, request_id};
+    return id;
 }
 
 EventId
 EventQueue::scheduleTraceAdmitAt(Tick when, TracePump &pump)
 {
-    Event *ev = post(when, EventKind::TraceAdmit);
-    ev->payload.pump = Event::PumpPayload{&pump};
-    return EventId{ev->slot, ev->gen};
+    const EventId id = post(when, EventKind::TraceAdmit);
+    slots[id.slot].payload.pump = Event::PumpPayload{&pump};
+    return id;
 }
 
 EventId
 EventQueue::scheduleTraceAdmitThrottledAt(Tick when, TracePump &pump,
                                           TenantId tenant)
 {
-    Event *ev = post(when, EventKind::TraceAdmitThrottled);
-    ev->payload.pumpTenant = Event::PumpTenantPayload{&pump, tenant};
-    return EventId{ev->slot, ev->gen};
+    const EventId id = post(when, EventKind::TraceAdmitThrottled);
+    slots[id.slot].payload.pumpTenant =
+        Event::PumpTenantPayload{&pump, tenant};
+    return id;
 }
 
 EventId
 EventQueue::scheduleDieOpAt(Tick when, ChipAgent &agent)
 {
-    Event *ev = post(when, EventKind::DieOpComplete);
-    ev->payload.agent = Event::AgentPayload{&agent};
-    return EventId{ev->slot, ev->gen};
+    const EventId id = post(when, EventKind::DieOpComplete);
+    slots[id.slot].payload.agent = Event::AgentPayload{&agent};
+    return id;
 }
 
 EventId
 EventQueue::scheduleChannelGrantAt(Tick when, Channel &channel)
 {
-    Event *ev = post(when, EventKind::ChannelGrant);
-    ev->payload.channel = Event::ChannelPayload{&channel};
-    return EventId{ev->slot, ev->gen};
+    const EventId id = post(when, EventKind::ChannelGrant);
+    slots[id.slot].payload.channel = Event::ChannelPayload{&channel};
+    return id;
 }
 
 bool
 EventQueue::cancel(EventId id)
 {
-    if (id.slot == EventId::kNoSlot || id.slot >= slotCount)
+    // A default handle's kNoSlot is past every arena index too.
+    if (id.slot >= slots.size())
         return false;
-    Event *ev = slotAt(id.slot);
-    if (ev->gen != id.gen || ev->kind == EventKind::Dead)
+    Event &ev = slots[id.slot];
+    if (ev.gen != id.gen || ev.kind == EventKind::Dead)
         return false;
-    ev->kind = EventKind::Dead;
-    ev->gen += 1;
+    ev.kind = EventKind::Dead;
+    ev.gen += 1;
     --liveCount;
-    // Keep the root live so nextEventTick()/run() never see a corpse;
-    // dead slots deeper in the heap are recycled when they surface.
-    scrubRoot();
+    // Keep the back live so nextEventTick()/run() never see a corpse;
+    // dead entries further in are recycled when they reach the back.
+    scrubBack();
     return true;
 }
 
 bool
 EventQueue::pendingEvent(EventId id) const
 {
-    if (id.slot == EventId::kNoSlot || id.slot >= slotCount)
+    if (id.slot >= slots.size())
         return false;
-    const Event *ev = slotAt(id.slot);
-    return ev->gen == id.gen && ev->kind != EventKind::Dead;
+    const Event &ev = slots[id.slot];
+    return ev.gen == id.gen && ev.kind != EventKind::Dead;
 }
 
 void
@@ -268,7 +213,7 @@ EventQueue::dispatch(EventKind kind, const Event::Payload &payload)
 void
 EventQueue::run(Tick until)
 {
-    while (root && root->when <= until) {
+    while (!order.empty() && order.back().when <= until) {
         if (!step())
             break;
     }
@@ -279,31 +224,31 @@ EventQueue::run(Tick until)
 bool
 EventQueue::step()
 {
-    // scrubRoot() in cancel() keeps the root live, so the minimum is
-    // either dispatchable or the queue is empty.
-    Event *ev = root;
-    if (!ev)
+    // scrubBack() in cancel() keeps the back live, so the earliest
+    // entry is either dispatchable or the queue is empty.
+    if (order.empty())
         return false;
-    root = mergePairs(ev->child);
-    scrubRoot();
+    const Pending next = order.back();
+    order.pop_back();
+    scrubBack();
     --liveCount;
-    AERO_CHECK(ev->when >= currentTick, "event queue time went backwards");
-    currentTick = ev->when;
+    AERO_CHECK(next.when >= currentTick, "event queue time went backwards");
+    currentTick = next.when;
     ++processedCount;
     // Copy the tag and payload out and recycle the slot *before*
     // dispatching, so handlers that schedule immediately reuse it: the
     // steady-state arena stays at the peak pending-event count.
-    const EventKind kind = ev->kind;
-    const Event::Payload payload = ev->payload;
+    Event &ev = slots[next.slot];
+    const EventKind kind = ev.kind;
+    const Event::Payload payload = ev.payload;
+    ev.gen += 1;
     if (kind == EventKind::ChipOpComplete) {
-        const PageOp op = opAt(ev->slot);
-        ev->gen += 1;
-        freeSlot(ev);
+        const PageOp op = ops[next.slot];
+        freeSlot(next.slot);
         payload.agent.agent->onChipOpComplete(op);
         return true;
     }
-    ev->gen += 1;
-    freeSlot(ev);
+    freeSlot(next.slot);
     dispatch(kind, payload);
     return true;
 }

@@ -2,22 +2,35 @@
  * @file
  * Discrete-event simulation kernel: a monotonically advancing clock over
  * a time-ordered queue of *tagged* events (see sim/event.hh). Events
- * scheduled for the same tick fire in scheduling order (a stable
- * sequence number breaks ties), which keeps simulations deterministic.
+ * scheduled for the same tick fire in scheduling order, which keeps
+ * simulations deterministic.
  *
- * Storage is an arena of fixed-size slots recycled through a freelist —
- * the hot path never heap-allocates — and ordering is an intrusive
- * pairing heap keyed on (tick, seq): O(1) push, amortized O(log n) pop.
+ * Storage is an arena of slots recycled through a free list, so the hot
+ * path never heap-allocates. Ordering is a vector of (when, slot)
+ * entries sorted latest-first, so the earliest event is at the back:
+ * pop is pop_back(), and insert walks in from the back, shifting the
+ * entries that fire first. A new event fires after every pending event
+ * at its tick (it was scheduled last), so the walk passes exactly the
+ * entries with `when` <= its own, and no sequence number is stored.
  * Cancellation is explicit: every schedule call returns an EventId that
- * cancel() invalidates lazily (dead slots are skipped and recycled when
- * they surface).
+ * cancel() invalidates lazily (dead entries are skipped and their slots
+ * recycled when they reach the back).
+ *
+ * Insert is O(n) in the pending count, and the drive's structure keeps
+ * that small: each chip agent has at most one op event pending, each
+ * channel at most one grant (queued arbitration), and the trace pump
+ * one admission (one per throttled tenant under SLO enforcement); only
+ * reads of never-written pages add one host-overhead completion per
+ * page. Backlog waits in the agents' FIFOs, not here. On the bench
+ * drive (16 chips, 8 channels), peakPending() is 17 for every perfbench
+ * `fig14-grid` point and 24 for `gc-churn`, whose pending set averages
+ * 15.3 events at dispatch (`fig14-grid`: 8.4 to 12.8).
  */
 
 #ifndef AERO_SIM_EVENT_QUEUE_HH
 #define AERO_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -40,6 +53,8 @@ class EventQueue
 
     bool empty() const { return liveCount == 0; }
     std::size_t pending() const { return liveCount; }
+    /** High-water mark of pending(): the most events ever live at once. */
+    std::size_t peakPending() const { return peakLive; }
     std::uint64_t processed() const { return processedCount; }
 
     /**
@@ -48,7 +63,10 @@ class EventQueue
      * order: if nothing is pending at now(), a pump event scheduled at
      * now() would fire immediately next anyway.
      */
-    Tick nextEventTick() const { return root ? root->when : kTickMax; }
+    Tick nextEventTick() const
+    {
+        return order.empty() ? kTickMax : order.back().when;
+    }
 
     /**
      * @name Tagged, allocation-free schedule calls (absolute ticks, never
@@ -71,8 +89,8 @@ class EventQueue
     /**
      * Cancel a pending event. @return true when the event was pending
      * and is now dead; false for a stale handle (already fired, already
-     * cancelled, or never valid). The slot is recycled when it next
-     * surfaces at the heap root.
+     * cancelled, or never valid). The slot is recycled once every event
+     * ahead of it has fired or been cancelled.
      */
     bool cancel(EventId id);
 
@@ -86,33 +104,36 @@ class EventQueue
     bool step();
 
     /** Arena slots ever constructed (drain/reuse introspection). */
-    std::size_t arenaSlots() const { return slotCount; }
+    std::size_t arenaSlots() const { return slots.size(); }
 
   private:
     static constexpr std::size_t kChunkSize = 512;
 
-    static Event *merge(Event *a, Event *b);
-    static Event *mergePairs(Event *list);
+    /** One pending-array entry; `slot` indexes the arena. */
+    struct Pending
+    {
+        Tick when;
+        std::uint32_t slot;
+    };
 
-    Event *slotAt(std::uint32_t slot) const;
-    PageOp &opAt(std::uint32_t slot) const;
-    Event *allocSlot();
-    void freeSlot(Event *ev);
-    /** Pop dead slots off the root so `root` is always live or null. */
-    void scrubRoot();
-    /** Allocate, key, and push one event at `when`. */
-    Event *post(Tick when, EventKind kind);
+    std::uint32_t allocSlot();
+    void freeSlot(std::uint32_t slot);
+    /** Pop dead entries off the back so it is always live or empty. */
+    void scrubBack();
+    /** Allocate, tag, and insert one event at `when`. */
+    EventId post(Tick when, EventKind kind);
     void dispatch(EventKind kind, const Event::Payload &payload);
 
-    std::vector<std::unique_ptr<Event[]>> chunks;
+    /** Pending events, latest first: the next to fire is at the back. */
+    std::vector<Pending> order;
+    std::vector<Event> slots;
     /** Side arena for the fat ChipOpComplete payload (see sim/event.hh). */
-    std::vector<std::unique_ptr<PageOp[]>> opChunks;
-    Event *freeHead = nullptr;
-    Event *root = nullptr;
-    std::size_t slotCount = 0;
+    std::vector<PageOp> ops;
+    /** Head of the free list through Event::nextFree (last freed first). */
+    std::uint32_t freeHead = EventId::kNoSlot;
     std::size_t liveCount = 0;
+    std::size_t peakLive = 0;
     Tick currentTick = 0;
-    std::uint64_t nextSeq = 0;
     std::uint64_t processedCount = 0;
 };
 

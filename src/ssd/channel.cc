@@ -113,7 +113,7 @@ Channel::onGrantDone()
             }
         }
         const Waiter w = q[pick];
-        q.erase(q.begin() + static_cast<std::ptrdiff_t>(pick));
+        q.removeAt(pick);
         grantTo(w, cls);
         return;
     }

@@ -32,8 +32,9 @@
 #define AERO_SSD_CHANNEL_HH
 
 #include <array>
-#include <deque>
+#include <vector>
 
+#include "common/ring_fifo.hh"
 #include "sim/event_queue.hh"
 #include "ssd/metrics.hh"
 
@@ -101,7 +102,7 @@ class Channel
 
     std::uint64_t weightOf(TenantId tenant) const;
 
-    std::array<std::deque<Waiter>, kBusClasses> waiters;
+    std::array<RingFifo<Waiter>, kBusClasses> waiters;
     bool owned = false;
     int idx = 0;
     EventQueue *eq = nullptr;

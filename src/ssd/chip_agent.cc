@@ -75,7 +75,7 @@ ChipAgent::enqueueDeferred(const PageOp &op)
 void
 ChipAgent::enqueueErase(BlockId block, GcJob *job)
 {
-    eraseQ.emplace_back(block, job);
+    eraseQ.push_back({block, job});
     dispatch();
 }
 

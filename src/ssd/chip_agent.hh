@@ -24,10 +24,10 @@
 #ifndef AERO_SSD_CHIP_AGENT_HH
 #define AERO_SSD_CHIP_AGENT_HH
 
-#include <deque>
 #include <memory>
 #include <optional>
 
+#include "common/ring_fifo.hh"
 #include "erase/scheme.hh"
 #include "sim/event_queue.hh"
 #include "ssd/channel.hh"
@@ -133,10 +133,10 @@ class ChipAgent
     FtlCallbacks &ftl;
     SsdMetrics &metrics;
 
-    std::deque<PageOp> readQ;
-    std::deque<PageOp> writeQ;
-    std::deque<PageOp> gcQ;
-    std::deque<std::pair<BlockId, GcJob *>> eraseQ;
+    RingFifo<PageOp> readQ;
+    RingFifo<PageOp> writeQ;
+    RingFifo<PageOp> gcQ;
+    RingFifo<std::pair<BlockId, GcJob *>> eraseQ;
     std::optional<ActiveErase> erase;
 
     bool busy = false;

@@ -1,15 +1,20 @@
 /**
  * @file
  * Unit tests for common helpers: time units, piecewise-linear curves and
- * their inversion, and the inverse normal CDF / quadrature.
+ * their inversion, the inverse normal CDF / quadrature, and the ring
+ * FIFO behind the chip and channel queues.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
+#include <random>
+#include <vector>
 
 #include "common/interp.hh"
 #include "common/mathutil.hh"
+#include "common/ring_fifo.hh"
 #include "common/types.hh"
 
 namespace aero
@@ -108,6 +113,116 @@ TEST_P(QuadratureSweep, LognormalMeanViaQuadrature)
 
 INSTANTIATE_TEST_SUITE_P(NodeCounts, QuadratureSweep,
                          ::testing::Values(9, 17, 33, 65, 129));
+
+/** Pop everything, front first. */
+std::vector<int>
+drain(RingFifo<int> &q)
+{
+    std::vector<int> out;
+    while (!q.empty()) {
+        out.push_back(q.front());
+        q.pop_front();
+    }
+    return out;
+}
+
+/**
+ * A full ring whose front sits `shift` slots into its buffer: fill it
+ * with 0, 1, ..., pop `shift`, and push as many again. Holds
+ * shift .. shift + capacity - 1 in order.
+ */
+RingFifo<int>
+fullWrappedRing(int shift)
+{
+    RingFifo<int> q;
+    const auto cap = static_cast<int>(q.capacity());
+    for (int i = 0; i < cap; ++i)
+        q.push_back(i);
+    for (int i = 0; i < shift; ++i)
+        q.pop_front();
+    for (int i = cap; i < cap + shift; ++i)
+        q.push_back(i);
+    return q;
+}
+
+std::vector<int>
+iota(int first, int last)
+{
+    std::vector<int> out;
+    for (int i = first; i < last; ++i)
+        out.push_back(i);
+    return out;
+}
+
+TEST(RingFifo, WrapsAroundWithoutGrowing)
+{
+    RingFifo<int> q = fullWrappedRing(5);
+    const auto cap = static_cast<int>(q.capacity());
+    ASSERT_GT(cap, 5);
+    // The five pushes landed in the slots the pops freed, behind the
+    // survivors at the end of the buffer, without growing it.
+    EXPECT_EQ(q.size(), q.capacity());
+    EXPECT_EQ(q[0], 5);
+    EXPECT_EQ(q[q.size() - 1], cap + 4);
+    EXPECT_EQ(drain(q), iota(5, cap + 5));
+}
+
+TEST(RingFifo, GrowthWhileWrappedKeepsFifoOrder)
+{
+    RingFifo<int> q = fullWrappedRing(3);
+    const auto cap = static_cast<int>(q.capacity());
+    // Full and wrapped: the next pushes must unwrap the contents into
+    // the doubled buffer in FIFO order.
+    for (int i = cap + 3; i < 2 * cap + 4; ++i)
+        q.push_back(i);
+    EXPECT_EQ(q.capacity(), 4u * static_cast<std::size_t>(cap));
+    EXPECT_EQ(drain(q), iota(3, 2 * cap + 4));
+}
+
+TEST(RingFifo, RemoveAtKeepsTheOthersInOrder)
+{
+    // WFQ's pick: take waiters out of a wrapped ring anywhere.
+    RingFifo<int> q = fullWrappedRing(6);
+    const auto cap = static_cast<int>(q.capacity());
+    std::vector<int> want = iota(6, cap + 6);
+    // Across the wrap point (cap - 6 elements sit before it), the
+    // front, and the back.
+    for (const std::size_t i :
+         {static_cast<std::size_t>(cap - 6), std::size_t{0},
+          q.size() - 3}) {
+        q.removeAt(i);
+        want.erase(want.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    EXPECT_EQ(q.size(), want.size());
+    EXPECT_EQ(drain(q), want);
+}
+
+TEST(RingFifo, RandomizedDifferentialAgainstDeque)
+{
+    std::mt19937 rng(4242u);
+    RingFifo<int> q;
+    std::deque<int> ref;
+    for (int op = 0; op < 20000; ++op) {
+        const unsigned dice = rng() % 10;
+        if (dice < 5 || ref.empty()) {
+            q.push_back(op);
+            ref.push_back(op);
+        } else if (dice < 8) {
+            q.pop_front();
+            ref.pop_front();
+        } else {
+            const std::size_t i = rng() % ref.size();
+            q.removeAt(i);
+            ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        ASSERT_EQ(q.size(), ref.size());
+        if (!ref.empty()) {
+            ASSERT_EQ(q.front(), ref.front());
+            const std::size_t i = rng() % ref.size();
+            ASSERT_EQ(q[i], ref[i]);
+        }
+    }
+}
 
 } // namespace
 } // namespace aero

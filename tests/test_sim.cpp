@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <deque>
+#include <map>
+#include <optional>
 #include <random>
 #include <span>
 #include <unordered_map>
@@ -263,6 +268,202 @@ TEST(EventQueue, CancelledSlotsAreRecycledToo)
     for (int i = 0; i < 64; ++i)
         EXPECT_TRUE(eq.step());
     EXPECT_EQ(eq.arenaSlots(), slots);
+}
+
+/**
+ * The kernel's contract, spelled out the slow way: pending events in a
+ * map keyed by (when, schedule order); a cancelled event keeps its
+ * place until every event ahead of it is gone, and only then frees its
+ * slot; slots are reused last-freed first, and a fresh slot is the next
+ * index never handed out.
+ */
+class ReferenceQueue
+{
+  public:
+    EventId schedule(Tick when, int tag)
+    {
+        std::uint32_t slot;
+        if (freed.empty()) {
+            slot = fresh++;
+            gens.push_back(0);
+        } else {
+            slot = freed.back();
+            freed.pop_back();
+        }
+        queue.emplace(Key{when, seq++}, Entry{slot, tag, false});
+        ++live;
+        return EventId{slot, gens[slot]};
+    }
+
+    bool cancel(EventId id)
+    {
+        for (auto &[key, e] : queue) {
+            if (!e.dead && e.slot == id.slot && gens[e.slot] == id.gen) {
+                e.dead = true;
+                gens[e.slot] += 1;
+                --live;
+                scrub();
+                return true;
+            }
+        }
+        return false;
+    }
+
+    bool pendingEvent(EventId id) const
+    {
+        for (const auto &[key, e] : queue) {
+            if (!e.dead && e.slot == id.slot && gens[e.slot] == id.gen)
+                return true;
+        }
+        return false;
+    }
+
+    /** Fire the earliest event; its tag, or nothing when empty. */
+    std::optional<int> step()
+    {
+        if (queue.empty())
+            return std::nullopt;
+        const auto [key, e] = *queue.begin();
+        queue.erase(queue.begin());
+        scrub();
+        --live;
+        now = key.first;
+        gens[e.slot] += 1;
+        freed.push_back(e.slot);
+        return e.tag;
+    }
+
+    /** Handle of the `i`-th live event in firing order. */
+    EventId liveHandle(std::size_t i) const
+    {
+        for (const auto &[key, e] : queue) {
+            if (!e.dead && i-- == 0)
+                return EventId{e.slot, gens[e.slot]};
+        }
+        return EventId{};
+    }
+
+    Tick nextEventTick() const
+    {
+        return queue.empty() ? kTickMax : queue.begin()->first.first;
+    }
+    std::size_t pending() const { return live; }
+    std::size_t slotsHandedOut() const { return fresh; }
+
+    Tick now = 0;
+
+  private:
+    using Key = std::pair<Tick, std::uint64_t>;
+
+    struct Entry
+    {
+        std::uint32_t slot;
+        int tag;
+        bool dead;
+    };
+
+    void scrub()
+    {
+        while (!queue.empty() && queue.begin()->second.dead) {
+            freed.push_back(queue.begin()->second.slot);
+            queue.erase(queue.begin());
+        }
+    }
+
+    std::map<Key, Entry> queue;
+    std::vector<std::uint32_t> freed;
+    std::vector<std::uint32_t> gens;
+    std::uint32_t fresh = 0;
+    std::uint64_t seq = 0;
+    std::size_t live = 0;
+};
+
+TEST(EventQueue, RandomizedDifferentialAgainstReference)
+{
+    // Seeded schedule/cancel/step sequences, checked against
+    // ReferenceQueue after every call: the same firing sequence, the
+    // same handles (slot and generation), and the same nextEventTick(),
+    // pending(), peakPending() and arena size. Seeds cycle through three
+    // pending regimes: the simulator's (a few dozen), a larger one, and
+    // one big enough to grow the arena past its first chunk.
+    constexpr std::array<std::size_t, 3> kCaps = {24, 96, 700};
+    for (std::uint32_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937 rng(seed);
+        const std::size_t cap = kCaps[seed % kCaps.size()];
+        EventQueue eq;
+        ReferenceQueue ref;
+        std::vector<int> fired;
+        std::deque<OrderProbe> probes;  // stable addresses for the ctxs
+        std::vector<EventId> handles;   // every handle ever issued
+        std::size_t chunk = 0;          // arena growth step, seen once
+        std::size_t peak = 0;
+        const auto schedule = [&](Tick when) {
+            const int tag = static_cast<int>(probes.size());
+            probes.push_back({&fired, tag});
+            const EventId got =
+                eq.scheduleTimerAt(when, recordTag, &probes.back());
+            const EventId want = ref.schedule(when, tag);
+            EXPECT_EQ(got.slot, want.slot);
+            EXPECT_EQ(got.gen, want.gen);
+            handles.push_back(got);
+            if (chunk == 0)
+                chunk = eq.arenaSlots();
+        };
+        const auto cancel = [&](EventId id) {
+            const bool want = ref.cancel(id);
+            EXPECT_EQ(eq.cancel(id), want);
+        };
+        for (int op = 0; op < 4000; ++op) {
+            const unsigned dice = rng() % 100;
+            if (dice < 3 && ref.pending() < cap) {
+                // One unmapped 64-page read: 64 completions at one tick,
+                // which may already hold pending events.
+                const Tick when = eq.now() + rng() % 4;
+                for (int i = 0; i < 64; ++i)
+                    schedule(when);
+            } else if (dice < 45 && ref.pending() < cap) {
+                schedule(eq.now() + rng() % 64);
+            } else if (dice < 52 && ref.pending() > 0) {
+                cancel(ref.liveHandle(0));  // the earliest event
+            } else if (dice < 58 && ref.pending() > 0) {
+                cancel(ref.liveHandle(rng() % ref.pending()));
+            } else if (dice < 64 && !handles.empty()) {
+                // Mostly stale: fired, cancelled, or reused since.
+                const EventId id = handles[rng() % handles.size()];
+                EXPECT_EQ(eq.pendingEvent(id), ref.pendingEvent(id));
+                cancel(id);
+            } else {
+                const std::optional<int> want = ref.step();
+                const std::size_t before = fired.size();
+                ASSERT_EQ(eq.step(), want.has_value());
+                if (want) {
+                    ASSERT_EQ(fired.size(), before + 1);
+                    ASSERT_EQ(fired.back(), *want) << "op " << op;
+                }
+            }
+            ASSERT_EQ(eq.nextEventTick(), ref.nextEventTick()) << "op " << op;
+            ASSERT_EQ(eq.pending(), ref.pending()) << "op " << op;
+            peak = std::max(peak, ref.pending());
+            ASSERT_EQ(eq.peakPending(), peak);
+            ASSERT_EQ(eq.now(), ref.now);
+            if (chunk != 0) {
+                ASSERT_EQ(eq.arenaSlots(),
+                          (ref.slotsHandedOut() + chunk - 1) / chunk *
+                              chunk);
+            }
+        }
+        while (const std::optional<int> want = ref.step()) {
+            ASSERT_TRUE(eq.step());
+            ASSERT_EQ(fired.back(), *want);
+        }
+        EXPECT_FALSE(eq.step());
+        EXPECT_EQ(eq.processed(), fired.size());
+        if (cap > chunk) {
+            EXPECT_GT(eq.arenaSlots(), chunk)
+                << "the big regime never grew the arena";
+        }
+    }
 }
 
 TEST(EventQueue, ThreadCountCannotPerturbReplays)
