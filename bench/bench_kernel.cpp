@@ -1,18 +1,20 @@
 /**
  * @file
  * Simulation-kernel performance trajectory. Unlike the figure benches,
- * this binary measures the *simulator itself*: raw event dispatch through
- * the tagged kernel across a sweep of pending-set sizes, and the
- * erase-path step rate. Full-system replay is bench_contention's job.
+ * this binary measures the *simulator itself*: raw timer dispatch through
+ * the kernel across a sweep of pending-set sizes, and the erase-path
+ * step rate. Full-system replay is bench_contention's job.
  *
  * The sim-realistic pending regime is small, and the drive's structure
- * bounds it: each chip agent has at most one op event pending and each
+ * bounds it: each chip agent has at most one op timer pending and each
  * channel at most one grant, while backlog waits in the agents' FIFOs.
  * Whole perfbench replays on the 16-chip bench drive peak at 24 pending
  * events (`gc-churn`) and 17 (`fig14-grid`), and bench_contention pins
  * its replays' peaks as `peak_pending`. The kernel's sorted pending
  * array inserts in O(n), so the sweep's 256 and 1024 rows show where
- * that stops paying; no simulated drive comes near them.
+ * that stops paying; no simulated drive comes near them. Each batch
+ * arms its timers at seeded pseudo-random offsets, so inserts walk the
+ * array as they do in a replay rather than always landing at one end.
  *
  * Emits an `aero-kernel-bench/1` JSON artifact (BENCH_kernel.json in CI).
  * The perf.bench_kernel gate (tests/golden/run_gate.cmake) diffs it
@@ -25,8 +27,10 @@
 #include <chrono>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "bench_util.hh"
+#include "common/rng.hh"
 #include "core/aero_scheme.hh"
 #include "sim/event_queue.hh"
 
@@ -66,24 +70,34 @@ bumpCounter(void *ctx)
 }
 
 /**
- * Fill the pending set with `batch` timers at scattered ticks, drain,
- * repeat until `dispatchEvents` have fired; best of `trials`.
+ * Arm `batch` timers at pseudo-random offsets in [1, batch], drain,
+ * repeat until `dispatchEvents` have fired; best of `trials`. The
+ * offsets come from a fixed-seed table drawn before the clock starts.
  */
 DispatchResult
 benchDispatch(const BenchScale &s, int batch)
 {
     const auto reps =
         static_cast<int>(s.dispatchEvents / static_cast<unsigned>(batch));
+    constexpr int kPatterns = 16;
+    std::vector<Tick> offsets(static_cast<std::size_t>(batch) * kPatterns);
+    Rng rng(0x6b65726eULL);
+    for (Tick &o : offsets)
+        o = 1 + rng.below(static_cast<std::uint64_t>(batch));
     DispatchResult out;
     for (int t = 0; t < s.trials; ++t) {
         EventQueue eq;
         std::uint64_t fired = 0;
+        std::vector<Timer> timers(static_cast<std::size_t>(batch));
+        for (Timer &timer : timers)
+            timer.init(&bumpCounter, &fired);
         const auto t0 = Clock::now();
         for (int r = 0; r < reps; ++r) {
             const Tick base = eq.now();
+            const Tick *off =
+                &offsets[static_cast<std::size_t>(r % kPatterns) * batch];
             for (int i = 0; i < batch; ++i)
-                eq.scheduleTimerAt(base + (i * 7919) % batch + 1,
-                                   &bumpCounter, &fired);
+                eq.arm(base + off[i], timers[i]);
             eq.run();
         }
         const double secs = secondsSince(t0);
@@ -150,7 +164,7 @@ benchMain(int argc, char **argv)
         s.eraseOps = 500;
     }
 
-    bench::header("Simulation-kernel performance (tagged-event kernel)");
+    bench::header("Simulation-kernel performance (intrusive timers)");
 
     bench::DevcharReport report("bench_kernel",
                                 {"metric", "kernel", "pending"},
@@ -162,16 +176,16 @@ benchMain(int argc, char **argv)
 
     std::printf("  raw dispatch (Mevents/s, best of %d trials)\n",
                 s.trials);
-    std::printf("  %8s %10s\n", "pending", "tagged");
+    std::printf("  %8s %10s\n", "pending", "timer");
     for (const int pending : kPendingSweep) {
-        const DispatchResult tagged = benchDispatch(s, pending);
-        std::printf("  %8d %10.2f\n", pending, tagged.meventsPerSec);
+        const DispatchResult timer = benchDispatch(s, pending);
+        std::printf("  %8d %10.2f\n", pending, timer.meventsPerSec);
         Json row = Json::object();
         row["metric"] = "dispatch";
-        row["kernel"] = "tagged";
+        row["kernel"] = "timer";
         row["pending"] = pending;
-        row["mevents_per_sec"] = tagged.meventsPerSec;
-        row["events_total"] = tagged.eventsTotal;
+        row["mevents_per_sec"] = timer.meventsPerSec;
+        row["events_total"] = timer.eventsTotal;
         report.addRow(std::move(row));
     }
 

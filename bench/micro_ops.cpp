@@ -9,6 +9,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "common/rng.hh"
 #include "core/aero_scheme.hh"
 #include "core/felp.hh"
 #include "sim/event_queue.hh"
@@ -83,22 +86,28 @@ BENCHMARK(BM_EraseOperation)
     ->Arg(static_cast<int>(SchemeKind::Aero));
 
 void
-BM_EventQueueTagged(benchmark::State &state)
+BM_EventQueueTimers(benchmark::State &state)
 {
-    // The allocation-free tagged kernel the simulator runs on.
+    // 1000 timers armed at seeded pseudo-random ticks, then drained.
+    constexpr int kTimers = 1000;
+    std::vector<Tick> when(kTimers);
+    Rng rng(7);
+    for (Tick &t : when)
+        t = rng.below(kTimers);
+    std::vector<Timer> timers(kTimers);
+    int fired = 0;
+    for (Timer &t : timers)
+        t.init([](void *ctx) { ++*static_cast<int *>(ctx); }, &fired);
     for (auto _ : state) {
         EventQueue eq;
-        int fired = 0;
-        for (int i = 0; i < 1000; ++i)
-            eq.scheduleTimerAt(
-                static_cast<Tick>((i * 7919) % 1000),
-                [](void *ctx) { ++*static_cast<int *>(ctx); }, &fired);
+        for (int i = 0; i < kTimers; ++i)
+            eq.arm(when[i], timers[i]);
         eq.run();
         benchmark::DoNotOptimize(fired);
     }
-    state.SetItemsProcessed(state.iterations() * 1000);
+    state.SetItemsProcessed(state.iterations() * kTimers);
 }
-BENCHMARK(BM_EventQueueTagged);
+BENCHMARK(BM_EventQueueTimers);
 
 void
 BM_MappingUpdate(benchmark::State &state)

@@ -1,12 +1,11 @@
 /**
  * @file
  * RingFifo: a growable FIFO over one power-of-two ring buffer. The
- * chip agents' op queues and the channels' grant queues push at the
- * back and pop at the front once per simulated page op, so both ends
- * must be O(1) with no per-element allocation, and unlike std::deque a
- * push never touches a node map. removeAt() takes an element out of the
- * middle in order (WFQ's lowest-tag pick); removing the front costs no
- * shifting at all.
+ * chip agents' op queues push at the back and pop at the front once per
+ * simulated page op, so both ends must be O(1) with no per-element
+ * allocation, and unlike std::deque a push never touches a node map.
+ * The FTL's stalled writes and host-page completions queue in rings
+ * too.
  *
  * A ring allocates its first kInitialCapacity slots when it is built,
  * as std::deque allocates its first node, so a drive's queues take
@@ -53,16 +52,6 @@ class RingFifo
     {
         head = wrap(head + 1);
         --count;
-    }
-
-    /** Remove the i-th element, keeping the others in FIFO order. */
-    void removeAt(std::size_t i)
-    {
-        // Shift the elements ahead of it back one slot, then drop the
-        // front: O(i), and O(1) for the front itself.
-        for (; i > 0; --i)
-            (*this)[i] = std::move((*this)[i - 1]);
-        pop_front();
     }
 
   private:

@@ -1,16 +1,23 @@
 /**
  * @file
- * The simulation kernel's event vocabulary: a small closed set of POD
- * event kinds, dispatched by switch in EventQueue::step() instead of
- * through type-erased callbacks. Every event the simulator schedules —
- * page-op completions, erase-segment completions, suspension quiesce,
- * host-overhead completions, trace admission — is one tagged arena slot
- * with no per-event heap allocation; a `Timer` (free function plus
- * context pointer) covers anything else, such as tests and benches.
+ * The simulation kernel's one event type: an intrusive Timer. Every
+ * event source owns its timers — a chip agent one per completion kind
+ * of its op in flight, a channel one for its grant, the trace pump one
+ * for its next admission and one per throttled tenant gate, the FTL one
+ * for host-overhead completions — so the kernel keeps no event storage
+ * of its own: its pending array holds (tick, Timer *) entries, and
+ * firing an entry calls the timer's handler with the owner it names.
  *
- * PageOp lives here rather than in ssd/chip_agent.hh because completion
- * events carry one by value; the SSD layer re-exports it via its usual
- * headers.
+ * A timer is pending at most once, except the FTL's host-page timer,
+ * which sits in the array once per queued completion (EventQueue::insert):
+ * they are all scheduled at now() + hostOverhead, so they fire in the
+ * order they were scheduled, and the FTL keeps their request ids in a
+ * FIFO beside the timer.
+ *
+ * Timers neither copy nor move: the pending array points at them, and a
+ * copy would carry a handler bound to the original's owner. An owner
+ * names its timers' handler and itself in init(), once it sits where it
+ * will stay, and must outlive any entry it leaves pending.
  */
 
 #ifndef AERO_SIM_EVENT_HH
@@ -18,125 +25,42 @@
 
 #include <cstdint>
 
-#include "common/types.hh"
-
 namespace aero
 {
 
-class Channel;
-class ChipAgent;
-class Ftl;
-struct GcJob;
-struct TracePump;
-
-constexpr std::uint64_t kNoRequest = ~0ULL;
-
-struct PageOp
+class Timer
 {
-    enum class Kind : std::uint8_t { UserRead, UserWrite, GcRead, GcWrite };
+  public:
+    using Handler = void (*)(void *owner);
 
-    Kind kind = Kind::UserRead;
-    Lpn lpn = kInvalidLpn;
-    Ppn ppn = kInvalidPpn;
-    std::uint64_t requestId = kNoRequest;
-    GcJob *job = nullptr;
-    Tick tprog = 0;   //!< program latency (scheme-dependent, writes only)
-    TenantId tenant = 0;  //!< WFQ channel arbitration key (host ops)
-};
+    Timer() = default;
+    Timer(const Timer &) = delete;
+    Timer &operator=(const Timer &) = delete;
 
-/** The closed set of event kinds the kernel can dispatch. */
-enum class EventKind : std::uint8_t
-{
-    Dead = 0,          //!< free or cancelled arena slot; never dispatched
-    Timer,             //!< free function + context pointer
-    ChipOpComplete,    //!< a page read/write finished on a chip
-    EraseSegmentDone,  //!< an erase segment (or resumed remainder) ended
-    SuspendQuiesced,   //!< erase-suspension entry latency elapsed
-    HostPageDone,      //!< host-overhead-only page completion
-    TraceAdmit,        //!< trace pump: admit the next due request burst
-    DieOpComplete,     //!< queued arbitration: on-die phase (sense) ended
-    ChannelGrant,      //!< queued arbitration: channel bus released
-    TraceAdmitThrottled, //!< trace pump: a tenant's token bucket refilled
-};
-
-/**
- * Handle to a scheduled event: arena slot plus generation. The
- * generation is bumped whenever a slot is cancelled or fires, so a stale
- * handle can never cancel the slot's next occupant — cancelling an event
- * that already fired is a harmless no-op returning false, so no agent
- * needs a version counter to ignore its stale events.
- */
-struct EventId
-{
-    static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-
-    std::uint32_t slot = kNoSlot;
-    std::uint32_t gen = 0;
-
-    explicit operator bool() const { return slot != kNoSlot; }
-};
-
-/**
- * One arena slot: tag, generation and a two-word payload union. Slots
- * live in EventQueue's arena and are recycled through its free list;
- * the firing order is kept apart from them, in EventQueue's sorted
- * pending array of (when, slot) entries. The one fat payload (the PageOp
- * a ChipOpComplete carries) lives in a parallel per-slot arena in
- * EventQueue, written at schedule time and read back once at dispatch,
- * so every other kind copies only the two-word union.
- */
-struct Event
-{
-    struct TimerPayload
+    /** Fire `fn(owner)` on every expiry. */
+    void
+    init(Handler fn, void *owner)
     {
-        void (*fn)(void *);
-        void *ctx;
-    };
+        handler = fn;
+        ctx = owner;
+    }
 
-    struct AgentPayload
+    /** Fire `(owner->*Method)()` on every expiry. */
+    template <typename T, void (T::*Method)()>
+    void
+    init(T *owner)
     {
-        ChipAgent *agent;
-    };
+        init([](void *p) { (static_cast<T *>(p)->*Method)(); }, owner);
+    }
 
-    struct HostPagePayload
-    {
-        Ftl *ftl;
-        std::uint64_t requestId;
-    };
+    bool pending() const { return entries != 0; }
 
-    struct PumpPayload
-    {
-        TracePump *pump;
-    };
+  private:
+    friend class EventQueue;
 
-    struct PumpTenantPayload
-    {
-        TracePump *pump;
-        std::uint64_t tenant;  //!< TenantId widened to keep the union POD
-    };
-
-    struct ChannelPayload
-    {
-        Channel *channel;
-    };
-
-    union Payload
-    {
-        Payload() : timer{nullptr, nullptr} {}
-
-        TimerPayload timer;         //!< Timer
-        AgentPayload agent;         //!< ChipOpComplete / EraseSegmentDone
-                                    //!< / SuspendQuiesced / DieOpComplete
-        HostPagePayload hostPage;   //!< HostPageDone
-        PumpPayload pump;           //!< TraceAdmit
-        PumpTenantPayload pumpTenant; //!< TraceAdmitThrottled
-        ChannelPayload channel;     //!< ChannelGrant
-    };
-
-    std::uint32_t gen = 0;       //!< validates EventIds against reuse
-    std::uint32_t nextFree = 0;  //!< free-list link while the slot is free
-    EventKind kind = EventKind::Dead;
-    Payload payload;
+    Handler handler = nullptr;
+    void *ctx = nullptr;
+    std::uint32_t entries = 0;  //!< times it sits in the pending array
 };
 
 } // namespace aero

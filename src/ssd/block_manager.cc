@@ -11,6 +11,7 @@ namespace aero
 BlockManager::BlockManager(const SsdConfig &cfg)
     : numChips(cfg.totalChips()), planesPerChip(cfg.geometry.planes),
       blocksPerPlane(cfg.geometry.blocksPerPlane),
+      perPlane(static_cast<std::uint32_t>(blocksPerPlane)),
       pagesPerBlock(cfg.geometry.pagesPerBlock),
       planesState(static_cast<std::size_t>(numChips) * planesPerChip),
       blockStates(planesState.size() * blocksPerPlane, BlockState::Free),

@@ -20,6 +20,7 @@
 
 #include <vector>
 
+#include "common/fast_div.hh"
 #include "ssd/config.hh"
 
 namespace aero
@@ -36,7 +37,7 @@ class BlockManager
 
     int planeOf(BlockId block) const
     {
-        return static_cast<int>(block) / blocksPerPlane;
+        return static_cast<int>(perPlane.div(block));
     }
 
     int freeBlocks(int chip, int plane) const;
@@ -130,6 +131,7 @@ class BlockManager
     int numChips;
     int planesPerChip;
     int blocksPerPlane;
+    Divider32 perPlane;  //!< chip-local block -> plane, without a divide
     int pagesPerBlock;
     std::vector<Plane> planesState;
     /** @name The block table, one entry per (chip, chip-local block) */

@@ -8,12 +8,64 @@
 namespace aero
 {
 
+namespace
+{
+
+bool
+isHost(BusClass cls)
+{
+    return cls == BusClass::HostRead || cls == BusClass::HostWrite;
+}
+
+} // namespace
+
+void
+BusQueue::push(BusWait &w)
+{
+    AERO_CHECK(!w.queued, "an agent requested the bus while it waits");
+    w.queued = true;
+    w.next = nullptr;
+    List &l = lists[static_cast<int>(w.cls)];
+    (l.tail != nullptr ? l.tail->next : l.head) = &w;
+    l.tail = &w;
+}
+
+BusWait *
+BusQueue::pop(bool wfq)
+{
+    for (List &l : lists) {
+        if (l.head == nullptr)
+            continue;
+        // FIFO is the head; WFQ scans for the lowest (tag, seq), keeping
+        // the pick's predecessor to unlink it.
+        BusWait *prev = nullptr;
+        BusWait *pick = l.head;
+        if (wfq && isHost(pick->cls)) {
+            for (BusWait *p = l.head; p->next != nullptr; p = p->next) {
+                const BusWait *q = p->next;
+                if (q->tag < pick->tag ||
+                    (q->tag == pick->tag && q->seq < pick->seq)) {
+                    prev = p;
+                    pick = p->next;
+                }
+            }
+        }
+        (prev != nullptr ? prev->next : l.head) = pick->next;
+        if (l.tail == pick)
+            l.tail = prev;
+        pick->queued = false;
+        return pick;
+    }
+    return nullptr;
+}
+
 void
 Channel::init(int index, EventQueue *eq_, SsdMetrics *metrics_)
 {
     idx = index;
     eq = eq_;
     metrics = metrics_;
+    grantDone.init<Channel, &Channel::onGrantDone>(this);
 }
 
 void
@@ -35,9 +87,13 @@ void
 Channel::request(ChipAgent &agent, BusClass cls, TenantId tenant)
 {
     AERO_CHECK(eq != nullptr, "channel used before init()");
-    Waiter w{&agent, eq->now(), 0, nextWaiterSeq++, tenant};
-    if (wfq &&
-        (cls == BusClass::HostRead || cls == BusClass::HostWrite)) {
+    BusWait &w = agent.busWait;
+    w.since = eq->now();
+    w.seq = nextWaiterSeq++;
+    w.tag = 0;
+    w.tenant = tenant;
+    w.cls = cls;
+    if (wfq && isHost(cls)) {
         // SFQ: stamp the virtual start time at *arrival*, even for an
         // immediate grant, so a backlogged tenant's tags keep advancing
         // relative to everyone else's.
@@ -48,20 +104,19 @@ Channel::request(ChipAgent &agent, BusClass cls, TenantId tenant)
         w.tag = start;
     }
     if (!owned) {
-        grantTo(w, cls);
+        grantTo(w);
         return;
     }
-    waiters[static_cast<int>(cls)].push_back(w);
+    waiters.push(w);
 }
 
 void
-Channel::grantTo(const Waiter &w, BusClass cls)
+Channel::grantTo(BusWait &w)
 {
     const Tick now = eq->now();
     const Tick wait = now - w.since;
-    const bool host =
-        cls == BusClass::HostRead || cls == BusClass::HostWrite;
-    switch (cls) {
+    const bool host = isHost(w.cls);
+    switch (w.cls) {
       case BusClass::HostRead:
       case BusClass::HostWrite:
         metrics->hostChannelWaitTicks += wait;
@@ -88,35 +143,15 @@ Channel::grantTo(const Waiter &w, BusClass cls)
         metrics->tenants[w.tenant].channelHeldTicks += release - now;
     }
     owned = true;
-    eq->scheduleChannelGrantAt(release, *this);
+    eq->arm(release, grantDone);
 }
 
 void
 Channel::onGrantDone()
 {
     owned = false;
-    for (auto &q : waiters) {
-        if (q.empty())
-            continue;
-        const BusClass cls =
-            static_cast<BusClass>(static_cast<int>(&q - waiters.data()));
-        // WFQ host classes: grant the lowest virtual start tag, arrival
-        // order on ties. FIFO otherwise (seq is monotone, so picking the
-        // minimum seq *is* the front).
-        std::size_t pick = 0;
-        if (wfq &&
-            (cls == BusClass::HostRead || cls == BusClass::HostWrite)) {
-            for (std::size_t i = 1; i < q.size(); ++i) {
-                if (q[i].tag < q[pick].tag ||
-                    (q[i].tag == q[pick].tag && q[i].seq < q[pick].seq))
-                    pick = i;
-            }
-        }
-        const Waiter w = q[pick];
-        q.removeAt(pick);
-        grantTo(w, cls);
-        return;
-    }
+    if (BusWait *w = waiters.pop(wfq))
+        grantTo(*w);
 }
 
 } // namespace aero

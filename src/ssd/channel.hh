@@ -7,13 +7,16 @@
  * closed-form latency arithmetic at issue time (and pre-PR-8 behaviour is
  * reproduced bit for bit).
  *
- * Queued arbitration models the bus as a resource with per-class FIFO
- * grant queues: a chip *requests* the bus for a transfer (or an erase
- * command issue), waits its turn, and is granted by a ChannelGrant event
- * when the previous owner releases. Grants drain strictly by class
+ * Queued arbitration models the bus as a resource with per-class grant
+ * queues: a chip *requests* the bus for a transfer (or an erase command
+ * issue), waits its turn, and is granted when the grant timer of the
+ * previous owner's transfer fires. Grants drain strictly by class
  * priority — host reads > host writes > GC copies > erase commands — and
  * FIFO within a class, so host and reclamation traffic genuinely contend
- * and the wait each class suffers is measured into SsdMetrics.
+ * and the wait each class suffers is measured into SsdMetrics. An agent
+ * waits for at most one grant, so each class queue is an intrusive list
+ * through the waiting agents' BusWait records, which also hold the wait
+ * start, arrival sequence number and WFQ tag: the channel stores none.
  *
  * With WFQ enabled (SloPolicy::Wfq / ThrottleWfq), the two *host*
  * classes swap their FIFO for start-time fair queuing: each request is
@@ -34,7 +37,6 @@
 #include <array>
 #include <vector>
 
-#include "common/ring_fifo.hh"
 #include "sim/event_queue.hh"
 #include "ssd/metrics.hh"
 
@@ -57,6 +59,42 @@ constexpr int kBusClasses = 4;
 /** WFQ virtual-time quantum: finish tags advance by kWfqQuantum/weight
  *  per grant, so a weight-w tenant accrues virtual time 1/w as fast. */
 constexpr std::uint64_t kWfqQuantum = 1ULL << 20;
+
+/** One chip agent's place in its channel's grant queue. */
+struct BusWait
+{
+    ChipAgent *agent = nullptr;
+    BusWait *next = nullptr;  //!< next waiter of the same class
+    Tick since = 0;           //!< request tick
+    std::uint64_t seq = 0;    //!< arrival order; breaks tag ties
+    std::uint64_t tag = 0;    //!< WFQ virtual start time
+    TenantId tenant = 0;
+    BusClass cls = BusClass::HostRead;
+    bool queued = false;
+};
+
+/** The four class queues of a channel, intrusive through BusWait. */
+class BusQueue
+{
+  public:
+    void push(BusWait &w);
+
+    /**
+     * Unlink the next waiter to grant, nullptr when none waits: the
+     * first of the highest non-empty class, except that with `wfq` the
+     * host classes give the lowest (tag, seq).
+     */
+    BusWait *pop(bool wfq);
+
+  private:
+    struct List
+    {
+        BusWait *head = nullptr;
+        BusWait *tail = nullptr;
+    };
+
+    std::array<List, kBusClasses> lists;
+};
 
 class Channel
 {
@@ -85,24 +123,14 @@ class Channel
     void enableWfq(std::vector<std::uint32_t> weights);
 
   private:
-    friend class EventQueue;  //!< tagged-event dispatch entry point
-
-    struct Waiter
-    {
-        ChipAgent *agent = nullptr;
-        Tick since = 0;
-        std::uint64_t tag = 0;   //!< WFQ virtual start time
-        std::uint64_t seq = 0;   //!< arrival order; breaks tag ties
-        TenantId tenant = 0;
-    };
-
-    /** ChannelGrant dispatch target: the bus was released. */
+    /** Grant-timer handler: the bus was released. */
     void onGrantDone();
-    void grantTo(const Waiter &w, BusClass cls);
+    void grantTo(BusWait &w);
 
     std::uint64_t weightOf(TenantId tenant) const;
 
-    std::array<RingFifo<Waiter>, kBusClasses> waiters;
+    BusQueue waiters;
+    Timer grantDone;
     bool owned = false;
     int idx = 0;
     EventQueue *eq = nullptr;

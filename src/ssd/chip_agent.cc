@@ -14,6 +14,11 @@ ChipAgent::ChipAgent(int chip_idx, NandChip &chip, EraseScheme &scheme_,
     : chipIdx(chip_idx), nand(chip), scheme(scheme_), eq(eq_), cfg(cfg_),
       channel(channel_), ftl(ftl_), metrics(metrics_)
 {
+    opDone.init<ChipAgent, &ChipAgent::onChipOpComplete>(this);
+    senseDone.init<ChipAgent, &ChipAgent::onDieOpComplete>(this);
+    segmentDone.init<ChipAgent, &ChipAgent::finishEraseSegment>(this);
+    quiesced.init<ChipAgent, &ChipAgent::onSuspendQuiesced>(this);
+    busWait.agent = this;
 }
 
 bool
@@ -36,7 +41,7 @@ ChipAgent::push(const PageOp &op)
             erase && !erase->paused &&
             erase->suspensionsThisOp < kMaxSuspensionsPerOp) {
             // Invalidate the scheduled segment completion.
-            const bool cancelled = eq.cancel(pendingOp);
+            const bool cancelled = eq.cancel(segmentDone);
             AERO_CHECK(cancelled,
                        "suspension found no pending segment event");
             erase->paused = true;
@@ -46,7 +51,7 @@ ChipAgent::push(const PageOp &op)
             inEraseSegment = false;
             // The chip stays busy while the erase voltage quiesces.
             opEnd = eq.now() + cfg.suspendEntryLatency;
-            pendingOp = eq.scheduleSuspendQuiesceAt(opEnd, *this);
+            eq.arm(opEnd, quiesced);
         }
         break;
       case PageOp::Kind::UserWrite:
@@ -62,6 +67,12 @@ ChipAgent::push(const PageOp &op)
 void
 ChipAgent::enqueue(const PageOp &op)
 {
+    if (idle()) {
+        // Nothing queued ahead of it: dispatch() would pick this op.
+        curOp = op;
+        startOp();
+        return;
+    }
     push(op);
     dispatch();
 }
@@ -86,9 +97,9 @@ ChipAgent::dispatch()
         return;
     // 1. User reads first: the latency-critical path.
     if (!readQ.empty()) {
-        PageOp op = readQ.front();
+        curOp = readQ.front();
         readQ.pop_front();
-        startRead(op);
+        startRead();
         return;
     }
     // 2. A suspended erase segment owns the cell array mid-pulse; it must
@@ -108,19 +119,16 @@ ChipAgent::dispatch()
     }
     // 4. User writes.
     if (!writeQ.empty()) {
-        PageOp op = writeQ.front();
+        curOp = writeQ.front();
         writeQ.pop_front();
-        startWrite(op);
+        startWrite();
         return;
     }
     // 5. GC page migrations.
     if (!gcQ.empty()) {
-        PageOp op = gcQ.front();
+        curOp = gcQ.front();
         gcQ.pop_front();
-        if (op.kind == PageOp::Kind::GcRead)
-            startRead(op);
-        else
-            startWrite(op);
+        startOp();
         return;
     }
     // 6. Background erase work.
@@ -143,17 +151,26 @@ ChipAgent::busClassOf(const PageOp &op) const
 }
 
 void
-ChipAgent::startRead(PageOp op)
+ChipAgent::startOp()
+{
+    if (curOp.kind == PageOp::Kind::UserRead ||
+        curOp.kind == PageOp::Kind::GcRead)
+        startRead();
+    else
+        startWrite();
+}
+
+void
+ChipAgent::startRead()
 {
     busy = true;
     inEraseSegment = false;
     if (queued()) {
         // Two-phase: run the on-die sense to completion, then compete
         // for the channel; the transfer is scheduled at grant time.
-        curOp = op;
         phase = Phase::Sense;
         opEnd = eq.now() + nand.params().tRead;
-        pendingOp = eq.scheduleDieOpAt(opEnd, *this);
+        eq.arm(opEnd, senseDone);
         return;
     }
     const Tick sense_done = eq.now() + nand.params().tRead;
@@ -164,20 +181,19 @@ ChipAgent::startRead(PageOp op)
         metrics.channelBusyTicks.size())
         metrics.channelBusyTicks[channel.index()] += cfg.channelXferPerPage;
     opEnd = end;
-    pendingOp = eq.scheduleChipOpAt(end, *this, op);
+    eq.arm(end, opDone);
 }
 
 void
-ChipAgent::startWrite(PageOp op)
+ChipAgent::startWrite()
 {
     busy = true;
     inEraseSegment = false;
     if (queued()) {
         // The data-in transfer needs the bus first; the on-die program
         // starts once the transfer lands.
-        curOp = op;
         phase = Phase::AwaitBus;
-        channel.request(*this, busClassOf(op), op.tenant);
+        channel.request(*this, busClassOf(curOp), curOp.tenant);
         return;
     }
     const Tick xfer_start = std::max(eq.now(), channel.busyUntil);
@@ -186,16 +202,15 @@ ChipAgent::startWrite(PageOp op)
     if (static_cast<std::size_t>(channel.index()) <
         metrics.channelBusyTicks.size())
         metrics.channelBusyTicks[channel.index()] += cfg.channelXferPerPage;
-    const Tick tprog = op.tprog ? op.tprog : nand.params().tProg;
+    const Tick tprog = curOp.tprog ? curOp.tprog : nand.params().tProg;
     const Tick end = xfer_end + tprog;
     opEnd = end;
-    pendingOp = eq.scheduleChipOpAt(end, *this, op);
+    eq.arm(end, opDone);
 }
 
 void
 ChipAgent::onDieOpComplete()
 {
-    pendingOp = EventId{};
     AERO_CHECK(phase == Phase::Sense, "die op completed outside a sense");
     phase = Phase::AwaitBus;
     channel.request(*this, busClassOf(curOp), curOp.tenant);
@@ -214,7 +229,7 @@ ChipAgent::channelGranted()
         inEraseSegment = true;
         opEnd = cmd_end + erase->seg.duration;
         metrics.eraseBusyTime += erase->seg.duration;
-        pendingOp = eq.scheduleEraseSegmentAt(opEnd, *this);
+        eq.arm(opEnd, segmentDone);
         return cmd_end;
     }
     AERO_CHECK(phase == Phase::AwaitBus, "channel grant without a waiter");
@@ -228,31 +243,23 @@ ChipAgent::channelGranted()
         const Tick tprog = curOp.tprog ? curOp.tprog : nand.params().tProg;
         opEnd = xfer_end + tprog;
     }
-    pendingOp = eq.scheduleChipOpAt(opEnd, *this, curOp);
+    eq.arm(opEnd, opDone);
     return xfer_end;
 }
 
 void
-ChipAgent::onChipOpComplete(const PageOp &op)
+ChipAgent::onChipOpComplete()
 {
-    pendingOp = EventId{};
     busy = false;
     phase = Phase::None;
+    const PageOp op = curOp;  // the FTL may start this chip's next op
     ftl.onPageOpDone(op);
     dispatch();
 }
 
 void
-ChipAgent::onEraseSegmentDone()
-{
-    pendingOp = EventId{};
-    finishEraseSegment();
-}
-
-void
 ChipAgent::onSuspendQuiesced()
 {
-    pendingOp = EventId{};
     busy = false;
     dispatch();
 }
@@ -286,7 +293,7 @@ ChipAgent::startEraseWork()
     inEraseSegment = true;
     opEnd = eq.now() + erase->seg.duration;
     metrics.eraseBusyTime += erase->seg.duration;
-    pendingOp = eq.scheduleEraseSegmentAt(opEnd, *this);
+    eq.arm(opEnd, segmentDone);
 }
 
 void
@@ -299,7 +306,7 @@ ChipAgent::resumeErase()
     const Tick dur = cfg.suspendResumeOverhead + erase->pausedRemaining;
     opEnd = eq.now() + dur;
     metrics.eraseBusyTime += cfg.suspendResumeOverhead;
-    pendingOp = eq.scheduleEraseSegmentAt(opEnd, *this);
+    eq.arm(opEnd, segmentDone);
 }
 
 void

@@ -16,9 +16,13 @@
  * wait for the whole remaining operation -- which is exactly why AERO's
  * shorter erase operations shrink the read tail (Figs. 14/15).
  *
- * Completions are tagged kernel events (sim/event.hh) carrying this
- * agent; suspension cancels the in-flight segment event explicitly
- * through its EventId instead of the old version-counter idiom.
+ * The agent owns its kernel events (sim/event.hh): one timer per
+ * completion kind of the op in flight (page op, sense, erase segment,
+ * suspend quiesce), at most one of them pending; suspension cancels the
+ * segment timer. The op in flight stays in the agent (curOp), so no
+ * event carries a payload, and an idle agent with empty queues starts a
+ * new op directly. Under queued arbitration the agent's BusWait record
+ * is its place in the channel's grant queue (ssd/channel.hh).
  */
 
 #ifndef AERO_SSD_CHIP_AGENT_HH
@@ -37,6 +41,26 @@
 
 namespace aero
 {
+
+constexpr std::uint64_t kNoRequest = ~0ULL;
+
+/** One page read or write the FTL hands a chip agent: 32 bytes. */
+struct PageOp
+{
+    enum class Kind : std::uint8_t { UserRead, UserWrite, GcRead, GcWrite };
+
+    Lpn lpn = kInvalidLpn;
+    Ppn ppn = kInvalidPpn;
+    union
+    {
+        std::uint64_t requestId = kNoRequest;  //!< UserRead / UserWrite
+        GcJob *job;                            //!< GcRead / GcWrite
+    };
+    std::uint32_t tprog = 0;  //!< program latency, writes only (0: nominal)
+    TenantId tenant = 0;      //!< WFQ channel arbitration key (host ops)
+    Kind kind = Kind::UserRead;
+};
+static_assert(sizeof(PageOp) == 32, "PageOp is copied per page op");
 
 /** Callbacks from agents into the FTL. */
 class FtlCallbacks
@@ -75,8 +99,7 @@ class ChipAgent
     static constexpr int kMaxSuspensionsPerOp = 2;
 
   private:
-    friend class EventQueue;  //!< tagged-event dispatch entry points
-    friend class Channel;     //!< grants call channelGranted()
+    friend class Channel;  //!< grants call channelGranted()
 
     struct ActiveErase
     {
@@ -104,11 +127,12 @@ class ChipAgent
 
     void push(const PageOp &op);
     void dispatch();
-    void startRead(PageOp op);
-    void startWrite(PageOp op);
+    /** Start curOp: a read or a write by its kind. */
+    void startOp();
+    void startRead();
+    void startWrite();
     void startEraseWork();
     void resumeErase();
-    void finishEraseSegment();
 
     /**
      * Channel grant (queued mode): start the transfer (or erase command)
@@ -116,10 +140,10 @@ class ChipAgent
      */
     Tick channelGranted();
 
-    /** @name Kernel dispatch targets (EventQueue::step() switch) */
+    /** @name Timer handlers */
     /** @{ */
-    void onChipOpComplete(const PageOp &op);
-    void onEraseSegmentDone();
+    void onChipOpComplete();
+    void finishEraseSegment();
     void onSuspendQuiesced();
     void onDieOpComplete();
     /** @} */
@@ -142,12 +166,20 @@ class ChipAgent
     bool busy = false;
     bool inEraseSegment = false;
     Tick opEnd = 0;
-    EventId pendingOp;  //!< completion event of the op in flight
+    PageOp curOp;  //!< the page op in flight
+
+    /** @name Completion timers of the op in flight */
+    /** @{ */
+    Timer opDone;
+    Timer senseDone;     //!< queued arbitration: on-die sense ended
+    Timer segmentDone;
+    Timer quiesced;      //!< erase suspension entry latency elapsed
+    /** @} */
 
     /** @name Queued-arbitration in-flight state */
     /** @{ */
     Phase phase = Phase::None;
-    PageOp curOp;       //!< the page op crossing sense/bus/transfer phases
+    BusWait busWait;  //!< place in the channel's grant queue
     /** @} */
 };
 

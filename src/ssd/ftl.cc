@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <span>
+#include <utility>
 
 #include "common/logging.hh"
 #include "core/aero_scheme.hh"
@@ -31,7 +33,7 @@ Ftl::Ftl(const SsdConfig &cfg_, EventQueue &eq_)
         chips.emplace_back(wear, cfg.geometry, chip_seed, chip_pv);
     }
     preAge(cfg.initialPec);
-    channels.resize(cfg.channels);
+    channels = std::vector<Channel>(cfg.channels);  // built in place
     stats.channelBusyTicks.assign(cfg.channels, 0);
     for (int c = 0; c < cfg.channels; ++c)
         channels[c].init(c, &eq, &stats);
@@ -58,6 +60,7 @@ Ftl::Ftl(const SsdConfig &cfg_, EventQueue &eq_)
     burstTouched.assign(cfg.totalChips(), 0);
     burstChips.reserve(cfg.totalChips());
     gcLive.resize(static_cast<std::size_t>(cfg.geometry.pagesPerBlock));
+    hostPageDone.init<Ftl, &Ftl::onHostPageDone>(this);
 }
 
 Ftl::~Ftl() = default;
@@ -90,7 +93,8 @@ Ftl::prefill()
     // because on a fresh drive every plane accepts the same number of
     // pages before prefill has to skip it.
     const int keys = cfg.totalChips() * cfg.geometry.planes;
-    AERO_CHECK(mapping.mappedCount() == 0 && writePointer == 0,
+    AERO_CHECK(mapping.mappedCount() == 0 && writePointer.chip == 0 &&
+                   writePointer.plane == 0,
                "prefill needs a fresh drive");
     for (int key = 0; key < keys; ++key) {
         AERO_CHECK(blocks.freeBlocks(key / cfg.geometry.planes,
@@ -138,7 +142,9 @@ Ftl::prefill()
             chips[chip].programPages(blk, run);
         }
     }
-    writePointer = static_cast<int>(extra);
+    const auto next = static_cast<int>(extra);
+    writePointer = PlaneCursor{next / cfg.geometry.planes,
+                               next % cfg.geometry.planes};
     if (placed < total)
         AERO_WARN("prefill stopped early at LPN ", placed, " of ", total);
 }
@@ -174,20 +180,19 @@ Ftl::warmup(std::uint64_t overwrites)
         if (i + kNear < overwrites)
             mapping.prefetchOldLocation(ring[(i + kNear) % kAhead]);
         bool placed = false;
-        for (int t = 0; t < tries && !placed; ++t) {
-            const int key = (writePointer + t) % tries;
-            const int chip = key / cfg.geometry.planes;
-            const int plane = key % cfg.geometry.planes;
+        PlaneCursor at = writePointer;
+        for (int t = 0; t < tries && !placed; ++t, nextPlane(at)) {
             BlockId blk;
             int page;
-            if (!blocks.allocate(chip, plane, blk, page))
+            if (!blocks.allocate(at.chip, at.plane, blk, page))
                 continue;
-            writePointer = (key + 1) % tries;
-            mapping.update(lpn, mapping.encode(chip, blk, page));
-            chips[chip].programPage(blk);
+            writePointer = at;
+            nextPlane(writePointer);
+            mapping.update(lpn, mapping.encode(at.chip, blk, page));
+            chips[at.chip].programPage(blk);
             placed = true;
-            if (blocks.freeBlocks(chip, plane) <= cfg.gcLowWatermark)
-                functionalGc(chip, plane);
+            if (blocks.freeBlocks(at.chip, at.plane) <= cfg.gcLowWatermark)
+                functionalGc(at.chip, at.plane);
         }
         AERO_CHECK(placed, "warmup could not place a write");
     }
@@ -235,6 +240,10 @@ Ftl::submit(const TraceRecord &rec)
     const std::uint64_t id = nextRequestId++;
     inflight.emplace(id, InflightRequest{rec.op, eq.now(), rec.pages,
                                          rec.tenant});
+    // Pages wrap at the end of the logical space.
+    const Lpn logical = mapping.logicalPages();
+    const Lpn start =
+        rec.startPage < logical ? rec.startPage : rec.startPage % logical;
     if (rec.op == IoOp::Read) {
         // Reads are side-effect free at admission, so a multi-page
         // request queues as a burst: one dispatch pass per touched chip
@@ -242,17 +251,21 @@ Ftl::submit(const TraceRecord &rec)
         // write can trip the GC watermark and enqueue an urgent erase,
         // which must see the queues exactly as sequential admission
         // would leave them.
+        Lpn lpn = start;
         for (std::uint32_t i = 0; i < rec.pages; ++i) {
-            const Lpn lpn = (rec.startPage + i) % mapping.logicalPages();
             submitReadPage(lpn, id, rec.tenant);
+            if (++lpn == logical)
+                lpn = 0;
         }
         flushReadBurst();
         return;
     }
+    Lpn lpn = start;
     for (std::uint32_t i = 0; i < rec.pages; ++i) {
-        const Lpn lpn = (rec.startPage + i) % mapping.logicalPages();
         if (!submitWritePage(lpn, id, rec.tenant))
             stalledWrites.push_back(StalledWrite{lpn, id, rec.tenant});
+        if (++lpn == logical)
+            lpn = 0;
     }
 }
 
@@ -264,8 +277,8 @@ Ftl::submitReadPage(Lpn lpn, std::uint64_t request_id, TenantId tenant)
         // Never-written page: the controller answers from the mapping
         // table without touching flash.
         stats.unmappedReads += 1;
-        eq.scheduleHostPageAt(eq.now() + cfg.hostOverhead, *this,
-                              request_id);
+        hostPageIds.push_back(request_id);
+        eq.insert(eq.now() + cfg.hostOverhead, hostPageDone);
         return;
     }
     const auto parts = mapping.decode(ppn);
@@ -298,27 +311,26 @@ bool
 Ftl::submitWritePage(Lpn lpn, std::uint64_t request_id, TenantId tenant)
 {
     const int tries = cfg.totalChips() * cfg.geometry.planes;
-    for (int t = 0; t < tries; ++t) {
-        const int key = (writePointer + t) % tries;
-        const int chip = key / cfg.geometry.planes;
-        const int plane = key % cfg.geometry.planes;
+    PlaneCursor at = writePointer;
+    for (int t = 0; t < tries; ++t, nextPlane(at)) {
         BlockId blk;
         int page;
-        if (!blocks.allocate(chip, plane, blk, page))
+        if (!blocks.allocate(at.chip, at.plane, blk, page))
             continue;
-        writePointer = (key + 1) % tries;
-        const Ppn ppn = mapping.encode(chip, blk, page);
+        writePointer = at;
+        nextPlane(writePointer);
+        const Ppn ppn = mapping.encode(at.chip, blk, page);
         mapping.update(lpn, ppn);
-        chips[chip].programPage(blk);  // functional effect at issue
+        chips[at.chip].programPage(blk);  // functional effect at issue
         PageOp op;
         op.kind = PageOp::Kind::UserWrite;
         op.lpn = lpn;
         op.ppn = ppn;
         op.requestId = request_id;
         op.tenant = tenant;
-        op.tprog = schemes[chip]->programLatency(blk);
-        agents[chip]->enqueue(op);
-        maybeStartGc(chip, plane);
+        op.tprog = programTicks(at.chip, blk);
+        agents[at.chip]->enqueue(op);
+        maybeStartGc(at.chip, at.plane);
         return true;
     }
     return false;
@@ -360,9 +372,32 @@ Ftl::completeRequestPage(std::uint64_t request_id)
 }
 
 void
-Ftl::onHostPageDone(std::uint64_t request_id)
+Ftl::onHostPageDone()
 {
-    completeRequestPage(request_id);
+    AERO_CHECK(!hostPageIds.empty(),
+               "host-page timer fired with no page queued");
+    const std::uint64_t id = hostPageIds.front();
+    hostPageIds.pop_front();
+    completeRequestPage(id);
+}
+
+void
+Ftl::nextPlane(PlaneCursor &c) const
+{
+    if (++c.plane < cfg.geometry.planes)
+        return;
+    c.plane = 0;
+    if (++c.chip == cfg.totalChips())
+        c.chip = 0;
+}
+
+std::uint32_t
+Ftl::programTicks(int chip, BlockId blk) const
+{
+    const Tick t = schemes[chip]->programLatency(blk);
+    AERO_CHECK(t <= std::numeric_limits<std::uint32_t>::max(),
+               "program latency of ", t, " ticks does not fit a PageOp");
+    return static_cast<std::uint32_t>(t);
 }
 
 void
@@ -373,14 +408,16 @@ Ftl::onPageOpDone(const PageOp &op)
       case PageOp::Kind::UserWrite:
         completeRequestPage(op.requestId);
         break;
-      case PageOp::Kind::GcRead:
+      case PageOp::Kind::GcRead: {
         // The victim page may have been overwritten while the read was
         // queued; only relocate pages that are still live.
-        if (mapping.reverseLookup(op.ppn) != kInvalidLpn)
-            issueGcWrite(op.job, mapping.reverseLookup(op.ppn));
+        const Lpn lpn = mapping.reverseLookup(op.ppn);
+        if (lpn != kInvalidLpn)
+            issueGcWrite(op.job, lpn);
         else
             gcStep(op.job);
         break;
+      }
       case PageOp::Kind::GcWrite:
         if (op.job->wearLevel)
             stats.wlMigratedPages += 1;
@@ -398,25 +435,22 @@ Ftl::issueGcWrite(GcJob *job, Lpn lpn)
     // Relocate within the victim's plane when possible, falling back to
     // any plane with space (cross-plane copyback via the controller).
     const int tries = cfg.totalChips() * cfg.geometry.planes;
-    const int preferred = job->chip * cfg.geometry.planes + job->plane;
-    for (int t = 0; t < tries; ++t) {
-        const int key = (preferred + t) % tries;
-        const int chip = key / cfg.geometry.planes;
-        const int plane = key % cfg.geometry.planes;
+    PlaneCursor at{job->chip, job->plane};
+    for (int t = 0; t < tries; ++t, nextPlane(at)) {
         BlockId blk;
         int page;
-        if (!blocks.allocate(chip, plane, blk, page, true))
+        if (!blocks.allocate(at.chip, at.plane, blk, page, true))
             continue;
-        const Ppn ppn = mapping.encode(chip, blk, page);
+        const Ppn ppn = mapping.encode(at.chip, blk, page);
         mapping.update(lpn, ppn);
-        chips[chip].programPage(blk);
+        chips[at.chip].programPage(blk);
         PageOp op;
         op.kind = PageOp::Kind::GcWrite;
         op.lpn = lpn;
         op.ppn = ppn;
         op.job = job;
-        op.tprog = schemes[chip]->programLatency(blk);
-        agents[chip]->enqueue(op);
+        op.tprog = programTicks(at.chip, blk);
+        agents[at.chip]->enqueue(op);
         return;
     }
     AERO_PANIC("GC found no destination page; drive wedged");
@@ -471,7 +505,10 @@ Ftl::gcStep(GcJob *job)
         const Ppn ppn =
             mapping.encode(job->chip, job->victim, job->nextPage);
         job->nextPage += 1;
-        if (mapping.reverseLookup(ppn) != kInvalidLpn) {
+        const Lpn lpn = mapping.reverseLookup(ppn);
+        if (lpn != kInvalidLpn) {
+            // Its l2p entry is the one the copy's update() rewrites.
+            mapping.prefetchLookup(lpn);
             PageOp op;
             op.kind = PageOp::Kind::GcRead;
             op.ppn = ppn;
@@ -521,9 +558,15 @@ Ftl::eraseUrgent(int chip, BlockId block)
 void
 Ftl::retryStalledWrites()
 {
-    std::deque<StalledWrite> pending;
-    pending.swap(stalledWrites);
-    for (auto &w : pending) {
+    if (stalledWrites.empty())
+        return;
+    // One pass in FIFO order; a write that stalls again queues behind
+    // those that stalled before it in this pass, and they are all
+    // eraseUrgent() sees meanwhile.
+    std::swap(stalledRetry, stalledWrites);
+    while (!stalledRetry.empty()) {
+        const StalledWrite w = stalledRetry.front();
+        stalledRetry.pop_front();
         if (!submitWritePage(w.lpn, w.requestId, w.tenant))
             stalledWrites.push_back(w);
     }

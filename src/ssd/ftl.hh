@@ -10,11 +10,11 @@
 #ifndef AERO_SSD_FTL_HH
 #define AERO_SSD_FTL_HH
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "common/ring_fifo.hh"
 #include "ssd/block_manager.hh"
 #include "ssd/chip_agent.hh"
 #include "ssd/mapping.hh"
@@ -68,7 +68,7 @@ class Ftl : public FtlCallbacks
     /** @} */
 
   private:
-    friend class EventQueue;  //!< tagged-event dispatch entry point
+    friend struct FtlProbe;  //!< tests reach the host-page timer
 
     struct InflightRequest
     {
@@ -85,6 +85,13 @@ class Ftl : public FtlCallbacks
         TenantId tenant;
     };
 
+    /** A (chip, plane) position of a round-robin allocation scan. */
+    struct PlaneCursor
+    {
+        int chip = 0;
+        int plane = 0;
+    };
+
     /** Queue one page read into the current read burst. */
     void submitReadPage(Lpn lpn, std::uint64_t request_id, TenantId tenant);
     /** Dispatch every agent the current read burst touched, in order. */
@@ -94,8 +101,12 @@ class Ftl : public FtlCallbacks
     void functionalGc(int chip, int plane);
     void issueGcWrite(GcJob *job, Lpn lpn);
     void completeRequestPage(std::uint64_t request_id);
-    /** Kernel dispatch target: host-overhead completion fired. */
-    void onHostPageDone(std::uint64_t request_id);
+    /** Host-page timer handler: complete the oldest queued page. */
+    void onHostPageDone();
+    /** Step a scan to the next plane key, wrapping past the last. */
+    void nextPlane(PlaneCursor &c) const;
+    /** Program latency of the next page of `blk`, for a PageOp. */
+    std::uint32_t programTicks(int chip, BlockId blk) const;
     void maybeStartGc(int chip, int plane);
     void maybeStartWearLevel(int chip, int plane);
     /** Run a GC (or wear-leveling) job on @p victim, if there is one. */
@@ -123,14 +134,24 @@ class Ftl : public FtlCallbacks
 
     std::unordered_map<std::uint64_t, InflightRequest> inflight;
     std::uint64_t nextRequestId = 1;
-    std::deque<StalledWrite> stalledWrites;
+    RingFifo<StalledWrite> stalledWrites;
+    RingFifo<StalledWrite> stalledRetry;  //!< retryStalledWrites' pass
+
+    /**
+     * Reads of never-written pages complete after hostOverhead alone:
+     * the timer sits in the queue once per such page, and since every
+     * entry is due at now() + hostOverhead they fire in the order of
+     * this FIFO of request ids.
+     */
+    Timer hostPageDone;
+    RingFifo<std::uint64_t> hostPageIds;
 
     /** functionalGc's victim pages, one block's worth. */
     std::vector<LivePage> gcLive;
 
     std::vector<std::unique_ptr<GcJob>> gcJobs;   //!< slot per plane
     int activeGcJobs = 0;
-    int writePointer = 0;   //!< round-robin (chip, plane) cursor
+    PlaneCursor writePointer;  //!< round-robin user-write cursor
     std::uint64_t warmupEraseCount = 0;
 };
 

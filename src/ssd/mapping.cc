@@ -10,6 +10,7 @@ PageMapping::PageMapping(std::uint64_t logical_pages, int chips_,
     : chips(chips_),
       blocksPerChip(static_cast<std::uint32_t>(blocks_per_chip)),
       pagesPerBlock(static_cast<std::uint32_t>(pages_per_block)),
+      perBlock(pagesPerBlock), perChip(blocksPerChip),
       l2p(logical_pages, kNoEntry),
       p2l(static_cast<std::size_t>(chips_) * blocks_per_chip *
               pages_per_block,
@@ -51,7 +52,7 @@ PageMapping::update(Lpn lpn, Ppn ppn)
     const std::uint32_t old = l2p[lpn];
     if (old != kNoEntry) {
         p2l[old] = kNoEntry;
-        std::int32_t &valid = validCount[old / pagesPerBlock];
+        std::int32_t &valid = validCount[perBlock.div(old)];
         valid -= 1;
         AERO_CHECK(valid >= 0, "negative valid count");
     } else {
@@ -59,7 +60,7 @@ PageMapping::update(Lpn lpn, Ppn ppn)
     }
     l2p[lpn] = dst;
     p2l[dst] = static_cast<std::uint32_t>(lpn);
-    validCount[dst / pagesPerBlock] += 1;
+    validCount[perBlock.div(dst)] += 1;
     return old == kNoEntry ? kInvalidPpn : old;
 }
 
@@ -81,7 +82,7 @@ PageMapping::mapFreshRun(Lpn first, Lpn stride, int count, Ppn dst)
         l2p[lpn] = d + k;
         p2l[d + k] = static_cast<std::uint32_t>(lpn);
     }
-    validCount[d / pagesPerBlock] += count;
+    validCount[perBlock.div(d)] += count;
     mapped += static_cast<std::uint64_t>(count);
 }
 
@@ -111,7 +112,7 @@ PageMapping::relocate(std::span<const LivePage> pages, Ppn dst)
                "run of ", pages.size(), " pages from PPN ", dst,
                " crosses a block");
     const auto d = static_cast<std::uint32_t>(dst);
-    std::int32_t &dst_valid = validCount[d / pagesPerBlock];
+    std::int32_t &dst_valid = validCount[perBlock.div(d)];
     // Each page's l2p entry is a miss somewhere in the table; the run
     // knows its LPNs up front, so fetch a few pages ahead.
     constexpr std::size_t kAhead = 8;
@@ -126,7 +127,7 @@ PageMapping::relocate(std::span<const LivePage> pages, Ppn dst)
         AERO_CHECK(l2p[pg.lpn] == pg.ppn, "relocating LPN ", pg.lpn,
                    " from PPN ", pg.ppn, " it no longer maps");
         p2l[pg.ppn] = kNoEntry;
-        std::int32_t &valid = validCount[pg.ppn / pagesPerBlock];
+        std::int32_t &valid = validCount[perBlock.div(pg.ppn)];
         valid -= 1;
         AERO_CHECK(valid >= 0, "negative valid count");
         l2p[pg.lpn] = to;
@@ -143,7 +144,7 @@ PageMapping::invalidateLpn(Lpn lpn)
     if (old == kNoEntry)
         return;
     p2l[old] = kNoEntry;
-    std::int32_t &valid = validCount[old / pagesPerBlock];
+    std::int32_t &valid = validCount[perBlock.div(old)];
     valid -= 1;
     AERO_CHECK(valid >= 0, "negative valid count");
     l2p[lpn] = kNoEntry;
@@ -178,11 +179,12 @@ PpnParts
 PageMapping::decode(Ppn ppn) const
 {
     const auto p32 = static_cast<std::uint32_t>(ppn);
-    const std::uint32_t blk = p32 / pagesPerBlock;
+    const std::uint32_t blk = perBlock.div(p32);
+    const std::uint32_t chip = perChip.div(blk);
     PpnParts parts;
-    parts.page = static_cast<int>(p32 % pagesPerBlock);
-    parts.block = static_cast<BlockId>(blk % blocksPerChip);
-    parts.chip = static_cast<int>(blk / blocksPerChip);
+    parts.page = static_cast<int>(p32 - blk * pagesPerBlock);
+    parts.block = static_cast<BlockId>(blk - chip * blocksPerChip);
+    parts.chip = static_cast<int>(chip);
     return parts;
 }
 

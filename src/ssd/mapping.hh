@@ -6,7 +6,9 @@
  *
  * A PPN encodes (chip, chip-local block, page):
  *   ppn = (chip * blocksPerChip + block) * pagesPerBlock + page,
- * so ppn / pagesPerBlock is the drive-wide block index.
+ * so ppn / pagesPerBlock is the drive-wide block index. That divide and
+ * decode()'s run as multiplies (common/fast_div.hh): they sit on every
+ * page op.
  *
  * Both tables hold 32-bit entries, 4 B per logical and 4 B per physical
  * page: the paper's Table-2 drive has 67.2M pages, far below 2^32. One
@@ -27,6 +29,7 @@
 #include <span>
 #include <vector>
 
+#include "common/fast_div.hh"
 #include "common/types.hh"
 
 namespace aero
@@ -114,7 +117,7 @@ class PageMapping
         if (old == kNoEntry)
             return;
         __builtin_prefetch(&p2l[old], 1);
-        __builtin_prefetch(&validCount[old / pagesPerBlock], 1);
+        __builtin_prefetch(&validCount[perBlock.div(old)], 1);
     }
     /** @} */
 
@@ -141,6 +144,8 @@ class PageMapping
     int chips;
     std::uint32_t blocksPerChip;
     std::uint32_t pagesPerBlock;
+    Divider32 perBlock;  //!< ppn -> drive-wide block index
+    Divider32 perChip;   //!< drive-wide block index -> chip
     std::vector<std::uint32_t> l2p;  //!< LPN -> PPN, or kNoEntry
     std::vector<std::uint32_t> p2l;  //!< PPN -> LPN, or kNoEntry
     std::vector<std::int32_t> validCount;  //!< per ppn / pagesPerBlock

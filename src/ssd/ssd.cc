@@ -41,7 +41,8 @@ Ssd::run(TraceStream &stream)
     pump.hasPending = stream.next(pump.pending);
     if (!pump.hasPending)
         return;
-    eq.scheduleTraceAdmitAt(pump.base + pump.pending.arrival, pump);
+    pump.admission.init<TracePump, &TracePump::fire>(&pump);
+    eq.arm(pump.base + pump.pending.arrival, pump.admission);
     eq.run();
     AERO_CHECK(ftlImpl->drained(), "event queue drained with in-flight "
                "requests: FTL lost a completion");
@@ -106,8 +107,20 @@ TracePump::configureThrottle(const TenantSloSpec &spec,
 {
     stats = &metrics;
     pageKB = pageSizeKB;
-    gates.assign(static_cast<std::size_t>(spec.maxTenant()) + 1,
-                 TenantGate{});
+    // Built in place: a gate's release timer names the gate.
+    gates = std::vector<TenantGate>(static_cast<std::size_t>(
+                                        spec.maxTenant()) + 1);
+    for (std::size_t t = 0; t < gates.size(); ++t) {
+        TenantGate &g = gates[t];
+        g.pump = this;
+        g.tenant = static_cast<TenantId>(t);
+        g.release.init(
+            [](void *gate) {
+                auto *self = static_cast<TenantGate *>(gate);
+                self->pump->fireThrottled(self->tenant);
+            },
+            &g);
+    }
     for (const TenantSlo &t : spec.tenants) {
         TenantGate &g = gates[t.tenant];
         if (t.iopsBudget != 0) {
@@ -147,8 +160,7 @@ TracePump::admit(const TraceRecord &rec)
             std::max(bucketReadyAt(g->iops), bucketReadyAt(g->bw));
         if (ready > now) {
             g->deferred.emplace_back(rec, now);
-            g->release =
-                eq->scheduleTraceAdmitThrottledAt(ready, *this, rec.tenant);
+            eq->arm(ready, g->release);
             return;
         }
         bucketCharge(g->iops, 1, now);
@@ -161,14 +173,12 @@ void
 TracePump::fireThrottled(TenantId tenant)
 {
     TenantGate &g = gates[tenant];
-    g.release = EventId{};
     const Tick now = eq->now();
     while (!g.deferred.empty()) {
         const Tick ready =
             std::max(bucketReadyAt(g.iops), bucketReadyAt(g.bw));
         if (ready > now) {
-            g.release = eq->scheduleTraceAdmitThrottledAt(ready, *this,
-                                                          tenant);
+            eq->arm(ready, g.release);
             return;
         }
         const TraceRecord rec = g.deferred.front().first;
@@ -198,11 +208,11 @@ TracePump::fire()
         const Tick due = due_raw < eq->now() ? eq->now() : due_raw;
         // Admit the next record inline only when that is provably
         // identical to the one-event-per-record pump this replaced: a
-        // pump event scheduled at now() with nothing else pending at
-        // now() would fire immediately next anyway.
+        // pump timer armed at now() with nothing else pending at now()
+        // would fire immediately next anyway.
         if (due <= eq->now() && eq->nextEventTick() > eq->now())
             continue;
-        eq->scheduleTraceAdmitAt(due, *this);
+        eq->arm(due, admission);
         return;
     }
 }

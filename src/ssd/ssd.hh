@@ -20,20 +20,20 @@ namespace aero
 {
 
 /**
- * Feeds trace arrivals into the FTL as tagged kernel events. Each firing
- * admits every record already due, then schedules one event for the next
- * future arrival — the queue holds at most one pump event at a time.
+ * Feeds trace arrivals into the FTL on its admission timer. Each firing
+ * admits every record already due, then arms the timer for the next
+ * future arrival — the queue holds at most one pump entry at a time.
  * The pump pulls from a TraceStream one record ahead, so replay memory
  * is the stream's (one chunk for FileTraceStream), never the trace's.
  * Lives on Ssd::run()'s stack; run() drains the queue before returning,
- * so pending pump events cannot dangle.
+ * so no pump timer is left pending.
  *
  * With SLO throttling enabled (SloPolicy::Throttle / ThrottleWfq plus a
  * non-empty TenantSloSpec), admission additionally passes through
  * per-tenant token buckets: a record that would exceed its tenant's
  * sustained IOPS/bandwidth budget (beyond the configured burst) is
- * parked in that tenant's FIFO and re-admitted by a
- * TraceAdmitThrottled event at the bucket's refill tick — deferred,
+ * parked in that tenant's FIFO and re-admitted by the gate's release
+ * timer at the bucket's refill tick — deferred,
  * never dropped, never reordered within the tenant. The buckets are
  * exact-integer GCRA cells (theoretical-arrival-time with a fractional
  * remainder over the rate), so refill ticks are deterministic at any
@@ -61,7 +61,9 @@ struct TracePump
         Bucket iops;
         Bucket bw;
         std::deque<std::pair<TraceRecord, Tick>> deferred; //!< + park tick
-        EventId release;  //!< pending TraceAdmitThrottled, if any
+        Timer release;  //!< fires fireThrottled(tenant) at refill
+        TracePump *pump = nullptr;
+        TenantId tenant = 0;
     };
 
     Ftl *ftl = nullptr;
@@ -70,6 +72,7 @@ struct TracePump
     TraceRecord pending;    //!< next record to admit (valid iff hasPending)
     bool hasPending = false;
     Tick base = 0;          //!< eq->now() when the replay started
+    Timer admission;        //!< fires fire(); armed by Ssd::run()
     std::vector<TenantGate> gates;  //!< indexed by tenant; empty: no gate
     SsdMetrics *stats = nullptr;    //!< deferral accounting (throttle only)
     std::uint32_t pageKB = 16;      //!< bandwidth-cell cost per page
@@ -78,10 +81,10 @@ struct TracePump
     void configureThrottle(const TenantSloSpec &spec,
                            std::uint32_t pageSizeKB, SsdMetrics &metrics);
 
-    /** Kernel dispatch target: admit the due records. */
+    /** Admission-timer handler: admit the due records. */
     void fire();
 
-    /** Kernel dispatch target: a tenant's bucket refilled — drain its
+    /** Release-timer handler: a tenant's bucket refilled — drain its
      *  deferred FIFO while records conform. */
     void fireThrottled(TenantId tenant);
 

@@ -20,7 +20,7 @@ namespace aero
 enum class IoOp : std::uint8_t { Read, Write };
 
 // TenantId (the multi-tenant QoS accounting identity) lives in
-// common/types.hh so the sim kernel can tag PageOps without pulling in
+// common/types.hh so the SSD's PageOps can carry it without pulling in
 // the workload layer. Tenant 0 is the default (single-tenant) identity;
 // TenantMix retags merged records with each source stream's index.
 

@@ -3,10 +3,16 @@
  * Focused tests of the per-chip scheduler: priorities, erase atomicity,
  * suspension mechanics (entry latency, resume penalty, per-op cap), and
  * channel contention — driven through a hand-built FTL stub so each
- * behaviour is observable in isolation.
+ * behaviour is observable in isolation — and the channel's intrusive
+ * grant queues against the per-class vectors they replaced.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <random>
+#include <vector>
 
 #include "core/aero_scheme.hh"
 #include "ssd/chip_agent.hh"
@@ -212,6 +218,99 @@ TEST(ChipAgent, IdleReflectsQueues)
     EXPECT_FALSE(rig.agent->idle());
     rig.eq.run();
     EXPECT_TRUE(rig.agent->idle());
+}
+
+TEST(BusQueue, RandomizedDifferentialAgainstClassVectors)
+{
+    // Seeded request/grant sequences over a pool of waiters, checked
+    // against one vector per class and the pick rule of the vector-based
+    // channel: the highest non-empty class, its front, or under WFQ the
+    // host-class waiter with the lowest (tag, seq). Tags are stamped as
+    // Channel::request() stamps them, for four tenants weighing 1, 2, 3
+    // and 5, and the virtual clock advances at each host grant.
+    constexpr std::array<std::uint64_t, 4> kWeights = {1, 2, 3, 5};
+    for (std::uint32_t seed = 1; seed <= 16; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const bool wfq = seed % 2 == 0;
+        std::mt19937 rng(seed);
+        std::array<BusWait, 12> pool;
+        std::array<bool, 12> waiting{};
+        std::array<std::vector<BusWait *>, kBusClasses> ref;
+        std::array<std::uint64_t, 4> finish{};
+        std::uint64_t vtime = 0;
+        std::uint64_t seq = 0;
+        BusQueue q;
+        const auto host = [](const BusWait *w) {
+            return w->cls == BusClass::HostRead ||
+                   w->cls == BusClass::HostWrite;
+        };
+        const auto ref_pop = [&]() -> BusWait * {
+            for (auto &v : ref) {
+                if (v.empty())
+                    continue;
+                std::size_t pick = 0;
+                if (wfq && host(v[0])) {
+                    for (std::size_t i = 1; i < v.size(); ++i) {
+                        if (v[i]->tag < v[pick]->tag ||
+                            (v[i]->tag == v[pick]->tag &&
+                             v[i]->seq < v[pick]->seq))
+                            pick = i;
+                    }
+                }
+                BusWait *w = v[pick];
+                v.erase(v.begin() + static_cast<std::ptrdiff_t>(pick));
+                return w;
+            }
+            return nullptr;
+        };
+        const auto grant = [&]() {
+            BusWait *want = ref_pop();
+            BusWait *got = q.pop(wfq);
+            ASSERT_EQ(got, want);
+            if (got == nullptr)
+                return;
+            EXPECT_FALSE(got->queued);
+            waiting[static_cast<std::size_t>(got - pool.data())] = false;
+            if (wfq && host(got))
+                vtime = std::max(vtime, got->tag);
+        };
+        for (int op = 0; op < 3000; ++op) {
+            const std::size_t i = rng() % pool.size();
+            if (rng() % 100 < 55 && !waiting[i]) {
+                BusWait &w = pool[i];
+                w.cls = static_cast<BusClass>(rng() % kBusClasses);
+                w.tenant = static_cast<TenantId>(rng() % kWeights.size());
+                w.seq = seq++;
+                w.tag = 0;
+                if (wfq && host(&w)) {
+                    const std::uint64_t start =
+                        std::max(vtime, finish[w.tenant]);
+                    finish[w.tenant] =
+                        start + kWfqQuantum / kWeights[w.tenant];
+                    w.tag = start;
+                }
+                q.push(w);
+                ref[static_cast<int>(w.cls)].push_back(&w);
+                waiting[i] = true;
+            } else {
+                grant();
+            }
+        }
+        for (std::size_t n = 0; n <= pool.size(); ++n)
+            grant();
+        EXPECT_EQ(q.pop(wfq), nullptr);
+    }
+}
+
+TEST(BusQueueDeathTest, RequestWhileWaitingDies)
+{
+    // An agent waits for at most one grant: its one BusWait record is
+    // its place in the queue.
+    BusQueue q;
+    BusWait w;
+    w.cls = BusClass::GcCopy;
+    q.push(w);
+    EXPECT_DEATH(q.push(w), "requested the bus while it waits");
 }
 
 } // namespace

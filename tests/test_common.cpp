@@ -12,6 +12,7 @@
 #include <random>
 #include <vector>
 
+#include "common/fast_div.hh"
 #include "common/interp.hh"
 #include "common/mathutil.hh"
 #include "common/ring_fifo.hh"
@@ -179,24 +180,6 @@ TEST(RingFifo, GrowthWhileWrappedKeepsFifoOrder)
     EXPECT_EQ(drain(q), iota(3, 2 * cap + 4));
 }
 
-TEST(RingFifo, RemoveAtKeepsTheOthersInOrder)
-{
-    // WFQ's pick: take waiters out of a wrapped ring anywhere.
-    RingFifo<int> q = fullWrappedRing(6);
-    const auto cap = static_cast<int>(q.capacity());
-    std::vector<int> want = iota(6, cap + 6);
-    // Across the wrap point (cap - 6 elements sit before it), the
-    // front, and the back.
-    for (const std::size_t i :
-         {static_cast<std::size_t>(cap - 6), std::size_t{0},
-          q.size() - 3}) {
-        q.removeAt(i);
-        want.erase(want.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-    EXPECT_EQ(q.size(), want.size());
-    EXPECT_EQ(drain(q), want);
-}
-
 TEST(RingFifo, RandomizedDifferentialAgainstDeque)
 {
     std::mt19937 rng(4242u);
@@ -204,16 +187,12 @@ TEST(RingFifo, RandomizedDifferentialAgainstDeque)
     std::deque<int> ref;
     for (int op = 0; op < 20000; ++op) {
         const unsigned dice = rng() % 10;
-        if (dice < 5 || ref.empty()) {
+        if (dice < 6 || ref.empty()) {
             q.push_back(op);
             ref.push_back(op);
-        } else if (dice < 8) {
+        } else {
             q.pop_front();
             ref.pop_front();
-        } else {
-            const std::size_t i = rng() % ref.size();
-            q.removeAt(i);
-            ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(i));
         }
         ASSERT_EQ(q.size(), ref.size());
         if (!ref.empty()) {
@@ -221,6 +200,40 @@ TEST(RingFifo, RandomizedDifferentialAgainstDeque)
             const std::size_t i = rng() % ref.size();
             ASSERT_EQ(q[i], ref[i]);
         }
+    }
+}
+
+TEST(Divider32, MatchesTheHardwareDivide)
+{
+    // Every divisor shape the FTL meets (1, powers of two, odd and
+    // even counts) and the largest, against numerators at both ends of
+    // the 32-bit range, at multiples of the divisor and either side of
+    // them, and at random.
+    std::mt19937 rng(32u);
+    std::vector<std::uint32_t> divisors = {1,   2,    3,     5,    7,
+                                           64,  384,  1000,  2112, 4096,
+                                           65537, 0x7fffffffu, 0xfffffffeu,
+                                           0xffffffffu};
+    for (int i = 0; i < 64; ++i)
+        divisors.push_back(1 + rng() % 0xfffffffeu);
+    for (const std::uint32_t d : divisors) {
+        SCOPED_TRACE("d = " + std::to_string(d));
+        const Divider32 div(d);
+        std::vector<std::uint32_t> ns = {0, 1, d - 1, d, 0xffffffffu,
+                                         0xfffffffeu, 0x80000000u};
+        for (std::uint32_t k = 1; k < 8; ++k) {
+            const std::uint64_t m = static_cast<std::uint64_t>(d) * k;
+            if (m <= 0xffffffffu) {
+                ns.push_back(static_cast<std::uint32_t>(m));
+                ns.push_back(static_cast<std::uint32_t>(m - 1));
+            }
+            if (m + 1 <= 0xffffffffu)
+                ns.push_back(static_cast<std::uint32_t>(m + 1));
+        }
+        for (int i = 0; i < 2000; ++i)
+            ns.push_back(static_cast<std::uint32_t>(rng()));
+        for (const std::uint32_t n : ns)
+            ASSERT_EQ(div.div(n), n / d) << "n = " << n;
     }
 }
 

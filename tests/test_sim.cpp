@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit tests for the event queue, page mapping, and block manager —
- * including the tagged-kernel surface (EventId cancellation, arena
- * recycling, same-tick ordering across kinds) and a randomized
- * 1-vs-4-thread determinism check over full-drive replays.
+ * including the timer kernel's surface (arming, cancellation, same-tick
+ * ordering across owners, a timer pending once per host-page
+ * completion) and a randomized 1-vs-4-thread determinism check over
+ * full-drive replays.
  */
 
 #include <gtest/gtest.h>
@@ -27,57 +28,70 @@
 
 namespace aero
 {
+
+/** Reaches the FTL's host-page timer (a friend of Ftl). */
+struct FtlProbe
+{
+    static Timer &hostPageTimer(Ftl &ftl) { return ftl.hostPageDone; }
+};
+
 namespace
 {
 
-/** Timer-payload probe: appends its tag to a shared order vector. */
+/** A timer owner that appends its tag to a shared order vector. */
 struct OrderProbe
 {
+    OrderProbe(std::vector<int> *order_, int tag_) : order(order_), tag(tag_)
+    {
+        timer.init<OrderProbe, &OrderProbe::fire>(this);
+    }
+
+    void fire() { order->push_back(tag); }
+
     std::vector<int> *order;
     int tag;
+    Timer timer;
 };
 
-void
-recordTag(void *ctx)
+/** A timer owner that counts its firings. */
+struct Counter
 {
-    const auto *probe = static_cast<OrderProbe *>(ctx);
-    probe->order->push_back(probe->tag);
-}
+    Counter() { timer.init<Counter, &Counter::fire>(this); }
 
-void
-bumpCount(void *ctx)
-{
-    *static_cast<int *>(ctx) += 1;
-}
+    void fire() { fired += 1; }
 
-void
-noop(void *)
-{
-}
+    int fired = 0;
+    Timer timer;
+};
 
-/** Timer payload that reschedules itself 10 ticks on until it fired 5x. */
+/** A timer owner that re-arms itself 10 ticks on until it fired 5x. */
 struct Chain
 {
-    EventQueue *eq;
-    int fired;
-};
+    explicit Chain(EventQueue &eq_) : eq(eq_)
+    {
+        timer.init<Chain, &Chain::fire>(this);
+    }
 
-void
-chainLink(void *ctx)
-{
-    auto *chain = static_cast<Chain *>(ctx);
-    if (++chain->fired < 5)
-        chain->eq->scheduleTimerAt(chain->eq->now() + 10, chainLink, ctx);
-}
+    void
+    fire()
+    {
+        if (++fired < 5)
+            eq.arm(eq.now() + 10, timer);
+    }
+
+    EventQueue &eq;
+    int fired = 0;
+    Timer timer;
+};
 
 TEST(EventQueue, FiresInTimeOrder)
 {
     EventQueue eq;
     std::vector<int> order;
     OrderProbe p1{&order, 1}, p2{&order, 2}, p3{&order, 3};
-    eq.scheduleTimerAt(30, recordTag, &p3);
-    eq.scheduleTimerAt(10, recordTag, &p1);
-    eq.scheduleTimerAt(20, recordTag, &p2);
+    eq.arm(30, p3.timer);
+    eq.arm(10, p1.timer);
+    eq.arm(20, p2.timer);
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.now(), 30u);
@@ -88,11 +102,11 @@ TEST(EventQueue, SameTickIsFifo)
 {
     EventQueue eq;
     std::vector<int> order;
-    std::vector<OrderProbe> probes;
+    std::deque<OrderProbe> probes;
     for (int i = 0; i < 5; ++i)
-        probes.push_back({&order, i});
+        probes.emplace_back(&order, i);
     for (auto &probe : probes)
-        eq.scheduleTimerAt(7, recordTag, &probe);
+        eq.arm(7, probe.timer);
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -100,8 +114,8 @@ TEST(EventQueue, SameTickIsFifo)
 TEST(EventQueue, EventsCanScheduleEvents)
 {
     EventQueue eq;
-    Chain chain{&eq, 0};
-    eq.scheduleTimerAt(0, chainLink, &chain);
+    Chain chain(eq);
+    eq.arm(0, chain.timer);
     eq.run();
     EXPECT_EQ(chain.fired, 5);
     EXPECT_EQ(eq.now(), 40u);
@@ -110,42 +124,57 @@ TEST(EventQueue, EventsCanScheduleEvents)
 TEST(EventQueue, RunUntilStopsEarly)
 {
     EventQueue eq;
-    int fired = 0;
-    eq.scheduleTimerAt(10, bumpCount, &fired);
-    eq.scheduleTimerAt(100, bumpCount, &fired);
+    Counter early, late;
+    eq.arm(10, early.timer);
+    eq.arm(100, late.timer);
     eq.run(50);
-    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(early.fired + late.fired, 1);
     EXPECT_EQ(eq.now(), 50u);
     EXPECT_EQ(eq.pending(), 1u);
     eq.run();
-    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(early.fired + late.fired, 2);
 }
 
 TEST(EventQueue, SchedulingInPastPanics)
 {
     EventQueue eq;
-    eq.scheduleTimerAt(10, noop, nullptr);
+    Counter first, second;
+    eq.arm(10, first.timer);
     eq.run();
-    EXPECT_DEATH(eq.scheduleTimerAt(5, noop, nullptr), "past");
+    EXPECT_DEATH(eq.arm(5, second.timer), "past");
+}
+
+TEST(EventQueueDeathTest, ArmingAPendingTimerDies)
+{
+    EventQueue eq;
+    Counter c;
+    eq.arm(10, c.timer);
+    EXPECT_DEATH(eq.arm(20, c.timer), "arming a pending timer");
+    // insert() is the one way to queue a timer twice.
+    eq.insert(20, c.timer);
+    EXPECT_DEATH(eq.cancel(c.timer), "pending 2 times");
+    eq.run();
+    EXPECT_EQ(c.fired, 2);
 }
 
 TEST(EventQueue, TaggedTimerFiresAndInvalidatesHandle)
 {
+    // A timer is its own handle: pending from arm() until it fires,
+    // and then neither pending nor cancellable, but free to re-arm.
     EventQueue eq;
     std::vector<int> order;
     OrderProbe probe{&order, 1};
-    const EventId id = eq.scheduleTimerAt(10, recordTag, &probe);
-    EXPECT_TRUE(static_cast<bool>(id));
-    EXPECT_TRUE(eq.pendingEvent(id));
+    EXPECT_FALSE(probe.timer.pending());
+    eq.arm(10, probe.timer);
+    EXPECT_TRUE(probe.timer.pending());
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1}));
     EXPECT_EQ(eq.processed(), 1u);
-    // The handle is stale once the event fired: not pending, not
-    // cancellable. A never-valid default handle behaves the same.
-    EXPECT_FALSE(eq.pendingEvent(id));
-    EXPECT_FALSE(eq.cancel(id));
-    EXPECT_FALSE(eq.cancel(EventId{}));
-    EXPECT_FALSE(eq.pendingEvent(EventId{}));
+    EXPECT_FALSE(probe.timer.pending());
+    EXPECT_FALSE(eq.cancel(probe.timer));
+    eq.arm(20, probe.timer);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 1}));
 }
 
 TEST(EventQueue, CancelPreventsFiring)
@@ -154,12 +183,13 @@ TEST(EventQueue, CancelPreventsFiring)
     std::vector<int> order;
     OrderProbe keep{&order, 1};
     OrderProbe drop{&order, 2};
-    const EventId kept = eq.scheduleTimerAt(10, recordTag, &keep);
-    const EventId dropped = eq.scheduleTimerAt(10, recordTag, &drop);
-    EXPECT_TRUE(eq.cancel(dropped));
-    EXPECT_FALSE(eq.pendingEvent(dropped));
-    EXPECT_FALSE(eq.cancel(dropped));  // second cancel: stale handle
-    EXPECT_TRUE(eq.pendingEvent(kept));
+    eq.arm(10, keep.timer);
+    eq.arm(10, drop.timer);
+    EXPECT_TRUE(eq.cancel(drop.timer));
+    EXPECT_FALSE(drop.timer.pending());
+    EXPECT_FALSE(eq.cancel(drop.timer));  // second cancel: not pending
+    EXPECT_TRUE(keep.timer.pending());
+    EXPECT_EQ(eq.pending(), 1u);
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1}));
 }
@@ -171,10 +201,10 @@ TEST(EventQueue, CancelledSlotIsSkippedAmongSameTickPeers)
     OrderProbe a{&order, 1};
     OrderProbe b{&order, 2};
     OrderProbe c{&order, 3};
-    eq.scheduleTimerAt(10, recordTag, &a);
-    const EventId mid = eq.scheduleTimerAt(10, recordTag, &b);
-    eq.scheduleTimerAt(10, recordTag, &c);
-    EXPECT_TRUE(eq.cancel(mid));
+    eq.arm(10, a.timer);
+    eq.arm(10, b.timer);
+    eq.arm(10, c.timer);
+    EXPECT_TRUE(eq.cancel(b.timer));
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 3}));
     EXPECT_TRUE(eq.empty());
@@ -182,36 +212,49 @@ TEST(EventQueue, CancelledSlotIsSkippedAmongSameTickPeers)
 
 TEST(EventQueue, SameTickMixedKindsFireInScheduleOrder)
 {
-    // FIFO-at-a-tick must hold across event kinds, not just within one:
-    // timers interleaved at one tick with two tenant-gate releases
-    // (TraceAdmitThrottled, which clears the gate's pending handle)
-    // see exactly the releases scheduled before them.
+    // FIFO-at-a-tick must hold across owners, not just within one:
+    // timers interleaved at one tick with two tenant-gate release
+    // timers see exactly the releases armed before them.
     struct GateProbe
     {
+        GateProbe(std::vector<int> *order_, const TracePump *pump_)
+            : order(order_), pump(pump_)
+        {
+            timer.init<GateProbe, &GateProbe::fire>(this);
+        }
+
+        /** Record a bitmask of the gates released so far. */
+        void
+        fire()
+        {
+            int released = 0;
+            for (std::size_t t = 0; t < pump->gates.size(); ++t) {
+                if (!pump->gates[t].release.pending())
+                    released |= 1 << t;
+            }
+            order->push_back(released);
+        }
+
         std::vector<int> *order;
         const TracePump *pump;
+        Timer timer;
     };
     EventQueue eq;
     TracePump pump;
     pump.eq = &eq;
-    pump.gates.resize(2);
+    SsdMetrics metrics;
+    pump.configureThrottle(parseTenantSloSpec("0:iops=1000,1:iops=1000"),
+                           16, metrics);
+    ASSERT_EQ(pump.gates.size(), 2u);
     std::vector<int> order;
-    GateProbe probe{&order, &pump};
-    // Each timer records a bitmask of the gates released so far.
-    const auto record = [](void *ctx) {
-        const auto *p = static_cast<GateProbe *>(ctx);
-        int released = 0;
-        for (std::size_t t = 0; t < p->pump->gates.size(); ++t) {
-            if (!p->pump->gates[t].release)
-                released |= 1 << t;
-        }
-        p->order->push_back(released);
-    };
-    eq.scheduleTimerAt(5, record, &probe);
-    pump.gates[0].release = eq.scheduleTraceAdmitThrottledAt(5, pump, 0);
-    eq.scheduleTimerAt(5, record, &probe);
-    pump.gates[1].release = eq.scheduleTraceAdmitThrottledAt(5, pump, 1);
-    eq.scheduleTimerAt(5, record, &probe);
+    std::deque<GateProbe> probes;
+    for (int i = 0; i < 3; ++i)
+        probes.emplace_back(&order, &pump);
+    eq.arm(5, probes[0].timer);
+    eq.arm(5, pump.gates[0].release);
+    eq.arm(5, probes[1].timer);
+    eq.arm(5, pump.gates[1].release);
+    eq.arm(5, probes[2].timer);
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 3}));
     EXPECT_EQ(eq.processed(), 5u);
@@ -220,135 +263,116 @@ TEST(EventQueue, SameTickMixedKindsFireInScheduleOrder)
 TEST(EventQueue, NextEventTickTracksHeapRoot)
 {
     EventQueue eq;
+    Counter a, b;
     EXPECT_EQ(eq.nextEventTick(), kTickMax);
-    eq.scheduleTimerAt(42, noop, nullptr);
-    eq.scheduleTimerAt(17, noop, nullptr);
+    eq.arm(42, a.timer);
+    eq.arm(17, b.timer);
     EXPECT_EQ(eq.nextEventTick(), 17u);
     eq.run();
     EXPECT_EQ(eq.nextEventTick(), kTickMax);
 }
 
-TEST(EventQueue, ArenaSlotsAreRecycledAfterDrain)
+TEST(EventQueue, TimersRearmAcrossDrains)
 {
+    // The kernel holds no event storage of its own: the same 100
+    // timers fire in wave after wave, and the pending count never
+    // exceeds one wave.
     EventQueue eq;
-    int fired = 0;
-    const auto wave = [&](Tick base) {
-        for (int i = 0; i < 100; ++i)
-            eq.scheduleTimerAt(base + static_cast<Tick>(i),
-                               [](void *ctx) {
-                                   *static_cast<int *>(ctx) += 1;
-                               },
-                               &fired);
+    std::deque<Counter> counters(100);
+    for (int w = 0; w < 5; ++w) {
+        const Tick base = eq.now() + 1;
+        for (std::size_t i = 0; i < counters.size(); ++i)
+            eq.arm(base + static_cast<Tick>(i), counters[i].timer);
         eq.run();
-    };
-    wave(1);
-    const std::size_t after_first = eq.arenaSlots();
-    EXPECT_GE(after_first, 100u);
-    // Every later wave re-uses the drained slots: the arena never grows
-    // again, so steady-state simulation does zero event allocation.
-    for (int w = 1; w < 5; ++w)
-        wave(eq.now() + 1);
-    EXPECT_EQ(eq.arenaSlots(), after_first);
-    EXPECT_EQ(fired, 500);
+    }
+    EXPECT_EQ(eq.processed(), 500u);
+    EXPECT_EQ(eq.peakPending(), 100u);
+    for (const Counter &c : counters)
+        EXPECT_EQ(c.fired, 5);
 }
 
-TEST(EventQueue, CancelledSlotsAreRecycledToo)
+TEST(EventQueue, CancelledTimersCanBeRearmed)
 {
     EventQueue eq;
-    std::vector<EventId> ids;
-    for (int i = 0; i < 64; ++i)
-        ids.push_back(eq.scheduleTimerAt(10, [](void *) {}, nullptr));
-    for (const EventId id : ids)
-        EXPECT_TRUE(eq.cancel(id));
-    eq.run();  // surfaces and recycles the dead slots
+    std::deque<Counter> counters(64);
+    for (Counter &c : counters)
+        eq.arm(10, c.timer);
+    for (Counter &c : counters)
+        EXPECT_TRUE(eq.cancel(c.timer));
     EXPECT_TRUE(eq.empty());
-    const std::size_t slots = eq.arenaSlots();
-    for (int i = 0; i < 64; ++i)
-        eq.scheduleTimerAt(eq.now() + 1, [](void *) {}, nullptr);
+    EXPECT_EQ(eq.nextEventTick(), kTickMax);
+    for (Counter &c : counters)
+        eq.arm(eq.now() + 1, c.timer);
     for (int i = 0; i < 64; ++i)
         EXPECT_TRUE(eq.step());
-    EXPECT_EQ(eq.arenaSlots(), slots);
+    EXPECT_FALSE(eq.step());
+    for (const Counter &c : counters)
+        EXPECT_EQ(c.fired, 1);
+}
+
+TEST(EventQueueDeathTest, HostPageFireWithEmptyFifoDies)
+{
+    // The FTL's host-page timer fires once per queued request id; an
+    // entry without one means the two went out of step.
+    EventQueue eq;
+    Ftl ftl(SsdConfig::tiny(), eq);
+    eq.insert(eq.now() + 5, FtlProbe::hostPageTimer(ftl));
+    EXPECT_DEATH(eq.run(), "no page queued");
 }
 
 /**
- * The kernel's contract, spelled out the slow way: pending events in a
- * map keyed by (when, schedule order); a cancelled event keeps its
- * place until every event ahead of it is gone, and only then frees its
- * slot; slots are reused last-freed first, and a fresh slot is the next
- * index never handed out.
+ * The kernel's contract, spelled out the slow way: pending entries in a
+ * map keyed by (when, schedule order), each naming the timer it fires
+ * and the tag that firing records.
  */
 class ReferenceQueue
 {
   public:
-    EventId schedule(Tick when, int tag)
+    void
+    schedule(Tick when, int timer, int tag)
     {
-        std::uint32_t slot;
-        if (freed.empty()) {
-            slot = fresh++;
-            gens.push_back(0);
-        } else {
-            slot = freed.back();
-            freed.pop_back();
-        }
-        queue.emplace(Key{when, seq++}, Entry{slot, tag, false});
-        ++live;
-        return EventId{slot, gens[slot]};
+        queue.emplace(Key{when, seq++}, Entry{timer, tag});
     }
 
-    bool cancel(EventId id)
+    /** Remove `timer`'s one entry; false when it has none. */
+    bool
+    cancel(int timer)
     {
-        for (auto &[key, e] : queue) {
-            if (!e.dead && e.slot == id.slot && gens[e.slot] == id.gen) {
-                e.dead = true;
-                gens[e.slot] += 1;
-                --live;
-                scrub();
+        for (auto it = queue.begin(); it != queue.end(); ++it) {
+            if (it->second.timer == timer) {
+                queue.erase(it);
                 return true;
             }
         }
         return false;
     }
 
-    bool pendingEvent(EventId id) const
-    {
-        for (const auto &[key, e] : queue) {
-            if (!e.dead && e.slot == id.slot && gens[e.slot] == id.gen)
-                return true;
-        }
-        return false;
-    }
-
-    /** Fire the earliest event; its tag, or nothing when empty. */
-    std::optional<int> step()
+    /** Fire the earliest entry; its tag, or nothing when empty. */
+    std::optional<int>
+    step()
     {
         if (queue.empty())
             return std::nullopt;
         const auto [key, e] = *queue.begin();
         queue.erase(queue.begin());
-        scrub();
-        --live;
         now = key.first;
-        gens[e.slot] += 1;
-        freed.push_back(e.slot);
         return e.tag;
     }
 
-    /** Handle of the `i`-th live event in firing order. */
-    EventId liveHandle(std::size_t i) const
+    /** Timer of the `i`-th entry in firing order. */
+    int
+    timerAt(std::size_t i) const
     {
-        for (const auto &[key, e] : queue) {
-            if (!e.dead && i-- == 0)
-                return EventId{e.slot, gens[e.slot]};
-        }
-        return EventId{};
+        auto it = queue.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(i));
+        return it->second.timer;
     }
 
     Tick nextEventTick() const
     {
         return queue.empty() ? kTickMax : queue.begin()->first.first;
     }
-    std::size_t pending() const { return live; }
-    std::size_t slotsHandedOut() const { return fresh; }
+    std::size_t pending() const { return queue.size(); }
 
     Tick now = 0;
 
@@ -357,36 +381,50 @@ class ReferenceQueue
 
     struct Entry
     {
-        std::uint32_t slot;
+        int timer;
         int tag;
-        bool dead;
     };
 
-    void scrub()
+    std::map<Key, Entry> queue;
+    std::uint64_t seq = 0;
+};
+
+/**
+ * A timer pending once per queued tag, as the FTL's host-page timer is
+ * once per request id: every insert is due `kDelay` after now().
+ */
+struct SharedTimer
+{
+    static constexpr Tick kDelay = 3;
+
+    explicit SharedTimer(std::vector<int> *order_) : order(order_)
     {
-        while (!queue.empty() && queue.begin()->second.dead) {
-            freed.push_back(queue.begin()->second.slot);
-            queue.erase(queue.begin());
-        }
+        timer.init<SharedTimer, &SharedTimer::fire>(this);
     }
 
-    std::map<Key, Entry> queue;
-    std::vector<std::uint32_t> freed;
-    std::vector<std::uint32_t> gens;
-    std::uint32_t fresh = 0;
-    std::uint64_t seq = 0;
-    std::size_t live = 0;
+    void
+    fire()
+    {
+        order->push_back(tags.front());
+        tags.pop_front();
+    }
+
+    std::vector<int> *order;
+    std::deque<int> tags;
+    Timer timer;
 };
 
 TEST(EventQueue, RandomizedDifferentialAgainstReference)
 {
-    // Seeded schedule/cancel/step sequences, checked against
-    // ReferenceQueue after every call: the same firing sequence, the
-    // same handles (slot and generation), and the same nextEventTick(),
-    // pending(), peakPending() and arena size. Seeds cycle through three
-    // pending regimes: the simulator's (a few dozen), a larger one, and
-    // one big enough to grow the arena past its first chunk.
+    // Seeded arm/insert/cancel/step sequences, checked against
+    // ReferenceQueue after every call: the same firing sequence and the
+    // same nextEventTick(), pending(), peakPending() and now(). Probe
+    // timers are armed once at a time; the shared timer takes same-tick
+    // bursts of 64 entries, like an unmapped 64-page read. Seeds cycle
+    // through three pending caps: the simulator's regime (a few dozen)
+    // and two larger ones.
     constexpr std::array<std::size_t, 3> kCaps = {24, 96, 700};
+    constexpr int kShared = -1;  // the shared timer's id in the reference
     for (std::uint32_t seed = 1; seed <= 24; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         std::mt19937 rng(seed);
@@ -394,45 +432,58 @@ TEST(EventQueue, RandomizedDifferentialAgainstReference)
         EventQueue eq;
         ReferenceQueue ref;
         std::vector<int> fired;
-        std::deque<OrderProbe> probes;  // stable addresses for the ctxs
-        std::vector<EventId> handles;   // every handle ever issued
-        std::size_t chunk = 0;          // arena growth step, seen once
+        std::deque<OrderProbe> probes;  // tag == index
+        for (std::size_t i = 0; i < cap; ++i)
+            probes.emplace_back(&fired, static_cast<int>(i));
+        SharedTimer shared(&fired);
+        int next_shared_tag = -2;  // negative: apart from the probes
         std::size_t peak = 0;
-        const auto schedule = [&](Tick when) {
-            const int tag = static_cast<int>(probes.size());
-            probes.push_back({&fired, tag});
-            const EventId got =
-                eq.scheduleTimerAt(when, recordTag, &probes.back());
-            const EventId want = ref.schedule(when, tag);
-            EXPECT_EQ(got.slot, want.slot);
-            EXPECT_EQ(got.gen, want.gen);
-            handles.push_back(got);
-            if (chunk == 0)
-                chunk = eq.arenaSlots();
+        const auto idle_probe = [&]() -> OrderProbe * {
+            const std::size_t start = rng() % probes.size();
+            for (std::size_t k = 0; k < probes.size(); ++k) {
+                OrderProbe &p = probes[(start + k) % probes.size()];
+                if (!p.timer.pending())
+                    return &p;
+            }
+            return nullptr;
         };
-        const auto cancel = [&](EventId id) {
-            const bool want = ref.cancel(id);
-            EXPECT_EQ(eq.cancel(id), want);
+        const auto insert_shared = [&]() {
+            const Tick when = eq.now() + SharedTimer::kDelay;
+            shared.tags.push_back(next_shared_tag);
+            eq.insert(when, shared.timer);
+            ref.schedule(when, kShared, next_shared_tag);
+            --next_shared_tag;
+        };
+        const auto cancel = [&](int timer) {
+            if (timer == kShared)
+                return;  // pending several times: not cancellable
+            const bool want = ref.cancel(timer);
+            ASSERT_EQ(eq.cancel(probes[static_cast<std::size_t>(timer)]
+                                    .timer),
+                      want);
         };
         for (int op = 0; op < 4000; ++op) {
             const unsigned dice = rng() % 100;
-            if (dice < 3 && ref.pending() < cap) {
-                // One unmapped 64-page read: 64 completions at one tick,
-                // which may already hold pending events.
-                const Tick when = eq.now() + rng() % 4;
+            if (dice < 3 && ref.pending() + 64 <= cap) {
                 for (int i = 0; i < 64; ++i)
-                    schedule(when);
+                    insert_shared();
+            } else if (dice < 8 && ref.pending() < cap) {
+                insert_shared();
             } else if (dice < 45 && ref.pending() < cap) {
-                schedule(eq.now() + rng() % 64);
+                if (OrderProbe *p = idle_probe()) {
+                    // Offsets in [0, 8) often land on a tick that
+                    // already holds entries.
+                    const Tick when = eq.now() + rng() % (dice < 25 ? 8 : 64);
+                    eq.arm(when, p->timer);
+                    ref.schedule(when, p->tag, p->tag);
+                }
             } else if (dice < 52 && ref.pending() > 0) {
-                cancel(ref.liveHandle(0));  // the earliest event
+                cancel(ref.timerAt(0));  // the earliest entry
             } else if (dice < 58 && ref.pending() > 0) {
-                cancel(ref.liveHandle(rng() % ref.pending()));
-            } else if (dice < 64 && !handles.empty()) {
-                // Mostly stale: fired, cancelled, or reused since.
-                const EventId id = handles[rng() % handles.size()];
-                EXPECT_EQ(eq.pendingEvent(id), ref.pendingEvent(id));
-                cancel(id);
+                cancel(ref.timerAt(rng() % ref.pending()));  // a middle one
+            } else if (dice < 62) {
+                // Mostly idle: fired or cancelled already.
+                cancel(static_cast<int>(rng() % probes.size()));
             } else {
                 const std::optional<int> want = ref.step();
                 const std::size_t before = fired.size();
@@ -447,11 +498,6 @@ TEST(EventQueue, RandomizedDifferentialAgainstReference)
             peak = std::max(peak, ref.pending());
             ASSERT_EQ(eq.peakPending(), peak);
             ASSERT_EQ(eq.now(), ref.now);
-            if (chunk != 0) {
-                ASSERT_EQ(eq.arenaSlots(),
-                          (ref.slotsHandedOut() + chunk - 1) / chunk *
-                              chunk);
-            }
         }
         while (const std::optional<int> want = ref.step()) {
             ASSERT_TRUE(eq.step());
@@ -459,10 +505,7 @@ TEST(EventQueue, RandomizedDifferentialAgainstReference)
         }
         EXPECT_FALSE(eq.step());
         EXPECT_EQ(eq.processed(), fired.size());
-        if (cap > chunk) {
-            EXPECT_GT(eq.arenaSlots(), chunk)
-                << "the big regime never grew the arena";
-        }
+        EXPECT_TRUE(shared.tags.empty());
     }
 }
 
