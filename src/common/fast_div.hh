@@ -39,6 +39,8 @@ class Divider32
             (static_cast<unsigned __int128>(magic) * n) >> 64);
     }
 
+    bool operator==(const Divider32 &) const = default;
+
   private:
     std::uint64_t magic;  //!< ceil(2^64 / d); 0 for d == 1
 };

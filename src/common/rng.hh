@@ -10,6 +10,7 @@
 #ifndef AERO_COMMON_RNG_HH
 #define AERO_COMMON_RNG_HH
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 
@@ -189,12 +190,15 @@ class ZipfGenerator
 
   private:
     static double zetaStatic(std::uint64_t n, double theta);
+    /** zetaStatic(n, theta), remembered for the last few (n, theta). */
+    static double zetaMemo(std::uint64_t n, double theta);
 
     std::uint64_t n;
     double theta;
     double alpha;
     double zetan;
     double eta;
+    double halfPowTheta;  //!< pow(0.5, theta)
 };
 
 inline
@@ -203,11 +207,37 @@ ZipfGenerator::ZipfGenerator(std::uint64_t n_, double theta_)
 {
     AERO_CHECK(n > 0, "zipf over empty range");
     AERO_CHECK(theta >= 0.0 && theta < 1.0, "zipf theta must be in [0,1)");
-    zetan = zetaStatic(n, theta);
+    zetan = zetaMemo(n, theta);
     const double zeta2 = zetaStatic(2, theta);
     alpha = 1.0 / (1.0 - theta);
     eta = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
           (1.0 - zeta2 / zetan);
+    halfPowTheta = std::pow(0.5, theta);
+}
+
+inline double
+ZipfGenerator::zetaMemo(std::uint64_t n, double theta)
+{
+    // zetaStatic sums up to 100k pow() calls, and every trace of a
+    // campaign builds a generator over the same footprint and skew.
+    // Per thread, so no lock; n > 0, so an empty slot never matches.
+    struct Memo
+    {
+        std::uint64_t n = 0;
+        double theta = 0.0;
+        double zeta = 0.0;
+    };
+    constexpr std::size_t kSlots = 4;
+    thread_local std::array<Memo, kSlots> memo{};
+    thread_local std::size_t nextSlot = 0;
+    for (const Memo &m : memo) {
+        if (m.n == n && m.theta == theta)
+            return m.zeta;
+    }
+    const double zeta = zetaStatic(n, theta);
+    memo[nextSlot] = Memo{n, theta, zeta};
+    nextSlot = (nextSlot + 1) % kSlots;
+    return zeta;
 }
 
 inline double
@@ -238,7 +268,7 @@ ZipfGenerator::draw(Rng &rng) const
     const double uz = u * zetan;
     if (uz < 1.0)
         return 0;
-    if (uz < 1.0 + std::pow(0.5, theta))
+    if (uz < 1.0 + halfPowTheta)
         return 1;
     const auto v = static_cast<std::uint64_t>(
         static_cast<double>(n) * std::pow(eta * u - eta + 1.0, alpha));

@@ -168,6 +168,17 @@ NandChip::programPages(BlockId id, int count)
     blk.claimPages(count);
 }
 
+void
+NandChip::setProgrammedPages(BlockId id, int count)
+{
+    Block &blk = block(id);
+    AERO_CHECK(!blk.op().active, "program during in-flight erase");
+    AERO_CHECK(count >= 0 && count <= geo.pagesPerBlock, "marking ", count,
+               " pages of a ", geo.pagesPerBlock, "-page block programmed");
+    blk.resetPages();
+    blk.claimPages(count);
+}
+
 double
 NandChip::maxRber(BlockId id) const
 {

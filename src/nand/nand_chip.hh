@@ -134,6 +134,11 @@ class NandChip
     Tick programPage(BlockId id, Tick tprog_override = 0);
     /** Programs the next `count` free pages of the block (no timing). */
     void programPages(BlockId id, int count);
+    /**
+     * Mark the block's first `count` pages programmed and the rest free,
+     * as the FTL's block table has them (conditioning; no timing).
+     */
+    void setProgrammedPages(BlockId id, int count);
     /** @} */
 
     /** Max RBER of the block under 1-yr retention (paper's metric). */

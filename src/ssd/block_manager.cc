@@ -182,6 +182,21 @@ BlockManager::fillStamp(int chip, BlockId block) const
     return fillStamps[blockIndex(chip, block)];
 }
 
+int
+BlockManager::programmedPages(int chip, BlockId block) const
+{
+    switch (state(chip, block)) {
+      case BlockState::Free:
+        return 0;
+      case BlockState::Full:
+        return pagesPerBlock;
+      case BlockState::Open:
+        break;
+    }
+    const Plane &ps = planesState[planeIndex(chip, planeOf(block))];
+    return block == ps.open ? ps.cursor : ps.cursorGc;
+}
+
 std::uint64_t
 BlockManager::eraseCount(int chip, BlockId block) const
 {

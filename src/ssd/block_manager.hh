@@ -98,6 +98,10 @@ class BlockManager
     /** Drive-wide stamp of the block's latest fill, 0 if never opened. */
     std::uint64_t fillStamp(int chip, BlockId block) const;
 
+    /** Pages written since the block's last erase: all of a Full block,
+     *  an open block's cursor, none of a Free one. */
+    int programmedPages(int chip, BlockId block) const;
+
     /** @name Wear accounting (erase cycles since mount) */
     /** @{ */
     std::uint64_t eraseCount(int chip, BlockId block) const;
@@ -106,6 +110,9 @@ class BlockManager
 
     int chips() const { return numChips; }
     int planes() const { return planesPerChip; }
+    std::size_t blockCount() const { return blockStates.size(); }
+
+    bool operator==(const BlockManager &) const = default;
 
   private:
     struct Plane
@@ -115,6 +122,8 @@ class BlockManager
         int cursor = 0;
         BlockId openGc = kInvalidBlock;     //!< GC relocation write point
         int cursorGc = 0;
+
+        bool operator==(const Plane &) const = default;
     };
 
     /** Detach the free block the plane opens next (see file comment). */

@@ -88,6 +88,78 @@ Ftl::preAge(double pec)
 void
 Ftl::prefill()
 {
+    placePrefill();
+    wear();
+}
+
+void
+Ftl::warmup(std::uint64_t overwrites)
+{
+    placeWarmup(overwrites);
+    wear();
+}
+
+void
+Ftl::condition(PlacementCache &cache)
+{
+    if (cfg.prefillFraction <= 0.0)
+        return;  // a fresh drive: nothing to place
+    const PlacementKey key(cfg);
+    if (const auto image = cache.find(key)) {
+        restorePlacement(*image);
+    } else {
+        placePrefill();
+        placeWarmup(static_cast<std::uint64_t>(
+            static_cast<double>(cfg.logicalPages()) *
+            cfg.warmupOverwriteFraction));
+        // Copy the l2p out only when the cache would keep it: a
+        // paper-drive image would double the drive's largest table.
+        if (cache.retains(placementBytes(mapping.logicalPages(),
+                                         blocks.blockCount(),
+                                         eraseLog.size()))) {
+            cache.insert(key, std::make_shared<const PlacementImage>(
+                                  placementImage()));
+        }
+    }
+    wear();
+}
+
+PlacementImage
+Ftl::placementImage() const
+{
+    return PlacementImage{mapping.l2pTable(), blocks, writePointer,
+                          eraseLog};
+}
+
+void
+Ftl::restorePlacement(const PlacementImage &image)
+{
+    AERO_CHECK(eraseLog.empty() && writePointer == PlaneCursor{},
+               "restoring a placement over a conditioned drive");
+    mapping.restore(image.l2p);
+    blocks = image.blocks;
+    writePointer = image.writePointer;
+    eraseLog = image.eraseLog;
+}
+
+void
+Ftl::wear()
+{
+    for (; erasesWorn < eraseLog.size(); ++erasesWorn) {
+        const ErasedBlock &e = eraseLog[erasesWorn];
+        eraseNow(*schemes[e.chip], e.block);
+    }
+    for (int c = 0; c < cfg.totalChips(); ++c) {
+        for (int b = 0; b < cfg.blocksPerChip(); ++b) {
+            const auto id = static_cast<BlockId>(b);
+            chips[c].setProgrammedPages(id, blocks.programmedPages(c, id));
+        }
+    }
+}
+
+void
+Ftl::placePrefill()
+{
     // One pass that leaves the state the per-LPN round-robin cursor left:
     // LPN i goes to page i / N of plane key i % N (N = chips x planes),
     // because on a fresh drive every plane accepts the same number of
@@ -139,7 +211,6 @@ Ftl::prefill()
                        " of ", want, " pages in block ", blk);
             mapping.mapFreshRun(first * keys + key, keys, run,
                                 mapping.encode(chip, blk, 0));
-            chips[chip].programPages(blk, run);
         }
     }
     const auto next = static_cast<int>(extra);
@@ -150,7 +221,7 @@ Ftl::prefill()
 }
 
 void
-Ftl::warmup(std::uint64_t overwrites)
+Ftl::placeWarmup(std::uint64_t overwrites)
 {
     Rng rng(cfg.seed ^ 0x3a3aULL);
     const auto span = static_cast<Lpn>(
@@ -189,7 +260,6 @@ Ftl::warmup(std::uint64_t overwrites)
             writePointer = at;
             nextPlane(writePointer);
             mapping.update(lpn, mapping.encode(at.chip, blk, page));
-            chips[at.chip].programPage(blk);
             placed = true;
             if (blocks.freeBlocks(at.chip, at.plane) <= cfg.gcLowWatermark)
                 functionalGc(at.chip, at.plane);
@@ -202,8 +272,8 @@ void
 Ftl::functionalGc(int chip, int plane)
 {
     // Inline, timing-free GC used only during warmup. A victim's live
-    // pages move as runs: one allocation, mapping update and program
-    // call per destination block they land in.
+    // pages move as runs: one allocation and mapping update per
+    // destination block they land in. wear() erases the victim later.
     while (blocks.freeBlocks(chip, plane) <= cfg.gcLowWatermark) {
         const BlockId victim = blocks.pickVictim(chip, plane, mapping);
         if (victim == kInvalidBlock)
@@ -224,22 +294,29 @@ Ftl::functionalGc(int chip, int plane)
                        "warmup GC ran out of destination space");
             mapping.relocate(std::span(gcLive).subspan(k, run),
                              mapping.encode(chip, dst, dpage));
-            chips[chip].programPages(dst, run);
             k += run;
         }
-        eraseNow(*schemes[chip], victim);
         mapping.onBlockErased(chip, victim);
         blocks.onBlockErased(chip, victim);
-        warmupEraseCount += 1;
+        eraseLog.push_back(
+            ErasedBlock{static_cast<std::uint32_t>(chip), victim});
     }
 }
 
 void
 Ftl::submit(const TraceRecord &rec)
 {
-    const std::uint64_t id = nextRequestId++;
-    inflight.emplace(id, InflightRequest{rec.op, eq.now(), rec.pages,
-                                         rec.tenant});
+    const InflightRequest req{rec.op, eq.now(), rec.pages, rec.tenant};
+    std::uint64_t id;
+    if (freeSlots.empty()) {
+        id = inflight.size();
+        inflight.push_back(req);
+    } else {
+        id = freeSlots.back();
+        freeSlots.pop_back();
+        inflight[id] = req;
+    }
+    liveRequests += 1;
     // Pages wrap at the end of the logical space.
     const Lpn logical = mapping.logicalPages();
     const Lpn start =
@@ -339,9 +416,9 @@ Ftl::submitWritePage(Lpn lpn, std::uint64_t request_id, TenantId tenant)
 void
 Ftl::completeRequestPage(std::uint64_t request_id)
 {
-    auto it = inflight.find(request_id);
-    AERO_CHECK(it != inflight.end(), "completion for unknown request");
-    auto &req = it->second;
+    AERO_CHECK(request_id < inflight.size(),
+               "completion for unknown request");
+    InflightRequest &req = inflight[request_id];
     AERO_CHECK(req.remaining > 0, "request page over-completion");
     if (--req.remaining == 0) {
         const Tick latency = eq.now() - req.arrival + cfg.hostOverhead;
@@ -367,7 +444,8 @@ Ftl::completeRequestPage(std::uint64_t request_id)
                 tenant->writeLatency.add(latency);
             }
         }
-        inflight.erase(it);
+        freeSlots.push_back(request_id);
+        liveRequests -= 1;
     }
 }
 

@@ -11,13 +11,13 @@
 #define AERO_SSD_FTL_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ring_fifo.hh"
 #include "ssd/block_manager.hh"
 #include "ssd/chip_agent.hh"
 #include "ssd/mapping.hh"
+#include "ssd/placement.hh"
 #include "workload/trace.hh"
 
 namespace aero
@@ -34,24 +34,37 @@ class Ftl : public FtlCallbacks
 
     /**
      * Map and (functionally) program the logical space, without timing,
-     * in one pass over a fresh drive.
+     * in one pass over a fresh drive: placement, then wear
+     * (ssd/placement.hh).
      */
     void prefill();
 
     /**
      * Steady-state preconditioning: `overwrites` random logical pages are
      * rewritten functionally (no timing), with inline functional GC, so
-     * the drive starts dirty and at the GC watermark.
+     * the drive starts dirty and at the GC watermark. Placement, then
+     * wear.
      */
     void warmup(std::uint64_t overwrites);
 
-    std::uint64_t warmupErases() const { return warmupEraseCount; }
+    /**
+     * Condition a fresh drive as Ssd(cfg) does: prefill, then the
+     * configured warmup overwrites. The placement is copied from `cache`
+     * when it holds this drive's PlacementKey, and computed (and offered
+     * to `cache`) when not; the wear runs either way.
+     */
+    void condition(PlacementCache &cache);
+
+    /** The placement state conditioning left (ssd/placement.hh). */
+    PlacementImage placementImage() const;
+
+    std::uint64_t warmupErases() const { return eraseLog.size(); }
 
     /** Submit one trace record at the current simulation time. */
     void submit(const TraceRecord &rec);
 
     /** All submitted requests completed? */
-    bool drained() const { return inflight.empty() && !anyGcActive(); }
+    bool drained() const { return liveRequests == 0 && !anyGcActive(); }
 
     SsdMetrics &metrics() { return stats; }
     const SsdConfig &config() const { return cfg; }
@@ -85,20 +98,24 @@ class Ftl : public FtlCallbacks
         TenantId tenant;
     };
 
-    /** A (chip, plane) position of a round-robin allocation scan. */
-    struct PlaneCursor
-    {
-        int chip = 0;
-        int plane = 0;
-    };
-
     /** Queue one page read into the current read burst. */
     void submitReadPage(Lpn lpn, std::uint64_t request_id, TenantId tenant);
     /** Dispatch every agent the current read burst touched, in order. */
     void flushReadBurst();
     /** @return false if no plane had space (write stalled). */
     bool submitWritePage(Lpn lpn, std::uint64_t request_id, TenantId tenant);
+    /** @name Conditioning steps (ssd/placement.hh) */
+    /** @{ */
+    void placePrefill();
+    void placeWarmup(std::uint64_t overwrites);
+    /** Warmup's inline GC: placement only, each erase logged. */
     void functionalGc(int chip, int plane);
+    /** Copy an image's placement into this fresh drive. */
+    void restorePlacement(const PlacementImage &image);
+    /** Replay the erase log's new entries through the schemes, then
+     *  mark each block's programmed pages from the block table. */
+    void wear();
+    /** @} */
     void issueGcWrite(GcJob *job, Lpn lpn);
     void completeRequestPage(std::uint64_t request_id);
     /** Host-page timer handler: complete the oldest queued page. */
@@ -132,8 +149,10 @@ class Ftl : public FtlCallbacks
     std::vector<char> burstTouched;  //!< per-chip membership flag
     /** @} */
 
-    std::unordered_map<std::uint64_t, InflightRequest> inflight;
-    std::uint64_t nextRequestId = 1;
+    /** Requests in flight by slot; a request's id is its slot. */
+    std::vector<InflightRequest> inflight;
+    std::vector<std::uint64_t> freeSlots;  //!< inflight slots to reuse
+    std::size_t liveRequests = 0;
     RingFifo<StalledWrite> stalledWrites;
     RingFifo<StalledWrite> stalledRetry;  //!< retryStalledWrites' pass
 
@@ -152,7 +171,8 @@ class Ftl : public FtlCallbacks
     std::vector<std::unique_ptr<GcJob>> gcJobs;   //!< slot per plane
     int activeGcJobs = 0;
     PlaneCursor writePointer;  //!< round-robin user-write cursor
-    std::uint64_t warmupEraseCount = 0;
+    std::vector<ErasedBlock> eraseLog;  //!< warmup GC's erases, in order
+    std::size_t erasesWorn = 0;  //!< eraseLog entries wear() replayed
 };
 
 } // namespace aero

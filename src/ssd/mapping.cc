@@ -1,5 +1,7 @@
 #include "ssd/mapping.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace aero
@@ -84,6 +86,25 @@ PageMapping::mapFreshRun(Lpn first, Lpn stride, int count, Ppn dst)
     }
     validCount[perBlock.div(d)] += count;
     mapped += static_cast<std::uint64_t>(count);
+}
+
+void
+PageMapping::restore(std::span<const std::uint32_t> table)
+{
+    AERO_CHECK(mapped == 0, "restoring l2p over a mapping in use");
+    AERO_CHECK(table.size() == l2p.size(), "l2p table of ", table.size(),
+               " entries for ", l2p.size(), " logical pages");
+    std::copy(table.begin(), table.end(), l2p.begin());
+    for (std::size_t lpn = 0; lpn < l2p.size(); ++lpn) {
+        const std::uint32_t ppn = l2p[lpn];
+        if (ppn == kNoEntry)
+            continue;
+        AERO_CHECK(ppn < p2l.size() && p2l[ppn] == kNoEntry,
+                   "l2p maps PPN ", ppn, " twice or out of range");
+        p2l[ppn] = static_cast<std::uint32_t>(lpn);
+        validCount[perBlock.div(ppn)] += 1;
+        ++mapped;
+    }
 }
 
 int

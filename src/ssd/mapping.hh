@@ -75,8 +75,18 @@ class PageMapping
      */
     Ppn update(Lpn lpn, Ppn ppn);
 
-    /** @name Bulk conditioning (prefill and warmup GC) */
+    /** @name Bulk conditioning (prefill, warmup GC, placement images) */
     /** @{ */
+
+    /** The LPN -> PPN table, kNoEntry where unmapped. */
+    const std::vector<std::uint32_t> &l2pTable() const { return l2p; }
+
+    /**
+     * Take `table` as the l2p table of this fresh mapping and rebuild
+     * p2l, the valid counts and the mapped count from it: p2l only ever
+     * holds the inverse of l2p.
+     */
+    void restore(std::span<const std::uint32_t> table);
 
     /**
      * Map LPNs first, first + stride, ... (`count` of them) to the

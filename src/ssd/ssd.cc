@@ -1,27 +1,43 @@
 #include "ssd/ssd.hh"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/logging.hh"
 
 namespace aero
 {
 
-Ssd::Ssd(const SsdConfig &cfg_) : cfg(cfg_)
+Ssd::Ssd(const SsdConfig &cfg_, PlacementCache &cache) : cfg(cfg_)
 {
     ftlImpl = std::make_unique<Ftl>(cfg, eq);
-    if (cfg.prefillFraction > 0.0) {
-        ftlImpl->prefill();
-        const auto overwrites = static_cast<std::uint64_t>(
-            static_cast<double>(cfg.logicalPages()) *
-            cfg.warmupOverwriteFraction);
-        ftlImpl->warmup(overwrites);
-    }
+    ftlImpl->condition(cache);
 }
 
 void
 Ssd::run(const Trace &trace)
 {
+    // Each record completes as one latency sample: size the trackers
+    // exactly, so they neither double nor copy mid-replay.
+    SsdMetrics &m = metrics();
+    std::uint64_t reads = 0;
+    std::vector<std::uint64_t> tenantReads(m.tenants.size(), 0);
+    std::vector<std::uint64_t> tenantWrites(m.tenants.size(), 0);
+    for (const TraceRecord &rec : trace) {
+        const bool read = rec.op == IoOp::Read;
+        reads += read;
+        if (rec.tenant < m.tenants.size())
+            (read ? tenantReads : tenantWrites)[rec.tenant] += 1;
+    }
+    const auto grow = [](PercentileTracker &t, std::uint64_t samples) {
+        t.reserve(t.count() + samples);
+    };
+    grow(m.readLatency, reads);
+    grow(m.writeLatency, trace.size() - reads);
+    for (std::size_t t = 0; t < m.tenants.size(); ++t) {
+        grow(m.tenants[t].readLatency, tenantReads[t]);
+        grow(m.tenants[t].writeLatency, tenantWrites[t]);
+    }
     VectorTraceStream stream(trace);
     run(stream);
 }

@@ -102,9 +102,12 @@ class Ssd
   public:
     /**
      * Build a drive: constructs chips, pre-ages them to cfg.initialPec,
-     * and prefills the logical space to steady state.
+     * and prefills the logical space to steady state. The placement
+     * comes from `cache` when an earlier drive shared this one's
+     * PlacementKey (ssd/placement.hh), and goes into it when not.
      */
-    explicit Ssd(const SsdConfig &cfg);
+    explicit Ssd(const SsdConfig &cfg,
+                 PlacementCache &cache = PlacementCache::process());
 
     /**
      * Replay from a pull stream to completion (all requests serviced).

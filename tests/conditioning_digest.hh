@@ -41,11 +41,10 @@ class Fnv1a
     std::uint64_t h = 0xcbf29ce484222325ULL;
 };
 
-/** Digest of the drive state `Ssd(cfg)` leaves behind. */
+/** Digest of a conditioned drive's state. */
 inline std::uint64_t
-conditionedStateDigest(Ssd &ssd)
+conditionedStateDigest(Ftl &ftl)
 {
-    Ftl &ftl = ssd.ftl();
     const SsdConfig &cfg = ftl.config();
     const PageMapping &map = ftl.pageMapping();
     const BlockManager &blocks = ftl.blockManager();
@@ -73,6 +72,29 @@ conditionedStateDigest(Ssd &ssd)
     }
     h.add(ftl.warmupErases());
     return h.value();
+}
+
+/** Digest of the drive state `Ssd(cfg)` leaves behind. */
+inline std::uint64_t
+conditionedStateDigest(Ssd &ssd)
+{
+    return conditionedStateDigest(ssd.ftl());
+}
+
+/**
+ * Digest of a standalone Ftl conditioned through prefill() and
+ * warmup(), the steps Ssd(cfg) takes through its placement cache.
+ */
+inline std::uint64_t
+standaloneStateDigest(const SsdConfig &cfg)
+{
+    EventQueue eq;
+    Ftl ftl(cfg, eq);
+    ftl.prefill();
+    ftl.warmup(static_cast<std::uint64_t>(
+        static_cast<double>(cfg.logicalPages()) *
+        cfg.warmupOverwriteFraction));
+    return conditionedStateDigest(ftl);
 }
 
 } // namespace test

@@ -5,7 +5,9 @@
  * state right after construction, then replays 20k ali.A requests and
  * digests the event count, final tick and GC-migrated pages. The pinned
  * values were captured from the per-page prefill and GC relocation
- * loops that the bulk conditioning path replaced.
+ * loops that the bulk conditioning path replaced, which also erased
+ * inline: they pin the placement-then-wear split too, on a cache miss
+ * and on a hit alike.
  */
 
 #include <gtest/gtest.h>
@@ -122,30 +124,55 @@ class Conditioning : public ::testing::TestWithParam<ConditioningCase>
 {
 };
 
-TEST_P(Conditioning, StateDigestIsPinned)
+/** Replay 20k ali.A requests; digest the events, end tick and GC work. */
+std::uint64_t
+replayDigest(Ssd &ssd, std::uint64_t seed)
 {
-    const ConditioningCase &c = GetParam();
-    Ssd ssd(c.cfg);
-    EXPECT_GT(ssd.ftl().warmupErases(), 0u) << "warmup ran no GC";
-    const std::uint64_t state = test::conditionedStateDigest(ssd);
-
     SyntheticConfig wc;
     wc.spec = workloadByName("ali.A");
     wc.footprintPages = ssd.config().logicalPages();
     wc.numRequests = 20000;
-    wc.seed = c.cfg.seed;
+    wc.seed = seed;
     SyntheticTraceStream trace(wc);
     ssd.run(trace);
     test::Fnv1a replay;
     replay.add(ssd.eventQueue().processed());
     replay.add(ssd.eventQueue().now());
     replay.add(ssd.metrics().gcMigratedPages);
+    return replay.value();
+}
 
+TEST_P(Conditioning, StateDigestIsPinned)
+{
+    const ConditioningCase &c = GetParam();
+    Ssd ssd(c.cfg);
+    EXPECT_GT(ssd.ftl().warmupErases(), 0u) << "warmup ran no GC";
+    const std::uint64_t state = test::conditionedStateDigest(ssd);
+    const std::uint64_t replay = replayDigest(ssd, c.cfg.seed);
     std::printf("%s: state 0x%016llxULL replay 0x%016llxULL\n", c.name,
                 static_cast<unsigned long long>(state),
-                static_cast<unsigned long long>(replay.value()));
+                static_cast<unsigned long long>(replay));
     EXPECT_EQ(state, c.stateDigest);
-    EXPECT_EQ(replay.value(), c.replayDigest);
+    EXPECT_EQ(replay, c.replayDigest);
+}
+
+TEST_P(Conditioning, CachedDriveMatchesFreshAndStandalone)
+{
+    // A drive that copies its placement from the cache, one that
+    // computed it, and a standalone Ftl conditioned step by step all
+    // match the pins.
+    const ConditioningCase &c = GetParam();
+    PlacementCache cache;
+    Ssd fresh(c.cfg, cache);
+    ASSERT_EQ(cache.stats().misses, 1u);
+    ASSERT_EQ(cache.stats().images, 1u);
+    Ssd cached(c.cfg, cache);
+    ASSERT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(test::standaloneStateDigest(c.cfg), c.stateDigest);
+    EXPECT_EQ(test::conditionedStateDigest(fresh), c.stateDigest);
+    EXPECT_EQ(test::conditionedStateDigest(cached), c.stateDigest);
+    EXPECT_EQ(replayDigest(fresh, c.cfg.seed), c.replayDigest);
+    EXPECT_EQ(replayDigest(cached, c.cfg.seed), c.replayDigest);
 }
 
 INSTANTIATE_TEST_SUITE_P(
