@@ -74,9 +74,7 @@ main(int argc, char **argv)
                     LifetimeConfig cfg = lc;
                     cfg.schemeOptions.mispredictionRate = c.rate;
                     return LifetimeTester(cfg).run(c.scheme);
-                },
-                [](const LifetimeResult &r) { return toJson(r); },
-                lifetimeResultFromJson);
+                });
             // Tail-latency side (0.5K PEC, prxy): one Baseline reference
             // point plus AERO across the misprediction axis (Baseline
             // ignores the misprediction knob, so sweeping it there would

@@ -15,6 +15,7 @@
 
 #include <tuple>
 
+#include "bench_records.hh"
 #include "bench_util.hh"
 #include "devchar/lifetime.hh"
 #include "devchar/simstudy.hh"
@@ -52,10 +53,6 @@ main(int argc, char **argv)
     journal_cfg["latency_baseline_spec"] = configOf(base_spec);
     journal_cfg["latency_aero_spec"] = configOf(spec);
 
-    struct LifetimeRow
-    {
-        LifetimeResult base, cons, aero;
-    };
     const auto [lifetimes, base_results, results] = runCampaign(
         artifacts.campaign, "fig17_rber_requirement",
         std::move(journal_cfg), [&](const CampaignScope &scope) {
@@ -73,22 +70,10 @@ main(int argc, char **argv)
                     cfg.farm.blocksPerChip = farm_blocks;
                     cfg.schemeOptions.rberRequirement = req;
                     LifetimeTester tester(cfg);
-                    return LifetimeRow{tester.run(SchemeKind::Baseline),
-                                       tester.run(SchemeKind::AeroCons),
-                                       tester.run(SchemeKind::Aero)};
-                },
-                [](const LifetimeRow &row) {
-                    Json j = Json::object();
-                    j["baseline"] = toJson(row.base);
-                    j["aero_cons"] = toJson(row.cons);
-                    j["aero"] = toJson(row.aero);
-                    return j;
-                },
-                [](const Json &j) {
-                    return LifetimeRow{
-                        lifetimeResultFromJson(j.get("baseline")),
-                        lifetimeResultFromJson(j.get("aero_cons")),
-                        lifetimeResultFromJson(j.get("aero"))};
+                    return bench::LifetimeRow{
+                        tester.run(SchemeKind::Baseline),
+                        tester.run(SchemeKind::AeroCons),
+                        tester.run(SchemeKind::Aero)};
                 });
             auto base = SweepRunner().run(
                 base_spec, scope.with("stage", "latency-baseline"));

@@ -14,6 +14,7 @@
  * deterministic simulation output, so the gate diffs at tight tolerance.
  */
 
+#include "bench_records.hh"
 #include "bench_util.hh"
 #include "devchar/simstudy.hh"
 #include "exp/sweep.hh"
@@ -31,58 +32,7 @@ struct Cell
     WearLevel wearLevel = WearLevel::None;
 };
 
-struct CellResult
-{
-    double avgReadUs = 0.0;
-    double p999Us = 0.0;
-    double writeAmplification = 0.0;
-    double gcWriteAmplification = 0.0;
-    std::uint64_t gcMigratedPages = 0;
-    std::uint64_t wlMigratedPages = 0;
-    std::uint64_t wlInvocations = 0;
-    std::uint64_t erases = 0;
-    double maxChannelUtil = 0.0;
-    double hostWaitUs = 0.0;
-    double gcWaitUs = 0.0;
-};
-
-Json
-toJson(const CellResult &r)
-{
-    Json row = Json::object();
-    row["avg_read_us"] = r.avgReadUs;
-    row["p999_us"] = r.p999Us;
-    row["write_amplification"] = r.writeAmplification;
-    row["gc_write_amplification"] = r.gcWriteAmplification;
-    row["gc_migrated_pages"] = r.gcMigratedPages;
-    row["wl_migrated_pages"] = r.wlMigratedPages;
-    row["wl_invocations"] = r.wlInvocations;
-    row["erases"] = r.erases;
-    row["max_channel_util"] = r.maxChannelUtil;
-    row["host_wait_us"] = r.hostWaitUs;
-    row["gc_wait_us"] = r.gcWaitUs;
-    return row;
-}
-
-CellResult
-cellFromJson(const Json &row)
-{
-    CellResult r;
-    r.avgReadUs = row.get("avg_read_us").asDouble();
-    r.p999Us = row.get("p999_us").asDouble();
-    r.writeAmplification = row.get("write_amplification").asDouble();
-    r.gcWriteAmplification = row.get("gc_write_amplification").asDouble();
-    r.gcMigratedPages = row.get("gc_migrated_pages").asUint64();
-    r.wlMigratedPages = row.get("wl_migrated_pages").asUint64();
-    r.wlInvocations = row.get("wl_invocations").asUint64();
-    r.erases = row.get("erases").asUint64();
-    r.maxChannelUtil = row.get("max_channel_util").asDouble();
-    r.hostWaitUs = row.get("host_wait_us").asDouble();
-    r.gcWaitUs = row.get("gc_wait_us").asDouble();
-    return r;
-}
-
-CellResult
+bench::GcCellResult
 runCell(const Cell &cell, std::uint64_t requests)
 {
     // A deliberately small drive (8 dies over 4 channels, 8K pages) so
@@ -111,7 +61,7 @@ runCell(const Cell &cell, std::uint64_t requests)
     ssd.run(trace);
 
     const SsdMetrics &m = ssd.metrics();
-    CellResult r;
+    bench::GcCellResult r;
     r.avgReadUs = m.readLatency.mean() / static_cast<double>(kUs);
     r.p999Us = ticksToUs(m.readLatency.percentile(0.999));
     r.writeAmplification = m.writeAmplification();
@@ -177,9 +127,7 @@ main(int argc, char **argv)
                     key["wear_level"] = enumName(c.wearLevel);
                     return key;
                 },
-                [&](const Cell &c) { return runCell(c, requests); },
-                [](const CellResult &r) { return toJson(r); },
-                cellFromJson);
+                [&](const Cell &c) { return runCell(c, requests); });
         });
 
     for (std::size_t si = 0; si < schemes.size(); ++si) {
@@ -194,7 +142,7 @@ main(int argc, char **argv)
                 const std::size_t idx =
                     (si * gc_policies.size() + gi) * wear_levels.size() +
                     wi;
-                const CellResult &r = results[idx];
+                const bench::GcCellResult &r = results[idx];
                 std::printf("%-13s %-8s %6.3f %6.3f %8llu %9llu %5.1f%% "
                             "%8.1f %8.1f\n",
                             enumName(gc_policies[gi]),

@@ -48,9 +48,7 @@ main(int argc, char **argv)
                     cfg.numRequests = num_requests;
                     SyntheticTraceStream trace(cfg);
                     return computeExtendedStats(trace, cfg.pageSizeKB);
-                },
-                [](const ExtendedTraceStats &s) { return toJson(s); },
-                extendedStatsFromJson);
+                });
         });
 
     bench::rule();

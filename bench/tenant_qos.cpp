@@ -31,6 +31,7 @@
 
 #include <cstring>
 
+#include "bench_records.hh"
 #include "bench_util.hh"
 #include "devchar/simstudy.hh"
 #include "exp/sweep.hh"
@@ -41,92 +42,12 @@ using namespace aero;
 namespace
 {
 
-struct TenantRow
-{
-    TenantId tenant = 0;
-    std::string source;
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-    double avgReadUs = 0.0;
-    double p99Us = 0.0;
-    double p999Us = 0.0;
-
-    /** @name SLO mode only (emitted when slo is set) */
-    /** @{ */
-    bool slo = false;
-    std::uint64_t throttleDeferrals = 0;
-    double throttleDeferredMs = 0.0;
-    std::uint64_t p99TargetUs = 0;  //!< 0: tenant has no target
-    bool p99Attained = false;       //!< meaningful iff p99TargetUs != 0
-    /** @} */
-};
-
 struct Cell
 {
     SchemeKind scheme = SchemeKind::Baseline;
     double pec = 500.0;
     SloPolicy policy = SloPolicy::None;  //!< only varied in SLO mode
 };
-
-struct CellResult
-{
-    std::vector<TenantRow> rows;  //!< one per tenant, in tenant order
-};
-
-Json
-toJson(const CellResult &r)
-{
-    Json rows = Json::array();
-    for (const auto &t : r.rows) {
-        Json row = Json::object();
-        row["tenant"] = static_cast<std::uint64_t>(t.tenant);
-        row["source"] = t.source;
-        row["reads"] = t.reads;
-        row["writes"] = t.writes;
-        row["avg_read_us"] = t.avgReadUs;
-        row["p99_us"] = t.p99Us;
-        row["p999_us"] = t.p999Us;
-        if (t.slo) {
-            row["throttle_deferrals"] = t.throttleDeferrals;
-            row["throttle_deferred_ms"] = t.throttleDeferredMs;
-            if (t.p99TargetUs != 0) {
-                row["p99_target_us"] = t.p99TargetUs;
-                row["p99_attained"] = t.p99Attained;
-            }
-        }
-        rows.push(std::move(row));
-    }
-    return rows;
-}
-
-CellResult
-cellFromJson(const Json &rows)
-{
-    CellResult r;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Json &row = rows.at(i);
-        TenantRow t;
-        t.tenant = static_cast<TenantId>(row.get("tenant").asUint64());
-        t.source = row.get("source").asString();
-        t.reads = row.get("reads").asUint64();
-        t.writes = row.get("writes").asUint64();
-        t.avgReadUs = row.get("avg_read_us").asDouble();
-        t.p99Us = row.get("p99_us").asDouble();
-        t.p999Us = row.get("p999_us").asDouble();
-        if (const Json *d = row.find("throttle_deferrals")) {
-            t.slo = true;
-            t.throttleDeferrals = d->asUint64();
-            t.throttleDeferredMs =
-                row.get("throttle_deferred_ms").asDouble();
-            if (const Json *target = row.find("p99_target_us")) {
-                t.p99TargetUs = target->asUint64();
-                t.p99Attained = row.get("p99_attained").asBool();
-            }
-        }
-        r.rows.push_back(std::move(t));
-    }
-    return r;
-}
 
 /** Everything a cell run needs beyond its own axes. */
 struct CampaignSetup
@@ -136,7 +57,8 @@ struct CampaignSetup
     TenantSloSpec sloSpec;       //!< budgets/weights/targets (SLO mode)
 };
 
-CellResult
+/** One row per tenant, in tenant order. */
+std::vector<bench::TenantRow>
 runCell(const Cell &cell, const CampaignSetup &setup)
 {
     SsdConfig cfg = SsdConfig::bench();
@@ -165,10 +87,10 @@ runCell(const Cell &cell, const CampaignSetup &setup)
     TenantMix mix(std::move(streams));
     ssd.run(mix);
 
-    CellResult result;
+    std::vector<bench::TenantRow> rows;
     for (std::size_t i = 0; i < setup.sources.size(); ++i) {
         const TenantLatency &m = ssd.metrics().tenants[i];
-        TenantRow row;
+        bench::TenantRow row;
         row.tenant = static_cast<TenantId>(i);
         row.source = setup.sources[i].label;
         row.reads = m.reads;
@@ -183,14 +105,15 @@ runCell(const Cell &cell, const CampaignSetup &setup)
             const TenantSlo *t =
                 setup.sloSpec.find(static_cast<TenantId>(i));
             if (t != nullptr && t->p99TargetUs != 0) {
+                row.targeted = true;
                 row.p99TargetUs = t->p99TargetUs;
                 row.p99Attained =
                     m.readP99Us() <= static_cast<double>(t->p99TargetUs);
             }
         }
-        result.rows.push_back(std::move(row));
+        rows.push_back(std::move(row));
     }
-    return result;
+    return rows;
 }
 
 /**
@@ -355,9 +278,7 @@ main(int argc, char **argv)
                         key["slo"] = enumName(c.policy);
                     return key;
                 },
-                [&](const Cell &c) { return runCell(c, setup); },
-                [](const CellResult &r) { return toJson(r); },
-                cellFromJson);
+                [&](const Cell &c) { return runCell(c, setup); });
         });
 
     for (std::size_t pi = 0; pi < pecs.size(); ++pi) {
@@ -377,7 +298,7 @@ main(int argc, char **argv)
                 for (std::size_t li = 0; li < policies.size(); ++li) {
                     const std::size_t ci =
                         (pi * schemes.size() + si) * policies.size() + li;
-                    const auto &row = results[ci].rows[t];
+                    const auto &row = results[ci][t];
                     std::printf(" | %12.1f / %8.1f", row.p99Us,
                                 row.p999Us);
                 }
@@ -404,14 +325,13 @@ main(int argc, char **argv)
     if (setup.slo)
         report.spec["slo_spec"] = renderTenantSloSpec(setup.sloSpec);
     for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-        const Json tenants = toJson(results[ci]);
-        for (std::size_t t = 0; t < tenants.size(); ++t) {
+        for (const bench::TenantRow &tenant : results[ci]) {
             Json row = Json::object();
             if (setup.slo)
                 row["slo_policy"] = enumName(cells[ci].policy);
             row["scheme"] = schemeKindName(cells[ci].scheme);
             row["pec"] = cells[ci].pec;
-            const Json &metrics = tenants.at(t);
+            const Json metrics = toJson(tenant);
             for (std::size_t m = 0; m < metrics.size(); ++m) {
                 const auto &[name, value] = metrics.member(m);
                 row[name] = value;

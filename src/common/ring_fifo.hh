@@ -4,8 +4,8 @@
  * chip agents' op queues push at the back and pop at the front once per
  * simulated page op, so both ends must be O(1) with no per-element
  * allocation, and unlike std::deque a push never touches a node map.
- * The FTL's stalled writes and host-page completions queue in rings
- * too.
+ * The FTL's stalled writes and host-page completions, and the trace
+ * pump's records parked by an SLO throttle, queue in rings too.
  *
  * A ring allocates its first kInitialCapacity slots when it is built,
  * as std::deque allocates its first node, so a drive's queues take

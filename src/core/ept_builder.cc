@@ -38,35 +38,18 @@ measureMIspe(NandChip &chip, BlockId id)
     return r;
 }
 
-Json
-toJson(const MIspeResult &m)
+const Fields<MIspeResult> &
+MIspeResult::fields()
 {
-    Json row = Json::object();
-    row["slots_required"] = m.slotsRequired;
-    row["n_ispe"] = m.nIspe;
-    row["final_loop_slots"] = m.finalLoopSlots;
-    row["mtbers_ms"] = m.mtBersMs;
-    Json fails = Json::array();
-    for (const double f : m.failAfterSlot)
-        fails.push(f);
-    row["fail_after_slot"] = std::move(fails);
-    return row;
-}
-
-MIspeResult
-mIspeResultFromJson(const Json &row)
-{
-    MIspeResult m;
-    m.slotsRequired =
-        static_cast<int>(row.get("slots_required").asInt64());
-    m.nIspe = static_cast<int>(row.get("n_ispe").asInt64());
-    m.finalLoopSlots =
-        static_cast<int>(row.get("final_loop_slots").asInt64());
-    m.mtBersMs = row.get("mtbers_ms").asDouble();
-    const Json &fails = row.get("fail_after_slot");
-    for (std::size_t i = 0; i < fails.size(); ++i)
-        m.failAfterSlot.push_back(fails.at(i).asDouble());
-    return m;
+    using M = MIspeResult;
+    static const Fields<M> table = {
+        field("slots_required", &M::slotsRequired),
+        field("n_ispe", &M::nIspe),
+        field("final_loop_slots", &M::finalLoopSlots),
+        field("mtbers_ms", &M::mtBersMs),
+        field("fail_after_slot", &M::failAfterSlot),
+    };
+    return table;
 }
 
 EptBuilder::EptBuilder(ChipPopulation &population,
@@ -99,7 +82,7 @@ EptBuilder::build(const CampaignScope &scope)
         [](NandChip &chip, BlockId id, std::size_t) {
             return measureMIspe(chip, id);
         },
-        scope, MIspeCodec{});
+        scope);
 
     for (std::size_t pi = 0; pi < cfg.pecPoints.size(); ++pi) {
         const double pec = cfg.pecPoints[pi];

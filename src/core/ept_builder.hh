@@ -30,6 +30,8 @@ struct MIspeResult
     double mtBersMs = 0.0;   //!< estimated minimum tBERS (ms)
     /** F after each pulse; failAfterSlot[s] is the VR after slot s+1. */
     std::vector<double> failAfterSlot;
+
+    static const Fields<MIspeResult> &fields();
 };
 
 /**
@@ -37,22 +39,6 @@ struct MIspeResult
  * commits) one real erase operation on the block.
  */
 MIspeResult measureMIspe(NandChip &chip, BlockId id);
-
-/** @name Campaign-journal codec (exact round trip, bit-for-bit). */
-/** @{ */
-Json toJson(const MIspeResult &m);
-MIspeResult mIspeResultFromJson(const Json &row);
-
-struct MIspeCodec
-{
-    Json encode(const MIspeResult &m) const { return toJson(m); }
-    MIspeResult
-    decode(const Json &row) const
-    {
-        return mIspeResultFromJson(row);
-    }
-};
-/** @} */
 
 struct EptBuilderConfig
 {

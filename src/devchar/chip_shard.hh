@@ -19,9 +19,10 @@
  * CampaignJournal (exp/campaign.hh): every completed chip task is
  * flushed as one record keyed by `scope.prefix + {"chip": c}`, and a
  * resumed run decodes journaled chips instead of re-measuring them.
- * Because the codec round-trips every record field bit-exactly through
- * the JSON serializer, a killed-and-resumed campaign folds to the same
- * bytes as an uninterrupted one, at any thread count.
+ * The record type is a declared record (exp/record.hh), which
+ * round-trips every field bit-exactly through the JSON serializer, so a
+ * killed-and-resumed campaign folds to the same bytes as an
+ * uninterrupted one, at any thread count.
  */
 
 #ifndef AERO_DEVCHAR_CHIP_SHARD_HH
@@ -41,23 +42,20 @@ namespace aero
 {
 
 /**
- * @return records[pec_index], concatenated in chip-major order. @p codec
- * must provide `Json encode(const Record &)` and
- * `Record decode(const Json &)` (exact round-trip); with an empty
- * @p scope nothing is journaled.
+ * @return records[pec_index], concatenated in chip-major order; with an
+ * empty @p scope nothing is journaled.
  */
-template <typename Measure, typename Codec>
+template <typename Measure>
 auto
 measureChipSharded(ChipPopulation &pop, int blocks_per_chip,
                    const std::vector<double> &pecs, Measure measure,
-                   const CampaignScope &scope, Codec codec,
-                   int threads = 0)
+                   const CampaignScope &scope, int threads = 0)
     -> std::vector<std::vector<std::invoke_result_t<
         Measure &, NandChip &, BlockId, std::size_t>>>
 {
-    using Record = std::invoke_result_t<Measure &, NandChip &, BlockId,
+    using Sample = std::invoke_result_t<Measure &, NandChip &, BlockId,
                                         std::size_t>;
-    using ChipRecords = std::vector<std::vector<Record>>;
+    using ChipRecords = std::vector<std::vector<Sample>>;
     std::vector<int> chip_indices(
         static_cast<std::size_t>(pop.numChips()));
     std::iota(chip_indices.begin(), chip_indices.end(), 0);
@@ -76,30 +74,13 @@ measureChipSharded(ChipPopulation &pop, int blocks_per_chip,
             }
             return by_pec;
         },
-        [&](const ChipRecords &by_pec) {
-            Json doc = Json::array();
-            for (const auto &records : by_pec) {
-                Json inner = Json::array();
-                for (const auto &r : records)
-                    inner.push(codec.encode(r));
-                doc.push(std::move(inner));
-            }
-            return doc;
-        },
-        [&](const Json &doc) {
-            AERO_CHECK(doc.isArray() && doc.size() == pecs.size(),
-                       "journaled chip task does not cover the ",
-                       pecs.size(), " PEC points of this campaign");
-            ChipRecords by_pec(pecs.size());
-            for (std::size_t pi = 0; pi < pecs.size(); ++pi) {
-                const Json &inner = doc.at(pi);
-                for (std::size_t i = 0; i < inner.size(); ++i)
-                    by_pec[pi].push_back(codec.decode(inner.at(i)));
-            }
-            return by_pec;
-        },
         threads);
 
+    for (const auto &chip_records : per_chip) {
+        AERO_CHECK(chip_records.size() == pecs.size(),
+                   "journaled chip task does not cover the ", pecs.size(),
+                   " PEC points of this campaign");
+    }
     ChipRecords by_pec(pecs.size());
     for (std::size_t pi = 0; pi < pecs.size(); ++pi) {
         for (auto &chip_records : per_chip) {

@@ -24,7 +24,7 @@ runFig4Experiment(const FarmConfig &farm_cfg,
         [](NandChip &chip, BlockId id, std::size_t) {
             return measureMIspe(chip, id);
         },
-        scope, MIspeCodec{});
+        scope);
     for (std::size_t pi = 0; pi < pecs.size(); ++pi) {
         Fig4Data::PecCurve curve;
         curve.pec = pecs[pi];
@@ -67,7 +67,7 @@ runFig7Experiment(const FarmConfig &farm_cfg,
         [](NandChip &chip, BlockId id, std::size_t) {
             return measureMIspe(chip, id);
         },
-        scope, MIspeCodec{});
+        scope);
     for (const auto &records : by_pec) {
         for (const auto &m : records) {
             auto &row = rows[m.nIspe];
@@ -126,7 +126,7 @@ runFig8Experiment(const FarmConfig &farm_cfg,
         [](NandChip &chip, BlockId id, std::size_t) {
             return measureMIspe(chip, id);
         },
-        scope, MIspeCodec{});
+        scope);
     for (const auto &records : by_pec) {
         for (const auto &m : records) {
             if (m.nIspe < 2 || m.nIspe > 5)
@@ -171,45 +171,20 @@ runFig8Experiment(const FarmConfig &farm_cfg,
     return data;
 }
 
-namespace
+const Fields<Fig9Data::Cell> &
+Fig9Data::Cell::fields()
 {
-
-/** Fig. 9 cell codec for the campaign journal (exact round trip). */
-Json
-fig9CellToJson(const Fig9Data::Cell &cell)
-{
-    Json row = Json::object();
-    row["tse_slots"] = cell.tseSlots;
-    row["pec"] = cell.pec;
-    row["samples"] = cell.samples;
-    Json fracs = Json::array();
-    for (const double f : cell.rangeFraction)
-        fracs.push(f);
-    row["range_fraction"] = std::move(fracs);
-    row["benefit_fraction"] = cell.benefitFraction;
-    row["avg_tbers_ms"] = cell.avgTbersMs;
-    return row;
+    using C = Fig9Data::Cell;
+    static const Fields<C> table = {
+        field("tse_slots", &C::tseSlots),
+        field("pec", &C::pec),
+        field("samples", &C::samples),
+        field("range_fraction", &C::rangeFraction),
+        field("benefit_fraction", &C::benefitFraction),
+        field("avg_tbers_ms", &C::avgTbersMs),
+    };
+    return table;
 }
-
-Fig9Data::Cell
-fig9CellFromJson(const Json &row)
-{
-    Fig9Data::Cell cell;
-    cell.tseSlots = static_cast<int>(row.get("tse_slots").asInt64());
-    cell.pec = row.get("pec").asDouble();
-    cell.samples = static_cast<int>(row.get("samples").asInt64());
-    const Json &fracs = row.get("range_fraction");
-    AERO_CHECK(fracs.size() == cell.rangeFraction.size(),
-               "fig9 cell record has ", fracs.size(),
-               " range fractions, expected ", cell.rangeFraction.size());
-    for (std::size_t i = 0; i < cell.rangeFraction.size(); ++i)
-        cell.rangeFraction[i] = fracs.at(i).asDouble();
-    cell.benefitFraction = row.get("benefit_fraction").asDouble();
-    cell.avgTbersMs = row.get("avg_tbers_ms").asDouble();
-    return cell;
-}
-
-} // namespace
 
 Fig9Data
 runFig9Experiment(const FarmConfig &farm_cfg,
@@ -291,8 +266,7 @@ runFig9Experiment(const FarmConfig &farm_cfg,
         cell.benefitFraction /= std::max(1, cell.samples);
         cell.avgTbersMs = tbers_sum / std::max(1, cell.samples);
         return cell;
-        },
-        fig9CellToJson, fig9CellFromJson);
+        });
     return data;
 }
 
@@ -315,60 +289,28 @@ eraseInsufficiently(NandChip &chip, BlockId id)
     return out;
 }
 
-namespace
+const Fields<CompleteErase> &
+CompleteErase::fields()
 {
+    static const Fields<CompleteErase> table = {
+        field("n", &CompleteErase::n),
+        field("mrber", &CompleteErase::mrber),
+    };
+    return table;
+}
 
-/** Record of one completely erased block (Fig. 10a). */
-struct CompleteRecord
+const Fields<InsufficientErase> &
+InsufficientErase::fields()
 {
-    int n;
-    double mrber;
-};
-
-struct CompleteCodec
-{
-    Json
-    encode(const CompleteRecord &r) const
-    {
-        Json row = Json::object();
-        row["n"] = r.n;
-        row["mrber"] = r.mrber;
-        return row;
-    }
-    CompleteRecord
-    decode(const Json &row) const
-    {
-        return CompleteRecord{
-            static_cast<int>(row.get("n").asInt64()),
-            row.get("mrber").asDouble()};
-    }
-};
-
-struct InsufficientCodec
-{
-    Json
-    encode(const InsufficientErase &r) const
-    {
-        Json row = Json::object();
-        row["n_ispe"] = r.nIspe;
-        row["fail_bits"] = r.failBits;
-        row["range"] = r.range;
-        row["mrber_after"] = r.mrberAfter;
-        return row;
-    }
-    InsufficientErase
-    decode(const Json &row) const
-    {
-        InsufficientErase r;
-        r.nIspe = static_cast<int>(row.get("n_ispe").asInt64());
-        r.failBits = row.get("fail_bits").asDouble();
-        r.range = static_cast<int>(row.get("range").asInt64());
-        r.mrberAfter = row.get("mrber_after").asDouble();
-        return r;
-    }
-};
-
-} // namespace
+    using I = InsufficientErase;
+    static const Fields<I> table = {
+        field("n_ispe", &I::nIspe),
+        field("fail_bits", &I::failBits),
+        field("range", &I::range),
+        field("mrber_after", &I::mrberAfter),
+    };
+    return table;
+}
 
 Fig10Data
 runFig10Experiment(const FarmConfig &farm_cfg, const CampaignScope &scope)
@@ -399,9 +341,9 @@ runFig10Experiment(const FarmConfig &farm_cfg, const CampaignScope &scope)
                 for (int i = 1; i <= n; ++i)
                     chip.erasePulse(id, i, p.slotsPerLoop);
                 chip.finishErase(id);
-                return CompleteRecord{n, chip.maxRber(id)};
+                return CompleteErase{n, chip.maxRber(id)};
             },
-            scope.with("pass", "complete"), CompleteCodec{});
+            scope.with("pass", "complete"));
         for (std::size_t pi = 0; pi < cond_pecs.size(); ++pi) {
             const int expect_n = conditioning[pi].second;
             for (const auto &rec : by_pec[pi]) {
@@ -432,7 +374,7 @@ runFig10Experiment(const FarmConfig &farm_cfg, const CampaignScope &scope)
                 chip.finishErase(id);
                 return r;
             },
-            scope.with("pass", "insufficient"), InsufficientCodec{});
+            scope.with("pass", "insufficient"));
         for (std::size_t pi = 0; pi < cond_pecs.size(); ++pi) {
             const int expect_n = conditioning[pi].second;
             for (const auto &r : by_pec[pi]) {

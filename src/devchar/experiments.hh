@@ -91,6 +91,8 @@ struct Fig9Data
         std::array<double, 10> rangeFraction{};  //!< F(0) range occupancy
         double benefitFraction = 0.0;  //!< erased faster than default tEP
         double avgTbersMs = 0.0;       //!< mean shallow+remainder latency
+
+        static const Fields<Cell> &fields();
     };
     std::vector<Cell> cells;
 };
@@ -155,9 +157,20 @@ struct InsufficientErase
     double failBits = 0.0;  //!< F(N_ISPE - 1)
     int range = 8;
     double mrberAfter = 0.0;
+
+    static const Fields<InsufficientErase> &fields();
 };
 
 InsufficientErase eraseInsufficiently(NandChip &chip, BlockId id);
+
+/** One completely erased block of Fig. 10a: loops used, max RBER. */
+struct CompleteErase
+{
+    int n = 0;
+    double mrber = 0.0;
+
+    static const Fields<CompleteErase> &fields();
+};
 
 } // namespace aero
 

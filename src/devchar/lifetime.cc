@@ -113,48 +113,23 @@ LifetimeTester::runAll(const CampaignScope &scope) const
         [&](std::size_t, SchemeKind k) {
             return scope.key("scheme", schemeKindName(k));
         },
-        [this](SchemeKind k) { return run(k); },
-        [](const LifetimeResult &r) { return toJson(r); },
-        lifetimeResultFromJson);
+        [this](SchemeKind k) { return run(k); });
 }
 
-Json
-toJson(const LifetimeResult &r)
+const Fields<LifetimeResult> &
+LifetimeResult::fields()
 {
-    Json row = Json::object();
-    row["scheme"] = schemeKindName(r.scheme);
-    Json curve = Json::array();
-    for (const auto &[pec, mrber] : r.curve) {
-        Json pt = Json::array();
-        pt.push(pec);
-        pt.push(mrber);
-        curve.push(std::move(pt));
-    }
-    row["curve"] = std::move(curve);
-    row["lifetime_pec"] = r.lifetimePec;
-    row["crossed"] = r.crossed;
-    row["avg_erase_ms"] = r.avgEraseLatencyMs;
-    row["avg_loops"] = r.avgLoops;
-    row["fresh_mrber"] = r.freshMrber;
-    return row;
-}
-
-LifetimeResult
-lifetimeResultFromJson(const Json &row)
-{
-    LifetimeResult r;
-    r.scheme = enumFromName<SchemeKind>(row.get("scheme").asString());
-    const Json &curve = row.get("curve");
-    for (std::size_t i = 0; i < curve.size(); ++i) {
-        const Json &pt = curve.at(i);
-        r.curve.emplace_back(pt.at(0).asDouble(), pt.at(1).asDouble());
-    }
-    r.lifetimePec = row.get("lifetime_pec").asDouble();
-    r.crossed = row.get("crossed").asBool();
-    r.avgEraseLatencyMs = row.get("avg_erase_ms").asDouble();
-    r.avgLoops = row.get("avg_loops").asDouble();
-    r.freshMrber = row.get("fresh_mrber").asDouble();
-    return r;
+    using L = LifetimeResult;
+    static const Fields<L> table = {
+        field("scheme", &L::scheme),
+        field("curve", &L::curve),
+        field("lifetime_pec", &L::lifetimePec),
+        field("crossed", &L::crossed),
+        field("avg_erase_ms", &L::avgEraseLatencyMs),
+        field("avg_loops", &L::avgLoops),
+        field("fresh_mrber", &L::freshMrber),
+    };
+    return table;
 }
 
 } // namespace aero

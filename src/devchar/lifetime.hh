@@ -45,6 +45,8 @@ struct LifetimeResult
     double avgEraseLatencyMs = 0.0;
     double avgLoops = 0.0;
     double freshMrber = 0.0;  //!< average after the first erase
+
+    static const Fields<LifetimeResult> &fields();
 };
 
 class LifetimeTester
@@ -73,12 +75,6 @@ class LifetimeTester
   private:
     LifetimeConfig cfg;
 };
-
-/** @name Campaign-journal codec (exact round trip, bit-for-bit). */
-/** @{ */
-Json toJson(const LifetimeResult &r);
-LifetimeResult lifetimeResultFromJson(const Json &row);
-/** @} */
 
 } // namespace aero
 

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/record.hh"
 #include "ssd/ssd.hh"
 #include "workload/synthetic.hh"
 
@@ -31,6 +32,13 @@ struct SimPoint
     WearLevel wearLevel = WearLevel::None;
     std::uint64_t requests = 120000;
     std::uint64_t seed = 7;
+
+    /**
+     * The key columns, from the sweep axis table (exp/sweep.hh): every
+     * axis in table order, "requests" just before "seed", and an
+     * optional axis written only off its default.
+     */
+    static const Fields<SimPoint> &fields();
 };
 
 struct SimResult
@@ -46,6 +54,9 @@ struct SimResult
     double avgEraseMs = 0.0;
     std::uint64_t suspensions = 0;
     double writeAmplification = 0.0;
+
+    /** The point's columns, then the metrics (exp/report.cc). */
+    static const Fields<SimResult> &fields();
 };
 
 /**

@@ -67,6 +67,7 @@
 #include <vector>
 
 #include "exp/json.hh"
+#include "exp/record.hh"
 #include "exp/sweep_impl.hh"
 
 namespace aero
@@ -232,20 +233,19 @@ struct CampaignScope
 
 /**
  * parallelMap() with a campaign journal: each item's result is
- * journaled under `keyOf(index, item)` as `encode(result)`, and items
- * already journaled are decoded from the journal instead of recomputed
- * — so a killed campaign resumes from its last flushed task. With a
- * null journal this is exactly parallelMap(). Results are byte-stable
- * across kill/resume cycles and thread counts provided
- * `decode(encode(x))` reproduces `x` exactly (every codec in this repo
- * round-trips doubles bit-for-bit through the JSON serializer).
+ * journaled under `keyOf(index, item)` as its JSON column
+ * (toColumn(), exp/record.hh), and items already journaled are decoded
+ * from the journal instead of recomputed — so a killed campaign resumes
+ * from its last flushed task. With a null journal this is exactly
+ * parallelMap(). The result type is a declared record, or a vector of
+ * them, whose decoding reproduces it exactly, so results are
+ * byte-stable across kill/resume cycles and thread counts.
  */
-template <typename Item, typename KeyFn, typename Fn, typename Enc,
-          typename Dec>
+template <typename Item, typename KeyFn, typename Fn>
 auto
 parallelMapJournaled(CampaignJournal *journal,
                      const std::vector<Item> &items, KeyFn keyOf, Fn fn,
-                     Enc encode, Dec decode, int threads = 0)
+                     int threads = 0)
     -> std::vector<std::decay_t<decltype(fn(items.front()))>>
 {
     using Result = std::decay_t<decltype(fn(items.front()))>;
@@ -258,9 +258,9 @@ parallelMapJournaled(CampaignJournal *journal,
                 return fn(items[i]);
             const Json key = keyOf(i, items[i]);
             if (journal->has(key))
-                return decode(journal->cached(key));
+                return fromColumn<Result>(journal->cached(key), "payload");
             Result r = fn(items[i]);
-            journal->record(key, encode(r));
+            journal->record(key, toColumn(r));
             return r;
         },
         threads);

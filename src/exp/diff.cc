@@ -378,9 +378,8 @@ std::vector<std::string>
 sweepKeyColumns()
 {
     std::vector<std::string> out;
-    forEachColumn(SimPoint{}, [&](const std::string &column, Json, bool) {
-        out.push_back(column);
-    });
+    for (const Field<SimPoint> &f : SimPoint::fields())
+        out.push_back(f.column);
     return out;
 }
 

@@ -81,7 +81,7 @@ struct DiffResult
 
 /**
  * Axis keys identifying a result row: the document's "axes" array when
- * present, every sweep key column (forEachColumn in exp/sweep.hh) for
+ * present, every sweep key column (SimPoint::fields()) for
  * `aero-sweep/1`, else empty (rows are then matched by position). A
  * row without an optional axis's column keys it as absent.
  */

@@ -14,63 +14,26 @@
 namespace aero
 {
 
-Json
-toJson(const SimPoint &pt)
+const Fields<SimResult> &
+SimResult::fields()
 {
-    Json row = Json::object();
-    forEachColumn(pt, [&](const std::string &column, Json value,
-                          bool omitted) {
-        if (!omitted)
-            row[column] = std::move(value);
-    });
-    return row;
-}
-
-Json
-toJson(const SimResult &result)
-{
-    Json row = toJson(result.point);
-    row["avg_read_us"] = result.avgReadUs;
-    row["avg_write_us"] = result.avgWriteUs;
-    row["iops"] = result.iops;
-    row["p999_us"] = result.p999Us;
-    row["p9999_us"] = result.p9999Us;
-    row["p999999_us"] = result.p999999Us;
-    row["erases"] = result.erases;
-    row["avg_erase_ms"] = result.avgEraseMs;
-    row["suspensions"] = result.suspensions;
-    row["write_amplification"] = result.writeAmplification;
-    return row;
-}
-
-SimResult
-simResultFromJson(const Json &row)
-{
-    const auto need = [&](const char *key) -> const Json & {
-        const Json *v = row.find(key);
-        if (!v)
-            AERO_FATAL("result row is missing '", key, "'");
-        return *v;
-    };
-    SimResult r;
-    for (const SweepAxis &axis : sweepAxes()) {
-        if (const Json *value = row.find(axis.column))
-            axis.set(*value, r.point);
-        else if (!axis.optional)
-            AERO_FATAL("result row is missing '", axis.column, "'");
-    }
-    r.point.requests = need("requests").asUint64();
-    r.avgReadUs = need("avg_read_us").asDouble();
-    r.avgWriteUs = need("avg_write_us").asDouble();
-    r.iops = need("iops").asDouble();
-    r.p999Us = need("p999_us").asDouble();
-    r.p9999Us = need("p9999_us").asDouble();
-    r.p999999Us = need("p999999_us").asDouble();
-    r.erases = need("erases").asUint64();
-    r.avgEraseMs = need("avg_erase_ms").asDouble();
-    r.suspensions = need("suspensions").asUint64();
-    r.writeAmplification = need("write_amplification").asDouble();
-    return r;
+    using R = SimResult;
+    static const Fields<R> table = [] {
+        Fields<R> out = spliced(&R::point);
+        out.insert(out.end(),
+                   {field("avg_read_us", &R::avgReadUs),
+                    field("avg_write_us", &R::avgWriteUs),
+                    field("iops", &R::iops),
+                    field("p999_us", &R::p999Us),
+                    field("p9999_us", &R::p9999Us),
+                    field("p999999_us", &R::p999999Us),
+                    field("erases", &R::erases),
+                    field("avg_erase_ms", &R::avgEraseMs),
+                    field("suspensions", &R::suspensions),
+                    field("write_amplification", &R::writeAmplification)});
+        return out;
+    }();
+    return table;
 }
 
 Json
@@ -118,43 +81,15 @@ sweepReport(const SweepSpec &spec, const std::vector<SimResult> &results)
 }
 
 std::string
-toCsv(const std::vector<SimResult> &results)
+columnText(const Json &value)
 {
-    // An optional axis gets a column when some row moved it off its
-    // default, mirroring its omission from the JSON rows.
-    std::vector<bool> shown;
-    forEachColumn(SimPoint{}, [&](const std::string &, Json, bool omitted) {
-        shown.push_back(!omitted);
-    });
-    for (const auto &r : results) {
-        std::size_t c = 0;
-        forEachColumn(r.point, [&](const std::string &, Json, bool omitted) {
-            shown[c] = shown[c] || !omitted;
-            ++c;
-        });
-    }
-
+    if (value.isString())
+        return value.asString();
+    if (value.isIntegral())
+        return value.dump();
     std::ostringstream os;
-    // Round-trippable doubles, like the JSON serializer's shortest form.
     os.precision(std::numeric_limits<double>::max_digits10);
-    std::size_t c = 0;
-    forEachColumn(SimPoint{}, [&](const std::string &column, Json, bool) {
-        if (shown[c++])
-            os << column << ',';
-    });
-    os << "avg_read_us,avg_write_us,iops,p999_us,p9999_us,p999999_us,"
-          "erases,avg_erase_ms,suspensions,write_amplification\n";
-    for (const auto &r : results) {
-        c = 0;
-        forEachColumn(r.point, [&](const std::string &, Json value, bool) {
-            if (shown[c++])
-                os << columnText(value) << ',';
-        });
-        os << r.avgReadUs << ',' << r.avgWriteUs << ',' << r.iops << ','
-           << r.p999Us << ',' << r.p9999Us << ',' << r.p999999Us << ','
-           << r.erases << ',' << r.avgEraseMs << ',' << r.suspensions
-           << ',' << r.writeAmplification << '\n';
-    }
+    os << value.asDouble();
     return os.str();
 }
 

@@ -2,8 +2,9 @@
  * @file
  * Machine-readable experiment reports.
  *
- * Serializers that turn SweepSpec/SimResult rows into a JSON document
- * (see exp/json.hh for the value type) or a CSV table, plus the file
+ * Serializers that turn a SweepSpec and its SimResult rows into a JSON
+ * document (see exp/json.hh for the value type; the rows and their CSV
+ * table come from the declared records of exp/record.hh), plus the file
  * I/O helpers every artifact producer/consumer shares. Every figure
  * bench drops one of these artifacts next to its printf table so plots
  * and regression checks (`aero_diff`) can consume the numbers directly.
@@ -23,25 +24,11 @@
 namespace aero
 {
 
-/**
- * A grid point's axis columns (workload, scheme, ..., requests, seed):
- * the identity half of a result row, and the key a journaled sweep
- * records the point under (SweepRunner::run), so the two can never
- * disagree on which axes identify a point.
- */
-Json toJson(const SimPoint &point);
-
-/** One result row as a flat JSON object with stable keys. */
-Json toJson(const SimResult &result);
-
-/**
- * Inverse of toJson(SimResult): rebuild a result from a report row.
- * Exact for every field — doubles round-trip bit-for-bit through the
- * shortest-round-trip serializer, so a reloaded result re-serializes
- * byte-identically (the property a journaled sweep relies on).
- * Fatal on a row missing a field or naming an unknown scheme/mode.
- */
-SimResult simResultFromJson(const Json &row);
+// A grid point's and a result's rows are toJson(SimPoint) and
+// toJson(SimResult), decoded by fromJson<SimResult>() (exp/record.hh):
+// the point's columns are the key a journaled sweep records it under
+// (SweepRunner::run), so the key and the row cannot disagree on which
+// axes identify a point.
 
 /** The declared grid (axes, request count, drive summary fields). */
 Json toJson(const SweepSpec &spec);
@@ -59,9 +46,6 @@ Json configOf(const SweepSpec &spec);
  */
 Json sweepReport(const SweepSpec &spec,
                  const std::vector<SimResult> &results);
-
-/** The same rows as CSV (header + one line per result). */
-std::string toCsv(const std::vector<SimResult> &results);
 
 /**
  * Fail fast on an artifact path that writeTextFile() could not write:

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <mutex>
 #include <sstream>
 #include <type_traits>
@@ -52,20 +51,9 @@ sweepThreads()
 namespace
 {
 
-/** An axis value as its report column: enums by canonical name. */
-template <typename T>
-Json
-toColumn(const T &value)
-{
-    if constexpr (std::is_enum_v<T>)
-        return Json{enumName(value)};
-    else
-        return Json{value};
-}
-
 /**
- * An axis value from a run_sweep token or a column's columnText();
- * fatal, naming @p what, on malformed text or an unknown enum name.
+ * An axis value from a run_sweep token; fatal, naming @p what, on
+ * malformed text or an unknown enum name.
  */
 template <typename T>
 T
@@ -88,12 +76,12 @@ fromText(const std::string &what, const std::string &text)
     }
 }
 
-/** The table entry over SweepSpec::*values and SimPoint::*field. */
+/** The table entry over SweepSpec::*values and SimPoint::*member. */
 template <typename T>
 SweepAxis
 makeAxis(Axis id, const char *specKey, const char *column, bool optional,
          const char *help, std::vector<T> SweepSpec::*values,
-         T SimPoint::*field,
+         T SimPoint::*member,
          std::vector<std::pair<std::string, std::vector<T>>> presets = {})
 {
     SweepAxis axis{id, specKey, column, optional, help, {}, {}, {}, {}, {},
@@ -103,16 +91,13 @@ makeAxis(Axis id, const char *specKey, const char *column, bool optional,
     axis.size = [values](const SweepSpec &spec) {
         return (spec.*values).size();
     };
-    axis.assign = [values, field](const SweepSpec &spec, std::size_t i,
-                                  SimPoint &point) {
-        point.*field = (spec.*values)[i];
+    axis.assign = [values, member](const SweepSpec &spec, std::size_t i,
+                                   SimPoint &point) {
+        point.*member = (spec.*values)[i];
     };
-    axis.get = [field](const SimPoint &point) {
-        return toColumn(point.*field);
-    };
-    axis.set = [field, column](const Json &value, SimPoint &point) {
-        point.*field = fromText<T>(column, columnText(value));
-    };
+    Field<SimPoint> f = field(column, member);
+    axis.get = std::move(f.get);
+    axis.set = std::move(f.set);
     axis.parse = [values, presets, flag = axis.flag()](
                      const std::string &list, SweepSpec &spec) {
         for (const auto &[name, preset] : presets) {
@@ -177,30 +162,25 @@ sweepAxes()
     return table;
 }
 
-void
-forEachColumn(const SimPoint &point,
-              const std::function<void(const std::string &, Json, bool)> &fn)
+const Fields<SimPoint> &
+SimPoint::fields()
 {
-    for (const SweepAxis &axis : sweepAxes()) {
-        if (axis.id == Axis::Seed)
-            fn("requests", Json{point.requests}, false);
-        Json value = axis.get(point);
-        const bool omitted = axis.omitted(value);
-        fn(axis.column, std::move(value), omitted);
-    }
-}
-
-std::string
-columnText(const Json &value)
-{
-    if (value.isString())
-        return value.asString();
-    if (value.isIntegral())
-        return value.dump();
-    std::ostringstream os;
-    os.precision(std::numeric_limits<double>::max_digits10);
-    os << value.asDouble();
-    return os.str();
+    static const Fields<SimPoint> table = [] {
+        Fields<SimPoint> out;
+        for (const SweepAxis &axis : sweepAxes()) {
+            if (axis.id == Axis::Seed)
+                out.push_back(field("requests", &SimPoint::requests));
+            Field<SimPoint> f{axis.column, axis.get, axis.set, {}};
+            if (axis.optional) {
+                f.written = [&axis](const SimPoint &point) {
+                    return !axis.omitted(axis.get(point));
+                };
+            }
+            out.push_back(std::move(f));
+        }
+        return out;
+    }();
+    return table;
 }
 
 namespace
@@ -324,7 +304,6 @@ SweepRunner::run(const SweepSpec &spec, CampaignScope scope,
             }
             return r;
         },
-        [](const SimResult &r) { return toJson(r); }, simResultFromJson,
         poolSize);
 }
 

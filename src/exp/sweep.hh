@@ -8,12 +8,12 @@
  * axis, and expand() flattens it to an ordered vector of SimPoints.
  *
  * The nine axes live in one table, sweepAxes(). Everything that walks the
- * axes reads it: size(), expand(), index() and validate(); a point's
- * report row, which is also its journal key (toJson(SimPoint)), and its
- * decoder; the spec block and the CSV columns (exp/report.hh);
- * aero_diff's row keys; and run_sweep's flags and --help. A new axis is
- * a SweepSpec vector, a SimPoint field, an Axis enumerator and one table
- * entry.
+ * axes reads it: size(), expand(), index() and validate(); SimPoint's
+ * declared columns (SimPoint::fields(), exp/record.hh), which give a
+ * point's report row, its journal key (toJson(SimPoint)), its decoder
+ * and its CSV columns; the spec block (exp/report.hh); aero_diff's row
+ * keys; and run_sweep's flags and --help. A new axis is a SweepSpec
+ * vector, a SimPoint field, an Axis enumerator and one table entry.
  *
  * Goldens, journal keys and fingerprints pin three orders:
  *   - Expansion nests as the Axis enum reads (outermost first), so the
@@ -172,22 +172,6 @@ struct SweepAxis
 
 /** The axis table, in report column order. */
 const std::vector<SweepAxis> &sweepAxes();
-
-/**
- * Visit @p point's key columns in report order: every axis column, with
- * "requests" (one value per spec, not an axis) just before "seed".
- * @p omitted is true for an optional axis at its default.
- */
-void forEachColumn(
-    const SimPoint &point,
-    const std::function<void(const std::string &column, Json value,
-                             bool omitted)> &fn);
-
-/**
- * A column value as CSV cells and --help print it: strings bare, doubles
- * at max_digits10 so they round-trip, integers exactly.
- */
-std::string columnText(const Json &value);
 
 /**
  * Thread count for sweeps: the AERO_SWEEP_THREADS env when set (fatal if

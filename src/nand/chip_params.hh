@@ -14,6 +14,7 @@
 #ifndef AERO_NAND_CHIP_PARAMS_HH
 #define AERO_NAND_CHIP_PARAMS_HH
 
+#include <array>
 #include <cmath>
 #include <string>
 
@@ -148,11 +149,49 @@ struct ChipParams
     PiecewiseLinear dpesTProgFactor;
     /** @} */
 
+    /**
+     * @name pow() tables
+     * tabulate() fills them with the very std::pow expressions the
+     * accessors fall back to, so a tabulated value is bit-identical.
+     * WearModel tabulates its own copy, which never changes after, and
+     * every NandChip copies that one. A copy that changes kV, qDmg or
+     * underEff must tabulate() again.
+     */
+    /** @{ */
+    static constexpr int kTabulatedLevels = 16;
+    bool tabulated = false;
+    std::array<double, kTabulatedLevels> dmgTable{};
+    std::array<double, kTabulatedLevels> underEffTable{};
+    /** @} */
+
     /** Damage contributed by one 0.5-ms slot at ISPE level L (level>=1). */
     double
     dmgPerSlot(int level) const
     {
+        if (tabulated && level >= 0 && level < kTabulatedLevels)
+            return dmgTable[static_cast<std::size_t>(level)];
         return std::pow(1.0 + kV * static_cast<double>(level - 1), qDmg);
+    }
+
+    /** underEff^k: progress per slot of a pulse k levels under schedule. */
+    double
+    underEffPow(int k) const
+    {
+        if (tabulated && k >= 0 && k < kTabulatedLevels)
+            return underEffTable[static_cast<std::size_t>(k)];
+        return std::pow(underEff, static_cast<double>(k));
+    }
+
+    /** Fill the pow() tables from the current fields. */
+    void
+    tabulate()
+    {
+        tabulated = false;
+        for (int i = 0; i < kTabulatedLevels; ++i) {
+            dmgTable[static_cast<std::size_t>(i)] = dmgPerSlot(i);
+            underEffTable[static_cast<std::size_t>(i)] = underEffPow(i);
+        }
+        tabulated = true;
     }
 
     /** Default erase-pulse time in ticks (the fixed tEP of ISPE). */

@@ -35,7 +35,7 @@ advancePerSlot(const ChipParams &params, double progress, int level)
     const int needed = params.scheduleLevel(progress);
     if (level >= needed)
         return 1.0;
-    return std::pow(params.underEff, static_cast<double>(needed - level));
+    return params.underEffPow(needed - level);
 }
 
 double

@@ -21,6 +21,7 @@ constexpr int kPvNodes = 33;
 
 WearModel::WearModel(const ChipParams &params) : chip(params)
 {
+    chip.tabulate();
     // Integrate the *population-averaged* Baseline damage-per-erase curve
     // on a grid. The average must be taken over the process-variation
     // distribution: damage is convex in the requirement (hard blocks need

@@ -169,13 +169,13 @@ TracePump::admit(const TraceRecord &rec)
         // A non-empty FIFO means earlier records of this tenant are
         // still parked; queue behind them to preserve arrival order.
         if (!g->deferred.empty()) {
-            g->deferred.emplace_back(rec, now);
+            g->deferred.push_back({rec, now});
             return;
         }
         const Tick ready =
             std::max(bucketReadyAt(g->iops), bucketReadyAt(g->bw));
         if (ready > now) {
-            g->deferred.emplace_back(rec, now);
+            g->deferred.push_back({rec, now});
             eq->arm(ready, g->release);
             return;
         }

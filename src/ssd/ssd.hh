@@ -9,10 +9,10 @@
 #ifndef AERO_SSD_SSD_HH
 #define AERO_SSD_SSD_HH
 
-#include <deque>
 #include <memory>
 #include <utility>
 
+#include "common/ring_fifo.hh"
 #include "ssd/ftl.hh"
 #include "workload/trace_io/stream.hh"
 
@@ -60,7 +60,7 @@ struct TracePump
     {
         Bucket iops;
         Bucket bw;
-        std::deque<std::pair<TraceRecord, Tick>> deferred; //!< + park tick
+        RingFifo<std::pair<TraceRecord, Tick>> deferred; //!< + park tick
         Timer release;  //!< fires fireThrottled(tenant) at refill
         TracePump *pump = nullptr;
         TenantId tenant = 0;

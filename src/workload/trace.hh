@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "exp/record.hh"
 
 namespace aero
 {
@@ -43,6 +44,9 @@ struct TraceStats
     double avgReqSizeKB = 0.0;
     double avgInterArrivalMs = 0.0;
     Lpn maxPage = 0;
+
+    /** Defined with ExtendedTraceStats's columns (trace_stats.cc). */
+    static const Fields<TraceStats> &fields();
 };
 
 /**

@@ -55,40 +55,34 @@ computeExtendedStats(TraceStream &stream, std::uint32_t page_kb)
     return s;
 }
 
-Json
-toJson(const ExtendedTraceStats &s)
+const Fields<TraceStats> &
+TraceStats::fields()
 {
-    Json row = Json::object();
-    row["requests"] = static_cast<std::uint64_t>(s.basic.requests);
-    row["read_ratio"] = s.basic.readRatio;
-    row["avg_req_size_kb"] = s.basic.avgReqSizeKB;
-    row["avg_inter_arrival_ms"] = s.basic.avgInterArrivalMs;
-    row["max_page"] = s.basic.maxPage;
-    row["write_avg_size_kb"] = s.writeAvgSizeKB;
-    row["read_avg_size_kb"] = s.readAvgSizeKB;
-    row["hot_1pct_fraction"] = s.hot1pctFraction;
-    row["distinct_pages"] = s.distinctPages;
-    row["total_pages_accessed"] = s.totalPagesAccessed;
-    return row;
+    static const Fields<TraceStats> table = {
+        field("requests", &TraceStats::requests),
+        field("read_ratio", &TraceStats::readRatio),
+        field("avg_req_size_kb", &TraceStats::avgReqSizeKB),
+        field("avg_inter_arrival_ms", &TraceStats::avgInterArrivalMs),
+        field("max_page", &TraceStats::maxPage),
+    };
+    return table;
 }
 
-ExtendedTraceStats
-extendedStatsFromJson(const Json &row)
+const Fields<ExtendedTraceStats> &
+ExtendedTraceStats::fields()
 {
-    ExtendedTraceStats s;
-    s.basic.requests =
-        static_cast<std::size_t>(row.get("requests").asUint64());
-    s.basic.readRatio = row.get("read_ratio").asDouble();
-    s.basic.avgReqSizeKB = row.get("avg_req_size_kb").asDouble();
-    s.basic.avgInterArrivalMs =
-        row.get("avg_inter_arrival_ms").asDouble();
-    s.basic.maxPage = row.get("max_page").asUint64();
-    s.writeAvgSizeKB = row.get("write_avg_size_kb").asDouble();
-    s.readAvgSizeKB = row.get("read_avg_size_kb").asDouble();
-    s.hot1pctFraction = row.get("hot_1pct_fraction").asDouble();
-    s.distinctPages = row.get("distinct_pages").asUint64();
-    s.totalPagesAccessed = row.get("total_pages_accessed").asUint64();
-    return s;
+    using E = ExtendedTraceStats;
+    static const Fields<E> table = [] {
+        Fields<E> out = spliced(&E::basic);
+        out.insert(out.end(),
+                   {field("write_avg_size_kb", &E::writeAvgSizeKB),
+                    field("read_avg_size_kb", &E::readAvgSizeKB),
+                    field("hot_1pct_fraction", &E::hot1pctFraction),
+                    field("distinct_pages", &E::distinctPages),
+                    field("total_pages_accessed", &E::totalPagesAccessed)});
+        return out;
+    }();
+    return table;
 }
 
 } // namespace aero

@@ -8,7 +8,7 @@
 #ifndef AERO_WORKLOAD_TRACE_STATS_HH
 #define AERO_WORKLOAD_TRACE_STATS_HH
 
-#include "exp/json.hh"
+#include "exp/record.hh"
 #include "workload/trace_io/stream.hh"
 
 namespace aero
@@ -24,17 +24,14 @@ struct ExtendedTraceStats
     /** Distinct pages touched / footprint pages scanned. */
     std::uint64_t distinctPages = 0;
     std::uint64_t totalPagesAccessed = 0;
+
+    /** basic's columns first, then these (exp/record.hh). */
+    static const Fields<ExtendedTraceStats> &fields();
 };
 
 /** One pass over @p stream; holds one counter per distinct start page. */
 ExtendedTraceStats computeExtendedStats(TraceStream &stream,
                                         std::uint32_t page_kb);
-
-/** @name Campaign-journal codec (exact round trip, bit-for-bit). */
-/** @{ */
-Json toJson(const ExtendedTraceStats &s);
-ExtendedTraceStats extendedStatsFromJson(const Json &row);
-/** @} */
 
 } // namespace aero
 

@@ -460,7 +460,7 @@ TEST(SimResultJson, RoundTripsExactly)
 
     const Json row = toJson(r);
     const Json reparsed = Json::parseOrDie(row.dump());
-    const SimResult back = simResultFromJson(reparsed);
+    const SimResult back = fromJson<SimResult>(reparsed);
     EXPECT_EQ(toJson(back).dump(), row.dump());
     EXPECT_EQ(back.point.seed, r.point.seed);
     EXPECT_EQ(back.avgWriteUs, r.avgWriteUs);
@@ -478,7 +478,7 @@ TEST(SimResultJson, MissingFieldDies)
         if (key != "iops")
             pruned[key] = value;
     }
-    EXPECT_DEATH(simResultFromJson(pruned), "missing 'iops'");
+    EXPECT_DEATH(fromJson<SimResult>(pruned), "missing 'iops'");
 }
 
 // --------------------------------------------------------------------------

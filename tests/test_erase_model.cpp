@@ -10,6 +10,7 @@
 
 #include "common/rng.hh"
 #include "nand/erase_model.hh"
+#include "nand/wear_model.hh"
 
 namespace aero
 {
@@ -181,6 +182,30 @@ TEST(EraseModel, BaselineDamageSumsLoopCosts)
     const double three = baselineEraseDamage(p, 20.0);
     EXPECT_DOUBLE_EQ(three, 7.0 * (p.dmgPerSlot(1) + p.dmgPerSlot(2) +
                                    p.dmgPerSlot(3)));
+}
+
+TEST(EraseModel, PowTablesEqualStdPowForEveryChipType)
+{
+    for (const ChipType type :
+         {ChipType::Tlc3d48L, ChipType::Tlc2d, ChipType::Mlc3d48L}) {
+        // The tables a drive's chips read: their WearModel's copy.
+        const ChipParams &p = WearModel::forType(type)->params();
+        ASSERT_TRUE(p.tabulated) << p.name;
+        // Every level a chip can pulse at, and past the tables' end.
+        for (int level = 1; level <= ChipParams::kTabulatedLevels + 4;
+             ++level) {
+            const double dmg =
+                std::pow(1.0 + p.kV * static_cast<double>(level - 1),
+                         p.qDmg);
+            EXPECT_EQ(p.dmgPerSlot(level), dmg) << p.name << " L" << level;
+        }
+        for (int k = 0; k <= ChipParams::kTabulatedLevels + 4; ++k) {
+            EXPECT_EQ(p.underEffPow(k),
+                      std::pow(p.underEff, static_cast<double>(k)))
+                << p.name << " k" << k;
+        }
+        EXPECT_GE(ChipParams::kTabulatedLevels, p.maxLevel + 1) << p.name;
+    }
 }
 
 /** Property sweep: for any requirement, Baseline-style full loops always

@@ -472,7 +472,7 @@ TEST(SweepAxis, EveryAxisFlowsThroughKeysReportsAndItsFlag)
         EXPECT_NE(key0.dump(), key1.dump());
         // The decoder restores the value exactly.
         for (const SimResult &r : results) {
-            const SimResult back = simResultFromJson(toJson(r));
+            const SimResult back = fromJson<SimResult>(toJson(r));
             EXPECT_EQ(axis.get(back.point), axis.get(r.point));
             EXPECT_EQ(toJson(back).dump(), toJson(r).dump());
         }
@@ -834,7 +834,7 @@ TEST(Report, CsvShowsEachOptionalAxisOnItsOwn)
     EXPECT_NE(csv.find("\nprxy,Baseline,500,mid-segment,0,63,dynamic,"),
               std::string::npos);
     // Every row at its default: no optional column at all.
-    const std::string plain = toCsv({SimResult{}});
+    const std::string plain = toCsv(std::vector<SimResult>(1));
     EXPECT_EQ(plain.substr(0, plain.find(",avg_read_us")),
               "workload,scheme,pec,suspension,misprediction_rate,"
               "rber_requirement,requests,seed");
